@@ -240,13 +240,14 @@ def coupling_coefficient(m: int, k: int, alpha: float) -> float:
 class RunningSums:
     """O(1)-per-harmonic accumulators for the coupling sums.
 
-    Stores ``s1 = sum_k eta_k Q_k`` and ``s2 = sum_k k eta_k Q_k`` with
-    ``eta_k = exp(0.5 * (lgamma(k+alpha+1) - lgamma(k+1)))``; harmonic ``m``
-    then needs only ``nu_m * (m * s1 - s2)`` where
-    ``nu_m = exp(0.5 * (lgamma(m+1) - lgamma(m+alpha+1)))``.  The huge
-    ``eta``/tiny ``nu`` factors cancel in the product, but each half goes
-    through ``exp`` separately, which bounds the usable order: for alpha = 5,
-    m <= 2000 the factors stay far below the overflow threshold.
+    With ``eta_k = exp(0.5 * (lgamma(k+alpha+1) - lgamma(k+1)))`` and
+    ``nu_m = 1 / eta_m``, harmonic ``m`` needs ``nu_m * (m * S1 - S2)`` where
+    ``S1 = sum_k eta_k Q_k`` and ``S2 = sum_k k eta_k Q_k``.  The sums are
+    kept already scaled by ``nu_m``: since ``nu_k eta_k = 1`` and
+    ``nu_{k+1} / nu_k = sqrt((k+1) / (k+alpha+1)) <= 1``, absorbing ``Q_k``
+    is ``s1 = r (s1 + Q_k)``, ``s2 = r (s2 + k Q_k)``.  Neither the huge
+    ``eta`` nor the tiny ``nu`` is ever formed, so no order or ``alpha``
+    overflows.
     """
 
     def __init__(self, grid: Grid2D, alpha: float):
@@ -258,20 +259,19 @@ class RunningSums:
     def absorb(self, q_k: np.ndarray) -> None:
         """Fold the most recently solved harmonic into the sums."""
         k = self.count
-        eta = math.exp(0.5 * (math.lgamma(k + self.alpha + 1)
-                              - math.lgamma(k + 1)))
-        self.s1 += eta * q_k
-        self.s2 += (k * eta) * q_k
+        r = math.sqrt((k + 1) / (k + self.alpha + 1))
+        self.s1 += q_k
+        self.s1 *= r
+        self.s2 += k * q_k
+        self.s2 *= r
         self.count += 1
 
     def weighted_combination(self, m: int) -> np.ndarray:
-        """``nu_m * (m * s1 - s2)``, the coupling field for harmonic ``m``."""
+        """``nu_m * (m * S1 - S2)``, the coupling field for harmonic ``m``."""
         if m != self.count:
             raise DomainError(
                 f"harmonic {m} requested but {self.count} harmonics absorbed")
-        nu = math.exp(0.5 * (math.lgamma(m + 1)
-                             - math.lgamma(m + self.alpha + 1)))
-        return nu * (m * self.s1 - self.s2)
+        return m * self.s1 - self.s2
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,8 @@ def cmd_bench(cfg: RunConfig) -> int:
             stats.write_csv(os.path.join(outdir, f"comm_p{p}.csv"))
     else:
         rows.append("p, seconds, speedup, t_model_dichotomy, t_model_cyclic")
+        # speedups are plain ratios against p = 1, timed even if not listed
+        ranks = [1] + [p for p in ranks if p != 1]
         walls: Dict[int, float] = {}
         for p in ranks:
             best = math.inf
@@ -401,11 +403,8 @@ def cmd_bench(cfg: RunConfig) -> int:
                 _, _, wall = _bench_once(matrix, B, p, "threads")
                 best = min(best, wall)
             walls[p] = best
-        p0 = ranks[0]
         for p in ranks:
-            # speedup normalized by the baseline rank count: equals the
-            # plain wall-time ratio when the sweep starts at p = 1
-            speedup = p0 * walls[p0] / walls[p]
+            speedup = walls[1] / walls[p]
             t_dich, t_cyc = models(p)
             rows.append(f"{p}, {walls[p]:.6f}, {speedup:.4f}, "
                         f"{t_dich}, {t_cyc}")

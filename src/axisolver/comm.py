@@ -7,8 +7,8 @@ User code is SPMD: a per-rank function ``program(comm)`` where ``comm`` carries
 * ``"sim"``    - deterministic single-process scheduler.  OS threads host the
   rank functions but a turn token keeps exactly one runnable at a time and
   hands control round-robin whenever the running rank blocks, so execution
-  order (and the message log) is reproducible and unmatched receives are
-  detected as hard deadlock errors.
+  order is reproducible and unmatched receives are detected as hard deadlock
+  errors.
 * ``"threads"`` - one free-running worker thread per rank with blocking
   channels; used to measure actual parallel speedup.
 
@@ -125,9 +125,6 @@ class CommStats:
 
     def total_scalars(self) -> int:
         return sum(self.scalars_sent)
-
-    def max_levels(self) -> int:
-        return max(self.levels)
 
     def to_csv_text(self) -> str:
         lines = ["rank,msgs_sent,scalars_sent,reduces,levels"]
@@ -251,7 +248,7 @@ class _BaseComm:
         arr = np.array(payload, dtype=np.float64, copy=True, ndmin=1)
         if arr.ndim != 1:
             raise DimensionMismatch("payload must be scalar or 1-D")
-        self.world._account_send(self.rank, to, arr.size)
+        self.world._account_send(self.rank, arr.size)
         self._send_impl(to, arr)
 
     def recv(self, src: int) -> np.ndarray:
@@ -278,7 +275,7 @@ class _BaseComm:
         for level in rounds:
             for src, dst in level:
                 if src == self.rank:
-                    self.world._account_send(self.rank, dst, acc.size, kind="reduce")
+                    self.world._account_send(self.rank, acc.size)
                     self._send_impl(dst, acc)
                     return None
                 if dst == self.rank:
@@ -362,15 +359,13 @@ class CommWorld:
         self.p = p
         self._stats_lock = threading.Lock()
         self._counters = {r: _RankCounters() for r in range(1, p + 1)}
-        self.message_log: List[Tuple[str, int, int, int]] = []
 
     # accounting -------------------------------------------------------------
-    def _account_send(self, src: int, dst: int, nscalars: int, kind: str = "p2p") -> None:
+    def _account_send(self, src: int, nscalars: int) -> None:
         with self._stats_lock:
             c = self._counters[src]
             c.msgs_sent += 1
             c.scalars_sent += nscalars
-            self.message_log.append((kind, src, dst, nscalars))
 
     def _account_reduce(self, rank: int, nlevels: int) -> None:
         with self._stats_lock:

@@ -1,4 +1,4 @@
-"""Batched radix-2 FFT and the cosine transforms built on it.
+"""The half-sample cosine transforms, built on ``numpy.fft``.
 
 The solver's separation-of-variables preconditioner expands grid columns in
 the half-sample cosine basis
@@ -9,12 +9,12 @@ whose inverse carries a half weight on the constant mode:
 
     x[k] = sqrt(2/N) * (X[0]/2 + sum_{l>=1} X[l] cos(pi (k + 1/2) l / N)).
 
-For power-of-two N the pair is evaluated through a single complex FFT of the
+For every length N the pair is evaluated through a single complex FFT of the
 even/odd-folded sequence (reorder to [x0, x2, ..., x5, x3, x1], transform,
-rotate by a quarter-sample twiddle); other lengths fall back to direct
-summation against a cached cosine matrix, which also serves as the oracle in
-the tests.  All routines are batched: the transform runs along ``axis`` and
-broadcasts over every other axis.
+rotate by a quarter-sample twiddle; Makhoul 1980, IEEE TASSP 28(1)).  Direct
+summation against a cached cosine matrix is kept as the oracle for the tests.
+All routines are batched: the transform runs along ``axis`` and broadcasts
+over every other axis.
 """
 
 from __future__ import annotations
@@ -23,71 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
 __all__ = [
-    "fft", "ifft", "dct_forward", "dct_inverse",
-    "dct_forward_direct", "dct_inverse_direct", "is_power_of_two",
+    "dct_forward", "dct_inverse", "dct_forward_direct", "dct_inverse_direct",
 ]
-
-
-def is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-# ---------------------------------------------------------------------------
-# complex FFT (iterative radix-2, batched over the last axis)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    rev.setflags(write=False)
-    return rev
-
-
-@lru_cache(maxsize=256)
-def _stage_twiddles(span: int) -> np.ndarray:
-    w = np.exp(-1j * np.pi * np.arange(span) / span)
-    w.setflags(write=False)
-    return w
-
-
-def fft(a, axis: int = -1) -> np.ndarray:
-    """Complex DFT with the e^{-2 pi i j k / n} kernel; n must be a power of
-    two."""
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[axis]
-    if not is_power_of_two(n):
-        raise DimensionMismatch(f"fft length must be a power of two, got {n}")
-    moved = axis not in (-1, a.ndim - 1)
-    if moved:
-        a = np.moveaxis(a, axis, -1)
-    out = a[..., _bit_reverse_indices(n)]
-    span = 1
-    while span < n:
-        out = out.reshape(out.shape[:-1] + (n // (2 * span), 2 * span))
-        even = out[..., :span]
-        odd = out[..., span:] * _stage_twiddles(span)
-        out = np.concatenate([even + odd, even - odd], axis=-1)
-        out = out.reshape(out.shape[:-2] + (n,))
-        span *= 2
-    return np.moveaxis(out, -1, axis) if moved else out
-
-
-def ifft(a, axis: int = -1) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    return np.conj(fft(np.conj(a), axis=axis)) / a.shape[axis]
-
-
-# ---------------------------------------------------------------------------
-# cosine transforms
-# ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=32)
@@ -132,10 +70,8 @@ def dct_forward(x, axis: int = 0) -> np.ndarray:
     docstring); batched along every axis but ``axis``."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[axis]
-    if not is_power_of_two(n):
-        return dct_forward_direct(x, axis=axis)
     moved = np.moveaxis(x, axis, -1)
-    V = fft(_fold_even_odd(np.ascontiguousarray(moved)))
+    V = np.fft.fft(_fold_even_odd(np.ascontiguousarray(moved)))
     out = np.sqrt(2.0 / n) * (V * _quarter_twiddle(n)).real
     return np.moveaxis(out, -1, axis)
 
@@ -144,8 +80,6 @@ def dct_inverse(X, axis: int = 0) -> np.ndarray:
     """Inverse of :func:`dct_forward` (half weight on the constant mode)."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[axis]
-    if not is_power_of_two(n):
-        return dct_inverse_direct(X, axis=axis)
     C = np.ascontiguousarray(np.moveaxis(X, axis, -1))
     V = np.empty(C.shape, dtype=np.complex128)
     V[..., 0] = C[..., 0]
@@ -154,13 +88,13 @@ def dct_inverse(X, axis: int = 0) -> np.ndarray:
         V[..., 1:] = theta * (C[..., 1:] - 1j * C[..., :0:-1])
     # the IFFT already carries the 1/N: feeding coefficients sqrt(N/2) X
     # reproduces the samples exactly, so the scale here is sqrt(N/2)
-    v = ifft(V).real
+    v = np.fft.ifft(V).real
     out = np.sqrt(n / 2.0) * _unfold_even_odd(v)
     return np.moveaxis(out, -1, axis)
 
 
 def dct_forward_direct(x, axis: int = 0) -> np.ndarray:
-    """O(N^2) analysis by direct summation; any length (oracle/fallback)."""
+    """O(N^2) analysis by direct summation; the oracle for the tests."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[axis]
     moved = np.moveaxis(x, axis, -1)
@@ -169,7 +103,7 @@ def dct_forward_direct(x, axis: int = 0) -> np.ndarray:
 
 
 def dct_inverse_direct(X, axis: int = 0) -> np.ndarray:
-    """O(N^2) synthesis by direct summation; any length (oracle/fallback)."""
+    """O(N^2) synthesis by direct summation; the oracle for the tests."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[axis]
     weights = np.ones(n)

@@ -2,9 +2,11 @@
 
 Two interchangeable backends live here: numba-compiled loops (``nogil`` so the
 threaded executor can actually overlap them) and plain numpy fallbacks used
-when numba is unavailable or disabled via ``AXISOLVER_NO_NUMBA=1``.  Both
-perform identical elementwise arithmetic in identical order, so results are
-bit-for-bit the same across backends.
+when numba is unavailable or disabled via ``AXISOLVER_NO_NUMBA=1``.  The
+single-matrix factor and solve bodies are written once and compiled when numba
+is present; without it the one solve body also serves the batched and
+multi-system cases.  Both backends perform identical elementwise arithmetic in
+identical order, so results are bit-for-bit the same across backends.
 
 Band convention (0-based storage of an order-``n`` system):
 
@@ -50,8 +52,7 @@ except ImportError:  # pragma: no cover - exercised via AXISOLVER_NO_NUMBA
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def _factor_jit(lower, diag, upper, cp, dn):
+def _factor(lower, diag, upper, cp, dn):
     n = diag.shape[0]
     if abs(diag[0]) < PIVOT_FLOOR:
         return 0
@@ -65,14 +66,16 @@ def _factor_jit(lower, diag, upper, cp, dn):
     return -1
 
 
-@njit(cache=True, nogil=True)
-def _solve1_jit(lower, cp, dn, f, x):
-    n = f.shape[0]
-    x[0] = f[0] / dn[0]
+def _solve(lower, cp, dn, F, X):
+    # row i of F/X is a scalar (one rhs), a row of a batch sharing 1-D
+    # bands, or a row of a family with (n, L) bands; the numpy fallback runs
+    # all three through this one body
+    n = F.shape[0]
+    X[0] = F[0] / dn[0]
     for i in range(1, n):
-        x[i] = (f[i] - lower[i - 1] * x[i - 1]) / dn[i]
+        X[i] = (F[i] - lower[i - 1] * X[i - 1]) / dn[i]
     for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
+        X[i] -= cp[i] * X[i + 1]
 
 
 @njit(cache=True, nogil=True)
@@ -89,38 +92,6 @@ def _solveb_jit(lower, cp, dn, F, X):
         ci = cp[i]
         for j in range(m):
             X[i, j] -= ci * X[i + 1, j]
-
-
-def _factor_np(lower, diag, upper, cp, dn):
-    n = diag.shape[0]
-    if abs(diag[0]) < PIVOT_FLOOR:
-        return 0
-    dn[0] = diag[0]
-    for i in range(1, n):
-        cp[i - 1] = upper[i - 1] / dn[i - 1]
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if abs(piv) < PIVOT_FLOOR:
-            return i
-        dn[i] = piv
-    return -1
-
-
-def _solve1_np(lower, cp, dn, f, x):
-    n = f.shape[0]
-    x[0] = f[0] / dn[0]
-    for i in range(1, n):
-        x[i] = (f[i] - lower[i - 1] * x[i - 1]) / dn[i]
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-
-
-def _solveb_np(lower, cp, dn, F, X):
-    n = F.shape[0]
-    X[0] = F[0] / dn[0]
-    for i in range(1, n):
-        X[i] = (F[i] - lower[i - 1] * X[i - 1]) / dn[i]
-    for i in range(n - 2, -1, -1):
-        X[i] -= cp[i] * X[i + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +143,12 @@ def _factor_multi_np(lower, diag, upper, cp, dn):
     return -1
 
 
-def _solve_multi_np(lower, cp, dn, F, X):
-    n = F.shape[0]
-    X[0] = F[0] / dn[0]
-    for i in range(1, n):
-        X[i] = (F[i] - lower[i - 1] * X[i - 1]) / dn[i]
-    for i in range(n - 2, -1, -1):
-        X[i] -= cp[i] * X[i + 1]
-
-
-_factor = _factor_jit if HAVE_NUMBA else _factor_np
-_solve1 = _solve1_jit if HAVE_NUMBA else _solve1_np
-_solveb = _solveb_jit if HAVE_NUMBA else _solveb_np
+_jit = njit(cache=True, nogil=True)
+_factor1 = _jit(_factor)
+_solve1 = _jit(_solve)
+_solveb = _solveb_jit if HAVE_NUMBA else _solve
 _factor_multi = _factor_multi_jit if HAVE_NUMBA else _factor_multi_np
-_solve_multi = _solve_multi_jit if HAVE_NUMBA else _solve_multi_np
+_solve_multi = _solve_multi_jit if HAVE_NUMBA else _solve
 
 
 def _as_f64(arr, name, shape=None):
@@ -231,7 +194,7 @@ def thomas_factor(lower, diag, upper) -> Factorization:
     upper = _as_f64(upper, "upper", (n - 1,))
     cp = np.empty(max(n - 1, 0), dtype=np.float64)
     dn = np.empty(n, dtype=np.float64)
-    bad = _factor(lower, diag, upper, cp, dn)
+    bad = _factor1(lower, diag, upper, cp, dn)
     if bad >= 0:
         raise ZeroPivot(bad, float(diag[bad] if bad == 0 else dn[bad - 1]))
     return Factorization(lower, cp, dn)
@@ -250,11 +213,6 @@ def thomas_apply(fact: Factorization, f) -> np.ndarray:
     else:
         raise DimensionMismatch("rhs must be 1-D or 2-D")
     return x
-
-
-def thomas_solve_bands(lower, diag, upper, f) -> np.ndarray:
-    """One-shot Thomas solve from raw bands."""
-    return thomas_apply(thomas_factor(lower, diag, upper), f)
 
 
 def multi_factor(lower, diag, upper) -> MultiFactorization:

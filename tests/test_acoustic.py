@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from axisolver.acoustic import (
@@ -114,6 +115,47 @@ def test_running_sums_match_direct_accumulation():
             q = rng.standard_normal(grid.unknown_shape)
             sums.absorb(q)
             history.append(q)
+
+
+def test_running_sums_stay_finite_at_large_alpha():
+    # LaguerreParams accepts alpha = 400, where the unscaled weight
+    # exp(lgamma(k + alpha + 1) / 2) overflows a double already at k = 0
+    alpha, n_terms = 400, 40
+    rng = np.random.default_rng(8)
+    grid = Grid2D(4, 3, 1.0, 1.0)
+    sums = RunningSums(grid, alpha)
+    history = []
+    for _ in range(n_terms):
+        q = rng.standard_normal(grid.unknown_shape)
+        sums.absorb(q)
+        history.append(q)
+    combo = sums.weighted_combination(n_terms)
+    assert np.all(np.isfinite(sums.s1)) and np.all(np.isfinite(sums.s2))
+    assert np.all(np.isfinite(combo))
+    direct = sum(coupling_coefficient(n_terms, k, alpha) * q
+                 for k, q in enumerate(history))
+    assert np.abs(combo - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(2.0, 8.0), st.integers(1, 30), st.integers(0, 2 ** 31 - 1))
+def test_running_sums_property_against_direct_accumulation(alpha, n_terms,
+                                                           seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid2D(3, 2, 1.0, 1.0)
+    sums = RunningSums(grid, alpha)
+    history = []
+    for m in range(n_terms + 1):
+        weights = [coupling_coefficient(m, k, alpha) for k in range(m)]
+        direct = sum((w * q for w, q in zip(weights, history)),
+                     np.zeros(grid.unknown_shape))
+        # bound on the size of the terms, so cancellation cannot shrink it
+        scale = sum(abs(w) * np.abs(q).max() for w, q in zip(weights, history))
+        combo = sums.weighted_combination(m)
+        assert np.abs(combo - direct).max() <= 1e-12 * max(scale, 1e-300)
+        q = rng.standard_normal(grid.unknown_shape)
+        sums.absorb(q)
+        history.append(q)
 
 
 def test_running_sums_require_matching_order():

@@ -5,12 +5,15 @@ output directory; one test exercises the ``python -m`` entry point end to
 end in a subprocess.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import axisolver
 from axisolver.cli import main
 from axisolver.elliptic import Grid2D, read_field_raw, write_field_text
 
@@ -349,6 +352,21 @@ def test_bench_threads_reports_speedup_column(tmp_path):
     assert float(rows[1][1]) > 0.0
 
 
+def test_bench_threads_times_p1_baseline_first(tmp_path):
+    # a sweep without p = 1 still gets a timed sequential baseline, and the
+    # speedups are plain wall-time ratios against it
+    cfg = write_cfg(tmp_path / "run.cfg",
+                    "[bench]\nranks = 2\nn = 4096\nbatch = 2\nrepeats = 1\n")
+    out = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--out", str(out),
+                   "--executor", "threads") == 0
+    _, rows = bench_rows(out)
+    assert [r[0] for r in rows] == ["1", "2"]
+    assert rows[0][2] == "1.0000"
+    assert float(rows[1][2]) == pytest.approx(
+        float(rows[0][1]) / float(rows[1][1]), rel=1e-2)
+
+
 def test_bench_ranks_flag_limits_sweep(tmp_path):
     out = tmp_path / "out"
     assert run_cli("bench", "--out", str(out), "--ranks", "4") == 0
@@ -365,13 +383,18 @@ def test_module_entry_point_subprocess(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_GRID, encoding="ascii")
+    # the child imports the same package this process imported, whether it
+    # came from PYTHONPATH, pytest's pythonpath setting or an install
+    src = str(Path(axisolver.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "axisolver.cli", "poisson",
          "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert (out / "solution.raw").exists()
 
     none = subprocess.run([sys.executable, "-m", "axisolver.cli"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert none.returncode == 2  # argparse usage error

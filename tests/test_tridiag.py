@@ -15,6 +15,12 @@ from axisolver.errors import (
     ZeroPivot,
     ZeroRhs,
 )
+from axisolver.kernels import (
+    multi_apply,
+    multi_factor,
+    thomas_apply,
+    thomas_factor,
+)
 from axisolver.tridiag import (
     TridiagonalMatrix,
     residual_relnorm,
@@ -121,6 +127,47 @@ def test_solve_residual_postcondition(n, seed):
     x = thomas_solve(A, f)
     err = np.max(np.abs(A.matvec(x) - f)) / (np.max(np.abs(f)) + 1.0)
     assert err <= 100 * np.finfo(np.float64).eps * n
+
+
+# ---------------------------------------------------------------------------
+# multi-system kernels: a family of L independent matrices, bands (n, L)
+# ---------------------------------------------------------------------------
+
+
+def random_family(rng, n, nsys):
+    mats = [random_dominant(rng, n) for _ in range(nsys)]
+    lower = np.stack([A.lower for A in mats], axis=1)
+    diag = np.stack([A.diag for A in mats], axis=1)
+    upper = np.stack([A.upper for A in mats], axis=1)
+    return lower, diag, upper
+
+
+@pytest.mark.parametrize("n,nsys", [(1, 3), (2, 1), (17, 6), (64, 9)])
+def test_multi_solve_equals_per_member_thomas_bitwise(n, nsys):
+    rng = np.random.default_rng(n * 100 + nsys)
+    lower, diag, upper = random_family(rng, n, nsys)
+    F = rng.normal(size=(n, nsys))
+    X = multi_apply(multi_factor(lower, diag, upper), F)
+    for l in range(nsys):
+        fact = thomas_factor(lower[:, l], diag[:, l], upper[:, l])
+        np.testing.assert_array_equal(X[:, l], thomas_apply(fact, F[:, l]))
+
+
+def test_multi_factor_first_pivot_zero_raises():
+    lower, diag, upper = random_family(np.random.default_rng(11), 5, 4)
+    diag[0, 2] = 0.0
+    with pytest.raises(ZeroPivot) as exc:
+        multi_factor(lower, diag, upper)
+    assert exc.value.row == 0
+
+
+def test_multi_factor_interior_pivot_zero_raises():
+    # member 1 is tridiag(1, 1, 1) of order 3: its second pivot is 1 - 1 = 0
+    lower, diag, upper = random_family(np.random.default_rng(12), 3, 4)
+    lower[:, 1] = upper[:, 1] = diag[:, 1] = 1.0
+    with pytest.raises(ZeroPivot) as exc:
+        multi_factor(lower, diag, upper)
+    assert exc.value.row == 1
 
 
 # ---------------------------------------------------------------------------
