@@ -12,11 +12,11 @@ command.  The most commonly used names are re-exported here.
 from .errors import (Breakdown, ConfigError, Deadlock, DimensionMismatch,
                      DomainError, HarmonicSolveFailure, InvalidBounds,
                      InvalidPartition, MaxIterExceeded, SolverError)
-from .tridiag import TridiagonalMatrix, thomas_solve
+from .tridiag import TridiagonalFamily, TridiagonalMatrix, thomas_solve
 from .comm import CommStats, CommWorld, stats_snapshot
 from .dichotomy import (DichotomyPlan, Partition, build_plan, dichotomy_solve,
                         predict_time_cyclic, predict_time_dichotomy,
-                        solve_many)
+                        solve_many, solve_series)
 from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        manufactured_problem, read_field_raw, read_field_text,
                        sampler_from_field, write_field_raw, write_field_text)
@@ -37,9 +37,9 @@ __all__ = [
     "InvalidBounds", "Breakdown", "MaxIterExceeded", "Deadlock",
     "ConfigError", "HarmonicSolveFailure",
     # tridiagonal kernels and the distributed solver
-    "TridiagonalMatrix", "thomas_solve", "CommWorld", "CommStats",
-    "stats_snapshot", "Partition", "DichotomyPlan", "build_plan",
-    "dichotomy_solve", "solve_many", "predict_time_dichotomy",
+    "TridiagonalMatrix", "TridiagonalFamily", "thomas_solve", "CommWorld",
+    "CommStats", "stats_snapshot", "Partition", "DichotomyPlan", "build_plan",
+    "dichotomy_solve", "solve_many", "solve_series", "predict_time_dichotomy",
     "predict_time_cyclic",
     # elliptic discretization and preconditioned iterations
     "Grid2D", "CoefficientFields", "DiscreteOperator", "assemble",

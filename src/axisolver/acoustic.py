@@ -32,7 +32,7 @@ import numpy as np
 
 from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        write_field_raw)
-from .errors import DomainError, HarmonicSolveFailure, SolverError
+from .errors import DomainError, HarmonicSolveFailure, OverflowGuard, SolverError
 from .iterative import chebyshev_solve, estimate_bounds, pcg_solve
 from .laguerre import laguerre_function_table, project_source
 from .sov import SovPreconditioner
@@ -379,18 +379,29 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
 
 
 def _synthesis_weights(params: LaguerreParams, times) -> np.ndarray:
-    """Rows of ``(h t)^(alpha/2) * l_m(h t)`` for every requested time."""
+    """Rows of ``(h t)^(alpha/2) * l_m(h t)`` for every requested time.
+
+    Each weight is formed in log space, ``sign(l) exp(alpha/2 log(h t) +
+    log|l|)``, so a power beyond the float range times a small Laguerre value
+    stays finite.  A weight that is itself beyond the float range raises
+    :class:`OverflowGuard` instead of reaching the traces as inf or NaN.
+    """
     times = np.asarray(times, dtype=np.float64).ravel()
     if times.size and times.min() < 0.0:
         raise DomainError("times must be >= 0")
     taus = params.h * times
     table = laguerre_function_table(params.n_terms - 1, params.alpha, taus,
                                     h=params.h)
-    power = np.where(taus > 0.0,
-                     np.exp(0.5 * params.alpha
-                            * np.log(np.where(taus > 0.0, taus, 1.0))),
-                     0.0)
-    return power[:, None] * table
+    with np.errstate(divide="ignore", over="ignore"):
+        # alpha >= 2, so the weights vanish at t = 0 (log power -inf)
+        log_power = 0.5 * params.alpha * np.log(taus)
+        weights = np.sign(table) * np.exp(log_power[:, None]
+                                          + np.log(np.abs(table)))
+    if not np.all(np.isfinite(weights)):
+        raise OverflowGuard(
+            f"synthesis weight (h t)^(alpha/2) l_m(h t) exceeds the float "
+            f"range at alpha = {params.alpha}, t up to {float(times.max())!r}")
+    return weights
 
 
 def reconstruct(series: LaguerreSeries, times,

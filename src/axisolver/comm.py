@@ -143,11 +143,16 @@ class CommStats:
 
 
 class _SimState:
-    """Turn-token scheduler: one runnable rank at a time, round-robin yields."""
+    """Turn-token scheduler: one runnable rank at a time, round-robin yields.
+
+    One lock guards all state; each rank sleeps on its own condition, so a
+    hand-over wakes only the rank whose turn it is.
+    """
 
     def __init__(self, p: int):
         self.p = p
-        self.cond = threading.Condition()
+        self.lock = threading.Lock()
+        self.turns = {r: threading.Condition(self.lock) for r in range(1, p + 1)}
         self.state = {r: "ready" for r in range(1, p + 1)}
         self.reason: Dict[int, tuple] = {}
         self.channels: Dict[Tuple[int, int], deque] = {}
@@ -170,8 +175,22 @@ class _SimState:
             return bool(self.channels.get((src, r)))
         return False
 
+    def hand_over(self) -> None:
+        """Wake the rank whose turn it is, or every rank after a fatal event.
+        The lock must be held."""
+        if self.abort_exc is not None:
+            for turn in self.turns.values():
+                turn.notify()
+        elif self.current:
+            self.turns[self.current].notify()
+
+    def wait_turn(self, rank: int) -> None:
+        """Sleep until it is ``rank``'s turn or the run aborts (lock held)."""
+        while self.current != rank and self.abort_exc is None:
+            self.turns[rank].wait()
+
     def pick_next(self, after: int) -> None:
-        # cond must be held
+        # the lock must be held
         for step in range(1, self.p + 1):
             r = (after - 1 + step) % self.p + 1
             if self._runnable(r):
@@ -295,23 +314,22 @@ class _SimComm(_BaseComm):
 
     def _send_impl(self, to, payload):
         sim = self._sim
-        with sim.cond:
+        with sim.lock:
             if sim.abort_exc is not None:
                 raise _Abort()
             sim.channel(self.rank, to).append(payload)
 
     def _recv_impl(self, src, reduce_members):
         sim = self._sim
-        with sim.cond:
+        with sim.lock:
             ch = sim.channel(src, self.rank)
             if not ch:
                 kind = "reduce" if reduce_members is not None else "recv"
                 sim.state[self.rank] = "blocked"
                 sim.reason[self.rank] = (kind, src, reduce_members)
                 sim.pick_next(self.rank)
-                sim.cond.notify_all()
-                while sim.current != self.rank and sim.abort_exc is None:
-                    sim.cond.wait()
+                sim.hand_over()
+                sim.wait_turn(self.rank)
                 if sim.abort_exc is not None:
                     raise _Abort()
             return ch.popleft()
@@ -405,9 +423,8 @@ class CommWorld:
         results: Dict[int, object] = {}
 
         def worker(rank):
-            with sim.cond:
-                while sim.current != rank and sim.abort_exc is None:
-                    sim.cond.wait()
+            with sim.lock:
+                sim.wait_turn(rank)
                 if sim.abort_exc is not None:
                     return
             try:
@@ -418,14 +435,14 @@ class CommWorld:
             except BaseException as exc:  # deliver the first rank failure
                 failure = exc
                 out = None
-            with sim.cond:
+            with sim.lock:
                 if failure is not None and sim.abort_exc is None:
                     sim.abort_exc = failure
                 else:
                     results[rank] = out
                 sim.state[rank] = "done"
                 sim.pick_next(rank)
-                sim.cond.notify_all()
+                sim.hand_over()
 
         threads = [threading.Thread(target=worker, args=(r,), daemon=True)
                    for r in range(1, self.p + 1)]

@@ -1,35 +1,53 @@
-"""Distributed solution of one tridiagonal system with many right-hand sides.
+"""Distributed solution of a family of tridiagonal systems that share one
+row partition, each with its own right-hand sides.
 
-The method pays an O(n)-per-rank, communication-free preparation for a given
-matrix, after which every batch of right-hand sides is solved with
-ceil(log2(p)) "splitting levels" of collective sums plus one local elimination
-per rank.
+A *family* is L matrices of one order n (bands shaped (n, L), see
+:class:`~axisolver.tridiag.TridiagonalFamily`); a single matrix is the
+L = 1 family.  The method pays a communication-free preparation once per
+family, after which every batch of right-hand sides is solved with
+ceil(log2(p)) "splitting levels" of collective sums plus one local
+elimination per rank.  Every member travels in the same messages, so the
+message count of a solve does not depend on L: each reduce carries 2*L*M
+scalars for L members with M right-hand sides each.
 
-Preparation (per rank m owning global rows ``m_L..m_R``):
+Preparation.  Two eliminations of the whole family -- top-down (pivots
+``dn``, ratios ``cp = upper/dn``) and bottom-up (pivots ``en``, ratios
+``cq = lower[i]/en[i+1]``) -- give in closed form everything a rank reads:
 
-* ``G_L`` / ``G_R``  - rows ``m_L`` / ``m_R`` of the full inverse, obtained by
-  solving the transposed system against unit vectors;
-* ``Z_L``            - the vector supported on rows ``1..m_L`` with trailing
-  entry 1 whose leading part solves the head block against
-  ``(0,...,0,-upper[m_L-2])``;
-* ``Z_R``            - mirrored tail vector supported on rows ``m_R..n`` with
-  leading entry 1.
+* ``G_L`` / ``G_R`` -- rows ``m_L`` / ``m_R`` of the inverse, restricted to
+  the rank's own rows ``m_L..m_R``.  Row k of the inverse has diagonal entry
+  ``1/(dn_k - upper_k cq_k)`` and decays away from it by the factors
+  ``-upper_j/en_{j+1}`` (rightwards) and ``-lower_j/dn_j`` (leftwards);
+* ``Z_L`` / ``Z_R`` -- the head vector on rows ``1..m_L`` with trailing entry
+  1 whose leading part solves the head block against
+  ``(0,...,0,-upper[m_L-2])``, and the mirrored tail vector on rows
+  ``m_R..n``.  Entry j of ``Z_L`` is the product of ``-cp`` over rows
+  ``j..m_L-1``; entry j of ``Z_R`` the product of ``-cq`` over rows
+  ``m_R..j-1``.  A rank keeps only the <= 2 entries per level that the
+  splitting tree reads (:attr:`RankPlan.weights`);
+* the fold ratios ``(G_L)_{m_R}/(G_R)_{m_R}`` and ``(G_R)_{m_L}/(G_L)_{m_L}``;
+* the elimination of its interior rows ``m_L+1..m_R-1`` and their two
+  couplings to the block's first and last rows.
+
+Each of these is a length-L vector (or an (·, L) array), so a rank's plan is
+O(n/p + log p) per member.  The build is three eliminations of n rows in
+total (the two above and the ranks' interiors), plus the Z products, all
+vectorized over the members.
 
 Splitting: the rank interval is halved recursively at ``mid =
 ceil((lo+hi)/2)``.  The solution components at the middle rank's first/last
-rows (``k1``/``k2``) equal weighted sums of the per-rank scalars ``beta`` with
-Z-vector weights; the two components are accumulated in one tree reduce per
-side carrying a payload of ``2*M`` scalars for a batch of M right-hand sides.
-The middle rank then emits correction scalars to its immediate neighbors,
-which fold them into both their beta components -- after which the two
-sub-intervals are completely decoupled and recurse.  Singleton intervals
-need no communication at all: their first/last values are directly their
+rows (``k1``/``k2``) equal weighted sums of the per-rank scalars ``beta``
+(dot products of the owned rhs with ``G_L``/``G_R``) with Z-entry weights;
+the two components are accumulated in one tree reduce per side.  The middle
+rank then emits correction scalars to its immediate neighbors, which fold
+them into both their beta components -- after which the two sub-intervals
+are completely decoupled and recurse.  Singleton intervals need no
+communication at all: their first/last values are directly their
 (corrected) betas.  One singleton can fall one level deeper than
 ceil(log2(p)) when p is a power of two; it is processed within the last level
 (it depends only on the fold that same level), keeping the level count exact.
 
-The protocol was validated to machine precision against dense solves for all
-interval shapes; the decisive identity is that ratios of inverse-row entries
+The decisive identity is that ratios of inverse-row entries
 ``(G_L)_k / (G_R)_k`` do not depend on k beyond the owned block, which is what
 lets one reduce carry both target components and lets neighbors fold the
 corrections locally.
@@ -40,14 +58,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .comm import CommWorld, Group
 from .errors import DimensionMismatch, DomainError, InvalidPartition, SingularPlan
-from .kernels import Factorization, thomas_apply, thomas_factor
-from .tridiag import TridiagonalMatrix
+# thomas_apply/thomas_factor are re-exported: perfbench traces the kernel
+# layer through this module's bindings
+from .kernels import (MultiFactorization, multi_apply, multi_factor,  # noqa: F401
+                      thomas_apply, thomas_factor)
+from .tridiag import TridiagonalFamily, TridiagonalMatrix
 
 FOLD_RATIO_FLOOR = 1e-280
 
@@ -140,40 +161,40 @@ def build_tree(p: int) -> Tuple[Tuple[tuple, ...], ...]:
 
 @dataclass(frozen=True)
 class RankPlan:
-    """Immutable per-rank preparation data."""
+    """Immutable per-rank preparation data: exactly what the protocol reads.
+
+    Every array has a trailing member axis of length L.
+    """
 
     rank: int
     m_L: int
     m_R: int
-    G_L: np.ndarray          # full length n
-    G_R: np.ndarray          # full length n
-    Z_L: np.ndarray          # length m_L, trailing entry 1
-    Z_R: np.ndarray          # length n - m_R + 1, leading entry 1
-    fold_left: float         # (G_L)_{m_R} / (G_R)_{m_R}, used when left neighbor of a middle
-    fold_right: float        # (G_R)_{m_L} / (G_L)_{m_L}, used when right neighbor of a middle
-    interior_fact: Optional[Factorization]
-    interior_c: float        # coupling of first interior row to the row above
-    interior_a: float        # coupling of last interior row to the row below
-
-    def z_l(self, k: int) -> float:
-        """(Z_L)_k for 1 <= k <= m_L."""
-        return float(self.Z_L[k - 1])
-
-    def z_r(self, k: int) -> float:
-        """(Z_R)_k for m_R <= k <= n."""
-        return float(self.Z_R[k - self.m_R])
+    G_L: np.ndarray          # (size, L): row m_L of the inverse on rows m_L..m_R
+    G_R: np.ndarray          # (size, L): row m_R of the inverse on rows m_L..m_R
+    fold_left: np.ndarray    # (L,): (G_L)_{m_R} / (G_R)_{m_R}, used when left neighbor of a middle
+    fold_right: np.ndarray   # (L,): (G_R)_{m_L} / (G_L)_{m_L}, used when right neighbor of a middle
+    weights: np.ndarray      # (depth, 2, L): the Z entries read at each level
+    interior_fact: Optional[MultiFactorization]
+    interior_c: np.ndarray   # (L,): coupling of first interior row to the row above
+    interior_a: np.ndarray   # (L,): coupling of last interior row to the row below
 
 
 @dataclass(frozen=True)
 class DichotomyPlan:
-    """Everything rhs-independent: partition, tree, per-rank vectors, factors."""
+    """Everything rhs-independent: partition, tree, per-rank data.
 
-    matrix: TridiagonalMatrix
+    ``len(plan)`` is L, the number of member systems.  ``full_fact`` (the
+    family's elimination) is kept only for p = 1, where it is the solve.
+    """
+
     partition: Partition
     world: CommWorld
     levels: Tuple[Tuple[tuple, ...], ...]
     ranks: Tuple[RankPlan, ...]
-    full_fact: Factorization
+    full_fact: Optional[MultiFactorization]
+
+    def __len__(self) -> int:
+        return self.ranks[0].G_L.shape[1]
 
     @property
     def depth(self) -> int:
@@ -194,31 +215,36 @@ class DichotomyPlan:
         """SHA-256 over all numerical plan content (tests immutability)."""
         digest = hashlib.sha256()
         digest.update(np.asarray(self.partition.sizes, dtype=np.int64).tobytes())
-        for band in (self.matrix.diag, self.matrix.upper, self.matrix.lower):
-            digest.update(band.tobytes())
         for rp in self.ranks:
-            for arr in (rp.G_L, rp.G_R, rp.Z_L, rp.Z_R):
+            for arr in (rp.G_L, rp.G_R, rp.fold_left, rp.fold_right,
+                        rp.weights, rp.interior_c, rp.interior_a):
                 digest.update(arr.tobytes())
-            digest.update(np.float64(rp.fold_left).tobytes())
-            digest.update(np.float64(rp.fold_right).tobytes())
             if rp.interior_fact is not None:
                 for arr in rp.interior_fact:
                     digest.update(arr.tobytes())
+        if self.full_fact is not None:
+            for arr in self.full_fact:
+                digest.update(arr.tobytes())
         return digest.hexdigest()
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy: a plan holds no view into the matrix's bands."""
+    arr = np.array(arr, order="C")
     arr.setflags(write=False)
     return arr
 
 
-def build_plan(A: TridiagonalMatrix, part: Partition, world: CommWorld,
-               check_dominance: bool = True) -> DichotomyPlan:
-    """One-time preparation: O(n) work per rank, no communication.
+def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
+               world: CommWorld, check_dominance: bool = True) -> DichotomyPlan:
+    """One-time preparation of one matrix or a family, with no
+    communication; see the module docstring for what it computes.
 
     ``check_dominance=False`` skips the diagonal-dominance assertion for
     callers that guarantee solvability themselves.
     """
+    if isinstance(A, TridiagonalMatrix):
+        A = TridiagonalFamily.of(A)
     n = A.n
     if part.n != n:
         raise InvalidPartition(f"partition covers {part.n} rows, matrix has {n}")
@@ -228,72 +254,86 @@ def build_plan(A: TridiagonalMatrix, part: Partition, world: CommWorld,
         raise InvalidPartition("matrix is not diagonally dominant; "
                                "pass check_dominance=False to override")
     p = part.p
+    levels = build_tree(p)
 
-    # one factorization of the transposed matrix serves all 2p inverse rows
-    fact_T = thomas_factor(A.upper, A.diag, A.lower)
-    unit = np.zeros((n, 2 * p))
-    for m in range(1, p + 1):
-        unit[part.m_L(m) - 1, 2 * (m - 1)] = 1.0
-        unit[part.m_R(m) - 1, 2 * (m - 1) + 1] = 1.0
-    G_all = thomas_apply(fact_T, unit)
+    # top-down elimination (dn, cp) and bottom-up elimination (en, cq), the
+    # latter as the top-down elimination of the reversed family
+    down = multi_factor(A.lower, A.diag, A.upper)
+    up = multi_factor(A.upper[::-1], A.diag[::-1], A.lower[::-1])
+    dn, neg_cp = down.dn, -down.cp
+    en, cq = up.dn[::-1], up.cp[::-1]
+    neg_cq = -cq
+
+    def inverse_diag(k):
+        """(A^-1)_kk for 0-based row k."""
+        if k == n - 1:
+            return 1.0 / dn[k]
+        return 1.0 / (dn[k] - A.upper[k] * cq[k])
+
+    def z_left(m_L, row):
+        """Entry ``row`` (1-based, < m_L) of the head vector Z_L of m_L."""
+        return np.prod(neg_cp[row - 1: m_L - 1], axis=0)
+
+    def z_right(m_R, row):
+        """Entry ``row`` (1-based, > m_R) of the tail vector Z_R of m_R."""
+        return np.prod(neg_cq[m_R - 1: row - 1], axis=0)
 
     ranks = []
     for m in range(1, p + 1):
         m_L, m_R = part.m_L(m), part.m_R(m)
-        G_L = _freeze(np.ascontiguousarray(G_all[:, 2 * (m - 1)]))
-        G_R = _freeze(np.ascontiguousarray(G_all[:, 2 * (m - 1) + 1]))
+        a, b = m_L - 1, m_R - 1            # 0-based first/last owned row
+        G_L = inverse_diag(a) * np.cumprod(np.vstack(
+            [np.ones((1, A.nsys)), -A.upper[a:b] / en[a + 1: b + 1]]), axis=0)
+        G_R = inverse_diag(b) * np.cumprod(np.vstack(
+            [np.ones((1, A.nsys)), (-A.lower[a:b] / dn[a:b])[::-1]]),
+            axis=0)[::-1]
 
-        head = m_L - 1  # rows 1..m_L-1
-        if head == 0:
-            Z_L = np.array([1.0])
-        else:
-            rhs = np.zeros(head)
-            rhs[-1] = -A.upper[head - 1]
-            z = thomas_apply(thomas_factor(A.lower[: head - 1], A.diag[:head],
-                                           A.upper[: head - 1]), rhs)
-            Z_L = np.append(z, 1.0)
-        tail = n - m_R  # rows m_R+1..n
-        if tail == 0:
-            Z_R = np.array([1.0])
-        else:
-            rhs = np.zeros(tail)
-            rhs[0] = -A.lower[m_R - 1]
-            z = thomas_apply(thomas_factor(A.lower[m_R:], A.diag[m_R:],
-                                           A.upper[m_R:]), rhs)
-            Z_R = np.append(1.0, z)
-
-        den_left = G_R[m_R - 1]
-        den_right = G_L[m_L - 1]
-        if abs(den_left) < FOLD_RATIO_FLOOR or abs(den_right) < FOLD_RATIO_FLOOR:
+        den_left = G_R[-1]
+        den_right = G_L[0]
+        if (np.any(np.abs(den_left) < FOLD_RATIO_FLOOR)
+                or np.any(np.abs(den_right) < FOLD_RATIO_FLOOR)):
             raise SingularPlan(
                 f"rank {m}: inverse-row boundary weight below {FOLD_RATIO_FLOOR}")
-        fold_left = float(G_L[m_R - 1] / den_left)
-        fold_right = float(G_R[m_L - 1] / den_right)
+
+        weights = np.zeros((len(levels), 2, A.nsys))
+        for s, level in enumerate(levels):
+            for entry in level:
+                if entry[0] != "split" or not entry[1] <= m <= entry[2]:
+                    continue
+                _, lo, hi, mid = entry
+                k1, k2 = part.m_L(mid), part.m_R(mid)
+                if m < mid:
+                    weights[s] = z_right(m_R, k1), z_right(m_R, k2)
+                elif m > mid:
+                    weights[s] = z_left(m_L, k1), z_left(m_L, k2)
+                else:
+                    weights[s, 0] = z_left(m_L, k1 - 1)
+                    if mid < hi:
+                        weights[s, 1] = z_right(m_R, k2 + 1)
 
         interior = m_R - m_L - 1  # rows m_L+1..m_R-1
         if interior > 0:
             i0 = m_L  # 0-based index of first interior row
-            interior_fact = thomas_factor(
+            interior_fact = MultiFactorization(*(_freeze(arr) for arr in multi_factor(
                 A.lower[i0: i0 + interior - 1],
                 A.diag[i0: i0 + interior],
-                A.upper[i0: i0 + interior - 1])
-            interior_fact = Factorization(*(_freeze(np.ascontiguousarray(a))
-                                            for a in interior_fact))
+                A.upper[i0: i0 + interior - 1])))
+            interior_c, interior_a = A.lower[m_L - 1], A.upper[m_R - 2]
         else:
             interior_fact = None
+            interior_c = interior_a = np.zeros(A.nsys)
         ranks.append(RankPlan(
-            rank=m, m_L=m_L, m_R=m_R, G_L=G_L, G_R=G_R,
-            Z_L=_freeze(Z_L), Z_R=_freeze(Z_R),
-            fold_left=fold_left, fold_right=fold_right,
-            interior_fact=interior_fact,
-            interior_c=float(A.lower[m_L - 1]) if interior > 0 else 0.0,
-            interior_a=float(A.upper[m_R - 2]) if interior > 0 else 0.0,
+            rank=m, m_L=m_L, m_R=m_R, G_L=_freeze(G_L), G_R=_freeze(G_R),
+            fold_left=_freeze(G_L[-1] / den_left),
+            fold_right=_freeze(G_R[0] / den_right),
+            weights=_freeze(weights), interior_fact=interior_fact,
+            interior_c=_freeze(interior_c), interior_a=_freeze(interior_a),
         ))
 
-    full_fact = thomas_factor(A.lower, A.diag, A.upper)
-    return DichotomyPlan(matrix=A, partition=part, world=world,
-                         levels=build_tree(p), ranks=tuple(ranks),
-                         full_fact=full_fact)
+    full_fact = (MultiFactorization(*(_freeze(arr) for arr in down))
+                 if p == 1 else None)
+    return DichotomyPlan(partition=part, world=world, levels=levels,
+                         ranks=tuple(ranks), full_fact=full_fact)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +344,10 @@ def build_plan(A: TridiagonalMatrix, part: Partition, world: CommWorld,
 def local_betas(plan: DichotomyPlan, m: int, F_local) -> Tuple[np.ndarray, np.ndarray]:
     """Dot products of the owned rhs slice with the owned slices of G_L, G_R.
 
-    ``F_local`` may be (size,) for one rhs or (size, M) for a batch; returns a
-    pair of scalars or of length-M arrays accordingly.
+    ``F_local`` may be (size,) for one rhs or (size, K) for K columns, where
+    column j belongs to member j of a family (K = L) or every column to the
+    one matrix (L = 1); returns a pair of scalars or of length-K arrays
+    accordingly.
     """
     rp = plan.rank_data(m)
     F_local = np.asarray(F_local, dtype=np.float64)
@@ -313,24 +355,29 @@ def local_betas(plan: DichotomyPlan, m: int, F_local) -> Tuple[np.ndarray, np.nd
     if F_local.shape[0] != size:
         raise DimensionMismatch(
             f"rank {m} owns {size} rows, got rhs slice of {F_local.shape[0]}")
-    sl = slice(rp.m_L - 1, rp.m_R)
-    return rp.G_L[sl] @ F_local, rp.G_R[sl] @ F_local
+    Q = F_local.reshape(size, -1)
+    if len(plan) > 1 and Q.shape[1] != len(plan):
+        raise DimensionMismatch(
+            f"a family of {len(plan)} needs one rhs column per member, "
+            f"got {Q.shape[1]}")
+    bL = (rp.G_L * Q).sum(axis=0)
+    bR = (rp.G_R * Q).sum(axis=0)
+    return (bL, bR) if F_local.ndim == 2 else (bL[0], bR[0])
 
 
-def _protocol(comm, plan: DichotomyPlan, Q: np.ndarray, M: int) -> np.ndarray:
-    """Run the splitting protocol for one system on the calling rank.
+def _protocol(comm, plan: DichotomyPlan, Q: np.ndarray) -> np.ndarray:
+    """Run the splitting protocol for the whole family on the calling rank.
 
-    ``Q`` is the rank's owned rhs slice, shape (local size, M).  Returns the
+    ``Q`` is the rank's owned rhs slice, shape (local size, K).  Returns the
     rank's block of the solution, same shape.
     """
     m = comm.rank
     rp = plan.rank_data(m)
+    K = Q.shape[1]
     bL, bR = local_betas(plan, m, Q)
-    bL = np.atleast_1d(np.asarray(bL, dtype=np.float64)).copy()
-    bR = np.atleast_1d(np.asarray(bR, dtype=np.float64)).copy()
     first = last = None
 
-    for level in plan.levels:
+    for level, (w1, w2) in zip(plan.levels, rp.weights):
         for entry in level:
             if entry[0] == "leaf":
                 if entry[1] == m:
@@ -339,21 +386,19 @@ def _protocol(comm, plan: DichotomyPlan, Q: np.ndarray, M: int) -> np.ndarray:
             _, lo, hi, mid = entry
             if not (lo <= m <= hi):
                 continue
-            mid_rp = plan.rank_data(mid)
-            k1, k2 = mid_rp.m_L, mid_rp.m_R
             left_group = Group(tuple(range(lo, mid + 1)), root=mid)
             right_group = (Group(tuple(range(mid, hi + 1)), root=mid)
                            if hi > mid else None)
             if m < mid:
-                payload = np.concatenate([bR * rp.z_r(k1), bR * rp.z_r(k2)])
-                comm.reduce_sum_to_root(left_group, payload)
+                comm.reduce_sum_to_root(left_group,
+                                        np.concatenate([bR * w1, bR * w2]))
                 if m == mid - 1:
                     dL = comm.recv(mid)
                     bR = bR + dL
                     bL = bL + dL * rp.fold_left
             elif m > mid:
-                payload = np.concatenate([bL * rp.z_l(k1), bL * rp.z_l(k2)])
-                comm.reduce_sum_to_root(right_group, payload)
+                comm.reduce_sum_to_root(right_group,
+                                        np.concatenate([bL * w1, bL * w2]))
                 if m == mid + 1:
                     dR = comm.recv(mid)
                     bL = bL + dR
@@ -362,96 +407,26 @@ def _protocol(comm, plan: DichotomyPlan, Q: np.ndarray, M: int) -> np.ndarray:
                 left = comm.reduce_sum_to_root(
                     left_group, np.concatenate([bL, bR]))
                 right = (comm.reduce_sum_to_root(
-                    right_group, np.zeros(2 * M))
-                    if right_group is not None else np.zeros(2 * M))
-                first = left[:M] + right[:M]
-                last = left[M:] + right[M:]
-                if mid - 1 >= lo:
-                    dL = (right[:M] + bL) * rp.z_l(k1 - 1)
-                    comm.send(mid - 1, dL)
+                    right_group, np.zeros(2 * K))
+                    if right_group is not None else np.zeros(2 * K))
+                first = left[:K] + right[:K]
+                last = left[K:] + right[K:]
+                # mid = ceil((lo+hi)/2) > lo: the left neighbor always exists
+                comm.send(mid - 1, (right[:K] + bL) * w1)
                 if mid + 1 <= hi:
-                    dR = left[M:] * rp.z_r(k2 + 1)
-                    comm.send(mid + 1, dR)
+                    comm.send(mid + 1, left[K:] * w2)
 
     # final local elimination of the interior rows
-    size = rp.m_R - rp.m_L + 1
-    if size == 2:
+    if rp.interior_fact is None:
         return np.stack([first, last])
     rhs = Q[1:-1].copy()
     rhs[0] -= rp.interior_c * first
     rhs[-1] -= rp.interior_a * last
-    interior = thomas_apply(rp.interior_fact, rhs)
+    interior = multi_apply(rp.interior_fact, rhs)
     return np.vstack([first[None, :], interior, last[None, :]])
 
 
-def _rank_program(plan: DichotomyPlan, slices, M: int):
-    """Build the SPMD function executed once per rank."""
-
-    def program(comm):
-        return _protocol(comm, plan, slices[comm.rank - 1], M)
-
-    return program
-
-
-def solve_series(plans, rhs_list, executor: str = "sim"):
-    """Solve ``plans[j] @ x_j = rhs_list[j]`` for a series of systems that
-    share one partition and one world, inside a single SPMD launch.
-
-    Each system runs the full splitting protocol in turn; FIFO channel
-    ordering keeps messages of consecutive systems correctly paired even when
-    ranks drift apart.  Entries of ``rhs_list`` may be (n,) or (n, M_j).
-    Returns the list of solution arrays, shapes matching the inputs.
-    """
-    if len(plans) != len(rhs_list):
-        raise DimensionMismatch(
-            f"{len(plans)} systems but {len(rhs_list)} right-hand sides")
-    if not plans:
-        return []
-    base = plans[0]
-    for plan in plans[1:]:
-        if plan.partition != base.partition or plan.world is not base.world:
-            raise InvalidPartition(
-                "series systems must share one partition and one world")
-
-    prepared = []   # (B2, squeeze) per system
-    for plan, B in zip(plans, rhs_list):
-        B = np.asarray(B, dtype=np.float64)
-        squeeze = B.ndim == 1
-        B2 = B[:, None] if squeeze else B
-        if B2.ndim != 2 or B2.shape[0] != plan.n:
-            raise DimensionMismatch(
-                f"rhs must be ({plan.n}, M), got {B.shape}")
-        prepared.append((B2, squeeze))
-
-    if base.p == 1:
-        outs = []
-        for plan, (B2, squeeze) in zip(plans, prepared):
-            X = thomas_apply(plan.full_fact, B2)
-            outs.append(X[:, 0] if squeeze else X)
-        return outs
-
-    part = base.partition
-    sys_slices = [[np.ascontiguousarray(B2[part.owned_slice(r)])
-                   for r in range(1, base.p + 1)]
-                  for B2, _ in prepared]
-
-    def program(comm):
-        blocks = []
-        for plan, slices, (B2, _) in zip(plans, sys_slices, prepared):
-            blocks.append(_protocol(comm, plan, slices[comm.rank - 1],
-                                    B2.shape[1]))
-        return blocks
-
-    results = base.world.run(program, executor=executor)
-    outs = []
-    for j, (B2, squeeze) in enumerate(prepared):
-        X = np.vstack([results[r][j] for r in range(1, base.p + 1)])
-        outs.append(X[:, 0] if squeeze else X)
-    return outs
-
-
-
-def _trace_rows(plan: DichotomyPlan, M: int) -> List[Tuple[int, int, str, int]]:
+def _trace_rows(plan: DichotomyPlan, K: int) -> List[Tuple[int, int, str, int]]:
     """Deterministic per-level trace: (level, rank, role, scalars_sent)."""
     rows = []
     for s, level in enumerate(plan.levels, start=1):
@@ -462,12 +437,12 @@ def _trace_rows(plan: DichotomyPlan, M: int) -> List[Tuple[int, int, str, int]]:
             _, lo, hi, mid = entry
             for r in range(lo, hi + 1):
                 if r < mid:
-                    rows.append((s, r, "left-group", 2 * M))
+                    rows.append((s, r, "left-group", 2 * K))
                 elif r > mid:
-                    rows.append((s, r, "right-group", 2 * M))
+                    rows.append((s, r, "right-group", 2 * K))
                 else:
                     deltas = (1 if mid - 1 >= lo else 0) + (1 if mid + 1 <= hi else 0)
-                    rows.append((s, r, "middle", deltas * M))
+                    rows.append((s, r, "middle", deltas * K))
     return rows
 
 
@@ -478,35 +453,59 @@ def _write_trace(path, rows) -> None:
             fh.write(f"{level},{rank},{role},{scalars}\n")
 
 
+def _solve(plan: DichotomyPlan, B: np.ndarray, executor: str,
+           trace_path=None) -> np.ndarray:
+    """Solve for the (n, K) columns of ``B`` in one launch and one protocol."""
+    if plan.p == 1:
+        X = multi_apply(plan.full_fact, B)
+    else:
+        part = plan.partition
+        slices = [np.ascontiguousarray(B[part.owned_slice(r)])
+                  for r in range(1, plan.p + 1)]
+
+        def program(comm):
+            return _protocol(comm, plan, slices[comm.rank - 1])
+
+        results = plan.world.run(program, executor=executor)
+        X = np.vstack([results[r] for r in range(1, plan.p + 1)])
+    if trace_path is not None:
+        _write_trace(trace_path, _trace_rows(plan, B.shape[1]))
+    return X
+
+
 def solve_many(plan: DichotomyPlan, B, executor: str = "sim",
                trace_path=None) -> np.ndarray:
-    """Solve A X = B for a batch B of shape (n, M); returns X of that shape.
+    """Solve A X = B for one matrix (L = 1) and a batch B of shape (n, M);
+    returns X of that shape (a 1-D B gives a 1-D X).
 
     The splitting levels run once for the whole batch: every reduce carries
     2*M scalars (both boundary components for all M right-hand sides) and the
     correction messages carry M scalars.
     """
+    if len(plan) != 1:
+        raise DimensionMismatch(f"solve_many takes a one-matrix plan; this "
+                                f"plan holds {len(plan)} (use solve_series)")
     B = np.asarray(B, dtype=np.float64)
-    squeeze = B.ndim == 1
-    B2 = B[:, None] if squeeze else B
+    B2 = B[:, None] if B.ndim == 1 else B
     if B2.ndim != 2 or B2.shape[0] != plan.n:
         raise DimensionMismatch(f"rhs batch must be ({plan.n}, M), got {B.shape}")
-    M = B2.shape[1]
+    X = _solve(plan, B2, executor, trace_path)
+    return X[:, 0] if B.ndim == 1 else X
 
-    if plan.p == 1:
-        X = thomas_apply(plan.full_fact, B)
-        if trace_path is not None:
-            _write_trace(trace_path, [])
-        return X
 
-    part = plan.partition
-    slices = [np.ascontiguousarray(B2[part.owned_slice(r)])
-              for r in range(1, plan.p + 1)]
-    results = plan.world.run(_rank_program(plan, slices, M), executor=executor)
-    X2 = np.vstack([results[r] for r in range(1, plan.p + 1)])
-    if trace_path is not None:
-        _write_trace(trace_path, _trace_rows(plan, M))
-    return X2[:, 0] if squeeze else X2
+def solve_series(plan: DichotomyPlan, B, executor: str = "sim") -> np.ndarray:
+    """Solve member l of a family against column l of B, shape (n, L).
+
+    All L members share one launch and one splitting protocol: every reduce
+    carries 2*L scalars and every correction message L scalars, so the
+    message count is that of a single-matrix solve.
+    """
+    B = np.asarray(B, dtype=np.float64)
+    if B.shape != (plan.n, len(plan)):
+        raise DimensionMismatch(
+            f"rhs must be ({plan.n}, {len(plan)}), one column per member, "
+            f"got {B.shape}")
+    return _solve(plan, B, executor)
 
 
 def dichotomy_solve(plan: DichotomyPlan, F, executor: str = "sim",
@@ -533,8 +532,11 @@ def predict_time_dichotomy(p: int, l: float, alpha: float, beta: float,
                            gamma: float) -> float:
     """Closed-form time of the splitting process on p ranks.
 
-    ``l`` is the series length (rhs count), ``alpha`` the message latency,
-    ``beta`` per-scalar transfer time, ``gamma`` per-scalar add time.
+    ``l`` is the series length: the scalars each boundary component carries,
+    l = L * M for a family of L members with M right-hand sides each (the
+    protocol moves exactly the traffic of one matrix with L * M right-hand
+    sides).  ``alpha`` is the message latency, ``beta`` the per-scalar
+    transfer time, ``gamma`` the per-scalar add time.
     """
     _check_model_args(p, l, alpha, beta, gamma)
     lg = math.log2(p)
@@ -543,7 +545,8 @@ def predict_time_dichotomy(p: int, l: float, alpha: float, beta: float,
 
 def predict_time_cyclic(p: int, l: float, alpha: float, beta: float,
                         gamma: float) -> float:
-    """Closed-form time of cyclic reduction under the same cost parameters."""
+    """Closed-form time of cyclic reduction under the same cost parameters;
+    ``l`` = L * M for a family of L members with M right-hand sides each."""
     _check_model_args(p, l, alpha, beta, gamma)
     lg = math.log2(p)
     return 2 * lg * (alpha + l * beta + l * gamma)

@@ -216,22 +216,37 @@ def thomas_apply(fact: Factorization, f) -> np.ndarray:
 
 
 def multi_factor(lower, diag, upper) -> MultiFactorization:
-    """Factor ``L`` independent systems; band arrays are shaped (n, L)."""
+    """Factor ``L`` independent systems; band arrays are shaped (n, L).
+
+    A one-system family runs the single-matrix kernels, here and in
+    :func:`multi_apply`, with identical arithmetic.
+    """
     diag = _as_f64(diag, "diag")
     n, nsys = diag.shape
     lower = _as_f64(lower, "lower", (n - 1, nsys))
     upper = _as_f64(upper, "upper", (n - 1, nsys))
     cp = np.empty((max(n - 1, 0), nsys), dtype=np.float64)
     dn = np.empty((n, nsys), dtype=np.float64)
-    bad = _factor_multi(lower, diag, upper, cp, dn)
+    if nsys == 1:   # the single-matrix body, writing through column views
+        bad = _factor1(lower[:, 0], diag[:, 0], upper[:, 0], cp[:, 0], dn[:, 0])
+    else:
+        bad = _factor_multi(lower, diag, upper, cp, dn)
     if bad >= 0:
         raise ZeroPivot(bad, 0.0)
     return MultiFactorization(lower, cp, dn)
 
 
 def multi_apply(fact: MultiFactorization, F) -> np.ndarray:
-    """Solve all systems; ``F[:, l]`` is the rhs of system ``l``."""
-    F = _as_f64(F, "F", (fact.n, fact.nsys))
+    """Solve all systems; ``F[:, l]`` is the rhs of system ``l``.  A
+    one-system family solves every column of an (n, M) ``F`` instead."""
+    F = _as_f64(F, "F")
+    if fact.nsys == 1 and F.ndim == 2 and F.shape[0] == fact.n:
+        X = np.empty_like(F)
+        _solveb(fact.lower[:, 0], fact.cp[:, 0], fact.dn[:, 0], F, X)
+        return X
+    if F.shape != (fact.n, fact.nsys):
+        raise DimensionMismatch(
+            f"F has shape {F.shape}, expected {(fact.n, fact.nsys)}")
     X = np.empty_like(F)
     _solve_multi(fact.lower, fact.cp, fact.dn, F, X)
     return X

@@ -16,11 +16,14 @@ Applying ``B``-inverse is therefore: cosine analysis down the columns, one
 banded solve per mode, cosine synthesis back.  All mode systems are
 eliminated once at construction and reused across applications.
 
-Two backends solve the mode systems: a single-process batched elimination
-(``ranks=1``), and the distributed splitting solver run on a simulated or
-threaded communicator (``ranks > 1``), with every mode sharing one row
-partition and one communicator so the whole family is solved in a single
-collective launch.
+Two backends solve the mode systems.  With ``ranks=1`` one batched
+elimination of the whole mode family serves every application.  With
+``ranks > 1`` the nz mode matrices form one family for the distributed
+splitting solver (:mod:`axisolver.dichotomy`): a single plan over one row
+partition and one communicator, and one launch running one splitting
+protocol per application, whose messages carry every mode at once.  An
+application therefore sends as many messages as one single-matrix solve
+(7 at p = 4), whatever nz is.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .elliptic import DiscreteOperator, Grid2D
 from .errors import DomainError, NonPositiveCoefficient
 from .fourier import dct_forward, dct_inverse
 from .kernels import multi_apply, multi_factor
-from .tridiag import TridiagonalMatrix
+from .tridiag import TridiagonalFamily, TridiagonalMatrix
 
 __all__ = ["SovPreconditioner", "recovered_midranges"]
 
@@ -94,17 +97,12 @@ class SovPreconditioner:
         off = np.tile(self._off_r[:, None], (1, g.nz))
         if ranks == 1:
             self._fact = multi_factor(off, self._diag_modes, off)
-            self._plans = None
+            self._plan = None
         else:
-            part = Partition.balanced(nu, ranks)
-            world = CommWorld(ranks)
             self._fact = None
-            self._plans = [
-                build_plan(TridiagonalMatrix(self._diag_modes[:, l],
-                                             self._off_r, self._off_r),
-                           part, world)
-                for l in range(g.nz)
-            ]
+            self._plan = build_plan(
+                TridiagonalFamily(self._diag_modes, off, off),
+                Partition.balanced(nu, ranks), CommWorld(ranks))
 
     # -- construction helpers ----------------------------------------------
 
@@ -148,9 +146,8 @@ class SovPreconditioner:
         if self._fact is not None:
             solved = multi_apply(self._fact, modes.T).T
         else:
-            rows = solve_series(self._plans, list(modes),
-                                executor=self.executor)
-            solved = np.vstack(rows)
+            solved = solve_series(self._plan, modes.T,
+                                  executor=self.executor).T
         out = dct_inverse(solved, axis=0)
         return out.ravel() if flat else out
 

@@ -75,12 +75,62 @@ class TridiagonalMatrix:
 
     def is_diagonally_dominant(self) -> bool:
         """Weak row dominance everywhere and strict in at least one row."""
-        mag_off = np.zeros(self.n)
-        if self.n > 1:
-            mag_off[:-1] += np.abs(self.upper)
-            mag_off[1:] += np.abs(self.lower)
-        slack = np.abs(self.diag) - mag_off
-        return bool(np.all(slack >= 0.0) and np.any(slack > 0.0))
+        return _dominant(self.diag, self.upper, self.lower)
+
+
+def _dominant(diag, upper, lower) -> bool:
+    """Row dominance of bands shaped (n, ...): weak in every row, strict in
+    at least one row of every member."""
+    mag_off = np.zeros(diag.shape)
+    if diag.shape[0] > 1:
+        mag_off[:-1] += np.abs(upper)
+        mag_off[1:] += np.abs(lower)
+    slack = np.abs(diag) - mag_off
+    return bool(np.all(slack >= 0.0) and np.all(np.any(slack > 0.0, axis=0)))
+
+
+@dataclass(frozen=True)
+class TridiagonalFamily:
+    """Immutable family of ``nsys`` order-``n`` tridiagonal matrices.
+
+    Member ``l`` is column ``l`` of each band: ``diag`` is (n, nsys),
+    ``upper`` and ``lower`` are (n - 1, nsys), with the band convention of
+    :class:`TridiagonalMatrix` down each column.
+    """
+
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    n: int = field(init=False)
+    nsys: int = field(init=False)
+
+    def __post_init__(self):
+        diag = np.ascontiguousarray(self.diag, dtype=np.float64)
+        if diag.ndim != 2 or min(diag.shape) < 1:
+            raise DimensionMismatch(
+                f"family diag must be (n, nsys) with n, nsys >= 1, "
+                f"got shape {diag.shape}")
+        n, nsys = diag.shape
+        for name in ("upper", "lower"):
+            band = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if band.shape != (n - 1, nsys):
+                raise DimensionMismatch(f"family {name} must have shape "
+                                        f"{(n - 1, nsys)}, got {band.shape}")
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
+        diag.setflags(write=False)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "nsys", nsys)
+
+    @classmethod
+    def of(cls, A: TridiagonalMatrix) -> "TridiagonalFamily":
+        """The one-member family holding ``A``."""
+        return cls(A.diag[:, None], A.upper[:, None], A.lower[:, None])
+
+    def is_diagonally_dominant(self) -> bool:
+        """Every member is diagonally dominant in the matrix's sense."""
+        return _dominant(self.diag, self.upper, self.lower)
 
 
 def thomas_solve(A: TridiagonalMatrix, f) -> np.ndarray:

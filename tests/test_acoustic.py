@@ -34,6 +34,7 @@ from axisolver.acoustic import (
     solve_all_harmonics,
     write_seismogram,
     write_snapshot,
+    _synthesis_weights,
 )
 from axisolver.elliptic import (
     CoefficientFields,
@@ -42,7 +43,8 @@ from axisolver.elliptic import (
     read_field_raw,
     sampler_from_field,
 )
-from axisolver.errors import DomainError, HarmonicSolveFailure, SolverError
+from axisolver.errors import (DomainError, HarmonicSolveFailure, OverflowGuard,
+                              SolverError)
 from axisolver.laguerre import laguerre_function_table, project_source
 
 from wavefront_utils import front_radius_along_axis, prearrival_ratio
@@ -135,6 +137,25 @@ def test_running_sums_stay_finite_at_large_alpha():
     direct = sum(coupling_coefficient(n_terms, k, alpha) * q
                  for k, q in enumerate(history))
     assert np.abs(combo - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_synthesis_weights_finite_where_the_power_alone_overflows():
+    # at alpha = 400, tau^(alpha/2) = e^738 overflows at tau = 40, but the
+    # weight tau^(alpha/2) l_0(tau) = sqrt(h / alpha!) tau^alpha e^(-tau/2)
+    # is about e^458
+    params = LaguerreParams(h=280.0, alpha=400, n_terms=3)
+    tau = 40.0
+    w = _synthesis_weights(params, [0.0, tau / params.h])
+    assert np.all(np.isfinite(w)) and np.all(w[0] == 0.0)
+    log_w0 = (0.5 * math.log(params.h) - 0.5 * math.lgamma(401.0)
+              + 400 * math.log(tau) - 0.5 * tau)
+    assert w[1, 0] == pytest.approx(math.exp(log_w0), rel=1e-10)
+
+
+def test_synthesis_weights_beyond_float_range_raise_overflow_guard():
+    params = LaguerreParams(h=280.0, alpha=400, n_terms=3)
+    with pytest.raises(OverflowGuard):
+        _synthesis_weights(params, [0.0, 1.2])   # tau = 336: weight ~ e^1157
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,10 +8,12 @@ end in a subprocess.
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import axisolver
 from axisolver.cli import main
@@ -302,6 +304,29 @@ def test_acoustic_determinism_and_config_echo_round_trip(tmp_path):
         assert (out / name).read_bytes() == first[name], name
 
 
+def test_acoustic_large_alpha_never_writes_nan(tmp_path, capsys):
+    # alpha = 400 passes validation; (h t)^(alpha/2) alone overflows a double
+    cfg = write_cfg(tmp_path / "run.cfg", """\
+[grid]
+nr = 17
+nz = 16
+[laguerre]
+alpha = 400
+n_terms = 16
+[receivers]
+times = 0.0, 1.2, 11
+""")
+    out = tmp_path / "out"
+    code = run_cli("acoustic", "--config", cfg, "--out", str(out))
+    assert code in (0, 3)
+    if code == 0:
+        data = np.loadtxt(out / "seismograms.csv", delimiter=",", skiprows=1)
+        assert data.shape == (11, 4) and np.all(np.isfinite(data))
+    else:
+        assert capsys.readouterr().err.startswith("solver error:")
+        assert not (out / "seismograms.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -398,3 +423,51 @@ def test_module_entry_point_subprocess(tmp_path):
     none = subprocess.run([sys.executable, "-m", "axisolver.cli"],
                           capture_output=True, text=True, env=env)
     assert none.returncode == 2  # argparse usage error
+
+
+# ---------------------------------------------------------------------------
+# documented exit codes under generated configurations
+# ---------------------------------------------------------------------------
+
+
+DOCUMENTED_EXITS = {0, 2, 3, 4}
+# a valid small configuration per key; up to two keys are then corrupted
+VALID_KEYS = {
+    ("grid", "nr"): ["9", "12", "17"],
+    ("grid", "nz"): ["2", "4", "7"],
+    ("grid", "rmax"): ["1.0", "950.0"],
+    ("grid", "zmax"): ["1.0", "2.5"],
+    ("model", "kind"): ["constant"],
+    ("model", "kappa0"): ["1.0", "2.5"],
+    ("model", "q0"): ["0.0", "0.4"],
+    ("rhs", "kind"): ["manufactured", "zero", "uniform"],
+    ("solver", "method"): ["pcg", "chebyshev"],
+    ("solver", "tol"): ["1e-8", "0.5"],
+    ("solver", "maxiter"): ["1", "3", "40"],
+}
+BAD_VALUES = ["-1", "0", "1", "2", "nan", "inf", "-inf", "1e400", "abc", ""]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["elliptic", "poisson"]),
+       ranks=st.integers(1, 4),
+       executor=st.sampled_from(["sim", "threads"]),
+       values=st.fixed_dictionaries(
+           {key: st.sampled_from(choices)
+            for key, choices in VALID_KEYS.items()}),
+       broken=st.dictionaries(st.sampled_from(sorted(VALID_KEYS)),
+                              st.sampled_from(BAD_VALUES), max_size=2))
+def test_generated_configs_end_in_documented_exit_codes(
+        command, ranks, executor, values, broken):
+    values = {**values, **broken}
+    sections = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    sections["solver"] += [f"ranks = {ranks}", f"executor = {executor}"]
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                   for name, lines in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp) / "run.cfg", text)
+        code = run_cli(command, "--config", cfg, "--out",
+                       str(Path(tmp) / "out"))
+    assert code in DOCUMENTED_EXITS

@@ -24,9 +24,10 @@ from axisolver.dichotomy import (
     predict_time_cyclic,
     predict_time_dichotomy,
     solve_many,
+    solve_series,
 )
 from axisolver.errors import DimensionMismatch, DomainError, InvalidPartition
-from axisolver.tridiag import TridiagonalMatrix, thomas_solve
+from axisolver.tridiag import TridiagonalFamily, TridiagonalMatrix, thomas_solve
 
 
 def random_dominant(rng, n):
@@ -114,23 +115,75 @@ def test_plan_p1_green_rows_are_inverse_rows():
     A = random_dominant(rng, 6)
     plan = make_plan(6, [6], matrix=A)
     assert plan.levels == ()
+    assert len(plan) == 1
     inv = np.linalg.inv(A.to_dense())
-    np.testing.assert_allclose(plan.rank_data(1).G_L, inv[0], atol=1e-12)
-    np.testing.assert_allclose(plan.rank_data(1).G_R, inv[-1], atol=1e-12)
+    # with one rank the owned slice is the whole row
+    assert plan.rank_data(1).G_L.shape == (6, 1)
+    np.testing.assert_allclose(plan.rank_data(1).G_L[:, 0], inv[0], atol=1e-12)
+    np.testing.assert_allclose(plan.rank_data(1).G_R[:, 0], inv[-1], atol=1e-12)
 
 
 def test_plan_frozen_green_row():
+    # row 2 of the inverse is (0.6, 1.2, 0.8, 0.4), row 3 is (0.4, 0.8, 1.2, 0.6)
     A = TridiagonalMatrix.constant(4, -1.0, 2.0, -1.0)
     plan = make_plan(4, [2, 2], matrix=A)
-    np.testing.assert_allclose(plan.rank_data(1).G_R, [0.6, 1.2, 0.8, 0.4],
+    np.testing.assert_allclose(plan.rank_data(1).G_R[:, 0], [0.6, 1.2],
+                               atol=1e-14)
+    np.testing.assert_allclose(plan.rank_data(2).G_L[:, 0], [1.2, 0.6],
+                               atol=1e-14)
+    # fold ratio (G_L)_{m_R} / (G_R)_{m_R} of rank 1: row 1 is (0.8, 0.6, ...)
+    np.testing.assert_allclose(plan.rank_data(1).fold_left, [0.6 / 1.2],
                                atol=1e-14)
 
 
 def test_plan_frozen_z_vector():
+    # Z_L of rank 2 is (1/3, 2/3, 1); Z_R of rank 1 mirrors it as (1, 2/3, 1/3)
     A = TridiagonalMatrix.constant(4, -1.0, 2.0, -1.0)
     plan = make_plan(4, [2, 2], matrix=A)
-    np.testing.assert_allclose(plan.rank_data(2).Z_L, [1 / 3, 2 / 3, 1.0],
-                               atol=1e-14)
+    # rank 1 (left of the middle) reads Z_R at the middle's rows 3 and 4
+    np.testing.assert_allclose(plan.rank_data(1).weights[0, :, 0],
+                               [2 / 3, 1 / 3], atol=1e-14)
+    # the middle reads Z_L at row m_L - 1 = 2 and has no right neighbor
+    np.testing.assert_allclose(plan.rank_data(2).weights[0, :, 0],
+                               [2 / 3, 0.0], atol=1e-14)
+
+
+def dense_z_vectors(A, m_L, m_R):
+    """Z_L on rows 1..m_L and Z_R on rows m_R..n from dense block solves."""
+    dense, n = A.to_dense(), A.n
+    head, tail = m_L - 1, n - m_R
+    Z_L, Z_R = np.ones(m_L), np.ones(tail + 1)
+    if head > 0:
+        rhs = np.zeros(head)
+        rhs[-1] = -A.upper[head - 1]
+        Z_L[:-1] = np.linalg.solve(dense[:head, :head], rhs)
+    if tail > 0:
+        rhs = np.zeros(tail)
+        rhs[0] = -A.lower[m_R - 1]
+        Z_R[1:] = np.linalg.solve(dense[m_R:, m_R:], rhs)
+    return Z_L, Z_R
+
+
+def expected_weights(plan, A, m):
+    """The Z entries the protocol reads on rank m, level by level."""
+    part = plan.partition
+    m_L, m_R = part.m_L(m), part.m_R(m)
+    Z_L, Z_R = dense_z_vectors(A, m_L, m_R)
+    z_l = lambda k: Z_L[k - 1]
+    z_r = lambda k: Z_R[k - m_R]
+    out = np.zeros((plan.depth, 2))
+    for s, level in enumerate(plan.levels):
+        for entry in level:
+            if entry[0] == "split" and entry[1] <= m <= entry[2]:
+                _, lo, hi, mid = entry
+                k1, k2 = part.m_L(mid), part.m_R(mid)
+                if m < mid:
+                    out[s] = z_r(k1), z_r(k2)
+                elif m > mid:
+                    out[s] = z_l(k1), z_l(k2)
+                else:
+                    out[s] = z_l(k1 - 1), (z_r(k2 + 1) if mid < hi else 0.0)
+    return out
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,23 +195,23 @@ def test_plan_invariants_hold(data):
     n = sum(sizes)
     A = random_dominant(rng, n)
     plan = make_plan(n, sizes, matrix=A)
-    dense_T = A.to_dense().T
+    inv = np.linalg.inv(A.to_dense())
     for m in range(1, p + 1):
         rp = plan.rank_data(m)
-        for vec, row in ((rp.G_L, rp.m_L), (rp.G_R, rp.m_R)):
-            e = np.zeros(n)
-            e[row - 1] = 1.0
-            assert np.linalg.norm(dense_T @ vec - e) <= 1e-10
-        assert rp.Z_L[-1] == 1.0 and rp.Z_R[0] == 1.0
-        assert rp.Z_L.shape == (rp.m_L,)
-        assert rp.Z_R.shape == (n - rp.m_R + 1,)
-        # head-block identity for the Z vectors
-        head = rp.m_L - 1
-        if head > 0:
-            block = A.to_dense()[:head, :head]
-            rhs = np.zeros(head)
-            rhs[-1] = -A.upper[head - 1]
-            assert np.linalg.norm(block @ rp.Z_L[:-1] - rhs) <= 1e-10
+        sl = slice(rp.m_L - 1, rp.m_R)
+        size = rp.m_R - rp.m_L + 1
+        # only the owned slices of the two inverse rows are kept
+        assert rp.G_L.shape == rp.G_R.shape == (size, 1)
+        assert np.linalg.norm(rp.G_L[:, 0] - inv[rp.m_L - 1, sl]) <= 1e-10
+        assert np.linalg.norm(rp.G_R[:, 0] - inv[rp.m_R - 1, sl]) <= 1e-10
+        assert abs(rp.fold_left[0] - inv[rp.m_L - 1, rp.m_R - 1]
+                   / inv[rp.m_R - 1, rp.m_R - 1]) <= 1e-10
+        assert abs(rp.fold_right[0] - inv[rp.m_R - 1, rp.m_L - 1]
+                   / inv[rp.m_L - 1, rp.m_L - 1]) <= 1e-10
+        # <= 2 Z entries per level, each the head/tail block solve's value
+        assert rp.weights.shape == (plan.depth, 2, 1)
+        assert np.abs(rp.weights[:, :, 0]
+                      - expected_weights(plan, A, m)).max(initial=0.0) <= 1e-10
 
 
 def test_build_plan_partition_mismatch():
@@ -189,7 +242,7 @@ def test_local_betas_unit_rhs_picks_green_entry():
     F_local = np.zeros(4)
     F_local[0] = 1.0  # unit at global row m_L(2)
     bL, _ = local_betas(plan, 2, F_local)
-    assert bL == pytest.approx(rp.G_L[rp.m_L - 1], abs=0)
+    assert bL == pytest.approx(rp.G_L[0, 0], abs=0)
 
 
 def test_local_betas_frozen_sum():
@@ -366,6 +419,107 @@ def test_trace_totals_match_measured_traffic(tmp_path):
         rows = list(csv.DictReader(fh))
     assert sum(int(r["scalars_sent"]) for r in rows) == \
         stats_snapshot(plan.world).total_scalars()
+
+
+# ---------------------------------------------------------------------------
+# families of matrices sharing one partition
+# ---------------------------------------------------------------------------
+
+
+def random_family(rng, n, L):
+    members = [random_dominant(rng, n) for _ in range(L)]
+    return TridiagonalFamily(np.column_stack([A.diag for A in members]),
+                             np.column_stack([A.upper for A in members]),
+                             np.column_stack([A.lower for A in members]))
+
+
+def member(family, l):
+    return TridiagonalMatrix(family.diag[:, l], family.upper[:, l],
+                             family.lower[:, l])
+
+
+@pytest.mark.parametrize("L", [1, 5, 63])
+@pytest.mark.parametrize("p", [2, 3, 4, 7])
+def test_family_solve_matches_per_member_dense(p, L):
+    rng = np.random.default_rng(100 * p + L)
+    sizes = [int(s) for s in rng.integers(2, 10, size=p)]   # uneven blocks
+    n = sum(sizes)
+    family = random_family(rng, n, L)
+    plan = make_plan(n, sizes, matrix=family)
+    assert len(plan) == L
+    B = rng.normal(size=(n, L))
+    X = solve_series(plan, B)
+    assert X.shape == (n, L)
+    for l in range(L):
+        x = np.linalg.solve(member(family, l).to_dense(), B[:, l])
+        assert np.linalg.norm(X[:, l] - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_family_executors_agree_bitwise():
+    rng = np.random.default_rng(15)
+    n, L = 30, 5
+    family = random_family(rng, n, L)
+    B = rng.normal(size=(n, L))
+    results = {}
+    for executor in ("sim", "threads"):
+        plan = make_plan(n, [7, 8, 6, 9], matrix=family)
+        results[executor] = solve_series(plan, B, executor=executor)
+    assert np.array_equal(results["sim"], results["threads"])
+
+
+def test_family_traffic_is_a_single_matrix_batch_of_l_columns():
+    # the cost models take l = L * M: a family of L members with one rhs
+    # each moves exactly the scalars of one matrix with L right-hand sides,
+    # in the same number of messages
+    rng = np.random.default_rng(16)
+    n, L, sizes = 26, 9, [5, 8, 6, 7]
+    family = make_plan(n, sizes, matrix=random_family(rng, n, L))
+    solve_series(family, rng.normal(size=(n, L)))
+    single = make_plan(n, sizes, rng=rng)
+    solve_many(single, rng.normal(size=(n, L)))
+    one_rhs = make_plan(n, sizes, rng=rng)
+    solve_many(one_rhs, rng.normal(size=n))
+    fam, one, base = (stats_snapshot(plan.world)
+                      for plan in (family, single, one_rhs))
+    assert fam.total_scalars() == one.total_scalars() == L * base.total_scalars()
+    assert fam.total_msgs() == one.total_msgs() == base.total_msgs()
+    assert fam.levels == one.levels == base.levels
+
+
+def test_one_member_family_is_the_matrix_plan():
+    rng = np.random.default_rng(17)
+    A = random_dominant(rng, 20)
+    as_matrix = make_plan(20, [5, 6, 4, 5], matrix=A)
+    as_family = make_plan(20, [5, 6, 4, 5], matrix=TridiagonalFamily.of(A))
+    assert as_family.checksum() == as_matrix.checksum()
+
+
+def test_rank_plan_holds_only_owned_rows_and_tree_entries():
+    # O(n/p + log p) per member: nothing in a rank's plan spans all n rows
+    rng = np.random.default_rng(18)
+    n, L, p = 400, 3, 8
+    plan = make_plan(n, [50] * p, matrix=random_family(rng, n, L))
+    for rp in plan.ranks:
+        assert rp.G_L.shape == rp.G_R.shape == (50, L)
+        assert rp.weights.shape == (plan.depth, 2, L)
+        assert rp.fold_left.shape == rp.fold_right.shape == (L,)
+        assert all(arr.shape == (48, L) or arr.shape == (47, L)
+                   for arr in rp.interior_fact)
+    assert plan.full_fact is None
+
+
+def test_series_and_batch_shapes_are_checked():
+    rng = np.random.default_rng(19)
+    family = make_plan(12, [6, 6], matrix=random_family(rng, 12, 3))
+    with pytest.raises(DimensionMismatch):
+        solve_series(family, np.zeros((12, 2)))      # one column per member
+    with pytest.raises(DimensionMismatch):
+        solve_many(family, np.zeros((12, 3)))        # a family is not a batch
+    with pytest.raises(DimensionMismatch):
+        local_betas(family, 1, np.zeros((6, 2)))
+    single = make_plan(12, [6, 6], rng=rng)
+    with pytest.raises(DimensionMismatch):
+        solve_series(single, np.zeros((12, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+import axisolver.sov as sov_module
+from axisolver.comm import CommWorld
+from axisolver.dichotomy import Partition, build_plan, solve_many
 from axisolver.elliptic import CoefficientFields, Grid2D, assemble
 from axisolver.errors import DomainError, NonPositiveCoefficient
 from axisolver.sov import SovPreconditioner, recovered_midranges
@@ -185,6 +188,43 @@ def test_distributed_backend_matches_batched(ranks):
     x1 = SovPreconditioner(g, 1.3, 0.4).apply_inverse(f)
     xp = SovPreconditioner(g, 1.3, 0.4, ranks=ranks).apply_inverse(f)
     assert np.abs(xp - x1).max() <= 1e-12 * np.abs(x1).max()
+
+
+@pytest.mark.parametrize("nz", [2, 8, 63])
+@pytest.mark.parametrize("ranks", [2, 3, 4])
+def test_distributed_family_matches_batched(ranks, nz):
+    # nz = 1 is no grid (Grid2D needs 2 nodes); the one-member family is
+    # covered in test_dichotomy.  nr - 1 = 4 ranks + 1 radial unknowns: never divisible by the rank count;
+    # shift 0 leaves mode 0 only weakly dominant
+    g = Grid2D(4 * ranks + 2, nz, 1.0, 1.0)
+    rng = np.random.default_rng(10 * ranks + nz)
+    f = rng.standard_normal(g.unknown_shape)
+    x1 = SovPreconditioner(g, 1.3, 0.0).apply_inverse(f)
+    xp = SovPreconditioner(g, 1.3, 0.0, ranks=ranks).apply_inverse(f)
+    assert np.abs(xp - x1).max() <= 1e-12 * np.abs(x1).max()
+
+
+@pytest.mark.parametrize("nz", [2, 8, 63])
+def test_distributed_apply_sends_one_protocol(nz, monkeypatch):
+    worlds = []
+
+    class RecordingWorld(CommWorld):
+        def __init__(self, p):
+            super().__init__(p)
+            worlds.append(self)
+
+    monkeypatch.setattr(sov_module, "CommWorld", RecordingWorld)
+    g = Grid2D(23, nz, 1.0, 1.0)
+    M = SovPreconditioner(g, 1.3, 0.4, ranks=4)
+    M.apply_inverse(np.ones(g.unknown_shape))
+    (world,) = worlds
+    one = build_plan(M.mode_matrix(0), Partition.balanced(g.nr - 1, 4),
+                     CommWorld(4))
+    solve_many(one, np.ones(g.nr - 1))
+    assert world.stats_snapshot().total_msgs() == \
+        one.world.stats_snapshot().total_msgs() == 7
+    assert world.stats_snapshot().total_scalars() == \
+        nz * one.world.stats_snapshot().total_scalars()
 
 
 def test_distributed_backend_is_deterministic():

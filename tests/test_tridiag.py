@@ -22,6 +22,7 @@ from axisolver.kernels import (
     thomas_factor,
 )
 from axisolver.tridiag import (
+    TridiagonalFamily,
     TridiagonalMatrix,
     residual_relnorm,
     submatrix,
@@ -168,6 +169,35 @@ def test_multi_factor_interior_pivot_zero_raises():
     with pytest.raises(ZeroPivot) as exc:
         multi_factor(lower, diag, upper)
     assert exc.value.row == 1
+
+
+def test_one_member_family_solves_a_batch_like_thomas_bitwise():
+    rng = np.random.default_rng(13)
+    A = random_dominant(rng, 12)
+    F = rng.normal(size=(12, 5))
+    fact = multi_factor(A.lower[:, None], A.diag[:, None], A.upper[:, None])
+    np.testing.assert_array_equal(multi_apply(fact, F), thomas_solve(A, F))
+    with pytest.raises(DimensionMismatch):
+        multi_apply(multi_factor(*random_family(rng, 12, 3)), F)
+
+
+def test_family_bands_and_dominance():
+    rng = np.random.default_rng(14)
+    lower, diag, upper = random_family(rng, 6, 3)
+    family = TridiagonalFamily(diag, upper, lower)
+    assert (family.n, family.nsys) == (6, 3)
+    assert family.is_diagonally_dominant()
+    A = TridiagonalMatrix(diag[:, 1], upper[:, 1], lower[:, 1])
+    one = TridiagonalFamily.of(A)
+    assert (one.n, one.nsys) == (6, 1)
+    np.testing.assert_array_equal(one.diag[:, 0], A.diag)
+    diag = diag.copy()        # the family froze the caller's bands
+    diag[:, 2] = 0.0          # one non-dominant member spoils the family
+    assert not TridiagonalFamily(diag, upper, lower).is_diagonally_dominant()
+    with pytest.raises(DimensionMismatch):
+        TridiagonalFamily(diag, upper[:-1], lower)
+    with pytest.raises(DimensionMismatch):
+        TridiagonalFamily(diag[:, 0], upper[:, 0], lower[:, 0])
 
 
 # ---------------------------------------------------------------------------
