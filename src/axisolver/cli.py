@@ -31,13 +31,14 @@ import math
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .acoustic import (LaguerreParams, MediumModel, Wavelet,
-                       harmonic_operator, solve_all_harmonics, reconstruct,
-                       write_seismogram, write_snapshot)
+                       _synthesis_weights, harmonic_operator,
+                       solve_all_harmonics, reconstruct, write_seismogram,
+                       write_snapshot)
 from .comm import CommWorld
 from .config import DEFAULTS, RunConfig, load_config
 from .dichotomy import (Partition, build_plan, predict_time_cyclic,
@@ -104,6 +105,19 @@ def _field_sampler(path: str, grid: Grid2D, *, exact_grid: bool) -> Callable:
             f"{path}: file grid {file_grid.nr}x{file_grid.nz} does not match "
             f"run grid {grid.nr}x{grid.nz}")
     return sampler_from_field(file_grid, values)
+
+
+def _stopping_rule(cfg: RunConfig) -> Tuple[float, int]:
+    """``[solver] tol`` (also set by ``--tol``), a finite number > 0, and
+    ``[solver] maxiter``, an integer >= 1."""
+    tol = cfg.get_float("solver", "tol")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"[solver] tol = {cfg.get('solver', 'tol')!r} must "
+                          f"be a finite number > 0")
+    maxiter = cfg.get_int("solver", "maxiter")
+    if maxiter < 1:
+        raise ConfigError(f"[solver] maxiter = {maxiter} must be >= 1")
+    return tol, maxiter
 
 
 def _write_solution(outdir: str, grid: Grid2D, interior: np.ndarray) -> None:
@@ -242,8 +256,7 @@ def cmd_elliptic(cfg: RunConfig) -> int:
     executor = cfg.get_choice("solver", "executor", {"sim", "threads"})
     pre = SovPreconditioner.from_operator(
         op, ranks=cfg.get_int("solver", "ranks"), executor=executor)
-    tol = cfg.get_float("solver", "tol")
-    maxiter = cfg.get_int("solver", "maxiter")
+    tol, maxiter = _stopping_rule(cfg)
     method = cfg.get_choice("solver", "method", {"pcg", "chebyshev"})
 
     seconds: List[float] = []
@@ -296,28 +309,33 @@ def cmd_acoustic(cfg: RunConfig) -> int:
                       t0=cfg.get_float("source", "t0"),
                       gamma=cfg.get_float("source", "gamma"),
                       amplitude=cfg.get_float("source", "amplitude"))
-
-    series = solve_all_harmonics(
-        grid, model, params, wavelet,
-        source=(cfg.get_float("source", "r"), cfg.get_float("source", "z")),
-        method=cfg.get_choice("solver", "method", {"pcg", "chebyshev"}),
-        tol=cfg.get_float("solver", "tol"),
-        maxiter=cfg.get_int("solver", "maxiter"),
-        ranks=cfg.get_int("solver", "ranks"),
-        executor=cfg.get_choice("solver", "executor", {"sim", "threads"}))
-
+    tol, maxiter = _stopping_rule(cfg)
     times = cfg.receiver_times()
     points = cfg.receiver_points()
-    traces = reconstruct(series, times, points)
-    write_seismogram(os.path.join(outdir, "seismograms.csv"), times, traces)
-
     snap_raw = cfg.get("snapshot", "t")
+    t_snap = None
     if snap_raw:
         try:
             t_snap = float(snap_raw)
         except ValueError as exc:
             raise ConfigError(f"[snapshot] t = {snap_raw!r} is not a number") \
                 from exc
+    # the synthesis weights depend on [laguerre] and the requested times
+    # only: one beyond the float range fails here, before any harmonic solve
+    _synthesis_weights(params, times if t_snap is None
+                       else np.append(times, t_snap))
+
+    series = solve_all_harmonics(
+        grid, model, params, wavelet,
+        source=(cfg.get_float("source", "r"), cfg.get_float("source", "z")),
+        method=cfg.get_choice("solver", "method", {"pcg", "chebyshev"}),
+        tol=tol, maxiter=maxiter,
+        ranks=cfg.get_int("solver", "ranks"),
+        executor=cfg.get_choice("solver", "executor", {"sim", "threads"}))
+
+    traces = reconstruct(series, times, points)
+    write_seismogram(os.path.join(outdir, "seismograms.csv"), times, traces)
+    if t_snap is not None:
         write_snapshot(os.path.join(outdir, "snapshot.raw"), series, t_snap)
 
     _write_report(outdir, [
@@ -366,14 +384,15 @@ def cmd_bench(cfg: RunConfig) -> int:
     n = cfg.get_int("bench", "n")
     batch = cfg.get_int("bench", "batch")
     repeats = cfg.get_int("bench", "repeats")
-    if n < 8 or batch < 1 or repeats < 1:
-        raise ConfigError(f"[bench] needs n >= 8, batch >= 1, repeats >= 1; "
-                          f"got {n}/{batch}/{repeats}")
+    seed = cfg.get_int("bench", "seed")
+    if n < 8 or batch < 1 or repeats < 1 or seed < 0:
+        raise ConfigError(f"[bench] needs n >= 8, batch >= 1, repeats >= 1, "
+                          f"seed >= 0; got {n}/{batch}/{repeats}/{seed}")
     alpha = cfg.get_float("bench", "alpha")
     beta = cfg.get_float("bench", "beta")
     gamma = cfg.get_float("bench", "gamma")
-    matrix = _bench_system(n, cfg.get_int("bench", "seed"))
-    rng = np.random.default_rng(cfg.get_int("bench", "seed") + 1)
+    matrix = _bench_system(n, seed)
+    rng = np.random.default_rng(seed + 1)
     B = rng.standard_normal((n, batch))
 
     def models(p: int):

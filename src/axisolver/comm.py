@@ -1,20 +1,37 @@
 """Message-passing layer the distributed tridiagonal solver is written against.
 
-User code is SPMD: a per-rank function ``program(comm)`` where ``comm`` carries
-``rank``/``p`` and the operations ``send``, ``recv`` and
-``reduce_sum_to_root``.  Two interchangeable executors run such programs:
+User code is SPMD: a per-rank *generator* ``program(comm)``, where ``comm``
+carries ``rank``/``p`` and the operations ``send``, ``recv`` and
+``reduce_sum_to_root``.  Each operation is itself a generator that yields
+communication requests, so a rank program runs it with ``yield from`` and
+gets its result back the same way::
 
-* ``"sim"``    - deterministic single-process scheduler.  OS threads host the
-  rank functions but a turn token keeps exactly one runnable at a time and
-  hands control round-robin whenever the running rank blocks, so execution
-  order is reproducible and unmatched receives are detected as hard deadlock
-  errors.
-* ``"threads"`` - one free-running worker thread per rank with blocking
-  channels; used to measure actual parallel speedup.
+    def program(comm):
+        if comm.rank == 1:
+            yield from comm.send(2, [1.0, 2.0])
+        elif comm.rank == 2:
+            return (yield from comm.recv(1))
 
-Numerical results are bit-identical across executors because the summation
-tree of every reduce is a pure function of the member ranks, and channels are
-FIFO per (source, destination) pair.
+    CommWorld(2).run(program)   # {1: None, 2: array([1., 2.])}
+
+The generator's return value is the rank's result.  Two interchangeable
+executors serve the requests (generators used as coroutines, PEP 342):
+
+* ``"sim"``    - deterministic scheduler in the calling thread.  It resumes
+  one rank until that rank waits on an empty channel or finishes, then
+  passes on to the next runnable rank in round-robin order after it.
+  Execution order is therefore reproducible, no thread is started, and
+  "no rank runnable, not every rank finished" is reported at once as
+  :class:`Deadlock` (or :class:`MissingParticipant` when a rank waits in a
+  reduce that a finished rank never joined).
+* ``"threads"`` - one free-running thread per rank, each driving its
+  generator against blocking channels; used to measure parallel speedup.
+
+Numerical results are bit-identical across executors because both run the
+same generator bodies, the summation tree of every reduce is a pure function
+of the member ranks, and channels are FIFO per (source, destination) pair.
+When a rank raises, the executor closes every other rank's generator and
+re-raises that first failure.
 
 Reduction-tree shape (recursive halving on the rank-sorted member list):
 with the root in first position the tail half sends onto the head half each
@@ -26,9 +43,11 @@ per-element accumulation order is fixed.
 
 from __future__ import annotations
 
+import bisect
+import inspect
 import threading
-from collections import deque
-from dataclasses import dataclass
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,27 +61,10 @@ from .errors import (
     MissingParticipant,
 )
 
-
-class _Abort(Exception):
-    """Internal signal used to unwind rank threads after a fatal event."""
-
-
-@dataclass(frozen=True)
-class Group:
-    """An ordered set of ranks with a designated root for collectives."""
-
-    members: Tuple[int, ...]
-    root: int
-
-    def __post_init__(self):
-        members = tuple(sorted(self.members))
-        if not members:
-            raise IndexOutOfRange("group must have at least one member")
-        if len(set(members)) != len(members):
-            raise IndexOutOfRange(f"duplicate ranks in group {members}")
-        if self.root not in members:
-            raise IndexOutOfRange(f"root {self.root} not in group {members}")
-        object.__setattr__(self, "members", members)
+# request kinds a rank generator yields: (_SEND, to, payload) and
+# (_RECV, src, reduce members or None); a recv is resumed with the payload
+_SEND = "send"
+_RECV = "recv"
 
 
 def reduce_schedule(members: Sequence[int], root: int) -> List[List[Tuple[int, int]]]:
@@ -91,6 +93,42 @@ def reduce_schedule(members: Sequence[int], root: int) -> List[List[Tuple[int, i
             rounds.append([(order[i], order[nsend + i]) for i in range(nsend)])
             order = order[nsend:]
     return rounds
+
+
+@dataclass(frozen=True)
+class Group:
+    """An ordered set of ranks with a designated root for collectives.
+
+    The reduce tree is derived once, at construction: build a group once and
+    reuse it for every reduce over the same members.
+    """
+
+    members: Tuple[int, ...]
+    root: int
+    depth: int = field(init=False, repr=False, compare=False)
+    # rank -> (sources it adds in tree order, destination or None at the root)
+    _steps: Dict[int, Tuple[Tuple[int, ...], Optional[int]]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        members = tuple(sorted(self.members))
+        if not members:
+            raise IndexOutOfRange("group must have at least one member")
+        if len(set(members)) != len(members):
+            raise IndexOutOfRange(f"duplicate ranks in group {members}")
+        if self.root not in members:
+            raise IndexOutOfRange(f"root {self.root} not in group {members}")
+        rounds = reduce_schedule(members, self.root)
+        sources: Dict[int, List[int]] = {m: [] for m in members}
+        dest: Dict[int, Optional[int]] = dict.fromkeys(members)
+        for level in rounds:
+            for src, dst in level:
+                sources[dst].append(src)
+                dest[src] = dst
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "depth", len(rounds))
+        object.__setattr__(self, "_steps", {
+            m: (tuple(sources[m]), dest[m]) for m in members})
 
 
 # ---------------------------------------------------------------------------
@@ -138,229 +176,80 @@ class CommStats:
 
 
 # ---------------------------------------------------------------------------
-# executor state
+# per-rank communication handle
 # ---------------------------------------------------------------------------
 
 
-class _SimState:
-    """Turn-token scheduler: one runnable rank at a time, round-robin yields.
+class Comm:
+    """One rank's view of the world.  Every operation is a generator that
+    yields the rank's requests to the executor; use it with ``yield from``."""
 
-    One lock guards all state; each rank sleeps on its own condition, so a
-    hand-over wakes only the rank whose turn it is.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-        self.lock = threading.Lock()
-        self.turns = {r: threading.Condition(self.lock) for r in range(1, p + 1)}
-        self.state = {r: "ready" for r in range(1, p + 1)}
-        self.reason: Dict[int, tuple] = {}
-        self.channels: Dict[Tuple[int, int], deque] = {}
-        self.current = 1
-        self.abort_exc: Optional[BaseException] = None
-
-    def channel(self, src: int, dst: int) -> deque:
-        key = (src, dst)
-        ch = self.channels.get(key)
-        if ch is None:
-            ch = self.channels[key] = deque()
-        return ch
-
-    def _runnable(self, r: int) -> bool:
-        st = self.state[r]
-        if st == "ready":
-            return True
-        if st == "blocked":
-            _, src, _ = self.reason[r]
-            return bool(self.channels.get((src, r)))
-        return False
-
-    def hand_over(self) -> None:
-        """Wake the rank whose turn it is, or every rank after a fatal event.
-        The lock must be held."""
-        if self.abort_exc is not None:
-            for turn in self.turns.values():
-                turn.notify()
-        elif self.current:
-            self.turns[self.current].notify()
-
-    def wait_turn(self, rank: int) -> None:
-        """Sleep until it is ``rank``'s turn or the run aborts (lock held)."""
-        while self.current != rank and self.abort_exc is None:
-            self.turns[rank].wait()
-
-    def pick_next(self, after: int) -> None:
-        # the lock must be held
-        for step in range(1, self.p + 1):
-            r = (after - 1 + step) % self.p + 1
-            if self._runnable(r):
-                self.state[r] = "ready"
-                self.reason.pop(r, None)
-                self.current = r
-                return
-        self.current = 0
-        if self.abort_exc is not None or all(s == "done" for s in self.state.values()):
-            return
-        blocked = {}
-        missing = None
-        for r, st in self.state.items():
-            if st != "blocked":
-                continue
-            kind, src, members = self.reason[r]
-            blocked[r] = f"{kind} from {src}"
-            if kind == "reduce" and members is not None:
-                finished = [m for m in members if self.state.get(m) == "done"]
-                if finished:
-                    missing = MissingParticipant(
-                        f"rank {r} waits in a reduce over {members} but rank(s) "
-                        f"{finished} already finished without joining it")
-        self.abort_exc = missing if missing is not None else Deadlock(blocked)
-
-
-class _ThreadState:
-    """Free-running channels guarded by one condition variable."""
-
-    RECV_TIMEOUT = 120.0
-
-    def __init__(self, p: int):
-        self.p = p
-        self.cond = threading.Condition()
-        self.channels: Dict[Tuple[int, int], deque] = {}
-        self.abort_exc: Optional[BaseException] = None
-
-    def channel(self, src: int, dst: int) -> deque:
-        key = (src, dst)
-        ch = self.channels.get(key)
-        if ch is None:
-            ch = self.channels[key] = deque()
-        return ch
-
-
-# ---------------------------------------------------------------------------
-# per-rank communication handles
-# ---------------------------------------------------------------------------
-
-
-class _BaseComm:
     def __init__(self, world: "CommWorld", rank: int):
         self.world = world
         self.rank = rank
         self.p = world.p
 
-    # executor-specific primitives -----------------------------------------
-    def _send_impl(self, to: int, payload: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _recv_impl(self, src: int, reduce_members) -> np.ndarray:
-        raise NotImplementedError
-
-    # public API -------------------------------------------------------------
     def _check_peer(self, other: int) -> None:
         if not (1 <= other <= self.p):
             raise IndexOutOfRange(f"rank {other} outside 1..{self.p}")
         if other == self.rank:
             raise IndexOutOfRange(f"rank {self.rank} cannot message itself")
 
-    def send(self, to: int, payload) -> None:
+    def send(self, to: int, payload):
         """Queue a float64 payload on the FIFO channel (self.rank -> to)."""
         self._check_peer(to)
         arr = np.array(payload, dtype=np.float64, copy=True, ndmin=1)
         if arr.ndim != 1:
             raise DimensionMismatch("payload must be scalar or 1-D")
         self.world._account_send(self.rank, arr.size)
-        self._send_impl(to, arr)
+        yield _SEND, to, arr
 
-    def recv(self, src: int) -> np.ndarray:
-        """Pop the next payload sent by ``src`` to this rank, blocking."""
+    def recv(self, src: int):
+        """Pop the next payload sent by ``src`` to this rank, waiting for it."""
         self._check_peer(src)
-        return self._recv_impl(src, None)
+        return (yield _RECV, src, None)
 
-    def reduce_sum_to_root(self, group: Group, contribution) -> Optional[np.ndarray]:
+    def reduce_sum_to_root(self, group: Group, contribution):
         """Elementwise sum over the group, delivered at the root only.
 
         Every member must call with a contribution of the same length.  The
         additions happen in the fixed tree order of ``reduce_schedule``; the
         root gets the sum, everyone else gets None.
         """
-        members, root = group.members, group.root
+        members = group.members
         if self.rank not in members:
             raise MissingParticipant(
                 f"rank {self.rank} called a reduce over {members} it is not part of")
         acc = np.array(contribution, dtype=np.float64, copy=True, ndmin=1)
-        rounds = reduce_schedule(members, root)
-        self.world._account_reduce(self.rank, len(rounds))
-        if len(members) == 1:
-            return acc
-        for level in rounds:
-            for src, dst in level:
-                if src == self.rank:
-                    self.world._account_send(self.rank, acc.size)
-                    self._send_impl(dst, acc)
-                    return None
-                if dst == self.rank:
-                    incoming = self._recv_impl(src, members)
-                    if incoming.size != acc.size:
-                        raise MismatchedLength(
-                            f"reduce over {members}: rank {self.rank} holds "
-                            f"{acc.size} scalars, rank {src} sent {incoming.size}")
-                    acc = acc + incoming
-        return acc  # only the root reaches this point
+        sources, dst = group._steps[self.rank]
+        self.world._account_reduce(self.rank, group.depth)
+        for src in sources:
+            incoming = yield _RECV, src, members
+            if incoming.size != acc.size:
+                raise MismatchedLength(
+                    f"reduce over {members}: rank {self.rank} holds "
+                    f"{acc.size} scalars, rank {src} sent {incoming.size}")
+            acc = acc + incoming
+        if dst is None:
+            return acc  # only the root reaches this point
+        self.world._account_send(self.rank, acc.size)
+        yield _SEND, dst, acc
+        return None
 
 
-class _SimComm(_BaseComm):
-    def __init__(self, world, rank, sim: _SimState):
-        super().__init__(world, rank)
-        self._sim = sim
-
-    def _send_impl(self, to, payload):
-        sim = self._sim
-        with sim.lock:
-            if sim.abort_exc is not None:
-                raise _Abort()
-            sim.channel(self.rank, to).append(payload)
-
-    def _recv_impl(self, src, reduce_members):
-        sim = self._sim
-        with sim.lock:
-            ch = sim.channel(src, self.rank)
-            if not ch:
-                kind = "reduce" if reduce_members is not None else "recv"
-                sim.state[self.rank] = "blocked"
-                sim.reason[self.rank] = (kind, src, reduce_members)
-                sim.pick_next(self.rank)
-                sim.hand_over()
-                sim.wait_turn(self.rank)
-                if sim.abort_exc is not None:
-                    raise _Abort()
-            return ch.popleft()
-
-
-class _ThreadComm(_BaseComm):
-    def __init__(self, world, rank, ts: _ThreadState):
-        super().__init__(world, rank)
-        self._ts = ts
-
-    def _send_impl(self, to, payload):
-        ts = self._ts
-        with ts.cond:
-            if ts.abort_exc is not None:
-                raise _Abort()
-            ts.channel(self.rank, to).append(payload)
-            ts.cond.notify_all()
-
-    def _recv_impl(self, src, reduce_members):
-        ts = self._ts
-        with ts.cond:
-            ch = ts.channel(src, self.rank)
-            while not ch:
-                if ts.abort_exc is not None:
-                    raise _Abort()
-                if not ts.cond.wait(timeout=ts.RECV_TIMEOUT):
-                    exc = Deadlock({self.rank: f"recv from {src} timed out"})
-                    ts.abort_exc = exc
-                    ts.cond.notify_all()
-                    raise _Abort()
-            return ch.popleft()
+def _stall_error(waiting, finished) -> Exception:
+    """The error for "no rank runnable, not every rank finished":
+    ``waiting`` maps each blocked rank to its (src, reduce members)."""
+    blocked = {}
+    for r, (src, members) in sorted(waiting.items()):
+        blocked[r] = f"{'recv' if members is None else 'reduce'} from {src}"
+        if members is not None:
+            gone = [m for m in members if finished[m]]
+            if gone:
+                return MissingParticipant(
+                    f"rank {r} waits in a reduce over {members} but rank(s) "
+                    f"{gone} already finished without joining it")
+    return Deadlock(blocked)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +260,15 @@ class _ThreadComm(_BaseComm):
 class CommWorld:
     """A set of ranks 1..p, their statistics, and the program launcher."""
 
+    RECV_TIMEOUT = 120.0  # threads executor: a recv waiting longer deadlocks
+
     def __init__(self, p: int):
         if p < 1:
             raise IndexOutOfRange(f"need p >= 1 ranks, got {p}")
         self.p = p
         self._stats_lock = threading.Lock()
         self._counters = {r: _RankCounters() for r in range(1, p + 1)}
+        self._comms = tuple(Comm(self, r) for r in range(1, p + 1))
 
     # accounting -------------------------------------------------------------
     def _account_send(self, src: int, nscalars: int) -> None:
@@ -404,45 +296,114 @@ class CommWorld:
 
     # launching ---------------------------------------------------------------
     def run(self, program: Callable, executor: str = "sim") -> Dict[int, object]:
-        """Run ``program(comm)`` once per rank; returns {rank: return value}.
+        """Run the generator ``program(comm)`` once per rank; returns
+        {rank: return value}.
 
-        ``executor="sim"`` is deterministic and detects deadlock;
-        ``executor="threads"`` runs ranks concurrently.
+        ``executor="sim"`` is deterministic, runs in the calling thread and
+        detects deadlock; ``executor="threads"`` runs ranks concurrently.
         """
-        if executor == "sim":
-            state = _SimState(self.p)
-            handles = {r: _SimComm(self, r, state) for r in range(1, self.p + 1)}
-            return self._run_sim(program, state, handles)
-        if executor == "threads":
-            state = _ThreadState(self.p)
-            handles = {r: _ThreadComm(self, r, state) for r in range(1, self.p + 1)}
-            return self._run_threads(program, state, handles)
-        raise ConfigError(f"unknown executor {executor!r}; use 'sim' or 'threads'")
+        if executor not in ("sim", "threads"):
+            raise ConfigError(f"unknown executor {executor!r}; use 'sim' or 'threads'")
+        gens = []
+        try:
+            for comm in self._comms:
+                gen = program(comm)
+                if not inspect.isgenerator(gen):
+                    raise TypeError(
+                        f"program(comm) returned {type(gen).__name__}, not a "
+                        f"generator; write the rank program with 'yield from "
+                        f"comm.send(...)' / 'comm.recv(...)' / "
+                        f"'comm.reduce_sum_to_root(...)'")
+                gens.append(gen)
+            if executor == "sim":
+                return self._run_sim(gens)
+            return self._run_threads(gens)
+        finally:
+            for gen in gens:
+                gen.close()
 
-    def _run_sim(self, program, sim: _SimState, handles) -> Dict[int, object]:
+    def _run_sim(self, gens) -> Dict[int, object]:
+        p = self.p
+        channels: Dict[Tuple[int, int], deque] = defaultdict(deque)
+        waiting: Dict[int, Tuple[int, object]] = {}   # rank -> (src, members)
+        inbox: List[object] = [None] * (p + 1)         # value to resume with
+        finished = [False] * (p + 1)
+        runnable = list(range(1, p + 1))               # sorted
         results: Dict[int, object] = {}
+        r = 1
+        while True:
+            gen, value = gens[r - 1], inbox[r]
+            inbox[r] = None
+            try:
+                while True:
+                    kind, peer, data = gen.send(value)
+                    if kind is _SEND:
+                        value = None
+                        blocked_on = waiting.get(peer)
+                        if blocked_on is not None and blocked_on[0] == r:
+                            # the peer waits on this channel, which is empty
+                            del waiting[peer]
+                            inbox[peer] = data
+                            bisect.insort(runnable, peer)
+                        else:
+                            channels[r, peer].append(data)
+                    else:
+                        ch = channels[peer, r]
+                        if ch:
+                            value = ch.popleft()
+                        else:
+                            waiting[r] = (peer, data)
+                            break
+            except StopIteration as stop:
+                results[r] = stop.value
+                finished[r] = True
+            runnable.remove(r)
+            if not runnable:
+                if waiting:
+                    raise _stall_error(waiting, finished)
+                return results
+            # round-robin: the first runnable rank after r
+            i = bisect.bisect_right(runnable, r)
+            r = runnable[i] if i < len(runnable) else runnable[0]
+
+    def _run_threads(self, gens) -> Dict[int, object]:
+        cond = threading.Condition()
+        channels: Dict[Tuple[int, int], deque] = defaultdict(deque)
+        results: Dict[int, object] = {}
+        failure: List[BaseException] = []
+
+        def serve(rank, gen):
+            """Drive one rank's generator until it finishes (StopIteration)
+            or another rank has failed (plain return)."""
+            value = None
+            while True:
+                kind, peer, data = gen.send(value)
+                with cond:
+                    if failure:
+                        return
+                    if kind is _SEND:
+                        channels[rank, peer].append(data)
+                        cond.notify_all()
+                        value = None
+                        continue
+                    ch = channels[peer, rank]
+                    while not ch:
+                        if not cond.wait(timeout=self.RECV_TIMEOUT):
+                            raise Deadlock({rank: f"recv from {peer} timed out"})
+                        if failure:
+                            return
+                    value = ch.popleft()
 
         def worker(rank):
-            with sim.lock:
-                sim.wait_turn(rank)
-                if sim.abort_exc is not None:
-                    return
             try:
-                out = program(handles[rank])
-                failure = None
-            except _Abort:
-                return
+                serve(rank, gens[rank - 1])
+            except StopIteration as stop:
+                results[rank] = stop.value
             except BaseException as exc:  # deliver the first rank failure
-                failure = exc
-                out = None
-            with sim.lock:
-                if failure is not None and sim.abort_exc is None:
-                    sim.abort_exc = failure
-                else:
-                    results[rank] = out
-                sim.state[rank] = "done"
-                sim.pick_next(rank)
-                sim.hand_over()
+                with cond:
+                    if not failure:
+                        failure.append(exc)
+                    cond.notify_all()
 
         threads = [threading.Thread(target=worker, args=(r,), daemon=True)
                    for r in range(1, self.p + 1)]
@@ -450,36 +411,8 @@ class CommWorld:
             t.start()
         for t in threads:
             t.join()
-        if sim.abort_exc is not None:
-            raise sim.abort_exc
-        return results
-
-    def _run_threads(self, program, ts: _ThreadState, handles) -> Dict[int, object]:
-        results: Dict[int, object] = {}
-        res_lock = threading.Lock()
-
-        def worker(rank):
-            try:
-                out = program(handles[rank])
-            except _Abort:
-                return
-            except BaseException as exc:
-                with ts.cond:
-                    if ts.abort_exc is None:
-                        ts.abort_exc = exc
-                    ts.cond.notify_all()
-                return
-            with res_lock:
-                results[rank] = out
-
-        threads = [threading.Thread(target=worker, args=(r,), daemon=True)
-                   for r in range(1, self.p + 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if ts.abort_exc is not None:
-            raise ts.abort_exc
+        if failure:
+            raise failure[0]
         return results
 
 

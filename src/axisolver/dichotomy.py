@@ -177,6 +177,9 @@ class RankPlan:
     interior_fact: Optional[MultiFactorization]
     interior_c: np.ndarray   # (L,): coupling of first interior row to the row above
     interior_a: np.ndarray   # (L,): coupling of last interior row to the row below
+    steps: Tuple[tuple, ...]  # the rank's roles in the splitting tree, in order:
+                              # ("leaf",), ("left"|"right", level, group, is_neighbor)
+                              # or ("middle", level, left_group, right_group|None)
 
 
 @dataclass(frozen=True)
@@ -278,6 +281,16 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
         """Entry ``row`` (1-based, > m_R) of the tail vector Z_R of m_R."""
         return np.prod(neg_cq[m_R - 1: row - 1], axis=0)
 
+    # the left/right reduce groups of every split, built once and shared
+    groups = {}
+    for level in levels:
+        for entry in level:
+            if entry[0] == "split":
+                _, lo, hi, mid = entry
+                groups[entry] = (Group(tuple(range(lo, mid + 1)), root=mid),
+                                 Group(tuple(range(mid, hi + 1)), root=mid)
+                                 if hi > mid else None)
+
     ranks = []
     for m in range(1, p + 1):
         m_L, m_R = part.m_L(m), part.m_R(m)
@@ -296,20 +309,29 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
                 f"rank {m}: inverse-row boundary weight below {FOLD_RATIO_FLOOR}")
 
         weights = np.zeros((len(levels), 2, A.nsys))
+        steps = []
         for s, level in enumerate(levels):
             for entry in level:
-                if entry[0] != "split" or not entry[1] <= m <= entry[2]:
+                if entry[0] == "leaf":
+                    if entry[1] == m:
+                        steps.append(("leaf",))
                     continue
                 _, lo, hi, mid = entry
+                if not lo <= m <= hi:
+                    continue
+                left, right = groups[entry]
                 k1, k2 = part.m_L(mid), part.m_R(mid)
                 if m < mid:
                     weights[s] = z_right(m_R, k1), z_right(m_R, k2)
+                    steps.append(("left", s, left, m == mid - 1))
                 elif m > mid:
                     weights[s] = z_left(m_L, k1), z_left(m_L, k2)
+                    steps.append(("right", s, right, m == mid + 1))
                 else:
                     weights[s, 0] = z_left(m_L, k1 - 1)
                     if mid < hi:
                         weights[s, 1] = z_right(m_R, k2 + 1)
+                    steps.append(("middle", s, left, right))
 
         interior = m_R - m_L - 1  # rows m_L+1..m_R-1
         if interior > 0:
@@ -328,6 +350,7 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
             fold_right=_freeze(G_R[0] / den_right),
             weights=_freeze(weights), interior_fact=interior_fact,
             interior_c=_freeze(interior_c), interior_a=_freeze(interior_a),
+            steps=tuple(steps),
         ))
 
     full_fact = (MultiFactorization(*(_freeze(arr) for arr in down))
@@ -365,8 +388,9 @@ def local_betas(plan: DichotomyPlan, m: int, F_local) -> Tuple[np.ndarray, np.nd
     return (bL, bR) if F_local.ndim == 2 else (bL[0], bR[0])
 
 
-def _protocol(comm, plan: DichotomyPlan, Q: np.ndarray) -> np.ndarray:
-    """Run the splitting protocol for the whole family on the calling rank.
+def _protocol(comm, plan: DichotomyPlan, Q: np.ndarray):
+    """Rank program (a generator, see :mod:`.comm`): run the splitting
+    protocol for the whole family on the calling rank.
 
     ``Q`` is the rank's owned rhs slice, shape (local size, K).  Returns the
     rank's block of the solution, same shape.
@@ -377,44 +401,43 @@ def _protocol(comm, plan: DichotomyPlan, Q: np.ndarray) -> np.ndarray:
     bL, bR = local_betas(plan, m, Q)
     first = last = None
 
-    for level, (w1, w2) in zip(plan.levels, rp.weights):
-        for entry in level:
-            if entry[0] == "leaf":
-                if entry[1] == m:
-                    first, last = bL.copy(), bR.copy()
-                continue
-            _, lo, hi, mid = entry
-            if not (lo <= m <= hi):
-                continue
-            left_group = Group(tuple(range(lo, mid + 1)), root=mid)
-            right_group = (Group(tuple(range(mid, hi + 1)), root=mid)
-                           if hi > mid else None)
-            if m < mid:
-                comm.reduce_sum_to_root(left_group,
-                                        np.concatenate([bR * w1, bR * w2]))
-                if m == mid - 1:
-                    dL = comm.recv(mid)
-                    bR = bR + dL
-                    bL = bL + dL * rp.fold_left
-            elif m > mid:
-                comm.reduce_sum_to_root(right_group,
-                                        np.concatenate([bL * w1, bL * w2]))
-                if m == mid + 1:
-                    dR = comm.recv(mid)
-                    bL = bL + dR
-                    bR = bR + dR * rp.fold_right
-            else:
-                left = comm.reduce_sum_to_root(
-                    left_group, np.concatenate([bL, bR]))
-                right = (comm.reduce_sum_to_root(
+    for step in rp.steps:
+        role = step[0]
+        if role == "leaf":
+            first, last = bL.copy(), bR.copy()
+            continue
+        w1, w2 = rp.weights[step[1]]
+        if role == "left":
+            group, neighbor = step[2], step[3]
+            yield from comm.reduce_sum_to_root(
+                group, np.concatenate([bR * w1, bR * w2]))
+            if neighbor:
+                dL = yield from comm.recv(group.root)
+                bR = bR + dL
+                bL = bL + dL * rp.fold_left
+        elif role == "right":
+            group, neighbor = step[2], step[3]
+            yield from comm.reduce_sum_to_root(
+                group, np.concatenate([bL * w1, bL * w2]))
+            if neighbor:
+                dR = yield from comm.recv(group.root)
+                bL = bL + dR
+                bR = bR + dR * rp.fold_right
+        else:
+            left_group, right_group = step[2], step[3]
+            left = yield from comm.reduce_sum_to_root(
+                left_group, np.concatenate([bL, bR]))
+            if right_group is not None:
+                right = yield from comm.reduce_sum_to_root(
                     right_group, np.zeros(2 * K))
-                    if right_group is not None else np.zeros(2 * K))
-                first = left[:K] + right[:K]
-                last = left[K:] + right[K:]
-                # mid = ceil((lo+hi)/2) > lo: the left neighbor always exists
-                comm.send(mid - 1, (right[:K] + bL) * w1)
-                if mid + 1 <= hi:
-                    comm.send(mid + 1, left[K:] * w2)
+            else:
+                right = np.zeros(2 * K)
+            first = left[:K] + right[:K]
+            last = left[K:] + right[K:]
+            # mid = ceil((lo+hi)/2) > lo: the left neighbor always exists
+            yield from comm.send(m - 1, (right[:K] + bL) * w1)
+            if right_group is not None:
+                yield from comm.send(m + 1, left[K:] * w2)
 
     # final local elimination of the interior rows
     if rp.interior_fact is None:
@@ -459,12 +482,10 @@ def _solve(plan: DichotomyPlan, B: np.ndarray, executor: str,
     if plan.p == 1:
         X = multi_apply(plan.full_fact, B)
     else:
-        part = plan.partition
-        slices = [np.ascontiguousarray(B[part.owned_slice(r)])
-                  for r in range(1, plan.p + 1)]
-
         def program(comm):
-            return _protocol(comm, plan, slices[comm.rank - 1])
+            rp = plan.rank_data(comm.rank)
+            return _protocol(comm, plan,
+                             np.ascontiguousarray(B[rp.m_L - 1: rp.m_R]))
 
         results = plan.world.run(program, executor=executor)
         X = np.vstack([results[r] for r in range(1, plan.p + 1)])

@@ -33,6 +33,7 @@ solvers consume together with the ``source`` array as right-hand side.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -108,6 +109,8 @@ class Grid2D:
 
     def nearest_node(self, r: float, z: float) -> Tuple[int, int]:
         """0-based (k, i) of the node nearest to (r, z), clipped to unknowns."""
+        if not (math.isfinite(r) and math.isfinite(z)):
+            raise DomainError(f"position ({r!r}, {z!r}) is not finite")
         i = int(np.clip(round(r / self.dr - 0.5), 0, self.nr - 2))
         k = int(np.clip(round(z / self.dz - 0.5), 0, self.nz - 1))
         return k, i

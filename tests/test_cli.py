@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import axisolver
+from axisolver import acoustic
 from axisolver.cli import main
 from axisolver.elliptic import Grid2D, read_field_raw, write_field_text
 
@@ -202,6 +203,32 @@ def test_elliptic_tolerance_honored(tmp_path, smooth_kappa_file):
             < int(report_value(tight, "iterations")))
 
 
+TINY_CONSTANT = """\
+[grid]
+nr = 9
+nz = 4
+[model]
+kind = constant
+[solver]
+maxiter = 3
+"""
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
+def test_tol_that_is_not_finite_and_positive_exits_2(tmp_path, capsys, tol):
+    # from the config key and from --tol alike: a configuration error, not
+    # a run to maxiter that ends in a solver failure
+    for i, (text, flags) in enumerate([
+            (TINY_CONSTANT + f"tol = {tol}\n", []),
+            (TINY_CONSTANT, [f"--tol={tol}"])]):
+        cfg = write_cfg(tmp_path / f"run{i}.cfg", text)
+        assert run_cli("elliptic", "--config", cfg,
+                       "--out", str(tmp_path / f"out{i}"), *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "tol" in err
+        assert err.count("\n") == 1
+
+
 def test_elliptic_chebyshev_method(tmp_path, smooth_kappa_file):
     cfg = write_cfg(tmp_path / "run.cfg",
                     elliptic_cfg(smooth_kappa_file, 32)
@@ -327,6 +354,37 @@ times = 0.0, 1.2, 11
         assert not (out / "seismograms.csv").exists()
 
 
+def test_acoustic_overflowing_weights_fail_before_any_solve(tmp_path, capsys,
+                                                          monkeypatch):
+    # the weights for receivers up to t = 1.2 at alpha = 400 leave the float
+    # range; they depend on [laguerre] and [receivers] only, so the run must
+    # stop before the first harmonic solve
+    calls = []
+    real = acoustic.pcg_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(acoustic, "pcg_solve", counting)
+    cfg = write_cfg(tmp_path / "run.cfg", """\
+[grid]
+nr = 17
+nz = 16
+[laguerre]
+alpha = 400
+n_terms = 16
+[receivers]
+times = 0.0, 1.2, 11
+""")
+    out = tmp_path / "out"
+    assert run_cli("acoustic", "--config", cfg, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
+    assert calls == []
+    assert not (out / "seismograms.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -431,8 +489,14 @@ def test_module_entry_point_subprocess(tmp_path):
 
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
-# a valid small configuration per key; up to two keys are then corrupted
-VALID_KEYS = {
+# a valid small configuration per command and key; up to two keys are then
+# corrupted
+SOLVER_KEYS = {
+    ("solver", "method"): ["pcg", "chebyshev"],
+    ("solver", "tol"): ["1e-8", "0.5"],
+    ("solver", "maxiter"): ["1", "3", "40"],
+}
+ELLIPTIC_KEYS = {
     ("grid", "nr"): ["9", "12", "17"],
     ("grid", "nz"): ["2", "4", "7"],
     ("grid", "rmax"): ["1.0", "950.0"],
@@ -441,29 +505,56 @@ VALID_KEYS = {
     ("model", "kappa0"): ["1.0", "2.5"],
     ("model", "q0"): ["0.0", "0.4"],
     ("rhs", "kind"): ["manufactured", "zero", "uniform"],
-    ("solver", "method"): ["pcg", "chebyshev"],
-    ("solver", "tol"): ["1e-8", "0.5"],
-    ("solver", "maxiter"): ["1", "3", "40"],
+    **SOLVER_KEYS,
+}
+VALID_KEYS = {
+    "elliptic": ELLIPTIC_KEYS,
+    "poisson": ELLIPTIC_KEYS,
+    "acoustic": {
+        ("grid", "nr"): ["9", "12", "17"],
+        ("grid", "nz"): ["2", "7", "16"],
+        ("grid", "rmax"): ["950.0", "2000.0"],
+        ("grid", "zmax"): ["950.0", "2000.0"],
+        ("model", "kind"): ["homogeneous", "fault"],
+        ("laguerre", "h"): ["100.0", "280.0"],
+        ("laguerre", "alpha"): ["2", "5"],
+        ("laguerre", "n_terms"): ["1", "4", "8"],
+        ("source", "amplitude"): ["0.0", "1.0"],
+        ("source", "r"): ["0.0", "300.0"],
+        ("receivers", "points"): ["0:0", "300:4, 500:4"],
+        ("receivers", "times"): ["0.0, 1.2, 11", "0.1, 0.5, 3"],
+        ("snapshot", "t"): ["", "0.5"],
+        **SOLVER_KEYS,
+    },
+    "bench": {
+        ("bench", "ranks"): ["1", "2, 4", "1, 3"],
+        ("bench", "n"): ["64", "512", "4096"],
+        ("bench", "batch"): ["1", "4"],
+        ("bench", "repeats"): ["1", "2"],
+        ("bench", "alpha"): ["5e-6", "0.0"],
+        ("bench", "seed"): ["0", "3"],
+    },
 }
 BAD_VALUES = ["-1", "0", "1", "2", "nan", "inf", "-inf", "1e400", "abc", ""]
 
 
-@settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(["elliptic", "poisson"]),
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(sorted(VALID_KEYS)),
        ranks=st.integers(1, 4),
        executor=st.sampled_from(["sim", "threads"]),
-       values=st.fixed_dictionaries(
-           {key: st.sampled_from(choices)
-            for key, choices in VALID_KEYS.items()}),
-       broken=st.dictionaries(st.sampled_from(sorted(VALID_KEYS)),
-                              st.sampled_from(BAD_VALUES), max_size=2))
+       data=st.data())
 def test_generated_configs_end_in_documented_exit_codes(
-        command, ranks, executor, values, broken):
+        command, ranks, executor, data):
+    keys = VALID_KEYS[command]
+    values = data.draw(st.fixed_dictionaries(
+        {key: st.sampled_from(choices) for key, choices in keys.items()}))
+    broken = data.draw(st.dictionaries(st.sampled_from(sorted(keys)),
+                                       st.sampled_from(BAD_VALUES),
+                                       max_size=2))
     values = {**values, **broken}
-    sections = {}
+    sections = {"solver": [f"ranks = {ranks}", f"executor = {executor}"]}
     for (section, key), value in values.items():
         sections.setdefault(section, []).append(f"{key} = {value}")
-    sections["solver"] += [f"ranks = {ranks}", f"executor = {executor}"]
     text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
                    for name, lines in sections.items())
     with tempfile.TemporaryDirectory() as tmp:

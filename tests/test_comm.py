@@ -1,5 +1,8 @@
 """Tests for axisolver.comm: channels, reduces, executors, statistics."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +26,9 @@ def test_send_recv_single_scalar_loopback():
 
     def program(comm):
         if comm.rank == 3:
-            comm.send(4, [2.5])
+            yield from comm.send(4, [2.5])
         elif comm.rank == 4:
-            return comm.recv(3)
+            return (yield from comm.recv(3))
 
     results = world.run(program, executor="sim")
     np.testing.assert_array_equal(results[4], [2.5])
@@ -36,11 +39,11 @@ def test_channel_is_fifo():
 
     def program(comm):
         if comm.rank == 3:
-            comm.send(4, [1.0])
-            comm.send(4, [2.0, 2.0])
+            yield from comm.send(4, [1.0])
+            yield from comm.send(4, [2.0, 2.0])
         elif comm.rank == 4:
-            first = comm.recv(3)
-            second = comm.recv(3)
+            first = yield from comm.recv(3)
+            second = yield from comm.recv(3)
             return (first.tolist(), second.tolist())
 
     results = world.run(program, executor="sim")
@@ -52,7 +55,7 @@ def test_unmatched_recv_deadlocks_in_simulator():
 
     def program(comm):
         if comm.rank == 1:
-            comm.recv(2)
+            yield from comm.recv(2)
 
     with pytest.raises(Deadlock) as exc:
         world.run(program, executor="sim")
@@ -64,7 +67,7 @@ def test_mutual_recv_deadlocks():
 
     def program(comm):
         other = 2 if comm.rank == 1 else 1
-        comm.recv(other)
+        yield from comm.recv(other)
 
     with pytest.raises(Deadlock) as exc:
         world.run(program, executor="sim")
@@ -75,11 +78,11 @@ def test_bad_peer_ranks_rejected():
     world = CommWorld(2)
 
     def self_send(comm):
-        comm.send(comm.rank, [1.0])
+        yield from comm.send(comm.rank, [1.0])
 
     def out_of_range(comm):
         if comm.rank == 1:
-            comm.send(5, [1.0])
+            yield from comm.send(5, [1.0])
 
     with pytest.raises(IndexOutOfRange):
         world.run(self_send, executor="sim")
@@ -94,10 +97,63 @@ def test_rank_exception_propagates():
         if comm.rank == 2:
             raise ValueError("boom on rank 2")
         if comm.rank == 3:
-            comm.recv(2)
+            yield from comm.recv(2)
 
     with pytest.raises(ValueError, match="boom on rank 2"):
         world.run(program, executor="sim")
+
+
+def test_first_failure_closes_the_other_ranks_and_is_reraised():
+    world = CommWorld(4)
+    started, closed = [], []
+
+    def program(comm):
+        started.append(comm.rank)
+        try:
+            if comm.rank == 2:
+                raise ValueError("first failure, on rank 2")
+            if comm.rank == 4:
+                raise RuntimeError("rank 4 must never run")
+            yield from comm.recv(2)
+        finally:
+            closed.append(comm.rank)
+
+    with pytest.raises(ValueError, match="first failure"):
+        world.run(program, executor="sim")
+    # rank 1 waited on rank 2 and was closed; ranks 3 and 4 never started
+    assert started == [1, 2]
+    assert closed == [2, 1]
+
+
+def test_program_that_is_not_a_generator_is_rejected():
+    world = CommWorld(2)
+
+    def program(comm):
+        if comm.rank == 1:
+            comm.send(2, [1.0])  # without 'yield from' this sends nothing
+
+    for executor in ("sim", "threads"):
+        with pytest.raises(TypeError, match="not a generator"):
+            world.run(program, executor=executor)
+    assert stats_snapshot(world).total_msgs() == 0
+
+
+def test_p256_deadlock_is_reported_at_once():
+    # every rank waits on its right neighbour: the simulator sees that no
+    # rank can run without waiting for a timeout, and starts no thread
+    world = CommWorld(256)
+    threads_before = threading.active_count()
+
+    def program(comm):
+        assert threading.active_count() == threads_before
+        yield from comm.recv(comm.rank % comm.p + 1)
+
+    started = time.perf_counter()
+    with pytest.raises(Deadlock) as exc:
+        world.run(program, executor="sim")
+    assert time.perf_counter() - started < CommWorld.RECV_TIMEOUT / 100
+    assert sorted(exc.value.blocked) == list(range(1, 257))
+    assert exc.value.blocked[256] == "recv from 1"
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +166,7 @@ def test_reduce_three_members():
     group = Group((1, 2, 3), root=1)
 
     def program(comm):
-        out = comm.reduce_sum_to_root(group, [float(comm.rank)])
+        out = yield from comm.reduce_sum_to_root(group, [float(comm.rank)])
         return None if out is None else out.tolist()
 
     results = world.run(program, executor="sim")
@@ -124,7 +180,7 @@ def test_reduce_single_member_is_identity():
 
     def program(comm):
         if comm.rank == 2:
-            return comm.reduce_sum_to_root(group, [7.0, -1.0])
+            return (yield from comm.reduce_sum_to_root(group, [7.0, -1.0]))
 
     results = world.run(program, executor="sim")
     np.testing.assert_array_equal(results[2], [7.0, -1.0])
@@ -137,7 +193,7 @@ def test_reduce_group_of_seven_value_and_levels():
     group = Group(tuple(range(1, 8)), root=1)
 
     def program(comm):
-        out = comm.reduce_sum_to_root(group, [float(comm.rank)])
+        out = yield from comm.reduce_sum_to_root(group, [float(comm.rank)])
         return None if out is None else float(out[0])
 
     results = world.run(program, executor="sim")
@@ -154,7 +210,7 @@ def test_reduce_mismatched_length_raises():
     group = Group((1, 2), root=1)
 
     def program(comm):
-        comm.reduce_sum_to_root(group, [1.0] * comm.rank)
+        yield from comm.reduce_sum_to_root(group, [1.0] * comm.rank)
 
     with pytest.raises(MismatchedLength):
         world.run(program, executor="sim")
@@ -167,7 +223,7 @@ def test_reduce_missing_participant_detected():
     def program(comm):
         if comm.rank == 3:
             return None  # never joins the collective
-        comm.reduce_sum_to_root(group, [1.0])
+        yield from comm.reduce_sum_to_root(group, [1.0])
 
     with pytest.raises(MissingParticipant):
         world.run(program, executor="sim")
@@ -178,7 +234,7 @@ def test_reduce_by_non_member_raises():
     group = Group((1, 2), root=1)
 
     def program(comm):
-        comm.reduce_sum_to_root(group, [1.0])
+        yield from comm.reduce_sum_to_root(group, [1.0])
 
     with pytest.raises(MissingParticipant):
         world.run(program, executor="sim")
@@ -228,7 +284,7 @@ def test_reduce_sums_rank_values(data):
 
     def program(comm):
         if comm.rank in members:
-            out = comm.reduce_sum_to_root(group, [float(comm.rank), 1.0])
+            out = yield from comm.reduce_sum_to_root(group, [float(comm.rank), 1.0])
             return None if out is None else out.tolist()
 
     results = world.run(program, executor="sim")
@@ -253,7 +309,7 @@ def test_reduce_p4_scalar_transfers_three():
     group = Group((1, 2, 3, 4), root=1)
 
     def program(comm):
-        comm.reduce_sum_to_root(group, [1.0])
+        yield from comm.reduce_sum_to_root(group, [1.0])
 
     world.run(program, executor="sim")
     stats = stats_snapshot(world)
@@ -267,9 +323,9 @@ def test_stats_csv_round_trip(tmp_path):
 
     def program(comm):
         if comm.rank == 1:
-            comm.send(2, [1.0, 2.0, 3.0])
+            yield from comm.send(2, [1.0, 2.0, 3.0])
         else:
-            comm.recv(1)
+            yield from comm.recv(1)
 
     world.run(program, executor="sim")
     path = tmp_path / "stats.csv"
@@ -285,7 +341,7 @@ def test_stats_accumulate_monotonically():
     group = Group((1, 2), root=2)
 
     def program(comm):
-        comm.reduce_sum_to_root(group, [1.0])
+        yield from comm.reduce_sum_to_root(group, [1.0])
 
     world.run(program, executor="sim")
     first = stats_snapshot(world)
@@ -305,10 +361,10 @@ def _pipeline_program(group):
         rng = np.random.default_rng(1000 + comm.rank)
         local = rng.normal(size=5)
         if comm.rank > 1:
-            comm.send(comm.rank - 1, local * 0.5)
+            yield from comm.send(comm.rank - 1, local * 0.5)
         if comm.rank < comm.p:
-            local = local + comm.recv(comm.rank + 1)
-        out = comm.reduce_sum_to_root(group, local)
+            local = local + (yield from comm.recv(comm.rank + 1))
+        out = yield from comm.reduce_sum_to_root(group, local)
         return None if out is None else out.tobytes()
     return program
 
@@ -330,7 +386,7 @@ def test_threaded_reduce_matches_simulator_stats():
         world = CommWorld(7)
 
         def program(comm):
-            out = comm.reduce_sum_to_root(group, [float(comm.rank) ** 2])
+            out = yield from comm.reduce_sum_to_root(group, [float(comm.rank) ** 2])
             return None if out is None else float(out[0])
 
         results = world.run(program, executor=executor)

@@ -8,11 +8,13 @@ numpy.linalg.solve on the dense matrix.
 
 import csv
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from axisolver import dichotomy as dichotomy_module
 from axisolver.comm import CommWorld, stats_snapshot
 from axisolver.dichotomy import (
     DichotomyPlan,
@@ -419,6 +421,48 @@ def test_trace_totals_match_measured_traffic(tmp_path):
         rows = list(csv.DictReader(fh))
     assert sum(int(r["scalars_sent"]) for r in rows) == \
         stats_snapshot(plan.world).total_scalars()
+
+
+def test_p256_sim_solve_starts_no_thread_and_sends_the_plan_traffic(
+        tmp_path, monkeypatch):
+    # the sim executor runs all 256 rank programs in the calling thread
+    # (never start the threads executor at this p)
+    rng = np.random.default_rng(15)
+    n, p, M = 2 ** 14, 256, 2
+    A = random_dominant(rng, n)
+    plan = build_plan(A, Partition.balanced(n, p), CommWorld(p))
+    F = rng.normal(size=(n, M))
+    threads_before = threading.active_count()
+    seen = []
+    real_betas = dichotomy_module.local_betas
+
+    def counting_betas(*args):
+        seen.append(threading.active_count())
+        return real_betas(*args)
+
+    monkeypatch.setattr(dichotomy_module, "local_betas", counting_betas)
+    trace_file = tmp_path / "trace.csv"
+    X = solve_many(plan, F, trace_path=trace_file)
+    assert seen == [threads_before] * p
+    assert threading.active_count() == threads_before
+    assert np.abs(X - thomas_solve(A, F)).max() <= 1e-10 * np.abs(X).max()
+
+    # measured per-rank traffic equals the plan's: the trace derived from
+    # the tree, one message per reduce-group member and per correction
+    with open(trace_file) as fh:
+        rows = list(csv.DictReader(fh))
+    # (a middle sends one correction of M scalars per neighbour and is the
+    # root of one reduce per neighbour; every other member sends its 2*M
+    # scalars in one message per reduce)
+    scalars, msgs = [0] * p, [0] * p
+    for r in rows:
+        rank, sent = int(r["rank"]), int(r["scalars_sent"])
+        scalars[rank - 1] += sent
+        msgs[rank - 1] += sent // M if r["role"] == "middle" else sent // (2 * M)
+    stats = stats_snapshot(plan.world)
+    assert plan.depth == 8
+    assert list(stats.scalars_sent) == scalars
+    assert list(stats.msgs_sent) == list(stats.reduces) == msgs
 
 
 # ---------------------------------------------------------------------------
