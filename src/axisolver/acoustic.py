@@ -32,9 +32,10 @@ import numpy as np
 
 from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        write_field_raw)
-from .errors import DomainError, HarmonicSolveFailure, OverflowGuard, SolverError
+from .errors import DomainError, HarmonicSolveFailure, SolverError
 from .iterative import chebyshev_solve, estimate_bounds, pcg_solve
-from .laguerre import laguerre_function_table, project_source
+from .laguerre import (apply_half_power, laguerre_function_table,
+                       project_source)
 from .sov import SovPreconditioner
 
 __all__ = [
@@ -95,6 +96,10 @@ class Wavelet:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        for name in ("f0", "t0", "gamma", "amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.f0 > 0.0:
             raise DomainError(f"f0 must be positive, got {self.f0}")
         if not self.gamma > 0.0:
@@ -318,7 +323,7 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
                         source: Tuple[float, float] = (0.0, 0.0),
                         method: str = "pcg", tol: float = 1e-10,
                         maxiter: int = 500, ranks: int = 1,
-                        executor: str = "sim", bounds=None,
+                        executor: str = "sim",
                         progress: Optional[Callable] = None) -> LaguerreSeries:
     """Solve the whole chain of elliptic problems for harmonics
     ``0 .. n_terms-1``.
@@ -336,7 +341,7 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
     op = harmonic_operator(grid, model, params)
     baseline = op.checksum()
     pc = SovPreconditioner.from_operator(op, ranks=ranks, executor=executor)
-    if method == "chebyshev" and bounds is None:
+    if method == "chebyshev":
         bounds = estimate_bounds(op.apply_spd, pc.apply_inverse,
                                  grid.n_unknowns, steps=40)
 
@@ -379,29 +384,16 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
 
 
 def _synthesis_weights(params: LaguerreParams, times) -> np.ndarray:
-    """Rows of ``(h t)^(alpha/2) * l_m(h t)`` for every requested time.
-
-    Each weight is formed in log space, ``sign(l) exp(alpha/2 log(h t) +
-    log|l|)``, so a power beyond the float range times a small Laguerre value
-    stays finite.  A weight that is itself beyond the float range raises
-    :class:`OverflowGuard` instead of reaching the traces as inf or NaN.
-    """
+    """Rows of ``(h t)^(alpha/2) * l_m(h t)`` for every requested time;
+    see :func:`~axisolver.laguerre.apply_half_power` for the log-space
+    product and its :class:`OverflowGuard`."""
     times = np.asarray(times, dtype=np.float64).ravel()
     if times.size and times.min() < 0.0:
         raise DomainError("times must be >= 0")
     taus = params.h * times
     table = laguerre_function_table(params.n_terms - 1, params.alpha, taus,
                                     h=params.h)
-    with np.errstate(divide="ignore", over="ignore"):
-        # alpha >= 2, so the weights vanish at t = 0 (log power -inf)
-        log_power = 0.5 * params.alpha * np.log(taus)
-        weights = np.sign(table) * np.exp(log_power[:, None]
-                                          + np.log(np.abs(table)))
-    if not np.all(np.isfinite(weights)):
-        raise OverflowGuard(
-            f"synthesis weight (h t)^(alpha/2) l_m(h t) exceeds the float "
-            f"range at alpha = {params.alpha}, t up to {float(times.max())!r}")
-    return weights
+    return apply_half_power(table, params.alpha, taus)
 
 
 def reconstruct(series: LaguerreSeries, times,

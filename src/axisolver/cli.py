@@ -151,41 +151,46 @@ def _relative_residual(op, x: np.ndarray, rhs: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _source_callable(cfg: RunConfig, grid: Grid2D, kind: str):
-    """Continuum source for the ``uniform`` and ``file`` rhs kinds."""
+def _source_callable(cfg: RunConfig, grid: Grid2D, kind: str) -> Callable:
+    """Continuum source for the ``zero``, ``uniform`` and ``file`` rhs
+    kinds."""
+    if kind == "zero":
+        return lambda r, z: np.zeros(np.shape(r))
     if kind == "uniform":
         value = cfg.get_float("rhs", "value")
         return lambda r, z: np.full(np.shape(r), value)
     return _field_sampler(cfg.get("rhs", "path"), grid, exact_grid=True)
 
 
-def cmd_poisson(cfg: RunConfig) -> int:
-    outdir = _outdir(cfg)
-    _echo_config(cfg, outdir)
-    grid = _build_grid(cfg)
+def _constant_fields(cfg: RunConfig, grid: Grid2D) -> CoefficientFields:
+    """``[model] kappa0`` > 0 and ``q0`` >= 0 as constant coefficients."""
     kappa0 = cfg.get_float("model", "kappa0")
     q0 = cfg.get_float("model", "q0")
     if kappa0 <= 0.0 or q0 < 0.0:
         raise ConfigError(f"[model] needs kappa0 > 0 and q0 >= 0, "
                           f"got {kappa0}/{q0}")
-    fields = CoefficientFields.from_samplers(
+    return CoefficientFields.from_samplers(
         lambda r, z: np.broadcast_to(kappa0, np.shape(r)),
         lambda r, z: np.broadcast_to(q0, np.shape(r)), grid)
 
+
+def cmd_poisson(cfg: RunConfig) -> int:
+    outdir = _outdir(cfg)
+    _echo_config(cfg, outdir)
+    grid = _build_grid(cfg)
+    fields = _constant_fields(cfg, grid)
+
     rhs_kind = cfg.get_choice("rhs", "kind",
                               {"manufactured", "zero", "uniform", "file"})
-    if rhs_kind in ("uniform", "file"):
+    if rhs_kind == "manufactured":
+        op = assemble(grid, fields)
+        R, Z = grid.node_mesh()
+        target = (np.cos(0.5 * np.pi * R / grid.rmax)
+                  * np.cos(np.pi * Z / grid.zmax))
+        rhs = op.apply_spd(target)
+    else:
         op = assemble(grid, fields, _source_callable(cfg, grid, rhs_kind))
         rhs = op.rhs
-    else:
-        op = assemble(grid, fields)
-        if rhs_kind == "zero":
-            rhs = np.zeros(grid.unknown_shape)
-        else:
-            R, Z = grid.node_mesh()
-            target = (np.cos(0.5 * np.pi * R / grid.rmax)
-                      * np.cos(np.pi * Z / grid.zmax))
-            rhs = op.apply_spd(target)
 
     pre = SovPreconditioner.from_operator(
         op, ranks=cfg.get_int("solver", "ranks"),
@@ -212,11 +217,7 @@ def cmd_poisson(cfg: RunConfig) -> int:
 def _elliptic_fields(cfg: RunConfig, grid: Grid2D) -> CoefficientFields:
     kind = cfg.get_choice("model", "kind", {"constant", "files"})
     if kind == "constant":
-        kappa0 = cfg.get_float("model", "kappa0")
-        q0 = cfg.get_float("model", "q0")
-        return CoefficientFields.from_samplers(
-            lambda r, z: np.broadcast_to(kappa0, np.shape(r)),
-            lambda r, z: np.broadcast_to(q0, np.shape(r)), grid)
+        return _constant_fields(cfg, grid)
     kappa_path = cfg.get("model", "kappa_file")
     if not kappa_path:
         raise ConfigError("[model] kind = files needs kappa_file")
@@ -242,15 +243,7 @@ def cmd_elliptic(cfg: RunConfig) -> int:
                  * np.cos(np.pi * z / grid.zmax))
         op, rhs, _ = manufactured_problem(grid, exact, fields)
     else:
-        if rhs_kind == "zero":
-            source = lambda r, z: np.zeros(np.shape(r))
-        elif rhs_kind == "uniform":
-            value = cfg.get_float("rhs", "value")
-            source = lambda r, z: np.full(np.shape(r), value)
-        else:
-            source = _field_sampler(cfg.get("rhs", "path"), grid,
-                                    exact_grid=True)
-        op = assemble(grid, fields, source)
+        op = assemble(grid, fields, _source_callable(cfg, grid, rhs_kind))
         rhs = op.rhs
 
     executor = cfg.get_choice("solver", "executor", {"sim", "threads"})

@@ -239,12 +239,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
-               world: CommWorld, check_dominance: bool = True) -> DichotomyPlan:
+               world: CommWorld) -> DichotomyPlan:
     """One-time preparation of one matrix or a family, with no
-    communication; see the module docstring for what it computes.
-
-    ``check_dominance=False`` skips the diagonal-dominance assertion for
-    callers that guarantee solvability themselves.
+    communication; see the module docstring for what it computes.  The
+    matrix must be diagonally dominant.
     """
     if isinstance(A, TridiagonalMatrix):
         A = TridiagonalFamily.of(A)
@@ -253,9 +251,8 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
         raise InvalidPartition(f"partition covers {part.n} rows, matrix has {n}")
     if part.p != world.p:
         raise InvalidPartition(f"partition has {part.p} blocks, world has {world.p} ranks")
-    if check_dominance and not A.is_diagonally_dominant():
-        raise InvalidPartition("matrix is not diagonally dominant; "
-                               "pass check_dominance=False to override")
+    if not A.is_diagonally_dominant():
+        raise InvalidPartition("matrix is not diagonally dominant")
     p = part.p
     levels = build_tree(p)
 

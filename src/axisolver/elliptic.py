@@ -101,6 +101,18 @@ class Grid2D:
     def n_unknowns(self) -> int:
         return self.nz * (self.nr - 1)
 
+    def as_field(self, v) -> Tuple[np.ndarray, bool]:
+        """``v`` as a float array of ``unknown_shape``, and whether it came
+        flat (length ``n_unknowns``); any other shape raises
+        :class:`DimensionMismatch`."""
+        v = np.asarray(v, dtype=np.float64)
+        flat = v.ndim == 1
+        if v.shape != ((self.n_unknowns,) if flat else self.unknown_shape):
+            raise DimensionMismatch(
+                f"expected shape {self.unknown_shape} or "
+                f"({self.n_unknowns},), got {v.shape}")
+        return (v.reshape(self.unknown_shape) if flat else v), flat
+
     def node_mesh(self) -> Tuple[np.ndarray, np.ndarray]:
         """(R, Z) broadcast to unknown_shape (Dirichlet column excluded)."""
         R = np.broadcast_to(self.r_nodes[: self.nr - 1], self.unknown_shape)
@@ -239,24 +251,10 @@ class DiscreteOperator:
 
     # -- application ------------------------------------------------------
 
-    def _as_grid(self, y) -> Tuple[np.ndarray, bool]:
-        y = np.asarray(y, dtype=np.float64)
-        flat = y.ndim == 1
-        shape = self.grid.unknown_shape
-        if flat:
-            if y.shape[0] != shape[0] * shape[1]:
-                raise DimensionMismatch(
-                    f"vector of {y.shape[0]} entries does not match grid "
-                    f"unknowns {shape[0]}x{shape[1]}")
-            y = y.reshape(shape)
-        elif y.shape != shape:
-            raise DimensionMismatch(f"expected shape {shape}, got {y.shape}")
-        return y, flat
-
     def apply(self, y) -> np.ndarray:
         """Flux-divergence form: (div_r + div_z) y - reaction * y."""
-        Y, flat = self._as_grid(y)
         g = self.grid
+        Y, flat = g.as_field(y)
         nz, nu = g.unknown_shape
 
         ghost = np.concatenate([Y, np.zeros((nz, 1))], axis=1)   # Dirichlet

@@ -20,11 +20,12 @@ probe runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import Breakdown, InvalidBounds, MaxIterExceeded
+from .errors import Breakdown, DomainError, InvalidBounds, MaxIterExceeded
 
 __all__ = ["SpectralBounds", "IterationReport", "pcg_solve",
            "chebyshev_solve", "estimate_bounds"]
@@ -74,9 +75,49 @@ class IterationReport:
     solution: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _flat(v, name: str) -> np.ndarray:
+def _flat(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     return v.ravel() if v.ndim > 1 else v
+
+
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+
+
+def _pcg_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray):
+    """The preconditioned conjugate-gradient recurrence from x = 0.
+
+    Yields ``(x, r, alpha, beta)`` after each step, with the iterate and
+    residual updated in place and ``beta`` the ratio that formed the step's
+    direction (0.0 for the first).  Each step starts with one inversion, so
+    a caller that stops after k steps has paid k.
+    """
+    x = np.zeros_like(f)
+    r = f.copy()
+    p = None
+    beta = 0.0
+    while True:
+        z = _flat(apply_pc(r))
+        rz_new = float(r @ z)
+        if rz_new <= 0.0:
+            raise Breakdown(f"preconditioner lost positivity: "
+                            f"r^T z = {rz_new!r}")
+        if p is None:
+            p = z.copy()
+        else:
+            beta = rz_new / rz
+            p = z + beta * p
+        rz = rz_new
+        Ap = _flat(apply_op(p))
+        pAp = float(p @ Ap)
+        if pAp <= 0.0:
+            raise Breakdown(f"direction lost positive curvature: "
+                            f"p^T A p = {pAp!r}")
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        yield x, r, alpha, beta
 
 
 def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
@@ -90,49 +131,28 @@ def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
     ``tol``; raises :class:`MaxIterExceeded` (carrying the report with the
     last iterate) otherwise, and :class:`Breakdown` when a direction loses
     positive curvature, which signals a non-SPD pair.  ``trace(it, x, relres)``
-    is invoked after every iteration when given.
+    is invoked after every iteration when given.  ``maxiter`` below 1
+    raises :class:`DomainError`.
     """
-    f = _flat(rhs, "rhs")
+    _check_count("maxiter", maxiter)
+    f = _flat(rhs)
     norm_f = float(np.linalg.norm(f))
     if norm_f == 0.0:
         report = IterationReport(0, 0.0, True, 0, (), np.zeros_like(f))
         return np.zeros_like(f), report
 
-    x = np.zeros_like(f)
-    r = f.copy()
-    z = np.asarray(apply_pc(r), dtype=np.float64).ravel()
-    binv = 1
-    rz = float(r @ z)
-    if rz <= 0.0:
-        raise Breakdown(f"preconditioner lost positivity: r^T z = {rz!r}")
-    p = z.copy()
     history = []
-    for it in range(1, maxiter + 1):
-        Ap = np.asarray(apply_op(p), dtype=np.float64).ravel()
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise Breakdown(f"direction lost positive curvature: "
-                            f"p^T A p = {pAp!r}")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+    steps = islice(_pcg_steps(apply_op, apply_pc, f), maxiter)
+    for it, (x, r, _alpha, _beta) in enumerate(steps, 1):
         relres = float(np.linalg.norm(r)) / norm_f
         history.append((it, relres))
         if trace is not None:
             trace(it, x.copy(), relres)
         if relres <= tol:
-            report = IterationReport(it, relres, True, binv,
+            report = IterationReport(it, relres, True, it,
                                      tuple(history), x)
             return x, report
-        z = np.asarray(apply_pc(r), dtype=np.float64).ravel()
-        binv += 1
-        rz_new = float(r @ z)
-        if rz_new <= 0.0:
-            raise Breakdown(f"preconditioner lost positivity: "
-                            f"r^T z = {rz_new!r}")
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    report = IterationReport(maxiter, history[-1][1], False, binv,
+    report = IterationReport(maxiter, relres, False, maxiter,
                              tuple(history), x)
     raise MaxIterExceeded(report)
 
@@ -147,12 +167,14 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
 
     The residual norm (``norm``, default the 2-norm) is evaluated only after
     the first step and then every ``check_every`` steps, so steps in between
-    involve no reductions.  Convergence semantics match :func:`pcg_solve`.
+    involve no reductions.  Convergence semantics match :func:`pcg_solve`,
+    and so does the :class:`DomainError` for ``maxiter`` below 1.
     """
+    _check_count("maxiter", maxiter)
     if check_every < 1:
         raise InvalidBounds(f"check_every must be >= 1, got {check_every}")
     norm_fn = np.linalg.norm if norm is None else norm
-    f = _flat(rhs, "rhs")
+    f = _flat(rhs)
     norm_f = float(norm_fn(f))
     if norm_f == 0.0:
         report = IterationReport(0, 0.0, True, 0, (), np.zeros_like(f))
@@ -162,7 +184,7 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
     delta = 0.5 * (bounds.upper - bounds.lower)
     x = np.zeros_like(f)
     r = f.copy()
-    d = np.asarray(apply_pc(r), dtype=np.float64).ravel() / theta
+    d = _flat(apply_pc(r)) / theta
     binv = 1
     history = []
     scalar_spectrum = delta <= 1e-14 * theta
@@ -170,7 +192,7 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
     rho = None if scalar_spectrum else 1.0 / sigma1
     for it in range(1, maxiter + 1):
         x += d
-        r -= np.asarray(apply_op(d), dtype=np.float64).ravel()
+        r -= _flat(apply_op(d))
         if it == 1 or it % check_every == 0:
             relres = float(norm_fn(r)) / norm_f
             history.append((it, relres))
@@ -180,7 +202,7 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
                 report = IterationReport(it, relres, True, binv,
                                          tuple(history), x)
                 return x, report
-        z = np.asarray(apply_pc(r), dtype=np.float64).ravel()
+        z = _flat(apply_pc(r))
         binv += 1
         if scalar_spectrum:
             d = z / theta
@@ -205,51 +227,30 @@ def estimate_bounds(apply_op: Callable, apply_pc: Callable, n: int, *,
     ``1/alpha_j + beta_{j-1}/alpha_{j-1}`` and off-diagonal
     ``sqrt(beta_j)/alpha_j``, and its eigenvalues approximate the extreme
     eigenvalues from inside, so the result is widened by ``margin``.
+    ``steps`` below 1 raises :class:`DomainError`.
     """
     if n < 1:
         raise InvalidBounds(f"need n >= 1, got {n}")
+    _check_count("steps", steps)
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, -np.inf
     for _ in range(max(1, probes)):
         f = rng.standard_normal(n)
-        x = np.zeros(n)
-        r = f.copy()
-        z = np.asarray(apply_pc(r), dtype=np.float64).ravel()
-        rz = float(r @ z)
-        if rz <= 0.0:
-            raise Breakdown(f"preconditioner lost positivity: r^T z = {rz!r}")
-        p = z.copy()
-        alphas, betas = [], []
         norm_f = float(np.linalg.norm(f))
-        for _step in range(steps):
-            Ap = np.asarray(apply_op(p), dtype=np.float64).ravel()
-            pAp = float(p @ Ap)
-            if pAp <= 0.0:
-                raise Breakdown(f"direction lost positive curvature: "
-                                f"p^T A p = {pAp!r}")
-            alphas.append(rz / pAp)
-            x += alphas[-1] * p
-            r -= alphas[-1] * Ap
+        alphas, betas = [], []
+        for _x, r, alpha, beta in islice(_pcg_steps(apply_op, apply_pc, f),
+                                         steps):
+            alphas.append(alpha)
+            betas.append(beta)
             if float(np.linalg.norm(r)) <= 1e-14 * norm_f:
                 break
-            z = np.asarray(apply_pc(r), dtype=np.float64).ravel()
-            rz_new = float(r @ z)
-            if rz_new <= 0.0:
-                raise Breakdown(f"preconditioner lost positivity: "
-                                f"r^T z = {rz_new!r}")
-            betas.append(rz_new / rz)
-            p = z + betas[-1] * p
-            rz = rz_new
-        k = len(alphas)
-        diag = np.array([1.0 / alphas[j]
-                         + (betas[j - 1] / alphas[j - 1] if j else 0.0)
-                         for j in range(k)])
-        off = np.array([np.sqrt(betas[j]) / alphas[j] for j in range(k - 1)])
-        if k == 1:
-            theta = diag
-        else:
-            theta = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
-                                       + np.diag(off, -1))
+        alphas = np.array(alphas)
+        betas = np.array(betas[1:])
+        diag = 1.0 / alphas
+        diag[1:] += betas / alphas[:-1]
+        off = np.sqrt(betas) / alphas[:-1]
+        theta = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                                   + np.diag(off, -1))
         lo = min(lo, float(theta.min()))
         hi = max(hi, float(theta.max()))
     return SpectralBounds((1.0 - margin) * lo, (1.0 + margin) * hi)

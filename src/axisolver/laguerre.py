@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError, OverflowGuard, QuadratureNotConverged
 
 __all__ = [
-    "laguerre_function_row", "laguerre_function_table",
+    "laguerre_function_row", "laguerre_function_table", "apply_half_power",
     "project_source", "reconstruct_signal",
 ]
 
@@ -116,6 +116,29 @@ def laguerre_function_row(m_max: int, alpha: float, tau: float, *,
                                    h=h, include_power=include_power)[0]
 
 
+def apply_half_power(table: np.ndarray, alpha: float, taus) -> np.ndarray:
+    """Rows of ``table`` (one per ``tau``) times ``tau^(alpha/2)``: the
+    synthesis weights ``tau^(alpha/2) l_m(tau)`` for a table of l_m.
+
+    Each weight is formed in log space, ``sign(l) exp(alpha/2 log(tau) +
+    log|l|)``, so a power beyond the float range times a small Laguerre value
+    stays finite.  A weight that is itself beyond the float range raises
+    :class:`OverflowGuard` instead of reaching a signal as inf or NaN.
+    """
+    taus = np.asarray(taus, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):
+        # for alpha > 0 the weights vanish at tau = 0 (log power -inf)
+        log_power = (0.5 * alpha * np.log(taus) if alpha
+                     else np.zeros_like(taus))
+        weights = np.sign(table) * np.exp(log_power[:, None]
+                                          + np.log(np.abs(table)))
+    if not np.all(np.isfinite(weights)):
+        raise OverflowGuard(
+            f"synthesis weight tau^(alpha/2) l_m(tau) exceeds the float "
+            f"range at alpha = {alpha}, tau up to {float(taus.max())!r}")
+    return weights
+
+
 def _gauss_legendre_panels(a: float, b: float, panels: int,
                            nodes: int = 32) -> Tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(nodes)
@@ -161,7 +184,8 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
 
 
 def reconstruct_signal(coeffs, alpha: float, h: float, times) -> np.ndarray:
-    """Synthesize ``(ht)^(alpha/2) sum_m Q_m l_m(ht)`` at every time."""
+    """Synthesize ``(ht)^(alpha/2) sum_m Q_m l_m(ht)`` at every time; a
+    weight beyond the float range raises :class:`OverflowGuard`."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise DomainError(f"need a 1-D coefficient vector, got {coeffs.shape}")
@@ -171,10 +195,5 @@ def reconstruct_signal(coeffs, alpha: float, h: float, times) -> np.ndarray:
         raise DomainError("times must be >= 0")
     taus = h * times.ravel()
     table = laguerre_function_table(coeffs.size - 1, alpha, taus, h=h)
-    with np.errstate(divide="ignore"):
-        half_power = np.where(taus > 0.0,
-                              np.exp(0.5 * alpha * np.log(np.where(
-                                  taus > 0.0, taus, 1.0))),
-                              0.0 if alpha > 0 else 1.0)
-    out = half_power * (table @ coeffs)
+    out = apply_half_power(table, alpha, taus) @ coeffs
     return out.reshape(times.shape)

@@ -129,19 +129,9 @@ class SovPreconditioner:
 
     # -- application --------------------------------------------------------
 
-    def _as_grid(self, f):
-        f = np.asarray(f, dtype=np.float64)
-        shape = self.grid.unknown_shape
-        flat = f.ndim == 1
-        if flat:
-            f = f.reshape(shape)
-        elif f.shape != shape:
-            raise DomainError(f"expected shape {shape} or flat, got {f.shape}")
-        return f, flat
-
     def apply_inverse(self, f) -> np.ndarray:
         """Solve ``B x = f``; shape of ``f`` ((nz, nr-1) or flat) preserved."""
-        F, flat = self._as_grid(f)
+        F, flat = self.grid.as_field(f)
         modes = dct_forward(F, axis=0)                   # row l = mode l
         if self._fact is not None:
             solved = multi_apply(self._fact, modes.T).T
@@ -153,7 +143,7 @@ class SovPreconditioner:
 
     def apply(self, x) -> np.ndarray:
         """Forward application ``B x`` (used to verify exactness)."""
-        X, flat = self._as_grid(x)
+        X, flat = self.grid.as_field(x)
         modes = dct_forward(X, axis=0)
         out_modes = self._diag_modes.T * modes
         out_modes[:, :-1] += self._off_r * modes[:, 1:]

@@ -385,6 +385,34 @@ times = 0.0, 1.2, 11
     assert not (out / "seismograms.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["f0 = inf", "amplitude = nan"])
+def test_acoustic_non_finite_wavelet_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, bad):
+    calls = []
+    real = acoustic.pcg_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(acoustic, "pcg_solve", counting)
+    cfg = write_cfg(tmp_path / "run.cfg", f"""\
+[grid]
+nr = 9
+nz = 7
+[laguerre]
+n_terms = 4
+[source]
+{bad}
+""")
+    assert run_cli("acoustic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert bad.split()[0] in err
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axisolver.elliptic import CoefficientFields, Grid2D, assemble
-from axisolver.errors import Breakdown, InvalidBounds, MaxIterExceeded
+from axisolver.errors import (Breakdown, DomainError, InvalidBounds,
+                              MaxIterExceeded)
 from axisolver.iterative import (
     IterationReport,
     SpectralBounds,
@@ -134,6 +135,7 @@ def test_pcg_maxiter_carries_partial_iterate():
     rep = err.value.report
     assert not rep.converged
     assert rep.iterations == 3
+    assert rep.binv_applications == 3    # no inversion after the last step
     assert rep.solution is not None
     # the energy-norm error (the quantity conjugate gradients reduces
     # monotonically) improved over the zero start
@@ -250,6 +252,30 @@ def test_estimate_bounds_encloses_spectrum_of_random_spd():
 def test_estimate_bounds_breakdown_on_indefinite():
     with pytest.raises(Breakdown):
         estimate_bounds(lambda v: -v, IDENT, 8)
+
+
+def test_estimate_bounds_pays_one_inversion_per_step():
+    calls = []
+
+    def counting_pc(v):
+        calls.append(1)
+        return v
+
+    A = np.diag(np.arange(1.0, 11.0))
+    estimate_bounds(lambda v: A @ v, counting_pc, 10, steps=4)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("solve", [
+    lambda f: pcg_solve(IDENT, IDENT, f, maxiter=0),
+    lambda f: pcg_solve(IDENT, IDENT, f, maxiter=-1),
+    lambda f: chebyshev_solve(IDENT, IDENT, f, SpectralBounds(0.5, 2.0),
+                              maxiter=0),
+    lambda f: estimate_bounds(IDENT, IDENT, f.size, steps=0),
+], ids=["pcg-0", "pcg-negative", "chebyshev-0", "probe-0"])
+def test_iteration_counts_below_one_raise_domain_error(solve):
+    with pytest.raises(DomainError):
+        solve(np.ones(6))
 
 
 @settings(max_examples=15, deadline=None)

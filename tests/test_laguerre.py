@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
-from axisolver.errors import DomainError, QuadratureNotConverged
+from axisolver.errors import DomainError, OverflowGuard, QuadratureNotConverged
 from axisolver.laguerre import (
     laguerre_function_row,
     laguerre_function_table,
@@ -188,6 +188,23 @@ def test_projection_validation():
         reconstruct_signal(np.zeros((2, 2)), 2.0, 1.0, np.array([0.5]))
     with pytest.raises(DomainError):
         reconstruct_signal(np.ones(3), 2.0, 1.0, np.array([-1.0]))
+
+
+def test_reconstruct_at_large_alpha_is_finite_or_raises_overflow_guard():
+    # at alpha = 400, h = 280 the power tau^(alpha/2) alone overflows from
+    # tau = 40; the weight tau^(alpha/2) l_0(tau) there is about e^458
+    h, alpha, tau = 280.0, 400.0, 40.0
+    with np.errstate(all="raise"):
+        out = reconstruct_signal(np.array([1.0, 0.0]), alpha, h,
+                                 np.array([0.0, tau / h]))
+    log_w0 = (0.5 * math.log(h) - 0.5 * math.lgamma(alpha + 1.0)
+              + alpha * math.log(tau) - 0.5 * tau)
+    assert out[0] == 0.0
+    assert out[1] == pytest.approx(math.exp(log_w0), rel=1e-10)
+    # up to t = 1.2 (tau = 336) the weights leave the float range
+    with pytest.raises(OverflowGuard):
+        reconstruct_signal(1e-3 * np.ones(16), alpha, h,
+                           np.linspace(0, 1.2, 11))
 
 
 def test_reconstruct_preserves_time_shape():

@@ -17,7 +17,8 @@ import axisolver.sov as sov_module
 from axisolver.comm import CommWorld
 from axisolver.dichotomy import Partition, build_plan, solve_many
 from axisolver.elliptic import CoefficientFields, Grid2D, assemble
-from axisolver.errors import DomainError, NonPositiveCoefficient
+from axisolver.errors import (DimensionMismatch, DomainError,
+                              NonPositiveCoefficient)
 from axisolver.sov import SovPreconditioner, recovered_midranges
 
 
@@ -162,8 +163,10 @@ def test_flat_and_grid_shapes_agree():
     flat = M.apply_inverse(f.ravel())
     assert flat.shape == (g.n_unknowns,)
     np.testing.assert_array_equal(flat, M.apply_inverse(f).ravel())
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionMismatch):
         M.apply_inverse(np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        M.apply_inverse(np.ones(5))
 
 
 def test_non_power_of_two_mode_count_supported():
