@@ -13,8 +13,8 @@ from .errors import (Breakdown, ConfigError, Deadlock, DimensionMismatch,
                      DomainError, HarmonicSolveFailure, InvalidBounds,
                      InvalidPartition, MaxIterExceeded, SolverError)
 from .tridiag import TridiagonalFamily, TridiagonalMatrix, thomas_solve
-from .comm import CommStats, CommWorld, stats_snapshot
-from .dichotomy import (DichotomyPlan, Partition, build_plan, dichotomy_solve,
+from .comm import CommStats, CommWorld
+from .dichotomy import (DichotomyPlan, Partition, build_plan,
                         predict_time_cyclic, predict_time_dichotomy,
                         solve_many, solve_series)
 from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
@@ -38,9 +38,8 @@ __all__ = [
     "ConfigError", "HarmonicSolveFailure",
     # tridiagonal kernels and the distributed solver
     "TridiagonalMatrix", "TridiagonalFamily", "thomas_solve", "CommWorld",
-    "CommStats", "stats_snapshot", "Partition", "DichotomyPlan", "build_plan",
-    "dichotomy_solve", "solve_many", "solve_series", "predict_time_dichotomy",
-    "predict_time_cyclic",
+    "CommStats", "Partition", "DichotomyPlan", "build_plan", "solve_many",
+    "solve_series", "predict_time_dichotomy", "predict_time_cyclic",
     # elliptic discretization and preconditioned iterations
     "Grid2D", "CoefficientFields", "DiscreteOperator", "assemble",
     "manufactured_problem", "write_field_text", "read_field_text",

@@ -68,8 +68,8 @@ class LaguerreParams:
     n_terms: int
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise DomainError(f"h must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise DomainError(f"h must be positive and finite, got {self.h}")
         if int(self.alpha) != self.alpha or self.alpha < 2:
             raise DomainError(
                 f"alpha must be an integer >= 2, got {self.alpha!r}")

@@ -471,7 +471,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.ranks is not None:
         overrides["bench"] = {"ranks": str(args.ranks)}
     try:
-        cfg = load_config(args.subcommand, args.config, overrides)
+        cfg = load_config(args.config, overrides)
         return _COMMANDS[args.subcommand](cfg)
     except (ConfigError, DomainError, DimensionMismatch) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

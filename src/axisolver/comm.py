@@ -414,8 +414,3 @@ class CommWorld:
         if failure:
             raise failure[0]
         return results
-
-
-def stats_snapshot(world: CommWorld) -> CommStats:
-    """Pure read of the world's communication counters."""
-    return world.stats_snapshot()

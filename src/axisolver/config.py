@@ -14,7 +14,7 @@ original outputs byte for byte (under the deterministic ``sim`` executor).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -70,10 +70,9 @@ DEFAULTS: Dict[str, Dict[str, str]] = {
 
 @dataclass
 class RunConfig:
-    """Resolved configuration: subcommand name plus the full string table."""
+    """Resolved configuration: the full string table."""
 
-    subcommand: str
-    values: Dict[str, Dict[str, str]] = field(default_factory=dict)
+    values: Dict[str, Dict[str, str]]
 
     # -- typed accessors -----------------------------------------------------
 
@@ -164,7 +163,7 @@ def parse_points(raw: str) -> List[Tuple[float, float]]:
     return points
 
 
-def load_config(subcommand: str, config_path=None,
+def load_config(config_path=None,
                 overrides: Dict[str, Dict[str, str]] = None) -> RunConfig:
     """Resolve defaults <- config file <- CLI overrides into a RunConfig."""
     values = {sec: dict(keys) for sec, keys in DEFAULTS.items()}
@@ -190,4 +189,4 @@ def load_config(subcommand: str, config_path=None,
             if value is not None:
                 values[section][key] = value
 
-    return RunConfig(subcommand=subcommand, values=values)
+    return RunConfig(values=values)

@@ -526,12 +526,6 @@ def solve_series(plan: DichotomyPlan, B, executor: str = "sim") -> np.ndarray:
     return _solve(plan, B, executor)
 
 
-def dichotomy_solve(plan: DichotomyPlan, F, executor: str = "sim",
-                    trace_path=None) -> np.ndarray:
-    """Solve A x = F for one distributed rhs (full-length array in/out)."""
-    return solve_many(plan, F, executor=executor, trace_path=trace_path)
-
-
 # ---------------------------------------------------------------------------
 # communication-time models
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ inner products, so the residual norm is evaluated only at sparse convergence
 checkpoints (first after one step, then every ``check_every`` steps), making
 the per-step cost communication-free in a distributed setting.
 ``estimate_bounds`` recovers a spectral interval for the Chebyshev method
-from the tridiagonal (Lanczos) coefficients of a few conjugate-gradient
-probe runs.
+from the tridiagonal (Lanczos) coefficients of a short conjugate-gradient
+probe run.
 """
 
 from __future__ import annotations
@@ -160,22 +160,20 @@ def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
 def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
                     bounds: SpectralBounds, *, tol: float = 1e-10,
                     maxiter: int = 1000, check_every: int = 8,
-                    norm: Optional[Callable] = None,
                     trace: Optional[Callable] = None
                     ) -> Tuple[np.ndarray, IterationReport]:
     """Two-term Chebyshev semi-iteration over ``bounds``.
 
-    The residual norm (``norm``, default the 2-norm) is evaluated only after
-    the first step and then every ``check_every`` steps, so steps in between
-    involve no reductions.  Convergence semantics match :func:`pcg_solve`,
-    and so does the :class:`DomainError` for ``maxiter`` below 1.
+    The residual 2-norm is evaluated only after the first step and then
+    every ``check_every`` steps, so steps in between involve no reductions.
+    Convergence semantics match :func:`pcg_solve`, and so does the
+    :class:`DomainError` for ``maxiter`` below 1.
     """
     _check_count("maxiter", maxiter)
     if check_every < 1:
         raise InvalidBounds(f"check_every must be >= 1, got {check_every}")
-    norm_fn = np.linalg.norm if norm is None else norm
     f = _flat(rhs)
-    norm_f = float(norm_fn(f))
+    norm_f = float(np.linalg.norm(f))
     if norm_f == 0.0:
         report = IterationReport(0, 0.0, True, 0, (), np.zeros_like(f))
         return np.zeros_like(f), report
@@ -194,7 +192,7 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
         x += d
         r -= _flat(apply_op(d))
         if it == 1 or it % check_every == 0:
-            relres = float(norm_fn(r)) / norm_f
+            relres = float(np.linalg.norm(r)) / norm_f
             history.append((it, relres))
             if trace is not None:
                 trace(it, x.copy(), relres)
@@ -210,47 +208,40 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
             rho_next = 1.0 / (2.0 * sigma1 - rho)
             d = (rho_next * rho) * d + (2.0 * rho_next / delta) * z
             rho = rho_next
-    final = float(norm_fn(r)) / norm_f
+    final = float(np.linalg.norm(r)) / norm_f
     history.append((maxiter, final))
     report = IterationReport(maxiter, final, False, binv, tuple(history), x)
     raise MaxIterExceeded(report)
 
 
 def estimate_bounds(apply_op: Callable, apply_pc: Callable, n: int, *,
-                    probes: int = 1, steps: int = 50, seed: int = 0,
-                    margin: float = 0.05) -> SpectralBounds:
+                    steps: int = 50) -> SpectralBounds:
     """Spectral interval of the preconditioned operator from the Lanczos
-    coefficients of ``probes`` short conjugate-gradient runs.
+    coefficients of one short conjugate-gradient run.
 
-    Each run on a random right-hand side yields step sizes ``alpha_j`` and
-    direction ratios ``beta_j``; the associated Jacobi matrix has diagonal
-    ``1/alpha_j + beta_{j-1}/alpha_{j-1}`` and off-diagonal
+    The run on a seeded random right-hand side yields step sizes ``alpha_j``
+    and direction ratios ``beta_j``; the associated Jacobi matrix has
+    diagonal ``1/alpha_j + beta_{j-1}/alpha_{j-1}`` and off-diagonal
     ``sqrt(beta_j)/alpha_j``, and its eigenvalues approximate the extreme
-    eigenvalues from inside, so the result is widened by ``margin``.
+    eigenvalues from inside, so the result is widened by 5 %.
     ``steps`` below 1 raises :class:`DomainError`.
     """
     if n < 1:
         raise InvalidBounds(f"need n >= 1, got {n}")
     _check_count("steps", steps)
-    rng = np.random.default_rng(seed)
-    lo, hi = np.inf, -np.inf
-    for _ in range(max(1, probes)):
-        f = rng.standard_normal(n)
-        norm_f = float(np.linalg.norm(f))
-        alphas, betas = [], []
-        for _x, r, alpha, beta in islice(_pcg_steps(apply_op, apply_pc, f),
-                                         steps):
-            alphas.append(alpha)
-            betas.append(beta)
-            if float(np.linalg.norm(r)) <= 1e-14 * norm_f:
-                break
-        alphas = np.array(alphas)
-        betas = np.array(betas[1:])
-        diag = 1.0 / alphas
-        diag[1:] += betas / alphas[:-1]
-        off = np.sqrt(betas) / alphas[:-1]
-        theta = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
-                                   + np.diag(off, -1))
-        lo = min(lo, float(theta.min()))
-        hi = max(hi, float(theta.max()))
-    return SpectralBounds((1.0 - margin) * lo, (1.0 + margin) * hi)
+    f = np.random.default_rng(0).standard_normal(n)
+    norm_f = float(np.linalg.norm(f))
+    alphas, betas = [], []
+    for _x, r, alpha, beta in islice(_pcg_steps(apply_op, apply_pc, f), steps):
+        alphas.append(alpha)
+        betas.append(beta)
+        if float(np.linalg.norm(r)) <= 1e-14 * norm_f:
+            break
+    alphas = np.array(alphas)
+    betas = np.array(betas[1:])
+    diag = 1.0 / alphas
+    diag[1:] += betas / alphas[:-1]
+    off = np.sqrt(betas) / alphas[:-1]
+    theta = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                               + np.diag(off, -1))
+    return SpectralBounds(0.95 * float(theta.min()), 1.05 * float(theta.max()))

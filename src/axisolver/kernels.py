@@ -2,11 +2,11 @@
 
 Two interchangeable backends live here: numba-compiled loops (``nogil`` so the
 threaded executor can actually overlap them) and plain numpy fallbacks used
-when numba is unavailable or disabled via ``AXISOLVER_NO_NUMBA=1``.  The
-single-matrix factor and solve bodies are written once and compiled when numba
-is present; without it the one solve body also serves the batched and
-multi-system cases.  Both backends perform identical elementwise arithmetic in
-identical order, so results are bit-for-bit the same across backends.
+when numba is not installed.  The single-matrix factor and solve bodies are
+written once and compiled when numba is present; without it the one solve
+body also serves the batched and multi-system cases.  Both backends perform
+identical elementwise arithmetic in identical order, so results are
+bit-for-bit the same across backends.
 
 Band convention (0-based storage of an order-``n`` system):
 
@@ -21,7 +21,6 @@ contiguous memory.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -30,14 +29,11 @@ from .errors import DimensionMismatch, ZeroPivot
 
 PIVOT_FLOOR = 1e-300
 
-_DISABLED = bool(os.environ.get("AXISOLVER_NO_NUMBA"))
 try:
-    if _DISABLED:
-        raise ImportError("numba disabled by AXISOLVER_NO_NUMBA")
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via AXISOLVER_NO_NUMBA
+except ImportError:
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):

@@ -38,8 +38,8 @@ import numpy as np
 from .errors import DomainError, OverflowGuard, QuadratureNotConverged
 
 __all__ = [
-    "laguerre_function_row", "laguerre_function_table", "apply_half_power",
-    "project_source", "reconstruct_signal",
+    "laguerre_function_table", "apply_half_power", "project_source",
+    "reconstruct_signal",
 ]
 
 _RENORM = 1e250
@@ -52,8 +52,8 @@ def _validate(m_max: int, alpha: float, h: float) -> None:
         raise DomainError(f"m_max must be >= 0, got {m_max}")
     if alpha <= -1.0:
         raise DomainError(f"alpha must exceed -1, got {alpha}")
-    if h <= 0.0:
-        raise DomainError(f"scale h must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise DomainError(f"scale h must be positive and finite, got {h}")
 
 
 def laguerre_function_table(m_max: int, alpha: float, taus, *, h: float = 1.0,
@@ -68,8 +68,8 @@ def laguerre_function_table(m_max: int, alpha: float, taus, *, h: float = 1.0,
     taus = np.asarray(taus, dtype=np.float64)
     if taus.ndim != 1:
         raise DomainError(f"taus must be one-dimensional, got {taus.shape}")
-    if taus.size and taus.min() < 0.0:
-        raise DomainError("tau must be >= 0")
+    if not np.all(np.isfinite(taus) & (taus >= 0.0)):
+        raise DomainError("tau must be finite and >= 0")
 
     # log of the m = 0 function; tau = 0 handled per the power factor
     base = 0.5 * math.log(h) - 0.5 * math.lgamma(alpha + 1.0) - 0.5 * taus
@@ -108,14 +108,6 @@ def laguerre_function_table(m_max: int, alpha: float, taus, *, h: float = 1.0,
     return out
 
 
-def laguerre_function_row(m_max: int, alpha: float, tau: float, *,
-                          h: float = 1.0,
-                          include_power: bool = True) -> np.ndarray:
-    """Values of l_0..l_{m_max} at one ``tau``; shape (m_max + 1,)."""
-    return laguerre_function_table(m_max, alpha, np.array([float(tau)]),
-                                   h=h, include_power=include_power)[0]
-
-
 def apply_half_power(table: np.ndarray, alpha: float, taus) -> np.ndarray:
     """Rows of ``table`` (one per ``tau``) times ``tau^(alpha/2)``: the
     synthesis weights ``tau^(alpha/2) l_m(tau)`` for a table of l_m.
@@ -139,9 +131,9 @@ def apply_half_power(table: np.ndarray, alpha: float, taus) -> np.ndarray:
     return weights
 
 
-def _gauss_legendre_panels(a: float, b: float, panels: int,
-                           nodes: int = 32) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _gauss_legendre_panels(a: float, b: float, panels: int
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(32)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -151,22 +143,21 @@ def _gauss_legendre_panels(a: float, b: float, panels: int,
 
 
 def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
-                   t_upper: float, rtol: float = 1e-10,
-                   max_panels: int = 256) -> np.ndarray:
+                   t_upper: float) -> np.ndarray:
     """Expansion coefficients Q_0..Q_{m_max} of a signal supported on
     [0, t_upper].
 
     The integral is evaluated on panelized 32-node Gauss-Legendre rules,
     doubling the panel count from 8 until two consecutive answers agree to
-    ``rtol`` (relative to the largest coefficient); raises
-    :class:`QuadratureNotConverged` past ``max_panels`` panels.
+    1e-10 relative to the largest coefficient; raises
+    :class:`QuadratureNotConverged` past 256 panels.
     """
     _validate(m_max, alpha, h)
     if t_upper <= 0.0:
         raise DomainError(f"t_upper must be positive, got {t_upper}")
     prev = None
     panels = 8
-    while panels <= max_panels:
+    while panels <= 256:
         pts, wts = _gauss_legendre_panels(0.0, t_upper, panels)
         weights = laguerre_function_table(m_max, alpha, h * pts, h=h,
                                           include_power=False)
@@ -174,12 +165,12 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
         coeffs = (wts * values) @ weights
         if prev is not None:
             scale = max(float(np.abs(coeffs).max()), 1e-300)
-            if float(np.abs(coeffs - prev).max()) <= rtol * scale:
+            if float(np.abs(coeffs - prev).max()) <= 1e-10 * scale:
                 return coeffs
         prev = coeffs
         panels *= 2
     raise QuadratureNotConverged(
-        f"projection failed to converge with {max_panels} panels "
+        f"projection failed to converge with 256 panels "
         f"of 32 nodes on [0, {t_upper}]")
 
 

@@ -88,10 +88,9 @@ class SovPreconditioner:
         cond = np.arange(g.nr) * g.dr * self.vtilde / g.dr ** 2
         r_in = g.r_nodes[:nu]
         lam = self.mode_eigenvalues
-        self._diag_r = cond[:nu] + cond[1:]
         self._off_r = -cond[1:nu]
         # bands of every mode system, shaped (order, n_modes)
-        self._diag_modes = (self._diag_r[:, None]
+        self._diag_modes = ((cond[:nu] + cond[1:])[:, None]
                             + r_in[:, None] * (self.vtilde * lam[None, :]
                                                + self.shift))
         off = np.tile(self._off_r[:, None], (1, g.nz))

@@ -18,9 +18,8 @@ from axisolver.acoustic import (LaguerreParams, MediumModel, Wavelet,
                                 solve_all_harmonics)
 from axisolver.cli import main as cli_main
 from axisolver.comm import CommWorld, reduce_schedule
-from axisolver.dichotomy import (Partition, build_plan, dichotomy_solve,
-                                 predict_time_cyclic, predict_time_dichotomy,
-                                 solve_many)
+from axisolver.dichotomy import (Partition, build_plan, predict_time_cyclic,
+                                 predict_time_dichotomy, solve_many)
 from axisolver.elliptic import (CoefficientFields, Grid2D, assemble,
                                 manufactured_problem)
 from axisolver.fourier import dct_forward, dct_inverse
@@ -60,7 +59,7 @@ def test_criterion_01_dichotomy_oracle_200_random_systems():
         A = random_dominant(rng, n)
         plan = build_plan(A, Partition.balanced(n, p), CommWorld(p))
         f = rng.normal(size=n)
-        x = dichotomy_solve(plan, f, executor="sim")
+        x = solve_many(plan, f, executor="sim")
         x_dense = np.linalg.solve(A.to_dense(), f)
         rel = np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense)
         worst = max(worst, rel)
@@ -83,7 +82,7 @@ def test_criterion_02_p7_protocol_structure(tmp_path):
     plan = build_plan(A, Partition.balanced(n, 7), CommWorld(7))
     trace_file = tmp_path / "trace.csv"
     f = rng.normal(size=n)
-    x = dichotomy_solve(plan, f, executor="sim", trace_path=trace_file)
+    x = solve_many(plan, f, executor="sim", trace_path=trace_file)
     assert np.linalg.norm(x - np.linalg.solve(A.to_dense(), f)) <= 1e-10 * \
         np.linalg.norm(x)
 

@@ -291,8 +291,9 @@ def test_medium_builders():
 
 
 def test_laguerre_params_validation():
-    with pytest.raises(DomainError):
-        LaguerreParams(h=0.0, alpha=2, n_terms=8)
+    for h in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            LaguerreParams(h=h, alpha=2, n_terms=8)
     with pytest.raises(DomainError):
         LaguerreParams(h=10.0, alpha=1, n_terms=8)
     with pytest.raises(DomainError):

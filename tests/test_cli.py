@@ -413,6 +413,33 @@ n_terms = 4
     assert calls == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, section, bad", [
+    ("acoustic", "laguerre", "h = inf"),
+    ("poisson", "grid", "rmax = inf"),
+    ("poisson", "grid", "zmax = 1e400"),
+    ("acoustic", "snapshot", "t = inf"),
+])
+def test_non_finite_config_value_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, section, bad):
+    # a one-line configuration error, with no numpy warning on the way and
+    # no harmonic solve started
+    calls = []
+    monkeypatch.setattr(acoustic, "pcg_solve",
+                        lambda *args, **kwargs: calls.append(1))
+    sections = {"grid": ["nr = 9", "nz = 7"], "laguerre": ["n_terms = 4"]}
+    sections.setdefault(section, []).append(bad)
+    cfg = write_cfg(tmp_path / "run.cfg", "".join(
+        f"[{name}]\n" + "\n".join(lines) + "\n"
+        for name, lines in sections.items()))
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert bad.split()[0] in err
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -566,6 +593,7 @@ VALID_KEYS = {
 BAD_VALUES = ["-1", "0", "1", "2", "nan", "inf", "-inf", "1e400", "abc", ""]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(command=st.sampled_from(sorted(VALID_KEYS)),
        ranks=st.integers(1, 4),

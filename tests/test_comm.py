@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axisolver.comm import CommStats, CommWorld, Group, reduce_schedule, stats_snapshot
+from axisolver.comm import CommStats, CommWorld, Group, reduce_schedule
 from axisolver.errors import (
     Deadlock,
     IndexOutOfRange,
@@ -135,7 +135,7 @@ def test_program_that_is_not_a_generator_is_rejected():
     for executor in ("sim", "threads"):
         with pytest.raises(TypeError, match="not a generator"):
             world.run(program, executor=executor)
-    assert stats_snapshot(world).total_msgs() == 0
+    assert world.stats_snapshot().total_msgs() == 0
 
 
 def test_p256_deadlock_is_reported_at_once():
@@ -185,7 +185,7 @@ def test_reduce_single_member_is_identity():
     results = world.run(program, executor="sim")
     np.testing.assert_array_equal(results[2], [7.0, -1.0])
     # a 1-member reduce has no tree levels
-    assert stats_snapshot(world).levels == (0, 0, 0)
+    assert world.stats_snapshot().levels == (0, 0, 0)
 
 
 def test_reduce_group_of_seven_value_and_levels():
@@ -198,7 +198,7 @@ def test_reduce_group_of_seven_value_and_levels():
 
     results = world.run(program, executor="sim")
     assert results[1] == 28.0
-    stats = stats_snapshot(world)
+    stats = world.stats_snapshot()
     # ceil(log2 7) = 3 tree levels, recorded for every member
     assert stats.levels == (3,) * 7
     # 6 tree edges of one scalar each
@@ -297,7 +297,7 @@ def test_reduce_sums_rank_values(data):
 
 
 def test_fresh_world_stats_all_zero():
-    stats = stats_snapshot(CommWorld(5))
+    stats = CommWorld(5).stats_snapshot()
     assert stats.msgs_sent == (0,) * 5
     assert stats.scalars_sent == (0,) * 5
     assert stats.reduces == (0,) * 5
@@ -312,7 +312,7 @@ def test_reduce_p4_scalar_transfers_three():
         yield from comm.reduce_sum_to_root(group, [1.0])
 
     world.run(program, executor="sim")
-    stats = stats_snapshot(world)
+    stats = world.stats_snapshot()
     assert stats.total_scalars() == 3  # one scalar per tree edge
     assert stats.reduces == (1, 1, 1, 1)
     assert stats.levels == (2, 2, 2, 2)
@@ -329,7 +329,7 @@ def test_stats_csv_round_trip(tmp_path):
 
     world.run(program, executor="sim")
     path = tmp_path / "stats.csv"
-    stats_snapshot(world).write_csv(path)
+    world.stats_snapshot().write_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "rank,msgs_sent,scalars_sent,reduces,levels"
     assert lines[1] == "1,1,3,0,0"
@@ -344,9 +344,9 @@ def test_stats_accumulate_monotonically():
         yield from comm.reduce_sum_to_root(group, [1.0])
 
     world.run(program, executor="sim")
-    first = stats_snapshot(world)
+    first = world.stats_snapshot()
     world.run(program, executor="sim")
-    second = stats_snapshot(world)
+    second = world.stats_snapshot()
     assert second.total_scalars() == 2 * first.total_scalars()
     assert second.levels == tuple(2 * v for v in first.levels)
 
@@ -391,7 +391,7 @@ def test_threaded_reduce_matches_simulator_stats():
 
         results = world.run(program, executor=executor)
         totals[executor] = results[4]
-        assert stats_snapshot(world).total_msgs() == 6
+        assert world.stats_snapshot().total_msgs() == 6
     assert totals["sim"] == totals["threads"] == float(sum(r * r for r in range(1, 8)))
 
 

@@ -15,13 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axisolver import dichotomy as dichotomy_module
-from axisolver.comm import CommWorld, stats_snapshot
+from axisolver.comm import CommWorld
 from axisolver.dichotomy import (
     DichotomyPlan,
     Partition,
     build_plan,
     build_tree,
-    dichotomy_solve,
     local_betas,
     predict_time_cyclic,
     predict_time_dichotomy,
@@ -261,7 +260,7 @@ def test_local_betas_dimension_check():
 
 
 # ---------------------------------------------------------------------------
-# dichotomy_solve / solve_many
+# solve_many
 # ---------------------------------------------------------------------------
 
 
@@ -270,7 +269,7 @@ def test_p1_solve_is_bitwise_thomas():
     A = random_dominant(rng, 12)
     plan = make_plan(12, [12], matrix=A)
     F = rng.normal(size=12)
-    assert np.array_equal(dichotomy_solve(plan, F), thomas_solve(A, F))
+    assert np.array_equal(solve_many(plan, F), thomas_solve(A, F))
 
 
 def test_p7_matches_dense_and_reports_three_levels(tmp_path):
@@ -280,7 +279,7 @@ def test_p7_matches_dense_and_reports_three_levels(tmp_path):
     plan = make_plan(n, [4] * 7, matrix=A)
     F = rng.normal(size=n)
     trace_file = tmp_path / "trace.csv"
-    x = dichotomy_solve(plan, F, trace_path=trace_file)
+    x = solve_many(plan, F, trace_path=trace_file)
     x_dense = np.linalg.solve(A.to_dense(), F)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) <= 1e-10
 
@@ -301,8 +300,8 @@ def test_p2_stats_report_one_level():
     A = random_dominant(rng, 8)
     plan = make_plan(8, [4, 4], matrix=A)
     F = rng.normal(size=8)
-    x = dichotomy_solve(plan, F)
-    stats = stats_snapshot(plan.world)
+    x = solve_many(plan, F)
+    stats = plan.world.stats_snapshot()
     assert stats.levels == (1, 1)
     x_dense = np.linalg.solve(A.to_dense(), F)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) <= 1e-10
@@ -320,7 +319,7 @@ def test_solve_matches_dense_oracle(data):
     A = random_dominant(rng, n)
     plan = make_plan(n, sizes, matrix=A)
     F = rng.normal(size=n)
-    x = dichotomy_solve(plan, F)
+    x = solve_many(plan, F)
     x_dense = np.linalg.solve(A.to_dense(), F)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) <= 1e-10
 
@@ -343,7 +342,7 @@ def test_batch_m1_identical_to_single():
     A = random_dominant(rng, n)
     plan = make_plan(n, [5, 5, 5, 5], matrix=A)
     F = rng.normal(size=n)
-    single = dichotomy_solve(plan, F)
+    single = solve_many(plan, F)
     batch = solve_many(plan, F[:, None])
     assert np.array_equal(single, batch[:, 0])
 
@@ -356,7 +355,7 @@ def test_batch_traffic_scales_with_m():
     def traffic(M):
         plan = make_plan(n, [4, 4, 4, 4], matrix=A)
         solve_many(plan, rng.normal(size=(n, M)))
-        return stats_snapshot(plan.world)
+        return plan.world.stats_snapshot()
 
     t1, t8 = traffic(1), traffic(8)
     assert t8.total_scalars() == 8 * t1.total_scalars()
@@ -381,8 +380,8 @@ def test_linearity_property():
     plan = make_plan(n, [7, 7, 7], matrix=A)
     F1, F2 = rng.normal(size=n), rng.normal(size=n)
     a, b = 0.7, -1.3
-    lhs = dichotomy_solve(plan, a * F1 + b * F2)
-    rhs = a * dichotomy_solve(plan, F1) + b * dichotomy_solve(plan, F2)
+    lhs = solve_many(plan, a * F1 + b * F2)
+    rhs = a * solve_many(plan, F1) + b * solve_many(plan, F2)
     scale = np.linalg.norm(lhs)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(scale, 1.0)
 
@@ -394,7 +393,7 @@ def test_plan_not_mutated_by_solves():
     plan = make_plan(n, [4, 4, 4, 4], matrix=A)
     before = plan.checksum()
     for _ in range(3):
-        dichotomy_solve(plan, rng.normal(size=n))
+        solve_many(plan, rng.normal(size=n))
     assert plan.checksum() == before
 
 
@@ -406,7 +405,7 @@ def test_executors_agree_bitwise():
     results = {}
     for executor in ("sim", "threads"):
         plan = make_plan(n, [6, 6, 6, 6], matrix=A)
-        results[executor] = dichotomy_solve(plan, F, executor=executor)
+        results[executor] = solve_many(plan, F, executor=executor)
     assert np.array_equal(results["sim"], results["threads"])
 
 
@@ -420,7 +419,7 @@ def test_trace_totals_match_measured_traffic(tmp_path):
     with open(trace_file) as fh:
         rows = list(csv.DictReader(fh))
     assert sum(int(r["scalars_sent"]) for r in rows) == \
-        stats_snapshot(plan.world).total_scalars()
+        plan.world.stats_snapshot().total_scalars()
 
 
 def test_p256_sim_solve_starts_no_thread_and_sends_the_plan_traffic(
@@ -459,7 +458,7 @@ def test_p256_sim_solve_starts_no_thread_and_sends_the_plan_traffic(
         rank, sent = int(r["rank"]), int(r["scalars_sent"])
         scalars[rank - 1] += sent
         msgs[rank - 1] += sent // M if r["role"] == "middle" else sent // (2 * M)
-    stats = stats_snapshot(plan.world)
+    stats = plan.world.stats_snapshot()
     assert plan.depth == 8
     assert list(stats.scalars_sent) == scalars
     assert list(stats.msgs_sent) == list(stats.reduces) == msgs
@@ -523,7 +522,7 @@ def test_family_traffic_is_a_single_matrix_batch_of_l_columns():
     solve_many(single, rng.normal(size=(n, L)))
     one_rhs = make_plan(n, sizes, rng=rng)
     solve_many(one_rhs, rng.normal(size=n))
-    fam, one, base = (stats_snapshot(plan.world)
+    fam, one, base = (plan.world.stats_snapshot()
                       for plan in (family, single, one_rhs))
     assert fam.total_scalars() == one.total_scalars() == L * base.total_scalars()
     assert fam.total_msgs() == one.total_msgs() == base.total_msgs()

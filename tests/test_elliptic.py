@@ -120,6 +120,11 @@ def test_grid_validation():
         Grid2D(4, 4, -1.0, 1.0)
     with pytest.raises(DomainError):
         Grid2D(4, 4, 1.0, 0.0)
+    for extent in (np.inf, float("1e400"), np.nan):
+        with pytest.raises(DomainError):
+            Grid2D(4, 4, extent, 1.0)
+        with pytest.raises(DomainError):
+            Grid2D(4, 4, 1.0, extent)
 
 
 def test_nearest_node_rounding_and_clipping():
@@ -547,7 +552,7 @@ def test_raw_round_trip_preserves_float32_payload(tmp_path):
     g = Grid2D(5, 7, 3.0, 1.5)
     field = full_node_field(g, seed=5)
     path = tmp_path / "model.raw"
-    write_field_raw(path, g, field, extra_header_lines=["note: test payload"])
+    write_field_raw(path, g, field)
     g2, back = read_field_raw(path)
     assert g2 == g
     np.testing.assert_array_equal(back, field.astype("<f4").astype(np.float64))
