@@ -70,7 +70,8 @@ class LaguerreParams:
     def __post_init__(self):
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise DomainError(f"h must be positive and finite, got {self.h}")
-        if int(self.alpha) != self.alpha or self.alpha < 2:
+        if not (math.isfinite(self.alpha) and int(self.alpha) == self.alpha
+                and self.alpha >= 2):
             raise DomainError(
                 f"alpha must be an integer >= 2, got {self.alpha!r}")
         if int(self.n_terms) != self.n_terms or self.n_terms < 1:

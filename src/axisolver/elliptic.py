@@ -253,30 +253,46 @@ class DiscreteOperator:
 
     # -- application ------------------------------------------------------
 
+    def _divergence_and_reaction(self, Y: np.ndarray):
+        """((div_r + div_z) Y, reaction * Y), each in a fresh buffer."""
+        g = self.grid
+        nz = Y.shape[0]
+        # radial differences across faces 1..nr-1; the last one reaches the
+        # Dirichlet ghost, 0 - Y[:, -1]
+        flux = np.empty_like(Y)
+        np.subtract(Y[:, 1:], Y[:, :-1], out=flux[:, :-1])
+        np.subtract(0.0, Y[:, -1], out=flux[:, -1])
+        flux *= self.r_faces[:, 1:]
+        div = np.empty_like(Y)
+        div[:, 0] = flux[:, 0]
+        np.subtract(flux[:, 1:], flux[:, :-1], out=div[:, 1:])
+        div /= g.dr ** 2
+
+        flux_z = flux[: nz - 1]                                  # faces 1..nz-1
+        np.subtract(Y[1:], Y[:-1], out=flux_z)
+        flux_z *= self.z_faces[1: nz, :]
+        work = np.empty_like(Y)
+        work[0] = flux_z[0]
+        np.subtract(flux_z[1:], flux_z[:-1], out=work[1: nz - 1])
+        np.subtract(0.0, flux_z[-1], out=work[-1])
+        work /= g.dz ** 2
+        div += work
+        np.multiply(self.reaction, Y, out=work)
+        return div, work
+
     def apply(self, y) -> np.ndarray:
         """Flux-divergence form: (div_r + div_z) y - reaction * y."""
-        g = self.grid
-        Y, flat = g.as_field(y)
-        nz, nu = g.unknown_shape
-
-        ghost = np.concatenate([Y, np.zeros((nz, 1))], axis=1)   # Dirichlet
-        flux_r = self.r_faces[:, 1:] * np.diff(ghost, axis=1)    # faces 1..nr-1
-        div_r = flux_r.copy()
-        div_r[:, 1:] -= flux_r[:, :-1]
-        div_r /= g.dr ** 2
-
-        flux_z = self.z_faces[1: nz, :] * np.diff(Y, axis=0)     # faces 1..nz-1
-        div_z = np.zeros_like(Y)
-        div_z[: nz - 1, :] += flux_z
-        div_z[1:, :] -= flux_z
-        div_z /= g.dz ** 2
-
-        out = div_r + div_z - self.reaction * Y
-        return out.ravel() if flat else out
+        Y, flat = self.grid.as_field(y)
+        div, reaction = self._divergence_and_reaction(Y)
+        div -= reaction
+        return div.ravel() if flat else div
 
     def apply_spd(self, y) -> np.ndarray:
         """Symmetric positive-definite orientation: -apply(y)."""
-        return -self.apply(y)
+        Y, flat = self.grid.as_field(y)
+        div, reaction = self._divergence_and_reaction(Y)
+        np.subtract(reaction, div, out=div)
+        return div.ravel() if flat else div
 
     @property
     def rhs(self) -> np.ndarray:

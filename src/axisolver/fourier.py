@@ -1,4 +1,4 @@
-"""The half-sample cosine transforms, built on ``numpy.fft``.
+"""The half-sample cosine transforms, built on ``numpy.fft``'s real FFT.
 
 The solver's separation-of-variables preconditioner expands grid columns in
 the half-sample cosine basis
@@ -9,12 +9,21 @@ whose inverse carries a half weight on the constant mode:
 
     x[k] = sqrt(2/N) * (X[0]/2 + sum_{l>=1} X[l] cos(pi (k + 1/2) l / N)).
 
-For every length N the pair is evaluated through a single complex FFT of the
-even/odd-folded sequence (reorder to [x0, x2, ..., x5, x3, x1], transform,
-rotate by a quarter-sample twiddle; Makhoul 1980, IEEE TASSP 28(1)).  Direct
-summation against a cached cosine matrix is kept as the oracle for the tests.
-All routines are batched: the transform runs along ``axis`` and broadcasts
-over every other axis.
+For every length N the pair is evaluated through one N-point real FFT of the
+even/odd-folded sequence v = [x0, x2, x4, ..., x5, x3, x1] (Makhoul 1980,
+IEEE TASSP 28(1)).  With V = rfft(v) and the quarter-sample twiddle
+W_k = exp(-i pi k / (2N)), the analysis reads, for k = 0..N/2,
+
+    X[k] = sqrt(2/N) Re(W_k V_k),     X[N-k] = -sqrt(2/N) Im(W_k V_k),
+
+and the synthesis rebuilds the half spectrum
+V_k = sqrt(N/2) conj(W_k) (X[k] - i X[N-k]) (with X[N] = 0), runs
+``irfft(n=N)`` and unfolds.  The scales live in the cached twiddle tables.
+Direct summation against a cached cosine matrix is kept as the oracle for the
+tests.  All routines are batched: the transform runs along ``axis`` and
+broadcasts over every other axis.  ``dct_forward`` returns its coefficients
+with ``axis`` innermost in memory (the layout its FFT reads), ``dct_inverse``
+returns C-ordered samples.
 """
 
 from __future__ import annotations
@@ -29,10 +38,14 @@ __all__ = [
 
 
 @lru_cache(maxsize=32)
-def _quarter_twiddle(n: int) -> np.ndarray:
-    w = np.exp(-0.5j * np.pi * np.arange(n) / n)
-    w.setflags(write=False)
-    return w
+def _twiddles(n: int):
+    """sqrt(2/N) W_k and sqrt(N/2) conj(W_k) for k = 0..N/2."""
+    w = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
+    analysis = np.sqrt(2.0 / n) * w
+    synthesis = np.sqrt(n / 2.0) * np.conj(w)
+    analysis.setflags(write=False)
+    synthesis.setflags(write=False)
+    return analysis, synthesis
 
 
 @lru_cache(maxsize=32)
@@ -44,53 +57,46 @@ def _cosine_matrix(n: int) -> np.ndarray:
     return C
 
 
-def _fold_even_odd(x: np.ndarray) -> np.ndarray:
-    """[x0, x2, x4, ..., x5, x3, x1]: evens ascending, odds descending."""
-    n = x.shape[-1]
-    v = np.empty_like(x)
-    half = (n + 1) // 2
-    v[..., :half] = x[..., ::2]
-    if n > 1:
-        v[..., half:] = x[..., n - 1 - (n % 2):: -2]
-    return v
-
-
-def _unfold_even_odd(v: np.ndarray) -> np.ndarray:
-    n = v.shape[-1]
-    x = np.empty_like(v)
-    half = (n + 1) // 2
-    x[..., ::2] = v[..., :half]
-    if n > 1:
-        x[..., 1::2] = v[..., : half - 1: -1]
-    return x
-
-
 def dct_forward(x, axis: int = 0) -> np.ndarray:
     """Half-sample cosine analysis with the sqrt(2/N) scale (see module
     docstring); batched along every axis but ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[axis]
-    moved = np.moveaxis(x, axis, -1)
-    V = np.fft.fft(_fold_even_odd(np.ascontiguousarray(moved)))
-    out = np.sqrt(2.0 / n) * (V * _quarter_twiddle(n)).real
-    return np.moveaxis(out, -1, axis)
+    xm = np.moveaxis(np.asarray(x, dtype=np.float64), axis, -1)
+    n = xm.shape[-1]
+    half = (n + 1) // 2
+    nb = n // 2 + 1
+    # fold into a buffer the FFT reads contiguously; the coefficients are
+    # then written back over it
+    v = np.empty(xm.shape)
+    v[..., :half] = xm[..., ::2]
+    v[..., half:] = xm[..., 1::2][..., ::-1]
+    Z = np.fft.rfft(v)
+    Z *= _twiddles(n)[0]
+    v[..., :nb] = Z.real
+    # negation by multiplying: numpy 2.4's np.negative writes wrong values
+    # into some strided outputs
+    np.multiply(Z.imag[..., 1: n - nb + 1], -1.0,
+                out=v[..., n - 1: nb - 1: -1])
+    return np.moveaxis(v, -1, axis)
 
 
 def dct_inverse(X, axis: int = 0) -> np.ndarray:
     """Inverse of :func:`dct_forward` (half weight on the constant mode)."""
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[axis]
-    C = np.ascontiguousarray(np.moveaxis(X, axis, -1))
-    V = np.empty(C.shape, dtype=np.complex128)
-    V[..., 0] = C[..., 0]
-    if n > 1:
-        theta = np.conj(_quarter_twiddle(n)[1:])
-        V[..., 1:] = theta * (C[..., 1:] - 1j * C[..., :0:-1])
-    # the IFFT already carries the 1/N: feeding coefficients sqrt(N/2) X
-    # reproduces the samples exactly, so the scale here is sqrt(N/2)
-    v = np.fft.ifft(V).real
-    out = np.sqrt(n / 2.0) * _unfold_even_odd(v)
-    return np.moveaxis(out, -1, axis)
+    Xm = np.moveaxis(X, axis, -1)
+    n = Xm.shape[-1]
+    nb = n // 2 + 1
+    V = np.empty(Xm.shape[:-1] + (nb,), dtype=np.complex128)
+    V.real = Xm[..., :nb]
+    V.imag[..., :1] = 0.0
+    np.multiply(Xm[..., n - 1: n - nb: -1], -1.0, out=V.imag[..., 1:])
+    V *= _twiddles(n)[1]
+    v = np.fft.irfft(V, n=n)
+    half = (n + 1) // 2
+    out = np.empty(X.shape)
+    om = np.moveaxis(out, axis, -1)
+    om[..., ::2] = v[..., :half]
+    om[..., 1::2] = v[..., half:][..., ::-1]
+    return out
 
 
 def dct_forward_direct(x, axis: int = 0) -> np.ndarray:

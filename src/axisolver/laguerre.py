@@ -50,8 +50,8 @@ _HARD_LIMIT = 1e300
 def _validate(m_max: int, alpha: float, h: float) -> None:
     if m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {m_max}")
-    if alpha <= -1.0:
-        raise DomainError(f"alpha must exceed -1, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > -1.0):
+        raise DomainError(f"alpha must be finite and exceed -1, got {alpha}")
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"scale h must be positive and finite, got {h}")
 

@@ -294,8 +294,9 @@ def test_laguerre_params_validation():
     for h in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             LaguerreParams(h=h, alpha=2, n_terms=8)
-    with pytest.raises(DomainError):
-        LaguerreParams(h=10.0, alpha=1, n_terms=8)
+    for alpha in (1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            LaguerreParams(h=10.0, alpha=alpha, n_terms=8)
     with pytest.raises(DomainError):
         LaguerreParams(h=10.0, alpha=2.5, n_terms=8)
     with pytest.raises(DomainError):

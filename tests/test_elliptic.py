@@ -351,6 +351,21 @@ def test_dense_matches_loop_oracle_variable_coefficients():
     np.testing.assert_allclose(op.to_dense(spd=False), -A, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("nr", [2, 3, 9, 17])
+@pytest.mark.parametrize("nz", [2, 3, 9])
+def test_dense_matches_loop_oracle_across_grid_widths(nr, nz):
+    # nr = 9 gives rows of 8 unknowns: a 64-byte column stride, at which
+    # numpy 2.4's np.negative into a strided output returns wrong values
+    g = Grid2D(nr, nz, 1.3, 0.9)
+    fields = CoefficientFields.from_samplers(
+        lambda r, z: 1.0 + 0.3 * r + 0.2 * z * z,
+        lambda r, z: 0.2 + 0.1 * r * z, g)
+    op = assemble(g, fields)
+    A = op.to_dense(spd=True)
+    np.testing.assert_allclose(A, dense_oracle(op), rtol=1e-13, atol=1e-14)
+    np.testing.assert_array_equal(op.to_dense(spd=False), -A)
+
+
 def test_spd_matrix_symmetric_and_positive_definite():
     g = Grid2D(6, 5, 1.0, 1.0)
     op = assemble(g, unit_fields())           # q = 0: Dirichlet supplies PD

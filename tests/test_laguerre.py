@@ -123,8 +123,9 @@ def test_orthonormality_gram_matrix():
 def test_validation():
     with pytest.raises(DomainError):
         laguerre_function_table(-1, 2.0, np.array([1.0]))
-    with pytest.raises(DomainError):
-        laguerre_function_table(3, -1.0, np.array([1.0]))
+    for alpha in (-1.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            laguerre_function_table(3, alpha, np.array([1.0]))
     for h in (0.0, np.inf, np.nan):
         with pytest.raises(DomainError):
             laguerre_function_table(3, 2.0, np.array([0.5]), h=h)
