@@ -381,9 +381,15 @@ def cmd_bench(cfg: RunConfig) -> int:
     if n < 8 or batch < 1 or repeats < 1 or seed < 0:
         raise ConfigError(f"[bench] needs n >= 8, batch >= 1, repeats >= 1, "
                           f"seed >= 0; got {n}/{batch}/{repeats}/{seed}")
+    if n < 2 * max(ranks):
+        raise ConfigError(f"[bench] n = {n} rows cannot be split over "
+                          f"{max(ranks)} ranks: needs n >= 2 * ranks")
     alpha = cfg.get_float("bench", "alpha")
     beta = cfg.get_float("bench", "beta")
     gamma = cfg.get_float("bench", "gamma")
+    if not all(0.0 <= v < math.inf for v in (alpha, beta, gamma)):
+        raise ConfigError(f"[bench] alpha, beta and gamma must be finite and "
+                          f">= 0; got {alpha}/{beta}/{gamma}")
     matrix = _bench_system(n, seed)
     rng = np.random.default_rng(seed + 1)
     B = rng.standard_normal((n, batch))

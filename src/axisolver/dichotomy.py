@@ -64,11 +64,11 @@ import numpy as np
 
 from .comm import CommWorld, Group
 from .errors import DimensionMismatch, DomainError, InvalidPartition, SingularPlan
-# thomas_apply/thomas_factor are re-exported: perfbench traces the kernel
-# layer through this module's bindings
-from .kernels import (MultiFactorization, multi_apply, multi_factor,  # noqa: F401
-                      thomas_apply, thomas_factor)
-from .tridiag import TridiagonalFamily, TridiagonalMatrix
+from .kernels import MultiFactorization, multi_apply, multi_factor
+from .tridiag import TridiagonalFamily, TridiagonalMatrix, frozen_copy
+
+# perfbench/spans.py traces the kernel layer through these two names
+thomas_apply, thomas_factor = multi_apply, multi_factor
 
 FOLD_RATIO_FLOOR = 1e-280
 
@@ -231,13 +231,6 @@ class DichotomyPlan:
         return digest.hexdigest()
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    """A read-only copy: a plan holds no view into the matrix's bands."""
-    arr = np.array(arr, order="C")
-    arr.setflags(write=False)
-    return arr
-
-
 def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
                world: CommWorld) -> DichotomyPlan:
     """One-time preparation of one matrix or a family, with no
@@ -333,7 +326,7 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
         interior = m_R - m_L - 1  # rows m_L+1..m_R-1
         if interior > 0:
             i0 = m_L  # 0-based index of first interior row
-            interior_fact = MultiFactorization(*(_freeze(arr) for arr in multi_factor(
+            interior_fact = MultiFactorization(*map(frozen_copy, multi_factor(
                 A.lower[i0: i0 + interior - 1],
                 A.diag[i0: i0 + interior],
                 A.upper[i0: i0 + interior - 1])))
@@ -342,16 +335,17 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
             interior_fact = None
             interior_c = interior_a = np.zeros(A.nsys)
         ranks.append(RankPlan(
-            rank=m, m_L=m_L, m_R=m_R, G_L=_freeze(G_L), G_R=_freeze(G_R),
-            fold_left=_freeze(G_L[-1] / den_left),
-            fold_right=_freeze(G_R[0] / den_right),
-            weights=_freeze(weights), interior_fact=interior_fact,
-            interior_c=_freeze(interior_c), interior_a=_freeze(interior_a),
+            rank=m, m_L=m_L, m_R=m_R,
+            G_L=frozen_copy(G_L), G_R=frozen_copy(G_R),
+            fold_left=frozen_copy(G_L[-1] / den_left),
+            fold_right=frozen_copy(G_R[0] / den_right),
+            weights=frozen_copy(weights), interior_fact=interior_fact,
+            interior_c=frozen_copy(interior_c),
+            interior_a=frozen_copy(interior_a),
             steps=tuple(steps),
         ))
 
-    full_fact = (MultiFactorization(*(_freeze(arr) for arr in down))
-                 if p == 1 else None)
+    full_fact = MultiFactorization(*map(frozen_copy, down)) if p == 1 else None
     return DichotomyPlan(partition=part, world=world, levels=levels,
                          ranks=tuple(ranks), full_fact=full_fact)
 
@@ -536,8 +530,8 @@ def _check_model_args(p: int, l: float, alpha: float, beta: float, gamma: float)
         raise DomainError(f"model defined for p >= 2, got {p}")
     if p & (p - 1):
         raise DomainError(f"model defined for power-of-two p, got {p}")
-    if min(l, alpha, beta, gamma) < 0:
-        raise DomainError("model parameters must be non-negative")
+    if not all(0 <= v < math.inf for v in (l, alpha, beta, gamma)):
+        raise DomainError("model parameters must be finite and non-negative")
 
 
 def predict_time_dichotomy(p: int, l: float, alpha: float, beta: float,

@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import (BoundaryViolation, ConfigError, DimensionMismatch,
                      DomainError, NonPositiveCoefficient)
+from .tridiag import frozen_copy
 
 __all__ = [
     "Grid2D", "CoefficientFields", "DiscreteOperator", "assemble",
@@ -212,12 +213,6 @@ def _staggered_probes(grid: Grid2D):
 # ---------------------------------------------------------------------------
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class DiscreteOperator:
     """Assembled coefficient arrays of the finite-volume operator.
@@ -228,6 +223,7 @@ class DiscreteOperator:
     ``z_faces[j, i]`` is the conductance of the z-face at ``z = j * dz``
     (j = 0 and j = nz carry the zero-flux closure and are zero).
     ``reaction`` and ``source`` hold ``r * q`` and ``r * f`` at the nodes.
+    The operator keeps read-only copies of the four arrays.
     """
 
     grid: Grid2D
@@ -245,11 +241,8 @@ class DiscreteOperator:
             "source": g.unknown_shape,
         }
         for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise DimensionMismatch(
-                    f"{name} must have shape {shape}, got {arr.shape}")
-            object.__setattr__(self, name, _frozen(arr))
+            object.__setattr__(self, name,
+                               frozen_copy(getattr(self, name), name, shape))
 
     # -- application ------------------------------------------------------
 

@@ -1,22 +1,26 @@
 """Low-level elimination kernels for tridiagonal systems.
 
-Two interchangeable backends live here: numba-compiled loops (``nogil`` so the
-threaded executor can actually overlap them) and plain numpy fallbacks used
-when numba is not installed.  The single-matrix factor and solve bodies are
-written once and compiled when numba is present; without it the one solve
-body also serves the batched and multi-system cases.  Both backends perform
-identical elementwise arithmetic in identical order, so results are
-bit-for-bit the same across backends.
+One record, :class:`MultiFactorization`, and one pair,
+:func:`multi_factor`/:func:`multi_apply`, serve a single matrix and a
+family of ``L`` independent matrices alike: a single matrix is the
+one-member family.  Band and right-hand-side arrays of a family are shaped
+``(n, L)`` so the inner loop runs over contiguous memory; a single matrix
+may be passed as 1-D bands.
+
+Two interchangeable backends live here: numba-compiled loops (``nogil`` so
+the threaded executor can actually overlap them) and plain numpy fallbacks
+used when numba is not installed.  A one-member family runs the
+single-matrix factor and solve bodies, which are written once and compiled
+when numba is present; without it the one solve body also serves the
+batched and multi-system cases.  Both backends perform identical
+elementwise arithmetic in identical order, so results are bit-for-bit the
+same across backends.
 
 Band convention (0-based storage of an order-``n`` system):
 
 * ``diag[i]``   - main diagonal entry of row ``i``;
 * ``upper[i]``  - coupling of row ``i`` to row ``i+1`` (length ``n-1``);
 * ``lower[i]``  - coupling of row ``i+1`` to row ``i`` (length ``n-1``).
-
-The multi-system variants solve ``L`` independent systems at once; band and
-right-hand-side arrays are shaped ``(n, L)`` so the inner loop runs over
-contiguous memory.
 """
 
 from __future__ import annotations
@@ -154,18 +158,6 @@ def _as_f64(arr, name, shape=None):
     return out
 
 
-class Factorization(NamedTuple):
-    """Cached forward-elimination data of one tridiagonal matrix."""
-
-    lower: np.ndarray
-    cp: np.ndarray
-    dn: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.dn.shape[0]
-
-
 class MultiFactorization(NamedTuple):
     """Cached elimination data of a family of independent systems, shape (n, L)."""
 
@@ -182,45 +174,24 @@ class MultiFactorization(NamedTuple):
         return self.dn.shape[1]
 
 
-def thomas_factor(lower, diag, upper) -> Factorization:
-    """Eliminate once; reuse the result for any number of right-hand sides."""
-    diag = _as_f64(diag, "diag")
-    n = diag.shape[0]
-    lower = _as_f64(lower, "lower", (n - 1,))
-    upper = _as_f64(upper, "upper", (n - 1,))
-    cp = np.empty(max(n - 1, 0), dtype=np.float64)
-    dn = np.empty(n, dtype=np.float64)
-    bad = _factor1(lower, diag, upper, cp, dn)
-    if bad >= 0:
-        raise ZeroPivot(bad, float(diag[bad] if bad == 0 else dn[bad - 1]))
-    return Factorization(lower, cp, dn)
-
-
-def thomas_apply(fact: Factorization, f) -> np.ndarray:
-    """Solve for one rhs (1-D) or a batch stacked along the second axis."""
-    f = _as_f64(f, "f")
-    if f.shape[0] != fact.n:
-        raise DimensionMismatch(f"rhs length {f.shape[0]} != order {fact.n}")
-    x = np.empty_like(f)
-    if f.ndim == 1:
-        _solve1(fact.lower, fact.cp, fact.dn, f, x)
-    elif f.ndim == 2:
-        _solveb(fact.lower, fact.cp, fact.dn, f, x)
-    else:
-        raise DimensionMismatch("rhs must be 1-D or 2-D")
-    return x
-
-
 def multi_factor(lower, diag, upper) -> MultiFactorization:
-    """Factor ``L`` independent systems; band arrays are shaped (n, L).
+    """Factor ``L`` independent systems; band arrays are shaped (n, L), or
+    (n,) and (n - 1,) for one matrix, the one-member family.  Eliminate
+    once; reuse the result for any number of right-hand sides.
 
-    A one-system family runs the single-matrix kernels, here and in
-    :func:`multi_apply`, with identical arithmetic.
+    A one-member family runs the single-matrix kernels, here and in
+    :func:`multi_apply`.  Raises ZeroPivot with the row and the value of
+    the first pivot below 1e-300 in magnitude (of the first such member).
     """
     diag = _as_f64(diag, "diag")
+    if diag.ndim not in (1, 2):
+        raise DimensionMismatch(f"diag must be 1-D or 2-D, got shape {diag.shape}")
+    bands = (diag.shape[0] - 1,) + diag.shape[1:]
+    lower = _as_f64(lower, "lower", bands)
+    upper = _as_f64(upper, "upper", bands)
+    if diag.ndim == 1:
+        lower, diag, upper = lower[:, None], diag[:, None], upper[:, None]
     n, nsys = diag.shape
-    lower = _as_f64(lower, "lower", (n - 1, nsys))
-    upper = _as_f64(upper, "upper", (n - 1, nsys))
     cp = np.empty((max(n - 1, 0), nsys), dtype=np.float64)
     dn = np.empty((n, nsys), dtype=np.float64)
     if nsys == 1:   # the single-matrix body, writing through column views
@@ -228,21 +199,25 @@ def multi_factor(lower, diag, upper) -> MultiFactorization:
     else:
         bad = _factor_multi(lower, diag, upper, cp, dn)
     if bad >= 0:
-        raise ZeroPivot(bad, 0.0)
+        # row bad - 1 of dn is complete for every member on both backends
+        piv = diag[0] if bad == 0 else (
+            diag[bad] - lower[bad - 1] * (upper[bad - 1] / dn[bad - 1]))
+        raise ZeroPivot(bad, float(piv[np.argmax(np.abs(piv) < PIVOT_FLOOR)]))
     return MultiFactorization(lower, cp, dn)
 
 
 def multi_apply(fact: MultiFactorization, F) -> np.ndarray:
     """Solve all systems; ``F[:, l]`` is the rhs of system ``l``.  A
-    one-system family solves every column of an (n, M) ``F`` instead."""
+    one-member family solves one 1-D rhs, or every column of an (n, M)
+    ``F``, instead."""
     F = _as_f64(F, "F")
-    if fact.nsys == 1 and F.ndim == 2 and F.shape[0] == fact.n:
-        X = np.empty_like(F)
-        _solveb(fact.lower[:, 0], fact.cp[:, 0], fact.dn[:, 0], F, X)
+    X = np.empty_like(F)
+    if fact.nsys == 1 and F.ndim in (1, 2) and F.shape[0] == fact.n:
+        solve = _solve1 if F.ndim == 1 else _solveb
+        solve(fact.lower[:, 0], fact.cp[:, 0], fact.dn[:, 0], F, X)
         return X
     if F.shape != (fact.n, fact.nsys):
         raise DimensionMismatch(
             f"F has shape {F.shape}, expected {(fact.n, fact.nsys)}")
-    X = np.empty_like(F)
     _solve_multi(fact.lower, fact.cp, fact.dn, F, X)
     return X

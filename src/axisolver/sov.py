@@ -63,12 +63,13 @@ class SovPreconditioner:
 
     def __init__(self, grid: Grid2D, vtilde: float, shift: float = 0.0,
                  ranks: int = 1, executor: str = "sim"):
-        if not vtilde > 0.0:
+        if not 0.0 < vtilde < np.inf:
             raise NonPositiveCoefficient(
-                f"reference diffusivity must be positive, got {vtilde}")
-        if shift < 0.0:
+                f"reference diffusivity must be positive and finite, "
+                f"got {vtilde}")
+        if not 0.0 <= shift < np.inf:
             raise NonPositiveCoefficient(
-                f"reference reaction must be >= 0, got {shift}")
+                f"reference reaction must be >= 0 and finite, got {shift}")
         if ranks < 1:
             raise DomainError(f"ranks must be >= 1, got {ranks}")
         self.grid = grid

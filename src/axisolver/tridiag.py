@@ -8,8 +8,9 @@ numbered 1..n when talking about math):
 * ``lower[i]`` — entry coupling row ``i+2`` back to row ``i+1``  (length n-1).
 
 So row ``i`` (1-based) reads ``lower[i-2]*x[i-1] + diag[i-1]*x[i] +
-upper[i-1]*x[i+1]``.  All values are float64 and arrays are never mutated
-after construction; instances are freely shareable across threads.
+upper[i-1]*x[i+1]``.  All values are float64; the matrix and family types
+store read-only copies of the bands they are given, so instances are freely
+shareable across threads and the caller's arrays stay writable.
 """
 
 from __future__ import annotations
@@ -19,16 +20,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, ZeroRhs
-from .kernels import thomas_factor, thomas_apply
+from .kernels import multi_apply, multi_factor
 
 
-def _frozen_f64(arr, name: str, length: int) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.float64)
-    if out.ndim != 1 or out.shape[0] != length:
+def frozen_copy(arr, name: str = "array", shape=None) -> np.ndarray:
+    """A read-only C-ordered float64 copy, of ``shape`` when one is given:
+    the caller's array stays its own."""
+    out = np.array(arr, dtype=np.float64, order="C")
+    if shape is not None and out.shape != shape:
         raise DimensionMismatch(
-            f"{name} must be a 1-D array of length {length}, got shape {out.shape}")
+            f"{name} must have shape {shape}, got {out.shape}")
     out.setflags(write=False)
     return out
+
+
+def _store_bands(obj, ndim: int) -> tuple:
+    """Replace ``obj``'s diag/upper/lower with frozen copies after checking
+    that diag has ``ndim`` axes, each of length >= 1, and that the
+    off-diagonal bands are one row shorter; return diag's shape."""
+    diag = frozen_copy(obj.diag)
+    if diag.ndim != ndim or min(diag.shape) < 1:
+        raise DimensionMismatch(f"diag must be {ndim}-D with every length "
+                                f">= 1, got shape {diag.shape}")
+    off = (diag.shape[0] - 1,) + diag.shape[1:]
+    object.__setattr__(obj, "diag", diag)
+    for name in ("upper", "lower"):
+        object.__setattr__(obj, name, frozen_copy(getattr(obj, name), name, off))
+    return diag.shape
 
 
 @dataclass(frozen=True)
@@ -41,13 +59,7 @@ class TridiagonalMatrix:
     n: int = field(init=False)
 
     def __post_init__(self):
-        diag = np.ascontiguousarray(self.diag, dtype=np.float64)
-        if diag.ndim != 1 or diag.shape[0] < 1:
-            raise DimensionMismatch("diag must be 1-D with length >= 1")
-        n = diag.shape[0]
-        object.__setattr__(self, "diag", _frozen_f64(diag, "diag", n))
-        object.__setattr__(self, "upper", _frozen_f64(self.upper, "upper", n - 1))
-        object.__setattr__(self, "lower", _frozen_f64(self.lower, "lower", n - 1))
+        (n,) = _store_bands(self, 1)
         object.__setattr__(self, "n", n)
 
     @classmethod
@@ -105,21 +117,7 @@ class TridiagonalFamily:
     nsys: int = field(init=False)
 
     def __post_init__(self):
-        diag = np.ascontiguousarray(self.diag, dtype=np.float64)
-        if diag.ndim != 2 or min(diag.shape) < 1:
-            raise DimensionMismatch(
-                f"family diag must be (n, nsys) with n, nsys >= 1, "
-                f"got shape {diag.shape}")
-        n, nsys = diag.shape
-        for name in ("upper", "lower"):
-            band = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if band.shape != (n - 1, nsys):
-                raise DimensionMismatch(f"family {name} must have shape "
-                                        f"{(n - 1, nsys)}, got {band.shape}")
-            band.setflags(write=False)
-            object.__setattr__(self, name, band)
-        diag.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
+        n, nsys = _store_bands(self, 2)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "nsys", nsys)
 
@@ -141,7 +139,7 @@ def thomas_solve(A: TridiagonalMatrix, f) -> np.ndarray:
     falls below 1e-300 in magnitude (the matrix is expected to be diagonally
     dominant, where that cannot happen).
     """
-    return thomas_apply(thomas_factor(A.lower, A.diag, A.upper), f)
+    return multi_apply(multi_factor(A.lower, A.diag, A.upper), f)
 
 
 def submatrix(A: TridiagonalMatrix, low: int, top: int) -> TridiagonalMatrix:

@@ -512,6 +512,19 @@ def test_bench_ranks_flag_limits_sweep(tmp_path):
     assert [r[0] for r in rows] == ["4"]
 
 
+@pytest.mark.parametrize("bench", [
+    "ranks = 8\nn = 8",                 # 8 rows cannot be split over 8 ranks
+    "ranks = 2\nalpha = nan",
+    "ranks = 1, 3\nalpha = -1",         # no power-of-two p evaluates a model
+    "ranks = 1\nbeta = inf",
+    "ranks = 4\ngamma = -inf",
+])
+def test_bench_configuration_errors_exit_2(tmp_path, bench):
+    cfg = write_cfg(tmp_path / "run.cfg", f"[bench]\n{bench}\n")
+    assert run_cli("bench", "--config", cfg, "--out",
+                   str(tmp_path / "out")) == 2
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -617,4 +630,5 @@ def test_generated_configs_end_in_documented_exit_codes(
         cfg = write_cfg(Path(tmp) / "run.cfg", text)
         code = run_cli(command, "--config", cfg, "--out",
                        str(Path(tmp) / "out"))
-    assert code in DOCUMENTED_EXITS
+    # bench builds its own dominant system, so only its configuration fails
+    assert code in ({0, 2} if command == "bench" else DOCUMENTED_EXITS)

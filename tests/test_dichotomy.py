@@ -591,3 +591,10 @@ def test_cost_model_domain_errors():
         predict_time_cyclic(6, 1, 1, 1, 1)  # not a power of two
     with pytest.raises(DomainError):
         predict_time_dichotomy(4, -1, 1, 1, 1)
+    for bad in (math.nan, math.inf):
+        for args in [(bad, 1, 1, 1), (1, bad, 1, 1), (1, 1, bad, 1),
+                     (1, 1, 1, bad)]:
+            with pytest.raises(DomainError):
+                predict_time_dichotomy(4, *args)
+            with pytest.raises(DomainError):
+                predict_time_cyclic(4, *args)

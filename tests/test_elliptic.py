@@ -286,12 +286,29 @@ def test_operator_shape_validation():
         DiscreteOperator(grid=g, r_faces=ok.r_faces,
                          z_faces=ok.z_faces.T, reaction=ok.reaction,
                          source=ok.source)
+    with pytest.raises(DimensionMismatch):    # not only ndarrays are checked
+        DiscreteOperator(grid=g, r_faces=ok.r_faces.tolist(),
+                         z_faces=ok.z_faces, reaction=ok.reaction,
+                         source=ok.source[:-1].tolist())
 
 
 def test_operator_arrays_are_read_only():
     op = assemble(Grid2D(4, 3, 1.0, 1.0), unit_fields())
     with pytest.raises(ValueError):
         op.r_faces[0, 0] = 1.0
+
+
+def test_operator_stores_copies_of_the_callers_arrays():
+    g = Grid2D(4, 3, 1.0, 1.0)
+    ok = assemble(g, unit_fields())
+    mine = {name: np.array(getattr(ok, name))
+            for name in ("r_faces", "z_faces", "reaction", "source")}
+    op = DiscreteOperator(grid=g, **mine)
+    for name, arr in mine.items():
+        assert arr.flags.writeable
+        assert not np.shares_memory(getattr(op, name), arr)
+        arr[...] = -1.0       # the caller's later writes change nothing
+        np.testing.assert_array_equal(getattr(op, name), getattr(ok, name))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,10 @@ def test_validation():
         SovPreconditioner(g, 0.0)
     with pytest.raises(NonPositiveCoefficient):
         SovPreconditioner(g, 1.0, shift=-0.1)
+    for vtilde, shift in [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.nan),
+                          (1.0, np.inf)]:
+        with pytest.raises(NonPositiveCoefficient):
+            SovPreconditioner(g, vtilde, shift=shift)
     with pytest.raises(DomainError):
         SovPreconditioner(g, 1.0, ranks=0)
     with pytest.raises(DomainError):
