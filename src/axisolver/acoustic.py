@@ -74,7 +74,8 @@ class LaguerreParams:
                 and self.alpha >= 2):
             raise DomainError(
                 f"alpha must be an integer >= 2, got {self.alpha!r}")
-        if int(self.n_terms) != self.n_terms or self.n_terms < 1:
+        if not (math.isfinite(self.n_terms)
+                and int(self.n_terms) == self.n_terms and self.n_terms >= 1):
             raise DomainError(
                 f"n_terms must be a positive integer, got {self.n_terms!r}")
         object.__setattr__(self, "alpha", int(self.alpha))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -70,6 +71,9 @@ class Grid2D:
     zmax: float
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) for n in (self.nr, self.nz)):
+            raise DomainError(
+                f"node counts must be integers, got {self.nr!r}x{self.nz!r}")
         if self.nr < 2 or self.nz < 2:
             raise DomainError(f"need at least 2x2 nodes, got {self.nr}x{self.nz}")
         if not all(math.isfinite(x) and x > 0 for x in (self.rmax, self.zmax)):

@@ -19,6 +19,7 @@ probe run.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Optional, Tuple
@@ -81,8 +82,20 @@ def _flat(v) -> np.ndarray:
 
 
 def _check_count(name: str, value: int) -> None:
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _checked_problem(rhs, tol: float, maxiter: int) -> np.ndarray:
+    """The flat rhs, once ``tol`` is finite and > 0, ``maxiter`` an integer
+    >= 1 and every rhs entry finite; otherwise :class:`DomainError`."""
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    _check_count("maxiter", maxiter)
+    f = _flat(rhs)
+    if not np.isfinite(f).all():
+        raise DomainError("right-hand side has non-finite entries")
+    return f
 
 
 def _pcg_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray):
@@ -100,7 +113,7 @@ def _pcg_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray):
     while True:
         z = _flat(apply_pc(r))
         rz_new = float(r @ z)
-        if rz_new <= 0.0:
+        if not rz_new > 0.0:
             raise Breakdown(f"preconditioner lost positivity: "
                             f"r^T z = {rz_new!r}")
         if p is None:
@@ -111,7 +124,7 @@ def _pcg_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray):
         rz = rz_new
         Ap = _flat(apply_op(p))
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        if not pAp > 0.0:
             raise Breakdown(f"direction lost positive curvature: "
                             f"p^T A p = {pAp!r}")
         alpha = rz / pAp
@@ -131,11 +144,12 @@ def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
     ``tol``; raises :class:`MaxIterExceeded` (carrying the report with the
     last iterate) otherwise, and :class:`Breakdown` when a direction loses
     positive curvature, which signals a non-SPD pair.  ``trace(it, x, relres)``
-    is invoked after every iteration when given.  ``maxiter`` below 1
-    raises :class:`DomainError`.
+    is invoked after every iteration when given.  A ``tol`` that is not
+    finite and positive, a ``maxiter`` that is not an integer >= 1 and a
+    rhs with a non-finite entry raise :class:`DomainError` before any
+    application.
     """
-    _check_count("maxiter", maxiter)
-    f = _flat(rhs)
+    f = _checked_problem(rhs, tol, maxiter)
     norm_f = float(np.linalg.norm(f))
     if norm_f == 0.0:
         report = IterationReport(0, 0.0, True, 0, (), np.zeros_like(f))
@@ -166,13 +180,12 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
 
     The residual 2-norm is evaluated only after the first step and then
     every ``check_every`` steps, so steps in between involve no reductions.
-    Convergence semantics match :func:`pcg_solve`, and so does the
-    :class:`DomainError` for ``maxiter`` below 1.
+    Convergence semantics match :func:`pcg_solve`, and so do the
+    :class:`DomainError` cases for ``tol``, ``maxiter`` and the rhs.
     """
-    _check_count("maxiter", maxiter)
+    f = _checked_problem(rhs, tol, maxiter)
     if check_every < 1:
         raise InvalidBounds(f"check_every must be >= 1, got {check_every}")
-    f = _flat(rhs)
     norm_f = float(np.linalg.norm(f))
     if norm_f == 0.0:
         report = IterationReport(0, 0.0, True, 0, (), np.zeros_like(f))

@@ -16,17 +16,29 @@ Applying ``B``-inverse is therefore: cosine analysis down the columns, one
 banded solve per mode, cosine synthesis back.  All mode systems are
 eliminated once at construction and reused across applications.
 
-Two backends solve the mode systems.  With ``ranks=1`` one batched
-elimination of the whole mode family serves every application.  With
-``ranks > 1`` the nz mode matrices form one family for the distributed
-splitting solver (:mod:`axisolver.dichotomy`): a single plan over one row
-partition and one communicator, and one launch running one splitting
-protocol per application, whose messages carry every mode at once.  An
-application therefore sends as many messages as one single-matrix solve
+Two backends solve the mode systems.  With ``ranks=1`` the family is solved
+in row blocks, the partition of the dichotomy algorithm on one process
+(Wang, ACM TOMS 7, 1981): the n = nr - 1 radial rows split into
+P = isqrt(n + 1) blocks of m = n // P rows with one separator row between
+neighbours, the last block padded with decoupled identity rows.
+Construction factors every block of every mode as one (m, P * nz) family,
+stores the two spikes of each block (its solution against the coupling to
+the separator on either side) and factors the (P - 1, nz) tridiagonal Schur
+complement of the separators.  An application eliminates m rows of all
+blocks at once, solves the separators and subtracts the spikes: about
+2 sqrt(n) batched row steps, each over P times as many systems, where one
+sweep of the family takes 2 n.  With ``ranks > 1`` the nz mode matrices
+form one family for the distributed splitting solver
+(:mod:`axisolver.dichotomy`): a single plan over one row partition and one
+communicator, and one launch running one splitting protocol per
+application, whose messages carry every mode at once.  An application
+therefore sends as many messages as one single-matrix solve
 (7 at p = 4), whatever nz is.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +51,82 @@ from .kernels import multi_apply, multi_factor
 from .tridiag import TridiagonalFamily, TridiagonalMatrix
 
 __all__ = ["SovPreconditioner", "recovered_midranges"]
+
+
+def block_shape(n: int) -> tuple[int, int]:
+    """(m, P) of the p = 1 partition of ``n`` rows: P = isqrt(n + 1) blocks
+    of m = n // P rows, block k on rows k (m + 1) .. k (m + 1) + m - 1 and
+    separator k on row k (m + 1) + m.  The last block holds between 1 and
+    m of the rows, since P**2 <= n + 1."""
+    P = math.isqrt(n + 1)
+    return n // P, P
+
+
+def _to_blocks(a, width: int, m: int, P: int, fill: float) -> np.ndarray:
+    """Rows ``k (m + 1) + i``, ``i < width``, of ``a`` laid out as
+    ``out[i, k]`` (shape ``(width, P) + a.shape[1:]``); rows past the end of
+    ``a`` read ``fill``."""
+    head = (P - 1) * (m + 1)
+    out = np.empty((width, P) + a.shape[1:])
+    out[:, :-1] = a[:head].reshape((P - 1, m + 1) + a.shape[1:])[:, :width] \
+        .swapaxes(0, 1)
+    tail = a.shape[0] - head
+    out[:tail, -1] = a[head:]
+    out[tail:, -1] = fill
+    return out
+
+
+class _ModeBlocks:
+    """The p = 1 block elimination of a symmetric tridiagonal family with
+    (n, L) diagonals and one shared (n - 1,) off-diagonal; see the module
+    docstring."""
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        n, L = diag.shape
+        m, P = self.m, self.P = block_shape(n)
+        # padded rows: diagonal 1, no coupling, right-hand side 0
+        block_off = np.repeat(_to_blocks(off, m - 1, m, P, 0.0), L, axis=1)
+        self.blocks = multi_factor(
+            block_off, _to_blocks(diag, m, m, P, 1.0).reshape(m, P * L),
+            block_off)
+        # separator k sits on row s = k (m + 1) + m
+        sep = self.sep = slice(m, (P - 1) * (m + 1), m + 1)
+        if P == 1:
+            return
+        # separator k couples to row s - 1 by lo[k] and to row s + 1 by up[k]
+        lo = self.lo = off[m - 1: sep.stop - 1: m + 1, None]
+        up = self.up = off[sep, None]
+        # spikes: block k + 1 against up[k] on its first row (left[:, k]),
+        # block k against lo[k] on its last row (right[:, k])
+        e = np.zeros((m, P, L))
+        e[0, 1:] = up
+        self.left = multi_apply(self.blocks, e.reshape(m, P * L)) \
+            .reshape(m, P, L)[:, 1:]
+        e[0] = 0.0
+        e[-1, :-1] = lo
+        self.right = multi_apply(self.blocks, e.reshape(m, P * L)) \
+            .reshape(m, P, L)[:, :-1]
+        self.schur = multi_factor(
+            -lo[1:] * self.left[-1, :-1],
+            diag[sep] - lo * self.right[-1] - up * self.left[0],
+            -up[:-1] * self.right[0, 1:])
+
+    def solve(self, F: np.ndarray) -> np.ndarray:
+        """The solutions of all L systems; ``F[:, l]`` is the rhs of ``l``."""
+        m, P = self.m, self.P
+        L = F.shape[1]
+        Y = multi_apply(self.blocks, _to_blocks(F, m, m, P, 0.0)
+                        .reshape(m, P * L)).reshape(m, P, L)
+        out = np.empty((P * (m + 1), L))
+        if P > 1:
+            s = multi_apply(self.schur, F[self.sep]
+                            - self.lo * Y[-1, :-1] - self.up * Y[0, 1:])
+            c = self.left * s
+            Y[:, 1:] -= c
+            Y[:, :-1] -= np.multiply(self.right, s, out=c)
+            out[self.sep] = s
+        out.reshape(P, m + 1, L)[:, :m] = Y.swapaxes(0, 1)
+        return out[: F.shape[0]]
 
 
 def recovered_midranges(op: DiscreteOperator):
@@ -94,12 +182,12 @@ class SovPreconditioner:
         self._diag_modes = ((cond[:nu] + cond[1:])[:, None]
                             + r_in[:, None] * (self.vtilde * lam[None, :]
                                                + self.shift))
-        off = np.tile(self._off_r[:, None], (1, g.nz))
         if ranks == 1:
-            self._fact = multi_factor(off, self._diag_modes, off)
+            self._blocks = _ModeBlocks(self._diag_modes, self._off_r)
             self._plan = None
         else:
-            self._fact = None
+            off = np.tile(self._off_r[:, None], (1, g.nz))
+            self._blocks = None
             self._plan = build_plan(
                 TridiagonalFamily(self._diag_modes, off, off),
                 Partition.balanced(nu, ranks), CommWorld(ranks))
@@ -133,8 +221,8 @@ class SovPreconditioner:
         """Solve ``B x = f``; shape of ``f`` ((nz, nr-1) or flat) preserved."""
         F, flat = self.grid.as_field(f)
         modes = dct_forward(F, axis=0)                   # row l = mode l
-        if self._fact is not None:
-            solved = multi_apply(self._fact, modes.T).T
+        if self._blocks is not None:
+            solved = self._blocks.solve(modes.T).T
         else:
             solved = solve_series(self._plan, modes.T,
                                   executor=self.executor).T

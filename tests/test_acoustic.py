@@ -299,8 +299,9 @@ def test_laguerre_params_validation():
             LaguerreParams(h=10.0, alpha=alpha, n_terms=8)
     with pytest.raises(DomainError):
         LaguerreParams(h=10.0, alpha=2.5, n_terms=8)
-    with pytest.raises(DomainError):
-        LaguerreParams(h=10.0, alpha=2, n_terms=0)
+    for n_terms in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            LaguerreParams(h=10.0, alpha=2, n_terms=n_terms)
     p = LaguerreParams(h=10.0, alpha=3.0, n_terms=8)
     assert isinstance(p.alpha, int) and p.alpha == 3
 

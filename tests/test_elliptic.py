@@ -116,6 +116,9 @@ def test_grid_validation():
         Grid2D(1, 4, 1.0, 1.0)
     with pytest.raises(DomainError):
         Grid2D(4, 1, 1.0, 1.0)
+    for nr, nz in ((2.5, 4), (4, 2.5), (4.0, 4)):
+        with pytest.raises(DomainError):
+            Grid2D(nr, nz, 1.0, 1.0)
     with pytest.raises(DomainError):
         Grid2D(4, 4, -1.0, 1.0)
     with pytest.raises(DomainError):

@@ -209,9 +209,10 @@ def test_chebyshev_error_bound_two_c_to_the_k():
     c = bounds.convergence_factor
     e0 = np.linalg.norm(x_exact)
     for k in (1, 4, 8, 16, 24):
-        try:
+        try:    # a tolerance no residual reaches: every run takes k steps
             xk, _ = chebyshev_solve(lambda v: lam * v, IDENT, f, bounds,
-                                    tol=0.0, maxiter=k, check_every=10 ** 9)
+                                    tol=1e-300, maxiter=k,
+                                    check_every=10 ** 9)
         except MaxIterExceeded as exc:
             xk = exc.report.solution
         assert np.linalg.norm(xk - x_exact) <= 2.0 * c ** k * e0
@@ -274,10 +275,55 @@ def test_estimate_bounds_pays_one_inversion_per_step():
     lambda f: chebyshev_solve(IDENT, IDENT, f, SpectralBounds(0.5, 2.0),
                               maxiter=0),
     lambda f: estimate_bounds(IDENT, IDENT, f.size, steps=0),
-], ids=["pcg-0", "pcg-negative", "chebyshev-0", "probe-0"])
+    lambda f: pcg_solve(IDENT, IDENT, f, maxiter=2.5),
+    lambda f: chebyshev_solve(IDENT, IDENT, f, SpectralBounds(0.5, 2.0),
+                              maxiter=2.5),
+    lambda f: estimate_bounds(IDENT, IDENT, f.size, steps=2.5),
+], ids=["pcg-0", "pcg-negative", "chebyshev-0", "probe-0", "pcg-fraction",
+        "chebyshev-fraction", "probe-fraction"])
 def test_iteration_counts_below_one_raise_domain_error(solve):
     with pytest.raises(DomainError):
         solve(np.ones(6))
+
+
+def _counting_identity(calls):
+    def apply(v):
+        calls.append(1)
+        return v
+
+    return apply
+
+
+@pytest.mark.parametrize("method", ["pcg", "chebyshev"])
+@pytest.mark.parametrize("tol, entry", [
+    (np.nan, 1.0), (0.0, 1.0), (-1e-8, 1.0), (np.inf, 1.0),
+    (1e-10, np.nan), (1e-10, np.inf), (1e-10, -np.inf),
+], ids=["tol-nan", "tol-0", "tol-negative", "tol-inf", "rhs-nan", "rhs-inf",
+        "rhs-minus-inf"])
+def test_bad_tolerance_or_rhs_raises_before_any_application(method, tol,
+                                                             entry):
+    calls = []
+    f = np.ones(6)
+    f[2] = entry
+    count = _counting_identity(calls)
+    with pytest.raises(DomainError):
+        if method == "pcg":
+            pcg_solve(count, count, f, tol=tol)
+        else:
+            chebyshev_solve(count, count, f, SpectralBounds(0.5, 2.0),
+                            tol=tol)
+    assert calls == []
+
+
+def test_nan_inner_products_are_a_breakdown():
+    # NaN fails every comparison, so a NaN from the operator or the
+    # preconditioner ends the solve in its first step
+    f = np.ones(5)
+    nan = lambda v: np.full_like(v, np.nan)
+    with pytest.raises(Breakdown):
+        pcg_solve(nan, IDENT, f)
+    with pytest.raises(Breakdown):
+        pcg_solve(IDENT, nan, f)
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,6 +9,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import axisolver.sov as sov
+from axisolver.elliptic import Grid2D
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -25,3 +30,29 @@ def test_every_tracer_target_resolves(monkeypatch):
     spans = load_spans(monkeypatch)
     with spans.installed(spans.Tracer()):
         pass
+
+
+def test_p1_preconditioner_calls_the_kernels_through_sov_bindings(
+        monkeypatch):
+    # the tracer times the kernels layer by wrapping these two names; a p = 1
+    # build or apply that reached the kernels another way would read 0 there
+    calls = {"multi_factor": 0, "multi_apply": 0}
+
+    def counting(name):
+        inner = getattr(sov, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sov, name, counting(name))
+    g = Grid2D(65, 16, 1.0, 1.0)
+    M = sov.SovPreconditioner(g, 1.0, 0.5)
+    assert calls["multi_factor"] >= 1
+    built = dict(calls)
+    M.apply_inverse(np.ones(g.unknown_shape))
+    assert calls["multi_factor"] == built["multi_factor"]
+    assert calls["multi_apply"] > built["multi_apply"]
