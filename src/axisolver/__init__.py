@@ -12,7 +12,7 @@ command.  The most commonly used names are re-exported here.
 from .errors import (Breakdown, ConfigError, Deadlock, DimensionMismatch,
                      DomainError, HarmonicSolveFailure, InvalidBounds,
                      InvalidPartition, MaxIterExceeded, SolverError)
-from .tridiag import TridiagonalFamily, TridiagonalMatrix, thomas_solve
+from .tridiag import TridiagonalMatrix, thomas_solve
 from .comm import CommStats, CommWorld
 from .dichotomy import (DichotomyPlan, Partition, build_plan,
                         predict_time_cyclic, predict_time_dichotomy,
@@ -37,9 +37,9 @@ __all__ = [
     "InvalidBounds", "Breakdown", "MaxIterExceeded", "Deadlock",
     "ConfigError", "HarmonicSolveFailure",
     # tridiagonal kernels and the distributed solver
-    "TridiagonalMatrix", "TridiagonalFamily", "thomas_solve", "CommWorld",
-    "CommStats", "Partition", "DichotomyPlan", "build_plan", "solve_many",
-    "solve_series", "predict_time_dichotomy", "predict_time_cyclic",
+    "TridiagonalMatrix", "thomas_solve", "CommWorld", "CommStats",
+    "Partition", "DichotomyPlan", "build_plan", "solve_many", "solve_series",
+    "predict_time_dichotomy", "predict_time_cyclic",
     # elliptic discretization and preconditioned iterations
     "Grid2D", "CoefficientFields", "DiscreteOperator", "assemble",
     "manufactured_problem", "write_field_text", "read_field_text",

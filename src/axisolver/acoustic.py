@@ -32,7 +32,7 @@ import numpy as np
 
 from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        write_field_raw)
-from .errors import DomainError, HarmonicSolveFailure, SolverError
+from .errors import DomainError, HarmonicSolveFailure, SolverError, as_integer
 from .iterative import chebyshev_solve, estimate_bounds, pcg_solve
 from .laguerre import (apply_half_power, laguerre_function_table,
                        project_source)
@@ -70,16 +70,14 @@ class LaguerreParams:
     def __post_init__(self):
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise DomainError(f"h must be positive and finite, got {self.h}")
-        if not (math.isfinite(self.alpha) and int(self.alpha) == self.alpha
-                and self.alpha >= 2):
-            raise DomainError(
-                f"alpha must be an integer >= 2, got {self.alpha!r}")
-        if not (math.isfinite(self.n_terms)
-                and int(self.n_terms) == self.n_terms and self.n_terms >= 1):
-            raise DomainError(
-                f"n_terms must be a positive integer, got {self.n_terms!r}")
-        object.__setattr__(self, "alpha", int(self.alpha))
-        object.__setattr__(self, "n_terms", int(self.n_terms))
+        alpha = as_integer(self.alpha, DomainError, "alpha")
+        if alpha < 2:
+            raise DomainError(f"alpha must be an integer >= 2, got {alpha}")
+        n_terms = as_integer(self.n_terms, DomainError, "n_terms")
+        if n_terms < 1:
+            raise DomainError(f"n_terms must be a positive integer, got {n_terms}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "n_terms", n_terms)
 
 
 @dataclass(frozen=True)

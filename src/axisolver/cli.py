@@ -39,7 +39,7 @@ from .acoustic import (LaguerreParams, MediumModel, Wavelet,
                        _synthesis_weights, harmonic_operator,
                        solve_all_harmonics, reconstruct, write_seismogram,
                        write_snapshot)
-from .comm import CommWorld
+from .comm import EXECUTORS, CommWorld
 from .config import DEFAULTS, RunConfig, load_config
 from .dichotomy import (Partition, build_plan, predict_time_cyclic,
                         predict_time_dichotomy, solve_many)
@@ -194,7 +194,7 @@ def cmd_poisson(cfg: RunConfig) -> int:
 
     pre = SovPreconditioner.from_operator(
         op, ranks=cfg.get_int("solver", "ranks"),
-        executor=cfg.get_choice("solver", "executor", {"sim", "threads"}))
+        executor=cfg.get_choice("solver", "executor", EXECUTORS))
     x = pre.apply_inverse(rhs)
     relres = _relative_residual(op, x, rhs)
 
@@ -246,7 +246,7 @@ def cmd_elliptic(cfg: RunConfig) -> int:
         op = assemble(grid, fields, _source_callable(cfg, grid, rhs_kind))
         rhs = op.rhs
 
-    executor = cfg.get_choice("solver", "executor", {"sim", "threads"})
+    executor = cfg.get_choice("solver", "executor", EXECUTORS)
     pre = SovPreconditioner.from_operator(
         op, ranks=cfg.get_int("solver", "ranks"), executor=executor)
     tol, maxiter = _stopping_rule(cfg)
@@ -324,7 +324,7 @@ def cmd_acoustic(cfg: RunConfig) -> int:
         method=cfg.get_choice("solver", "method", {"pcg", "chebyshev"}),
         tol=tol, maxiter=maxiter,
         ranks=cfg.get_int("solver", "ranks"),
-        executor=cfg.get_choice("solver", "executor", {"sim", "threads"}))
+        executor=cfg.get_choice("solver", "executor", EXECUTORS))
 
     traces = reconstruct(series, times, points)
     write_seismogram(os.path.join(outdir, "seismograms.csv"), times, traces)
@@ -372,7 +372,7 @@ def _bench_once(matrix: TridiagonalMatrix, batch: np.ndarray, p: int,
 def cmd_bench(cfg: RunConfig) -> int:
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
-    executor = cfg.get_choice("solver", "executor", {"sim", "threads"})
+    executor = cfg.get_choice("solver", "executor", EXECUTORS)
     ranks = cfg.bench_ranks()
     n = cfg.get_int("bench", "n")
     batch = cfg.get_int("bench", "batch")
@@ -455,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="key = value configuration file")
         p.add_argument("--ranks", type=int, default=None, metavar="P",
                        help="rank count for the distributed solves")
-        p.add_argument("--executor", choices=("sim", "threads"), default=None,
+        p.add_argument("--executor", choices=EXECUTORS, default=None,
                        help="communication backend")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory")

@@ -59,6 +59,7 @@ from .errors import (
     IndexOutOfRange,
     MismatchedLength,
     MissingParticipant,
+    as_integer,
 )
 
 # request kinds a rank generator yields: (_SEND, to, payload) and
@@ -257,12 +258,22 @@ def _stall_error(waiting, finished) -> Exception:
 # ---------------------------------------------------------------------------
 
 
+EXECUTORS = ("sim", "threads")
+
+
+def check_executor(executor: str) -> None:
+    """ConfigError unless ``executor`` names one of :data:`EXECUTORS`."""
+    if executor not in EXECUTORS:
+        raise ConfigError(f"unknown executor {executor!r}; use one of {EXECUTORS}")
+
+
 class CommWorld:
     """A set of ranks 1..p, their statistics, and the program launcher."""
 
     RECV_TIMEOUT = 120.0  # threads executor: a recv waiting longer deadlocks
 
     def __init__(self, p: int):
+        p = as_integer(p, IndexOutOfRange, "the rank count p")
         if p < 1:
             raise IndexOutOfRange(f"need p >= 1 ranks, got {p}")
         self.p = p
@@ -302,8 +313,7 @@ class CommWorld:
         ``executor="sim"`` is deterministic, runs in the calling thread and
         detects deadlock; ``executor="threads"`` runs ranks concurrently.
         """
-        if executor not in ("sim", "threads"):
-            raise ConfigError(f"unknown executor {executor!r}; use 'sim' or 'threads'")
+        check_executor(executor)
         gens = []
         try:
             for comm in self._comms:

@@ -1,14 +1,14 @@
 """Distributed solution of a family of tridiagonal systems that share one
 row partition, each with its own right-hand sides.
 
-A *family* is L matrices of one order n (bands shaped (n, L), see
-:class:`~axisolver.tridiag.TridiagonalFamily`); a single matrix is the
-L = 1 family.  The method pays a communication-free preparation once per
-family, after which every batch of right-hand sides is solved with
-ceil(log2(p)) "splitting levels" of collective sums plus one local
-elimination per rank.  Every member travels in the same messages, so the
-message count of a solve does not depend on L: each reduce carries 2*L*M
-scalars for L members with M right-hand sides each.
+A *family* is L matrices of order n held as one
+:class:`~axisolver.tridiag.TridiagonalMatrix` with (n, L) bands; a single
+matrix, with 1-D bands, is the L = 1 family.  The method pays a
+communication-free preparation once per family, after which every batch of
+right-hand sides is solved with ceil(log2(p)) "splitting levels" of
+collective sums plus one local elimination per rank.  Every member travels
+in the same messages, so the message count of a solve does not depend on L:
+each reduce carries 2*L*M scalars for L members with M right-hand sides.
 
 Preparation.  Two eliminations of the whole family -- top-down (pivots
 ``dn``, ratios ``cp = upper/dn``) and bottom-up (pivots ``en``, ratios
@@ -58,14 +58,15 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .comm import CommWorld, Group
-from .errors import DimensionMismatch, DomainError, InvalidPartition, SingularPlan
+from .comm import CommWorld, Group, check_executor
+from .errors import (DimensionMismatch, DomainError, InvalidPartition,
+                     SingularPlan, as_integer)
 from .kernels import MultiFactorization, multi_apply, multi_factor
-from .tridiag import TridiagonalFamily, TridiagonalMatrix, frozen_copy
+from .tridiag import TridiagonalMatrix, frozen_copy
 
 # perfbench/spans.py traces the kernel layer through these two names
 thomas_apply, thomas_factor = multi_apply, multi_factor
@@ -85,7 +86,8 @@ class Partition:
     sizes: Tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(as_integer(s, InvalidPartition, "block size")
+                      for s in self.sizes)
         if not sizes:
             raise InvalidPartition("need at least one block")
         if any(s < 2 for s in sizes):
@@ -95,6 +97,8 @@ class Partition:
     @classmethod
     def balanced(cls, n: int, p: int) -> "Partition":
         """Split n rows into p blocks of near-equal size (each >= 2)."""
+        n = as_integer(n, InvalidPartition, "row count n")
+        p = as_integer(p, InvalidPartition, "block count p")
         if p < 1 or n < 2 * p:
             raise InvalidPartition(f"cannot split {n} rows into {p} blocks of >= 2")
         base, extra = divmod(n, p)
@@ -231,15 +235,13 @@ class DichotomyPlan:
         return digest.hexdigest()
 
 
-def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
+def build_plan(A: TridiagonalMatrix, part: Partition,
                world: CommWorld) -> DichotomyPlan:
     """One-time preparation of one matrix or a family, with no
-    communication; see the module docstring for what it computes.  The
-    matrix must be diagonally dominant.
+    communication; see the module docstring for what it computes.  Every
+    member must be diagonally dominant.
     """
-    if isinstance(A, TridiagonalMatrix):
-        A = TridiagonalFamily.of(A)
-    n = A.n
+    n, L = A.n, A.nsys
     if part.n != n:
         raise InvalidPartition(f"partition covers {part.n} rows, matrix has {n}")
     if part.p != world.p:
@@ -248,11 +250,12 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
         raise InvalidPartition("matrix is not diagonally dominant")
     p = part.p
     levels = build_tree(p)
+    diag, upper, lower = (b.reshape(-1, L) for b in (A.diag, A.upper, A.lower))
 
     # top-down elimination (dn, cp) and bottom-up elimination (en, cq), the
     # latter as the top-down elimination of the reversed family
-    down = multi_factor(A.lower, A.diag, A.upper)
-    up = multi_factor(A.upper[::-1], A.diag[::-1], A.lower[::-1])
+    down = multi_factor(lower, diag, upper)
+    up = multi_factor(upper[::-1], diag[::-1], lower[::-1])
     dn, neg_cp = down.dn, -down.cp
     en, cq = up.dn[::-1], up.cp[::-1]
     neg_cq = -cq
@@ -261,7 +264,7 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
         """(A^-1)_kk for 0-based row k."""
         if k == n - 1:
             return 1.0 / dn[k]
-        return 1.0 / (dn[k] - A.upper[k] * cq[k])
+        return 1.0 / (dn[k] - upper[k] * cq[k])
 
     def z_left(m_L, row):
         """Entry ``row`` (1-based, < m_L) of the head vector Z_L of m_L."""
@@ -286,9 +289,9 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
         m_L, m_R = part.m_L(m), part.m_R(m)
         a, b = m_L - 1, m_R - 1            # 0-based first/last owned row
         G_L = inverse_diag(a) * np.cumprod(np.vstack(
-            [np.ones((1, A.nsys)), -A.upper[a:b] / en[a + 1: b + 1]]), axis=0)
+            [np.ones((1, L)), -upper[a:b] / en[a + 1: b + 1]]), axis=0)
         G_R = inverse_diag(b) * np.cumprod(np.vstack(
-            [np.ones((1, A.nsys)), (-A.lower[a:b] / dn[a:b])[::-1]]),
+            [np.ones((1, L)), (-lower[a:b] / dn[a:b])[::-1]]),
             axis=0)[::-1]
 
         den_left = G_R[-1]
@@ -298,7 +301,7 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
             raise SingularPlan(
                 f"rank {m}: inverse-row boundary weight below {FOLD_RATIO_FLOOR}")
 
-        weights = np.zeros((len(levels), 2, A.nsys))
+        weights = np.zeros((len(levels), 2, L))
         steps = []
         for s, level in enumerate(levels):
             for entry in level:
@@ -327,13 +330,13 @@ def build_plan(A: Union[TridiagonalMatrix, TridiagonalFamily], part: Partition,
         if interior > 0:
             i0 = m_L  # 0-based index of first interior row
             interior_fact = MultiFactorization(*map(frozen_copy, multi_factor(
-                A.lower[i0: i0 + interior - 1],
-                A.diag[i0: i0 + interior],
-                A.upper[i0: i0 + interior - 1])))
-            interior_c, interior_a = A.lower[m_L - 1], A.upper[m_R - 2]
+                lower[i0: i0 + interior - 1],
+                diag[i0: i0 + interior],
+                upper[i0: i0 + interior - 1])))
+            interior_c, interior_a = lower[m_L - 1], upper[m_R - 2]
         else:
             interior_fact = None
-            interior_c = interior_a = np.zeros(A.nsys)
+            interior_c = interior_a = np.zeros(L)
         ranks.append(RankPlan(
             rank=m, m_L=m_L, m_R=m_R,
             G_L=frozen_copy(G_L), G_R=frozen_copy(G_R),
@@ -470,6 +473,7 @@ def _write_trace(path, rows) -> None:
 def _solve(plan: DichotomyPlan, B: np.ndarray, executor: str,
            trace_path=None) -> np.ndarray:
     """Solve for the (n, K) columns of ``B`` in one launch and one protocol."""
+    check_executor(executor)
     if plan.p == 1:
         X = multi_apply(plan.full_fact, B)
     else:

@@ -5,6 +5,16 @@ that CLI exit-code mapping and tests can discriminate without string matching.
 """
 
 
+def as_integer(value, error: type, what: str) -> int:
+    """``value`` as an int if it is a whole number, else raise ``error``."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 class SolverError(Exception):
     """Base class for all axisolver errors."""
 

@@ -26,7 +26,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import Breakdown, DomainError, InvalidBounds, MaxIterExceeded
+from .errors import (Breakdown, DomainError, InvalidBounds, MaxIterExceeded,
+                     as_integer)
 
 __all__ = ["SpectralBounds", "IterationReport", "pcg_solve",
            "chebyshev_solve", "estimate_bounds"]
@@ -184,6 +185,7 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
     :class:`DomainError` cases for ``tol``, ``maxiter`` and the rhs.
     """
     f = _checked_problem(rhs, tol, maxiter)
+    check_every = as_integer(check_every, InvalidBounds, "check_every")
     if check_every < 1:
         raise InvalidBounds(f"check_every must be >= 1, got {check_every}")
     norm_f = float(np.linalg.norm(f))

@@ -42,13 +42,13 @@ import math
 
 import numpy as np
 
-from .comm import CommWorld
+from .comm import CommWorld, check_executor
 from .dichotomy import Partition, build_plan, solve_series
 from .elliptic import DiscreteOperator, Grid2D
-from .errors import DomainError, NonPositiveCoefficient
+from .errors import DomainError, NonPositiveCoefficient, as_integer
 from .fourier import dct_forward, dct_inverse
 from .kernels import multi_apply, multi_factor
-from .tridiag import TridiagonalFamily, TridiagonalMatrix
+from .tridiag import TridiagonalMatrix
 
 __all__ = ["SovPreconditioner", "recovered_midranges"]
 
@@ -158,12 +158,14 @@ class SovPreconditioner:
         if not 0.0 <= shift < np.inf:
             raise NonPositiveCoefficient(
                 f"reference reaction must be >= 0 and finite, got {shift}")
+        ranks = as_integer(ranks, DomainError, "ranks")
         if ranks < 1:
             raise DomainError(f"ranks must be >= 1, got {ranks}")
+        check_executor(executor)
         self.grid = grid
         self.vtilde = float(vtilde)
         self.shift = float(shift)
-        self.ranks = int(ranks)
+        self.ranks = ranks
         self.executor = executor
 
         g = grid
@@ -183,14 +185,15 @@ class SovPreconditioner:
                             + r_in[:, None] * (self.vtilde * lam[None, :]
                                                + self.shift))
         if ranks == 1:
-            self._blocks = _ModeBlocks(self._diag_modes, self._off_r)
-            self._plan = None
+            self._solve_modes = _ModeBlocks(self._diag_modes,
+                                            self._off_r).solve
         else:
             off = np.tile(self._off_r[:, None], (1, g.nz))
-            self._blocks = None
-            self._plan = build_plan(
-                TridiagonalFamily(self._diag_modes, off, off),
-                Partition.balanced(nu, ranks), CommWorld(ranks))
+            plan = build_plan(TridiagonalMatrix(self._diag_modes, off, off),
+                              Partition.balanced(nu, ranks), CommWorld(ranks))
+            # closes over the plan and executor, not self: no reference cycle
+            self._solve_modes = lambda F: solve_series(plan, F,
+                                                       executor=executor)
 
     # -- construction helpers ----------------------------------------------
 
@@ -210,10 +213,11 @@ class SovPreconditioner:
 
     def mode_matrix(self, l: int) -> TridiagonalMatrix:
         """The tridiagonal radial system of cosine mode ``l`` (0-based)."""
+        l = as_integer(l, DomainError, "mode index")
         if not 0 <= l < self.grid.nz:
             raise DomainError(f"mode index {l} outside 0..{self.grid.nz - 1}")
-        return TridiagonalMatrix(self._diag_modes[:, l].copy(),
-                                 self._off_r.copy(), self._off_r.copy())
+        return TridiagonalMatrix(self._diag_modes[:, l], self._off_r,
+                                 self._off_r)
 
     # -- application --------------------------------------------------------
 
@@ -221,12 +225,7 @@ class SovPreconditioner:
         """Solve ``B x = f``; shape of ``f`` ((nz, nr-1) or flat) preserved."""
         F, flat = self.grid.as_field(f)
         modes = dct_forward(F, axis=0)                   # row l = mode l
-        if self._blocks is not None:
-            solved = self._blocks.solve(modes.T).T
-        else:
-            solved = solve_series(self._plan, modes.T,
-                                  executor=self.executor).T
-        out = dct_inverse(solved, axis=0)
+        out = dct_inverse(self._solve_modes(modes.T).T, axis=0)
         return out.ravel() if flat else out
 
     def apply(self, x) -> np.ndarray:

@@ -8,9 +8,12 @@ numbered 1..n when talking about math):
 * ``lower[i]`` — entry coupling row ``i+2`` back to row ``i+1``  (length n-1).
 
 So row ``i`` (1-based) reads ``lower[i-2]*x[i-1] + diag[i-1]*x[i] +
-upper[i-1]*x[i+1]``.  All values are float64; the matrix and family types
-store read-only copies of the bands they are given, so instances are freely
-shareable across threads and the caller's arrays stay writable.
+upper[i-1]*x[i+1]``.  A family of L matrices of one order carries a
+trailing member axis on every band (``diag`` (n, L)); a single matrix is
+the one-member family with 1-D bands.  All values are float64;
+:class:`TridiagonalMatrix` stores read-only copies of the bands it is given,
+so instances are freely shareable across threads and the caller's arrays
+stay writable.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, ZeroRhs
+from .errors import DimensionMismatch, DomainError, IndexOutOfRange, ZeroRhs
 from .kernels import multi_apply, multi_factor
 
 
@@ -34,80 +37,14 @@ def frozen_copy(arr, name: str = "array", shape=None) -> np.ndarray:
     return out
 
 
-def _store_bands(obj, ndim: int) -> tuple:
-    """Replace ``obj``'s diag/upper/lower with frozen copies after checking
-    that diag has ``ndim`` axes, each of length >= 1, and that the
-    off-diagonal bands are one row shorter; return diag's shape."""
-    diag = frozen_copy(obj.diag)
-    if diag.ndim != ndim or min(diag.shape) < 1:
-        raise DimensionMismatch(f"diag must be {ndim}-D with every length "
-                                f">= 1, got shape {diag.shape}")
-    off = (diag.shape[0] - 1,) + diag.shape[1:]
-    object.__setattr__(obj, "diag", diag)
-    for name in ("upper", "lower"):
-        object.__setattr__(obj, name, frozen_copy(getattr(obj, name), name, off))
-    return diag.shape
-
-
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Immutable order-``n`` tridiagonal matrix held as three bands."""
+    """Immutable order-``n`` tridiagonal matrix, or family of ``nsys``.
 
-    diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        (n,) = _store_bands(self, 1)
-        object.__setattr__(self, "n", n)
-
-    @classmethod
-    def constant(cls, n: int, sub: float, main: float, sup: float) -> "TridiagonalMatrix":
-        """Toeplitz matrix tridiag(sub, main, sup) of order n."""
-        return cls(np.full(n, main), np.full(n - 1, sup), np.full(n - 1, sub))
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.diag(self.diag)
-        if self.n > 1:
-            dense += np.diag(self.upper, 1) + np.diag(self.lower, -1)
-        return dense
-
-    def matvec(self, x) -> np.ndarray:
-        """A @ x for a vector (n,) or a batch (n, m)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.n:
-            raise DimensionMismatch(f"x length {x.shape[0]} != order {self.n}")
-        shape = (-1,) + (1,) * (x.ndim - 1)
-        y = self.diag.reshape(shape) * x
-        if self.n > 1:
-            y[:-1] += self.upper.reshape(shape)[: self.n - 1] * x[1:]
-            y[1:] += self.lower.reshape(shape)[: self.n - 1] * x[:-1]
-        return y
-
-    def is_diagonally_dominant(self) -> bool:
-        """Weak row dominance everywhere and strict in at least one row."""
-        return _dominant(self.diag, self.upper, self.lower)
-
-
-def _dominant(diag, upper, lower) -> bool:
-    """Row dominance of bands shaped (n, ...): weak in every row, strict in
-    at least one row of every member."""
-    mag_off = np.zeros(diag.shape)
-    if diag.shape[0] > 1:
-        mag_off[:-1] += np.abs(upper)
-        mag_off[1:] += np.abs(lower)
-    slack = np.abs(diag) - mag_off
-    return bool(np.all(slack >= 0.0) and np.all(np.any(slack > 0.0, axis=0)))
-
-
-@dataclass(frozen=True)
-class TridiagonalFamily:
-    """Immutable family of ``nsys`` order-``n`` tridiagonal matrices.
-
-    Member ``l`` is column ``l`` of each band: ``diag`` is (n, nsys),
-    ``upper`` and ``lower`` are (n - 1, nsys), with the band convention of
-    :class:`TridiagonalMatrix` down each column.
+    1-D bands (``diag`` (n,), ``upper``/``lower`` (n - 1,)) hold one matrix.
+    Bands with a trailing member axis (``diag`` (n, L), ``upper``/``lower``
+    (n - 1, L)) hold L members, member ``l`` in column ``l``.  Every entry
+    must be finite.
     """
 
     diag: np.ndarray
@@ -117,26 +54,65 @@ class TridiagonalFamily:
     nsys: int = field(init=False)
 
     def __post_init__(self):
-        n, nsys = _store_bands(self, 2)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "nsys", nsys)
+        diag = frozen_copy(self.diag)
+        if diag.ndim not in (1, 2) or min(diag.shape) < 1:
+            raise DimensionMismatch(f"diag must be 1-D or 2-D with every "
+                                    f"length >= 1, got shape {diag.shape}")
+        off = (diag.shape[0] - 1,) + diag.shape[1:]
+        bands = (diag, frozen_copy(self.upper, "upper", off),
+                 frozen_copy(self.lower, "lower", off))
+        if not all(np.isfinite(band).all() for band in bands):
+            raise DomainError("tridiagonal bands must be finite")
+        for name, band in zip(("diag", "upper", "lower"), bands):
+            object.__setattr__(self, name, band)
+        object.__setattr__(self, "n", diag.shape[0])
+        object.__setattr__(self, "nsys", diag.size // diag.shape[0])
 
     @classmethod
-    def of(cls, A: TridiagonalMatrix) -> "TridiagonalFamily":
-        """The one-member family holding ``A``."""
-        return cls(A.diag[:, None], A.upper[:, None], A.lower[:, None])
+    def constant(cls, n: int, sub: float, main: float, sup: float) -> "TridiagonalMatrix":
+        """Toeplitz matrix tridiag(sub, main, sup) of order n."""
+        return cls(np.full(n, main), np.full(n - 1, sup), np.full(n - 1, sub))
+
+    def to_dense(self) -> np.ndarray:
+        """(n, n) for one matrix, (L, n, n) for a family of L."""
+        i = np.arange(self.n)
+        dense = np.zeros((self.nsys, self.n, self.n))
+        dense[:, i, i] = self.diag.reshape(-1, self.nsys).T
+        dense[:, i[:-1], i[1:]] = self.upper.reshape(-1, self.nsys).T
+        dense[:, i[1:], i[:-1]] = self.lower.reshape(-1, self.nsys).T
+        return dense if self.diag.ndim == 2 else dense[0]
+
+    def matvec(self, x) -> np.ndarray:
+        """A @ x: for one matrix a vector (n,) or a batch (n, M); for a
+        family x (n, L), column ``l`` against member ``l``."""
+        x = np.asarray(x, dtype=np.float64)
+        family = self.diag.ndim == 2
+        if x.shape != (self.diag.shape if family else (self.n,) + x.shape[1:]):
+            raise DimensionMismatch(f"x has shape {x.shape}, bands have "
+                                    f"{self.diag.shape}")
+        shape = (-1,) + (self.diag.shape[1:] if family else (1,) * (x.ndim - 1))
+        y = self.diag.reshape(shape) * x
+        y[:-1] += self.upper.reshape(shape) * x[1:]
+        y[1:] += self.lower.reshape(shape) * x[:-1]
+        return y
 
     def is_diagonally_dominant(self) -> bool:
-        """Every member is diagonally dominant in the matrix's sense."""
-        return _dominant(self.diag, self.upper, self.lower)
+        """Weak row dominance everywhere and strict in at least one row of
+        every member."""
+        mag_off = np.zeros(self.diag.shape)
+        mag_off[:-1] += np.abs(self.upper)
+        mag_off[1:] += np.abs(self.lower)
+        slack = np.abs(self.diag) - mag_off
+        return bool(np.all(slack >= 0.0)
+                    and np.all(np.any(slack > 0.0, axis=0)))
 
 
 def thomas_solve(A: TridiagonalMatrix, f) -> np.ndarray:
     """Direct elimination solve of ``A x = f``.
 
-    ``f`` may be one vector (n,) or a batch (n, m) solved column-by-column in
-    one elimination pass.  Raises ZeroPivot when a forward-elimination pivot
-    falls below 1e-300 in magnitude (the matrix is expected to be diagonally
+    ``f`` is a vector (n,) or a batch (n, m) for one matrix, and (n, L), one
+    column per member, for a family.  Raises ZeroPivot when a pivot falls
+    below 1e-300 in magnitude (the matrix is expected to be diagonally
     dominant, where that cannot happen).
     """
     return multi_apply(multi_factor(A.lower, A.diag, A.upper), f)

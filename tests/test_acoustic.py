@@ -43,8 +43,8 @@ from axisolver.elliptic import (
     read_field_raw,
     sampler_from_field,
 )
-from axisolver.errors import (DomainError, HarmonicSolveFailure, OverflowGuard,
-                              SolverError)
+from axisolver.errors import (ConfigError, DomainError, HarmonicSolveFailure,
+                              OverflowGuard, SolverError)
 from axisolver.laguerre import laguerre_function_table, project_source
 
 from wavefront_utils import front_radius_along_axis, prearrival_ratio
@@ -394,6 +394,14 @@ def test_unknown_method_rejected(desk_half):
     with pytest.raises(DomainError):
         solve_all_harmonics(grid, model, DESK_PARAMS, DESK_WAVELET,
                             method="jacobi")
+
+
+def test_unknown_executor_rejected_at_one_rank():
+    with pytest.raises(ConfigError):
+        solve_all_harmonics(Grid2D(17, 16, 500.0, 500.0),
+                            MediumModel.homogeneous(1000.0),
+                            LaguerreParams(h=100.0, alpha=2, n_terms=4),
+                            Wavelet(f0=8.0, t0=0.3), executor="bogus")
 
 
 def test_zero_amplitude_source_yields_silence():

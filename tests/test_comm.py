@@ -88,6 +88,10 @@ def test_bad_peer_ranks_rejected():
         world.run(self_send, executor="sim")
     with pytest.raises(IndexOutOfRange):
         CommWorld(2).run(out_of_range, executor="sim")
+    for p in (0, 2.5, np.nan, np.inf, None):
+        with pytest.raises(IndexOutOfRange):
+            CommWorld(p)
+    assert CommWorld(2.0).p == CommWorld(np.int64(2)).p == 2
 
 
 def test_rank_exception_propagates():

@@ -27,8 +27,9 @@ from axisolver.dichotomy import (
     solve_many,
     solve_series,
 )
-from axisolver.errors import DimensionMismatch, DomainError, InvalidPartition
-from axisolver.tridiag import TridiagonalFamily, TridiagonalMatrix, thomas_solve
+from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
+                              InvalidPartition)
+from axisolver.tridiag import TridiagonalMatrix, thomas_solve
 
 
 def random_dominant(rng, n):
@@ -68,6 +69,16 @@ def test_partition_validation():
         Partition(())
     with pytest.raises(InvalidPartition):
         Partition.balanced(7, 4)  # would need a block of size < 2
+    for bad in [lambda: Partition((2.7, 3.2)),      # not truncated to (2, 3)
+                lambda: Partition((2, np.nan)),
+                lambda: Partition.balanced(10, 2.5),
+                lambda: Partition.balanced(10.5, 2),
+                lambda: Partition.balanced(10, np.inf)]:
+        with pytest.raises(InvalidPartition):
+            bad()
+    # integral values of any numeric type are counts
+    assert Partition((2.0, np.int64(3))).sizes == (2, 3)
+    assert Partition.balanced(10.0, np.int64(2)).sizes == (5, 5)
 
 
 def test_partition_balanced():
@@ -409,6 +420,18 @@ def test_executors_agree_bitwise():
     assert np.array_equal(results["sim"], results["threads"])
 
 
+@pytest.mark.parametrize("sizes", [[12], [6, 6]])
+def test_unknown_executor_is_rejected_at_every_p(sizes):
+    # p = 1 launches no ranks, and is checked all the same
+    rng = np.random.default_rng(20)
+    single = make_plan(12, sizes, rng=rng)
+    family = make_plan(12, sizes, matrix=random_family(rng, 12, 3))
+    with pytest.raises(ConfigError):
+        solve_many(single, np.ones(12), executor="bogus")
+    with pytest.raises(ConfigError):
+        solve_series(family, np.ones((12, 3)), executor="bogus")
+
+
 def test_trace_totals_match_measured_traffic(tmp_path):
     rng = np.random.default_rng(14)
     n = 28
@@ -471,7 +494,7 @@ def test_p256_sim_solve_starts_no_thread_and_sends_the_plan_traffic(
 
 def random_family(rng, n, L):
     members = [random_dominant(rng, n) for _ in range(L)]
-    return TridiagonalFamily(np.column_stack([A.diag for A in members]),
+    return TridiagonalMatrix(np.column_stack([A.diag for A in members]),
                              np.column_stack([A.upper for A in members]),
                              np.column_stack([A.lower for A in members]))
 
@@ -530,11 +553,16 @@ def test_family_traffic_is_a_single_matrix_batch_of_l_columns():
 
 
 def test_one_member_family_is_the_matrix_plan():
+    # 1-D bands and (n, 1) bands are the same one-member family
     rng = np.random.default_rng(17)
     A = random_dominant(rng, 20)
-    as_matrix = make_plan(20, [5, 6, 4, 5], matrix=A)
-    as_family = make_plan(20, [5, 6, 4, 5], matrix=TridiagonalFamily.of(A))
-    assert as_family.checksum() == as_matrix.checksum()
+    column = TridiagonalMatrix(A.diag[:, None], A.upper[:, None],
+                               A.lower[:, None])
+    for sizes in ([5, 6, 4, 5], [20]):
+        as_matrix = make_plan(20, sizes, matrix=A)
+        as_family = make_plan(20, sizes, matrix=column)
+        assert len(as_family) == len(as_matrix) == 1
+        assert as_family.checksum() == as_matrix.checksum()
 
 
 def test_rank_plan_holds_only_owned_rows_and_tree_entries():

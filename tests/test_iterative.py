@@ -219,9 +219,11 @@ def test_chebyshev_error_bound_two_c_to_the_k():
 
 
 def test_chebyshev_rejects_bad_check_interval():
-    with pytest.raises(InvalidBounds):
-        chebyshev_solve(IDENT, IDENT, np.ones(3), SpectralBounds(1, 2),
-                        check_every=0)
+    # nan would never check the residual again, 2.5 would check it at random
+    for check_every in (0, -3, np.nan, np.inf, 2.5, "8"):
+        with pytest.raises(InvalidBounds):
+            chebyshev_solve(IDENT, IDENT, np.ones(3), SpectralBounds(1, 2),
+                            check_every=check_every)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from axisolver.acoustic import (LaguerreParams, MediumModel, Wavelet,
 from axisolver.comm import CommWorld
 from axisolver.dichotomy import Partition, build_plan, solve_many
 from axisolver.elliptic import CoefficientFields, Grid2D, assemble
-from axisolver.errors import (DimensionMismatch, DomainError,
+from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
                               NonPositiveCoefficient)
 from axisolver.kernels import multi_apply, multi_factor
 from axisolver.sov import SovPreconditioner, block_shape, recovered_midranges
@@ -61,6 +61,18 @@ def test_validation():
         SovPreconditioner(g, 1.0, ranks=0)
     with pytest.raises(DomainError):
         SovPreconditioner(g, 1.0, ranks=5)    # 7 radial unknowns < 2*5
+    for ranks in (2.5, np.nan, np.inf, "2"):
+        with pytest.raises(DomainError):
+            SovPreconditioner(g, 1.0, ranks=ranks)
+    assert SovPreconditioner(g, 1.0, ranks=2.0).ranks == 2
+
+
+@pytest.mark.parametrize("ranks", [1, 2])
+def test_unknown_executor_is_rejected_at_construction(ranks):
+    # at ranks = 1 no rank is ever launched, and the name is checked all the same
+    with pytest.raises(ConfigError):
+        SovPreconditioner(Grid2D(8, 4, 1.0, 1.0), 1.0, ranks=ranks,
+                          executor="bogus")
 
 
 def test_recovered_midranges_from_variable_operator():
@@ -111,6 +123,10 @@ def test_mode_matrices_match_hand_assembly_and_dominate():
         assert T.is_diagonally_dominant()
     with pytest.raises(DomainError):
         M.mode_matrix(g.nz)
+    with pytest.raises(DomainError):
+        M.mode_matrix(1.5)
+    np.testing.assert_array_equal(M.mode_matrix(np.int64(1)).diag,
+                                  M.mode_matrix(1).diag)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from axisolver.errors import (
     DimensionMismatch,
+    DomainError,
     IndexOutOfRange,
     ZeroPivot,
     ZeroRhs,
 )
 from axisolver.kernels import multi_apply, multi_factor
 from axisolver.tridiag import (
-    TridiagonalFamily,
     TridiagonalMatrix,
     residual_relnorm,
     submatrix,
@@ -199,19 +199,70 @@ def test_one_member_family_solves_a_batch_like_thomas_bitwise():
 def test_family_bands_and_dominance():
     rng = np.random.default_rng(14)
     lower, diag, upper = random_family(rng, 6, 3)
-    family = TridiagonalFamily(diag, upper, lower)
+    family = TridiagonalMatrix(diag, upper, lower)
     assert (family.n, family.nsys) == (6, 3)
     assert family.is_diagonally_dominant()
     A = TridiagonalMatrix(diag[:, 1], upper[:, 1], lower[:, 1])
-    one = TridiagonalFamily.of(A)
+    assert (A.n, A.nsys) == (6, 1)
+    one = TridiagonalMatrix(diag[:, 1:2], upper[:, 1:2], lower[:, 1:2])
     assert (one.n, one.nsys) == (6, 1)
     np.testing.assert_array_equal(one.diag[:, 0], A.diag)
     diag[:, 2] = 0.0          # one non-dominant member spoils the family
-    assert not TridiagonalFamily(diag, upper, lower).is_diagonally_dominant()
+    assert not TridiagonalMatrix(diag, upper, lower).is_diagonally_dominant()
     with pytest.raises(DimensionMismatch):
-        TridiagonalFamily(diag, upper[:-1], lower)
+        TridiagonalMatrix(diag, upper[:-1], lower)
     with pytest.raises(DimensionMismatch):
-        TridiagonalFamily(diag[:, 0], upper[:, 0], lower[:, 0])
+        TridiagonalMatrix(diag, upper[:, 0], lower[:, 0])
+    with pytest.raises(DimensionMismatch):     # 3-D bands
+        TridiagonalMatrix(diag[..., None], upper[..., None], lower[..., None])
+    with pytest.raises(DimensionMismatch):     # an empty member axis
+        TridiagonalMatrix(diag[:, :0], upper[:, :0], lower[:, :0])
+
+
+def test_non_finite_bands_are_rejected():
+    # a NaN pivot would otherwise give an all-NaN solution without a word
+    for bad in (np.nan, np.inf, -np.inf):
+        for band in range(3):
+            bands = [np.full(4, 4.0), -np.ones(3), -np.ones(3)]
+            bands[band][1] = bad
+            with pytest.raises(DomainError):
+                TridiagonalMatrix(*bands)
+    with pytest.raises(DomainError):
+        TridiagonalMatrix([[4.0, np.nan], [4.0, 4.0]], [[-1.0, -1.0]],
+                          [[-1.0, -1.0]])
+
+
+def test_family_to_dense_and_matvec_agree_per_member():
+    rng = np.random.default_rng(16)
+    lower, diag, upper = random_family(rng, 7, 4)
+    family = TridiagonalMatrix(diag, upper, lower)
+    dense = family.to_dense()
+    X = rng.normal(size=(7, 4))
+    Y = family.matvec(X)
+    assert dense.shape == (4, 7, 7) and Y.shape == (7, 4)
+    for l in range(4):
+        A = TridiagonalMatrix(diag[:, l], upper[:, l], lower[:, l])
+        np.testing.assert_array_equal(dense[l], A.to_dense())
+        np.testing.assert_allclose(Y[:, l], dense[l] @ X[:, l],
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(Y[:, l], A.matvec(X[:, l]))
+    with pytest.raises(DimensionMismatch):     # one column per member
+        family.matvec(X[:, :3])
+    one = TridiagonalMatrix(np.array([2.0]), np.zeros(0), np.zeros(0))
+    assert np.array_equal(one.to_dense(), [[2.0]])
+
+
+@pytest.mark.parametrize("family, shape", [
+    (False, (9,)), (False, (9, 5)), (True, (9, 3))])
+def test_thomas_solve_inverts_matvec(family, shape):
+    # (n,) and (n, M) against one matrix, (n, L) against a family of L = 3
+    rng = np.random.default_rng(17)
+    lower, diag, upper = random_family(rng, 9, 3)
+    A = (TridiagonalMatrix(diag, upper, lower) if family
+         else TridiagonalMatrix(diag[:, 0], upper[:, 0], lower[:, 0]))
+    X = rng.normal(size=shape)
+    np.testing.assert_allclose(thomas_solve(A, A.matvec(X)), X,
+                               rtol=0, atol=1e-12)
 
 
 def test_matrix_and_family_store_copies_of_the_callers_bands():
@@ -219,7 +270,7 @@ def test_matrix_and_family_store_copies_of_the_callers_bands():
     for stored, bands in [
             (TridiagonalMatrix(diag[:, 0], upper[:, 0], lower[:, 0]),
              (diag[:, 0], upper[:, 0], lower[:, 0])),
-            (TridiagonalFamily(diag, upper, lower), (diag, upper, lower))]:
+            (TridiagonalMatrix(diag, upper, lower), (diag, upper, lower))]:
         for mine, theirs in zip((stored.diag, stored.upper, stored.lower),
                                 bands):
             assert not mine.flags.writeable and theirs.flags.writeable
