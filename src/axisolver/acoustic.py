@@ -148,9 +148,9 @@ class MediumModel:
     @classmethod
     def homogeneous(cls, speed: float, rho: float = 1.0) -> "MediumModel":
         """Uniform medium whose fronts travel at ``speed``."""
-        if not speed > 0.0 or not rho > 0.0:
-            raise DomainError(
-                f"speed and rho must be positive, got {speed}, {rho}")
+        if not (0.0 < speed < math.inf and 0.0 < rho < math.inf):
+            raise DomainError(f"speed and rho must be positive and finite, "
+                              f"got {speed}, {rho}")
         vs = (speed / rho) ** 2
         return cls(v_s=lambda r, z: np.full(np.broadcast(r, z).shape, vs),
                    rho=lambda r, z: np.full(np.broadcast(r, z).shape, rho),
@@ -165,8 +165,15 @@ class MediumModel:
 
         All numeric defaults are artifact choices for synthetic tests.
         """
-        if not (v_top > 0.0 and v_bottom > 0.0 and rho > 0.0):
-            raise DomainError("layer speeds and rho must be positive")
+        for name, value in (("v_top", v_top), ("v_bottom", v_bottom),
+                            ("rho", rho)):
+            if not 0.0 < value < math.inf:
+                raise DomainError(
+                    f"{name} must be positive and finite, got {value!r}")
+        for name, value in (("interface_z", interface_z), ("throw", throw),
+                            ("fault_r", fault_r), ("dip", dip)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
 
         def v_s(r, z):
             r, z = np.broadcast_arrays(np.asarray(r, dtype=np.float64),
@@ -293,8 +300,7 @@ def harmonic_operator(grid: Grid2D, model: MediumModel,
     def reaction(r, z):
         return shift / np.asarray(model.rho(r, z), dtype=np.float64) ** 2
 
-    fields = CoefficientFields.from_samplers(model.v_s, reaction, grid)
-    return assemble(grid, fields)
+    return assemble(grid, CoefficientFields(model.v_s, reaction))
 
 
 def harmonic_rhs(op: DiscreteOperator, m: int, source_node: Tuple[int, int],

@@ -92,18 +92,32 @@ def _build_medium(cfg: RunConfig) -> MediumModel:
         dip=cfg.get_float("model", "dip"), rho=rho)
 
 
-def _field_sampler(path: str, grid: Grid2D, *, exact_grid: bool) -> Callable:
-    """Continuum sampler backed by a full-node text panel.
-
-    ``exact_grid`` demands that the file's grid equal the run grid (nodal
-    data); otherwise the panel is resampled bilinearly, so one coefficient
-    file can serve a whole refinement sweep.
-    """
+def _field_sampler(path: str, grid: Grid2D) -> Callable:
+    """Sampler over a full-node text panel whose grid must equal the run
+    grid (nodal data such as a right-hand side)."""
     file_grid, values = read_field_text(path)
-    if exact_grid and file_grid != grid:
+    if file_grid != grid:
         raise DimensionMismatch(
             f"{path}: file grid {file_grid.nr}x{file_grid.nz} does not match "
             f"run grid {grid.nr}x{grid.nz}")
+    return sampler_from_field(file_grid, values)
+
+
+def _coefficient_sampler(cfg: RunConfig, key: str, positive: bool
+                         ) -> Callable:
+    """Continuum sampler over the ``[model] key`` panel, resampled
+    bilinearly so one coefficient file can serve a whole refinement sweep.
+
+    Every entry must be finite and > 0 (``positive``) or >= 0; the bilinear
+    sampler then keeps that sign everywhere.
+    """
+    path = cfg.get("model", key)
+    file_grid, values = read_field_text(path)
+    ok = np.isfinite(values) & (values > 0.0 if positive else values >= 0.0)
+    if not ok.all():
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"[model] {key} = {path}: entries must be finite "
+                          f"and {bound}, found {float(values[~ok][0])!r}")
     return sampler_from_field(file_grid, values)
 
 
@@ -159,26 +173,25 @@ def _source_callable(cfg: RunConfig, grid: Grid2D, kind: str) -> Callable:
     if kind == "uniform":
         value = cfg.get_float("rhs", "value")
         return lambda r, z: np.full(np.shape(r), value)
-    return _field_sampler(cfg.get("rhs", "path"), grid, exact_grid=True)
+    return _field_sampler(cfg.get("rhs", "path"), grid)
 
 
-def _constant_fields(cfg: RunConfig, grid: Grid2D) -> CoefficientFields:
-    """``[model] kappa0`` > 0 and ``q0`` >= 0 as constant coefficients."""
+def _constant_fields(cfg: RunConfig) -> CoefficientFields:
+    """``[model] kappa0`` > 0 and ``q0`` >= 0, both finite, as constant
+    coefficients."""
     kappa0 = cfg.get_float("model", "kappa0")
     q0 = cfg.get_float("model", "q0")
-    if kappa0 <= 0.0 or q0 < 0.0:
-        raise ConfigError(f"[model] needs kappa0 > 0 and q0 >= 0, "
+    if not (0.0 < kappa0 < math.inf and 0.0 <= q0 < math.inf):
+        raise ConfigError(f"[model] needs finite kappa0 > 0 and q0 >= 0, "
                           f"got {kappa0}/{q0}")
-    return CoefficientFields.from_samplers(
-        lambda r, z: np.broadcast_to(kappa0, np.shape(r)),
-        lambda r, z: np.broadcast_to(q0, np.shape(r)), grid)
+    return CoefficientFields.constant(kappa0, q0)
 
 
 def cmd_poisson(cfg: RunConfig) -> int:
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
     grid = _build_grid(cfg)
-    fields = _constant_fields(cfg, grid)
+    fields = _constant_fields(cfg)
 
     rhs_kind = cfg.get_choice("rhs", "kind",
                               {"manufactured", "zero", "uniform", "file"})
@@ -214,27 +227,25 @@ def cmd_poisson(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _elliptic_fields(cfg: RunConfig, grid: Grid2D) -> CoefficientFields:
+def _elliptic_fields(cfg: RunConfig) -> CoefficientFields:
     kind = cfg.get_choice("model", "kind", {"constant", "files"})
     if kind == "constant":
-        return _constant_fields(cfg, grid)
-    kappa_path = cfg.get("model", "kappa_file")
-    if not kappa_path:
+        return _constant_fields(cfg)
+    if not cfg.get("model", "kappa_file"):
         raise ConfigError("[model] kind = files needs kappa_file")
-    kappa = _field_sampler(kappa_path, grid, exact_grid=False)
-    reaction_path = cfg.get("model", "reaction_file")
-    if reaction_path:
-        reaction = _field_sampler(reaction_path, grid, exact_grid=False)
+    kappa = _coefficient_sampler(cfg, "kappa_file", positive=True)
+    if cfg.get("model", "reaction_file"):
+        reaction = _coefficient_sampler(cfg, "reaction_file", positive=False)
     else:
         reaction = lambda r, z: np.zeros(np.shape(r))
-    return CoefficientFields.from_samplers(kappa, reaction, grid)
+    return CoefficientFields(kappa, reaction)
 
 
 def cmd_elliptic(cfg: RunConfig) -> int:
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
     grid = _build_grid(cfg)
-    fields = _elliptic_fields(cfg, grid)
+    fields = _elliptic_fields(cfg)
 
     rhs_kind = cfg.get_choice("rhs", "kind",
                               {"manufactured", "zero", "uniform", "file"})

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import (BoundaryViolation, ConfigError, DimensionMismatch,
-                     DomainError, NonPositiveCoefficient)
+                     DomainError, NonPositiveCoefficient, as_integer)
 from .tridiag import frozen_copy
 
 __all__ = [
@@ -71,9 +70,9 @@ class Grid2D:
     zmax: float
 
     def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) for n in (self.nr, self.nz)):
-            raise DomainError(
-                f"node counts must be integers, got {self.nr!r}x{self.nz!r}")
+        for name in ("nr", "nz"):
+            object.__setattr__(self, name, as_integer(getattr(self, name),
+                                                      DomainError, name))
         if self.nr < 2 or self.nz < 2:
             raise DomainError(f"need at least 2x2 nodes, got {self.nr}x{self.nz}")
         if not all(math.isfinite(x) and x > 0 for x in (self.rmax, self.zmax)):
@@ -155,27 +154,15 @@ def _sample(fn: Callable, R: np.ndarray, Z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CoefficientFields:
     """Samplers for the diffusivity ``kappa(r, z) > 0`` and the reaction
-    coefficient ``reaction(r, z) >= 0``, with declared range bounds.
+    coefficient ``reaction(r, z) >= 0``.
 
-    ``reaction_lo = 0`` is admitted: definiteness is then supplied by the
-    Dirichlet column.
+    :func:`assemble` samples both once, at their staggered points, and
+    checks the signs there; ``reaction = 0`` is admitted, definiteness then
+    coming from the Dirichlet column.
     """
 
     kappa: Callable
     reaction: Callable
-    kappa_lo: float
-    kappa_hi: float
-    reaction_lo: float = 0.0
-    reaction_hi: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.kappa_lo <= self.kappa_hi):
-            raise DomainError(
-                f"need 0 < kappa_lo <= kappa_hi, got [{self.kappa_lo}, {self.kappa_hi}]")
-        if not (0.0 <= self.reaction_lo <= self.reaction_hi):
-            raise DomainError(
-                f"need 0 <= reaction_lo <= reaction_hi, got "
-                f"[{self.reaction_lo}, {self.reaction_hi}]")
 
     @classmethod
     def constant(cls, kappa_value: float, reaction_value: float = 0.0
@@ -184,32 +171,14 @@ class CoefficientFields:
                                                    dtype=np.float64) + 0.0 * z,
                    reaction=lambda r, z: np.full_like(np.asarray(r, float),
                                                       reaction_value,
-                                                      dtype=np.float64) + 0.0 * z,
-                   kappa_lo=kappa_value, kappa_hi=kappa_value,
-                   reaction_lo=reaction_value, reaction_hi=reaction_value)
+                                                      dtype=np.float64) + 0.0 * z)
 
     @classmethod
     def from_samplers(cls, kappa: Callable, reaction: Callable, grid: Grid2D
                       ) -> "CoefficientFields":
-        """Estimate the range bounds by probing all staggered sample points."""
-        points = _staggered_probes(grid)
-        kv = np.concatenate([_sample(kappa, R, Z).ravel() for R, Z in points])
-        qv = np.concatenate([_sample(reaction, R, Z).ravel() for R, Z in points])
-        return cls(kappa=kappa, reaction=reaction,
-                   kappa_lo=float(kv.min()), kappa_hi=float(kv.max()),
-                   reaction_lo=float(qv.min()), reaction_hi=float(qv.max()))
-
-
-def _staggered_probes(grid: Grid2D):
-    """The (R, Z) point sets at which assembly samples the coefficients."""
-    r_faces = np.arange(1, grid.nr) * grid.dr          # radial faces, r > 0
-    z_faces = np.arange(1, grid.nz) * grid.dz          # interior z faces
-    R, Z = grid.node_mesh()
-    return [
-        (r_faces[None, :], grid.z_nodes[:, None]),     # radial-face samples
-        (grid.r_nodes[None, : grid.nr - 1], z_faces[:, None]),  # z-face samples
-        (R, Z),                                        # node samples
-    ]
+        """``cls(kappa, reaction)``: nothing is sampled and ``grid`` is
+        unused.  Kept because ``perfbench/workloads.py`` calls it."""
+        return cls(kappa, reaction)
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +295,29 @@ class DiscreteOperator:
 
 def assemble(grid: Grid2D, fields: CoefficientFields,
              source: Optional[Callable] = None) -> DiscreteOperator:
-    """Sample the coefficients at their staggered locations and build the
-    operator arrays.
+    """Sample the coefficients once at their staggered locations, check
+    them and build the operator arrays.
 
     Radial faces take ``r * kappa`` at ``r = j * dr`` between neighbouring
     nodes; z-faces take ``r_i * kappa`` at ``z = j * dz``; nodes take
-    ``r_i * q`` and ``r_i * f``.
+    ``r_i * q`` and ``r_i * f``.  Each sampler is evaluated once per
+    point set: ``kappa`` twice, ``reaction`` and ``source`` once.  A
+    non-finite sample raises :class:`DomainError`, ``kappa <= 0`` or
+    ``q < 0`` :class:`NonPositiveCoefficient`.
     """
     g = grid
     r_face_pos = np.arange(g.nr) * g.dr                 # j = 0..nr-1
     z_col = g.z_nodes[:, None]
 
     kappa_rf = _sample(fields.kappa, r_face_pos[None, 1:], z_col)
-    _validate_coefficient(kappa_rf, fields, "kappa at radial faces")
+    _validate_coefficient(kappa_rf, "kappa at radial faces")
     r_faces = np.zeros((g.nz, g.nr))
     r_faces[:, 1:] = r_face_pos[1:][None, :] * kappa_rf
 
     z_face_pos = np.arange(1, g.nz) * g.dz              # interior faces
     r_in = g.r_nodes[: g.nr - 1]
     kappa_zf = _sample(fields.kappa, r_in[None, :], z_face_pos[:, None])
-    _validate_coefficient(kappa_zf, fields, "kappa at z faces")
+    _validate_coefficient(kappa_zf, "kappa at z faces")
     z_faces = np.zeros((g.nz + 1, g.nr - 1))
     z_faces[1: g.nz, :] = r_in[None, :] * kappa_zf
 
@@ -366,18 +338,12 @@ def assemble(grid: Grid2D, fields: CoefficientFields,
                             reaction=reaction, source=phi)
 
 
-def _validate_coefficient(values: np.ndarray, fields: CoefficientFields,
-                          where: str) -> None:
+def _validate_coefficient(values: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(values)):
         raise DomainError(f"{where}: non-finite sample")
     vmin = float(values.min())
     if vmin <= 0.0:
         raise NonPositiveCoefficient(f"{where}: sampled value {vmin!r} <= 0")
-    slack = 1e-9 * max(abs(fields.kappa_lo), abs(fields.kappa_hi), 1.0)
-    if vmin < fields.kappa_lo - slack or float(values.max()) > fields.kappa_hi + slack:
-        raise DomainError(
-            f"{where}: samples [{vmin!r}, {float(values.max())!r}] escape the "
-            f"declared range [{fields.kappa_lo}, {fields.kappa_hi}]")
 
 
 # ---------------------------------------------------------------------------

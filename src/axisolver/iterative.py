@@ -19,7 +19,6 @@ probe run.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Optional, Tuple
@@ -82,21 +81,19 @@ def _flat(v) -> np.ndarray:
     return v.ravel() if v.ndim > 1 else v
 
 
-def _check_count(name: str, value: int) -> None:
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _checked_problem(rhs, tol: float, maxiter: int) -> np.ndarray:
-    """The flat rhs, once ``tol`` is finite and > 0, ``maxiter`` an integer
-    >= 1 and every rhs entry finite; otherwise :class:`DomainError`."""
+def _checked_problem(rhs, tol: float, maxiter) -> Tuple[np.ndarray, int]:
+    """The flat rhs and ``maxiter`` as an int, once ``tol`` is finite and
+    > 0, ``maxiter`` a whole number >= 1 and every rhs entry finite;
+    otherwise :class:`DomainError`."""
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    _check_count("maxiter", maxiter)
+    maxiter = as_integer(maxiter, DomainError, "maxiter")
+    if maxiter < 1:
+        raise DomainError(f"maxiter must be >= 1, got {maxiter}")
     f = _flat(rhs)
     if not np.isfinite(f).all():
         raise DomainError("right-hand side has non-finite entries")
-    return f
+    return f, maxiter
 
 
 def _pcg_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray):
@@ -150,7 +147,7 @@ def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
     rhs with a non-finite entry raise :class:`DomainError` before any
     application.
     """
-    f = _checked_problem(rhs, tol, maxiter)
+    f, maxiter = _checked_problem(rhs, tol, maxiter)
     norm_f = float(np.linalg.norm(f))
     if norm_f == 0.0:
         report = IterationReport(0, 0.0, True, 0, (), np.zeros_like(f))
@@ -184,7 +181,7 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
     Convergence semantics match :func:`pcg_solve`, and so do the
     :class:`DomainError` cases for ``tol``, ``maxiter`` and the rhs.
     """
-    f = _checked_problem(rhs, tol, maxiter)
+    f, maxiter = _checked_problem(rhs, tol, maxiter)
     check_every = as_integer(check_every, InvalidBounds, "check_every")
     if check_every < 1:
         raise InvalidBounds(f"check_every must be >= 1, got {check_every}")
@@ -243,7 +240,9 @@ def estimate_bounds(apply_op: Callable, apply_pc: Callable, n: int, *,
     """
     if n < 1:
         raise InvalidBounds(f"need n >= 1, got {n}")
-    _check_count("steps", steps)
+    steps = as_integer(steps, DomainError, "steps")
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
     f = np.random.default_rng(0).standard_normal(n)
     norm_f = float(np.linalg.norm(f))
     alphas, betas = [], []

@@ -183,11 +183,10 @@ def test_criterion_04_sov_exactness():
 
 
 def _variable_fields(grid):
-    return CoefficientFields.from_samplers(
+    return CoefficientFields(
         lambda r, z: 1.0 + 0.5 * np.sin(np.pi * r / 1.8)
         * np.cos(np.pi * z / 1.3),
-        lambda r, z: 0.4 * (1.0 + 0.0 * r) + 0.3 * np.cos(np.pi * z / 1.3),
-        grid)
+        lambda r, z: 0.4 * (1.0 + 0.0 * r) + 0.3 * np.cos(np.pi * z / 1.3))
 
 
 def test_criterion_05_manufactured_convergence_order():
@@ -220,11 +219,10 @@ def test_criterion_06_mesh_independent_inversion_count():
     counts = []
     for n in (64, 128, 256):
         grid = Grid2D(n + 1, n, 950.0, 950.0)
-        fields = CoefficientFields.from_samplers(
+        fields = CoefficientFields(
             lambda r, z: 1.5 + 0.45 * np.sin(np.pi * r / 950.0)
             * np.cos(np.pi * z / 950.0),
-            lambda r, z: np.zeros(np.shape(r)),
-            grid)
+            lambda r, z: np.zeros(np.shape(r)))
         op = assemble(grid, fields, lambda r, z: np.ones(np.shape(r)))
         pre = SovPreconditioner.from_operator(op)
         _, report = pcg_solve(op.apply_spd, pre.apply_inverse, op.rhs,

@@ -290,6 +290,20 @@ def test_medium_builders():
     assert fault.max_speed == 2200.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_medium_builders_reject_non_finite_values(bad):
+    for speed, rho in ((bad, 1.0), (1500.0, bad)):
+        with pytest.raises(DomainError):
+            MediumModel.homogeneous(speed, rho=rho)
+    for v_top, v_bottom in ((bad, 2200.0), (1800.0, bad)):
+        with pytest.raises(DomainError):
+            MediumModel.fault(v_top, v_bottom, interface_z=400.0)
+    for name in ("interface_z", "throw", "fault_r", "dip"):
+        geometry = {"interface_z": 400.0, name: bad}
+        with pytest.raises(DomainError, match=name):
+            MediumModel.fault(1800.0, 2200.0, **geometry)
+
+
 def test_laguerre_params_validation():
     for h in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
@@ -318,9 +332,9 @@ def test_harmonic_operator_matches_explicit_assembly():
     op = harmonic_operator(grid, model, params)
 
     shift = 0.25 * 100.0 ** 2 / 2.0 ** 2
-    fields = CoefficientFields.from_samplers(
+    fields = CoefficientFields(
         lambda r, z: (1500.0 / 2.0) ** 2 + 0.0 * r,
-        lambda r, z: shift + 0.0 * r, grid)
+        lambda r, z: shift + 0.0 * r)
     ref = assemble(grid, fields)
 
     assert op.checksum() == ref.checksum()
@@ -332,6 +346,28 @@ def test_harmonic_operator_matches_explicit_assembly():
     other = harmonic_operator(grid, model,
                               LaguerreParams(h=120.0, alpha=3, n_terms=4))
     assert other.checksum() != op.checksum()
+
+
+def test_harmonic_operator_samples_the_medium_once():
+    # one sampling pass: v_s at the radial faces and at the z faces, rho at
+    # the nodes, and nothing more
+    grid = Grid2D(9, 8, 10.0, 7.0)
+    calls = {"v_s": [], "rho": []}
+
+    def counting(name, value):
+        def sampler(r, z):
+            calls[name].append(np.broadcast(r, z).shape)
+            return np.full(np.broadcast(r, z).shape, value)
+        return sampler
+
+    model = MediumModel(v_s=counting("v_s", 4.0), rho=counting("rho", 2.0),
+                        max_speed=4.0)
+    harmonic_operator(grid, model, LaguerreParams(h=100.0, alpha=3,
+                                                  n_terms=4))
+    assert calls == {
+        "v_s": [(grid.nz, grid.nr - 1), (grid.nz - 1, grid.nr - 1)],
+        "rho": [grid.unknown_shape],
+    }
 
 
 def test_harmonic_rhs_delta_and_coupling():

@@ -130,6 +130,57 @@ maxiter = 2
                    "--out", str(tmp_path / "out")) == 3
 
 
+COEFFICIENT_GRID = Grid2D(9, 7, 1.0, 1.0)
+
+
+def coefficient_cfg(tmp_path, model):
+    return write_cfg(tmp_path / "run.cfg", f"""\
+[grid]
+nr = {COEFFICIENT_GRID.nr}
+nz = {COEFFICIENT_GRID.nz}
+rmax = {COEFFICIENT_GRID.rmax}
+zmax = {COEFFICIENT_GRID.zmax}
+[model]
+{model}
+[rhs]
+kind = uniform
+""")
+
+
+def assert_one_line_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["poisson", "elliptic"])
+@pytest.mark.parametrize("model", [
+    "kappa0 = nan", "kappa0 = 0", "kappa0 = -1", "q0 = nan", "q0 = -1"])
+def test_bad_constant_coefficient_exits_2(tmp_path, capsys, command, model):
+    cfg = coefficient_cfg(tmp_path, model)
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize("key, entry", [
+    ("kappa_file", 0.0), ("kappa_file", -1.0), ("kappa_file", np.nan),
+    ("reaction_file", -1.0)])
+def test_bad_coefficient_panel_exits_2(tmp_path, capsys, key, entry):
+    g = COEFFICIENT_GRID
+    panels = {"kappa_file": np.ones((g.nz, g.nr)),
+              "reaction_file": np.zeros((g.nz, g.nr))}
+    panels[key][3, 4] = entry            # an interior node of the run grid
+    lines = ["kind = files"]
+    for name, values in panels.items():
+        write_field_text(tmp_path / f"{name}.txt", g, values)
+        lines.append(f"{name} = {tmp_path / f'{name}.txt'}")
+    cfg = coefficient_cfg(tmp_path, "\n".join(lines))
+    assert run_cli("elliptic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys)
+
+
 # ---------------------------------------------------------------------------
 # elliptic
 # ---------------------------------------------------------------------------
@@ -419,6 +470,12 @@ n_terms = 4
     ("poisson", "grid", "rmax = inf"),
     ("poisson", "grid", "zmax = 1e400"),
     ("acoustic", "snapshot", "t = inf"),
+    ("acoustic", "model", "interface_z = nan"),
+    ("acoustic", "model", "throw = inf"),
+    ("acoustic", "model", "fault_r = -inf"),
+    ("acoustic", "model", "dip = nan"),
+    ("acoustic", "model", "v_top = inf"),
+    ("acoustic", "model", "rho = inf"),
 ])
 def test_non_finite_config_value_exits_2_before_any_solve(
         tmp_path, capsys, monkeypatch, command, section, bad):
@@ -428,6 +485,8 @@ def test_non_finite_config_value_exits_2_before_any_solve(
     monkeypatch.setattr(acoustic, "pcg_solve",
                         lambda *args, **kwargs: calls.append(1))
     sections = {"grid": ["nr = 9", "nz = 7"], "laguerre": ["n_terms = 4"]}
+    if section == "model":
+        sections["model"] = ["kind = fault"]
     sections.setdefault(section, []).append(bad)
     cfg = write_cfg(tmp_path / "run.cfg", "".join(
         f"[{name}]\n" + "\n".join(lines) + "\n"

@@ -281,11 +281,37 @@ def test_estimate_bounds_pays_one_inversion_per_step():
     lambda f: chebyshev_solve(IDENT, IDENT, f, SpectralBounds(0.5, 2.0),
                               maxiter=2.5),
     lambda f: estimate_bounds(IDENT, IDENT, f.size, steps=2.5),
+    lambda f: pcg_solve(IDENT, IDENT, f, maxiter=np.nan),
+    lambda f: pcg_solve(IDENT, IDENT, f, maxiter=np.inf),
+    lambda f: chebyshev_solve(IDENT, IDENT, f, SpectralBounds(0.5, 2.0),
+                              maxiter="5"),
+    lambda f: estimate_bounds(IDENT, IDENT, f.size, steps=0.0),
+    lambda f: estimate_bounds(IDENT, IDENT, f.size, steps=np.nan),
 ], ids=["pcg-0", "pcg-negative", "chebyshev-0", "probe-0", "pcg-fraction",
-        "chebyshev-fraction", "probe-fraction"])
+        "chebyshev-fraction", "probe-fraction", "pcg-nan", "pcg-inf",
+        "chebyshev-string", "probe-float-0", "probe-nan"])
 def test_iteration_counts_below_one_raise_domain_error(solve):
     with pytest.raises(DomainError):
         solve(np.ones(6))
+
+
+def test_whole_number_counts_of_any_type_are_accepted():
+    A = np.diag(np.arange(1.0, 11.0))
+    f = np.linspace(1.0, 2.0, 10)
+    x, rep = pcg_solve(IDENT, IDENT, np.ones(3), maxiter=5.0)
+    assert rep.converged and rep.iterations == 1
+    x_int, rep_int = pcg_solve(lambda v: A @ v, IDENT, f, maxiter=20)
+    x_float, rep_float = pcg_solve(lambda v: A @ v, IDENT, f,
+                                   maxiter=np.float64(20.0))
+    np.testing.assert_array_equal(x_float, x_int)
+    assert rep_float.history == rep_int.history
+    with pytest.raises(MaxIterExceeded) as exc:
+        chebyshev_solve(lambda v: A @ v, IDENT, f, SpectralBounds(1.0, 10.0),
+                        tol=1e-14, maxiter=3.0)
+    assert exc.value.report.iterations == 3
+    assert type(exc.value.report.iterations) is int
+    assert estimate_bounds(lambda v: A @ v, IDENT, 10, steps=4.0) \
+        == estimate_bounds(lambda v: A @ v, IDENT, 10, steps=4)
 
 
 def _counting_identity(calls):
@@ -346,9 +372,9 @@ def test_pcg_solves_random_spd_property(n, seed):
 
 def elliptic_problem(n):
     g = Grid2D(n + 1, n, 1.0, 1.0)
-    fields = CoefficientFields.from_samplers(
+    fields = CoefficientFields(
         lambda r, z: 1.5 + 0.5 * np.sin(np.pi * r) * np.cos(0.5 * np.pi * z),
-        lambda r, z: 0.3 + 0.3 * r * z, g)
+        lambda r, z: 0.3 + 0.3 * r * z)
     op = assemble(g, fields,
                   source=lambda r, z: np.exp(-10 * ((r - 0.3) ** 2
                                                     + (z - 0.5) ** 2)))

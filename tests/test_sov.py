@@ -77,15 +77,20 @@ def test_unknown_executor_is_rejected_at_construction(ranks):
 
 def test_recovered_midranges_from_variable_operator():
     g = Grid2D(16, 8, 1.0, 1.0)
-    fields = CoefficientFields.from_samplers(
-        lambda r, z: 2.0 + np.sin(np.pi * r) * np.cos(np.pi * z),
-        lambda r, z: 0.5 + 0.5 * r, g)
-    op = assemble(g, fields)
+
+    def kappa(r, z):
+        return 2.0 + np.sin(np.pi * r) * np.cos(np.pi * z)
+
+    op = assemble(g, CoefficientFields(kappa, lambda r, z: 0.5 + 0.5 * r))
     vtilde, shift = recovered_midranges(op)
-    # the midranges recover the sampled extremes of kappa and q
+    # the midranges recover the extremes of kappa at the face points that
+    # assembly sampled, and of q at the nodes
+    kv = np.concatenate([
+        kappa(np.arange(1, g.nr)[None, :] * g.dr, g.z_nodes[:, None]).ravel(),
+        kappa(g.r_nodes[None, : g.nr - 1],
+              np.arange(1, g.nz)[:, None] * g.dz).ravel()])
     assert 1.0 < vtilde < 3.0
-    assert vtilde == pytest.approx(0.5 * (fields.kappa_lo + fields.kappa_hi),
-                                   rel=1e-12)
+    assert vtilde == pytest.approx(0.5 * (kv.min() + kv.max()), rel=1e-12)
     r_in = g.r_nodes[: g.nr - 1]
     q = op.reaction / r_in[None, :]
     assert shift == pytest.approx(0.5 * (q.min() + q.max()), rel=1e-12)
