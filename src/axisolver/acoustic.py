@@ -56,6 +56,7 @@ __all__ = [
 
 # the envelope threshold that defines "effectively zero" for time supports
 _ENVELOPE_FLOOR = 1e-14
+_SQRT_MAX = math.sqrt(np.finfo(float).max)  # largest x with a finite x**2
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,9 @@ class MediumModel:
     @classmethod
     def homogeneous(cls, speed: float, rho: float = 1.0) -> "MediumModel":
         """Uniform medium whose fronts travel at ``speed``."""
-        if not (0.0 < speed < math.inf and 0.0 < rho < math.inf):
-            raise DomainError(f"speed and rho must be positive and finite, "
-                              f"got {speed}, {rho}")
+        if not (0.0 < rho < math.inf and 0.0 < speed / rho <= _SQRT_MAX):
+            raise DomainError(f"speed and rho must be positive and finite, and "
+                              f"(speed / rho)^2 too; got {speed}, {rho}")
         vs = (speed / rho) ** 2
         return cls(v_s=lambda r, z: np.full(np.broadcast(r, z).shape, vs),
                    rho=lambda r, z: np.full(np.broadcast(r, z).shape, rho),
@@ -165,11 +166,12 @@ class MediumModel:
 
         All numeric defaults are artifact choices for synthetic tests.
         """
-        for name, value in (("v_top", v_top), ("v_bottom", v_bottom),
-                            ("rho", rho)):
-            if not 0.0 < value < math.inf:
-                raise DomainError(
-                    f"{name} must be positive and finite, got {value!r}")
+        if not 0.0 < rho < math.inf:
+            raise DomainError(f"rho must be positive and finite, got {rho!r}")
+        for name, value in (("v_top", v_top), ("v_bottom", v_bottom)):
+            if not 0.0 < value / rho <= _SQRT_MAX:
+                raise DomainError(f"{name} must be positive, and ({name} / "
+                                  f"rho)^2 finite; got {value!r}")
         for name, value in (("interface_z", interface_z), ("throw", throw),
                             ("fault_r", fault_r), ("dip", dip)):
             if not math.isfinite(value):
@@ -293,12 +295,16 @@ class RunningSums:
 
 def harmonic_operator(grid: Grid2D, model: MediumModel,
                       params: LaguerreParams) -> DiscreteOperator:
-    """The shared elliptic operator: diffusion ``v_s``, reaction
-    ``h^2 / (4 rho^2)``.  Identical for every harmonic."""
-    shift = 0.25 * params.h ** 2
+    """The operator every harmonic shares: diffusion ``v_s``, reaction
+    ``h^2 / (4 rho^2)`` (a DomainError naming ``h`` if that overflows)."""
+    shift = 0.25 * params.h ** 2 if params.h <= _SQRT_MAX else math.inf
 
     def reaction(r, z):
-        return shift / np.asarray(model.rho(r, z), dtype=np.float64) ** 2
+        with np.errstate(over="ignore", divide="ignore"):
+            q = shift / np.asarray(model.rho(r, z), dtype=np.float64) ** 2
+        if not q.max() < math.inf:
+            raise DomainError(f"h = {params.h!r}: h^2 / (4 rho^2) overflows")
+        return q
 
     return assemble(grid, CoefficientFields(model.v_s, reaction))
 

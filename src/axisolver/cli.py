@@ -173,6 +173,8 @@ def _source_callable(cfg: RunConfig, grid: Grid2D, kind: str) -> Callable:
     if kind == "uniform":
         value = cfg.get_float("rhs", "value")
         return lambda r, z: np.full(np.shape(r), value)
+    if not cfg.get("rhs", "path"):
+        raise ConfigError("[rhs] kind = file needs path")
     return _field_sampler(cfg.get("rhs", "path"), grid)
 
 
@@ -228,8 +230,8 @@ def cmd_poisson(cfg: RunConfig) -> int:
 
 
 def _elliptic_fields(cfg: RunConfig) -> CoefficientFields:
-    kind = cfg.get_choice("model", "kind", {"constant", "files"})
-    if kind == "constant":
+    if cfg.get_choice("model", "kind",
+                      {"homogeneous", "constant", "files"}) != "files":
         return _constant_fields(cfg)
     if not cfg.get("model", "kappa_file"):
         raise ConfigError("[model] kind = files needs kappa_file")

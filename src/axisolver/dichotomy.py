@@ -120,10 +120,6 @@ class Partition:
         """1-based last owned row of ``rank``."""
         return self.m_L(rank) + self.sizes[rank - 1] - 1
 
-    def owned_slice(self, rank: int) -> slice:
-        """0-based row slice owned by ``rank``."""
-        return slice(self.m_L(rank) - 1, self.m_R(rank))
-
 
 # ---------------------------------------------------------------------------
 # splitting tree
@@ -443,54 +439,22 @@ def _protocol(comm, plan: DichotomyPlan, Q: np.ndarray):
     return np.vstack([first[None, :], interior, last[None, :]])
 
 
-def _trace_rows(plan: DichotomyPlan, K: int) -> List[Tuple[int, int, str, int]]:
-    """Deterministic per-level trace: (level, rank, role, scalars_sent)."""
-    rows = []
-    for s, level in enumerate(plan.levels, start=1):
-        for entry in level:
-            if entry[0] == "leaf":
-                rows.append((s, entry[1], "middle", 0))
-                continue
-            _, lo, hi, mid = entry
-            for r in range(lo, hi + 1):
-                if r < mid:
-                    rows.append((s, r, "left-group", 2 * K))
-                elif r > mid:
-                    rows.append((s, r, "right-group", 2 * K))
-                else:
-                    deltas = (1 if mid - 1 >= lo else 0) + (1 if mid + 1 <= hi else 0)
-                    rows.append((s, r, "middle", deltas * K))
-    return rows
-
-
-def _write_trace(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("level,rank,role,scalars_sent\n")
-        for level, rank, role, scalars in rows:
-            fh.write(f"{level},{rank},{role},{scalars}\n")
-
-
-def _solve(plan: DichotomyPlan, B: np.ndarray, executor: str,
-           trace_path=None) -> np.ndarray:
+def _solve(plan: DichotomyPlan, B: np.ndarray, executor: str) -> np.ndarray:
     """Solve for the (n, K) columns of ``B`` in one launch and one protocol."""
     check_executor(executor)
     if plan.p == 1:
-        X = multi_apply(plan.full_fact, B)
-    else:
-        def program(comm):
-            rp = plan.rank_data(comm.rank)
-            return _protocol(comm, plan,
-                             np.ascontiguousarray(B[rp.m_L - 1: rp.m_R]))
+        return multi_apply(plan.full_fact, B)
 
-        results = plan.world.run(program, executor=executor)
-        X = np.vstack([results[r] for r in range(1, plan.p + 1)])
-    if trace_path is not None:
-        _write_trace(trace_path, _trace_rows(plan, B.shape[1]))
-    return X
+    def program(comm):
+        rp = plan.rank_data(comm.rank)
+        return _protocol(comm, plan,
+                         np.ascontiguousarray(B[rp.m_L - 1: rp.m_R]))
+
+    results = plan.world.run(program, executor=executor)
+    return np.vstack([results[r] for r in range(1, plan.p + 1)])
 
 
-def solve_many(plan: DichotomyPlan, B, executor: str = "sim",
-               trace_path=None) -> np.ndarray:
+def solve_many(plan: DichotomyPlan, B, executor: str = "sim") -> np.ndarray:
     """Solve A X = B for one matrix (L = 1) and a batch B of shape (n, M);
     returns X of that shape (a 1-D B gives a 1-D X).
 
@@ -505,7 +469,7 @@ def solve_many(plan: DichotomyPlan, B, executor: str = "sim",
     B2 = B[:, None] if B.ndim == 1 else B
     if B2.ndim != 2 or B2.shape[0] != plan.n:
         raise DimensionMismatch(f"rhs batch must be ({plan.n}, M), got {B.shape}")
-    X = _solve(plan, B2, executor, trace_path)
+    X = _solve(plan, B2, executor)
     return X[:, 0] if B.ndim == 1 else X
 
 

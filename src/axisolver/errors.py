@@ -32,10 +32,6 @@ class ZeroPivot(SolverError):
         super().__init__(f"pivot {value!r} at row {row} below 1e-300")
 
 
-class ZeroRhs(SolverError):
-    """A relative residual was requested against an all-zero right-hand side."""
-
-
 class InvalidPartition(SolverError):
     """Block partition violates its contract (sizes >= 2, sum == n)."""
 
@@ -92,7 +88,7 @@ class ConfigError(SolverError):
 
 
 class IndexOutOfRange(SolverError):
-    """A 1-based row/column selection falls outside the matrix order."""
+    """A rank count, a peer rank or a reduce group is out of range."""
 
 
 class MismatchedLength(SolverError):

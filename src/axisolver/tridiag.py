@@ -1,4 +1,4 @@
-"""Sequential tridiagonal algebra: storage, slicing, Thomas solves, residuals.
+"""Sequential tridiagonal algebra: storage, Thomas solves, dominance checks.
 
 Storage convention (0-based arrays for an order-``n`` matrix whose rows are
 numbered 1..n when talking about math):
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, IndexOutOfRange, ZeroRhs
+from .errors import DimensionMismatch, DomainError
 from .kernels import multi_apply, multi_factor
 
 
@@ -116,23 +116,3 @@ def thomas_solve(A: TridiagonalMatrix, f) -> np.ndarray:
     dominant, where that cannot happen).
     """
     return multi_apply(multi_factor(A.lower, A.diag, A.upper), f)
-
-
-def submatrix(A: TridiagonalMatrix, low: int, top: int) -> TridiagonalMatrix:
-    """Rows/columns ``low..top`` (1-based, inclusive) with cut couplings dropped."""
-    if not (1 <= low <= top <= A.n):
-        raise IndexOutOfRange(f"need 1 <= low <= top <= {A.n}, got ({low}, {top})")
-    return TridiagonalMatrix(
-        A.diag[low - 1: top],
-        A.upper[low - 1: top - 1],
-        A.lower[low - 1: top - 1],
-    )
-
-
-def residual_relnorm(A: TridiagonalMatrix, x, f) -> float:
-    """Euclidean relative residual of a candidate solution."""
-    f = np.asarray(f, dtype=np.float64)
-    norm_f = float(np.linalg.norm(f))
-    if norm_f == 0.0:
-        raise ZeroRhs("relative residual undefined: right-hand side is zero")
-    return float(np.linalg.norm(A.matvec(x) - f) / norm_f)

@@ -3,7 +3,6 @@ tolerance.  The ``pytest -v`` row of every test is the per-criterion
 pass/fail line; each test also prints its measured figure of merit.
 """
 
-import csv
 import math
 import os
 import subprocess
@@ -29,6 +28,7 @@ from axisolver.laguerre import (laguerre_function_table, project_source,
 from axisolver.sov import SovPreconditioner
 from axisolver.tridiag import TridiagonalMatrix
 
+from recorded_traffic import record_sends, split_levels
 from wavefront_utils import front_radius_along_axis, prearrival_ratio
 
 
@@ -75,33 +75,33 @@ def test_criterion_01_dichotomy_oracle_200_random_systems():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_02_p7_protocol_structure(tmp_path):
+def test_criterion_02_p7_protocol_structure(monkeypatch):
     rng = np.random.default_rng(7)
     n = 28
     A = random_dominant(rng, n)
     plan = build_plan(A, Partition.balanced(n, 7), CommWorld(7))
-    trace_file = tmp_path / "trace.csv"
+    sent = record_sends(monkeypatch)
     f = rng.normal(size=n)
-    x = solve_many(plan, f, executor="sim", trace_path=trace_file)
+    x = solve_many(plan, f, executor="sim")
     assert np.linalg.norm(x - np.linalg.solve(A.to_dense(), f)) <= 1e-10 * \
         np.linalg.norm(x)
 
-    with open(trace_file) as fh:
-        rows = list(csv.DictReader(fh))
-    levels = sorted({int(r["level"]) for r in rows})
+    # with one rhs a middle corrects each neighbour with 1 scalar and every
+    # reduce contribution carries the weighted boundary pair, 2 scalars
+    assert {size for _, _, size in sent} == {1, 2}
+    level_of = split_levels(sent, 7, size=1)
+    levels = sorted(set(level_of.values()))
     assert levels == [1, 2, 3]
-    middles = {s: sorted(int(r["rank"]) for r in rows
-                         if int(r["level"]) == s and r["role"] == "middle")
+    middles = {s: sorted(r for r in level_of if level_of[r] == s)
                for s in levels}
     assert middles == {1: [4], 2: [2, 6], 3: [1, 3, 5, 7]}
-    # at level 1 the rank left of the pivot contributes its weighted boundary
-    # pair (2 scalars per rhs) toward rank 4
-    lvl1 = {int(r["rank"]): (r["role"], int(r["scalars_sent"]))
-            for r in rows if int(r["level"]) == 1}
-    assert lvl1[3] == ("left-group", 2)
-    assert lvl1[5] == ("right-group", 2)
-    print("criterion 2: levels [1,2,3], middles {1:[4], 2:[2,6]}, "
-          "boundary-pair messages toward the pivot verified")
+    corrections = sorted((r, d) for r, d, size in sent if size == 1)
+    assert corrections == [(m, m + side) for m in (2, 4, 6) for side in (-1, 1)]
+    # at level 1 the ranks beside the pivot send their boundary pairs into it
+    assert sorted(m for m in sent if m[0] in (3, 5) and m[1] == 4) == \
+        [(3, 4, 2), (5, 4, 2)]
+    print("criterion 2: recorded messages show levels [1,2,3], middles "
+          "{1:[4], 2:[2,6], 3:[1,3,5,7]} and boundary pairs into the pivot")
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,20 @@ def test_medium_builders_reject_non_finite_values(bad):
             MediumModel.fault(1800.0, 2200.0, **geometry)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_medium_builders_reject_a_diffusion_beyond_the_float_range():
+    # v_s = (speed / rho)^2 overflows a double above about 1.3e154
+    for speed, rho in ((1e200, 1.0), (2000.0, 1e-200), (1e300, 1e-10)):
+        with pytest.raises(DomainError, match="speed"):
+            MediumModel.homogeneous(speed, rho=rho)
+    with pytest.raises(DomainError, match="v_top"):
+        MediumModel.fault(1e200, 2200.0, interface_z=400.0)
+    with pytest.raises(DomainError, match="v_bottom"):
+        MediumModel.fault(1800.0, 1e200, interface_z=400.0)
+    with pytest.raises(DomainError, match="v_top"):
+        MediumModel.fault(1800.0, 2200.0, interface_z=400.0, rho=1e-200)
+
+
 def test_laguerre_params_validation():
     for h in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
@@ -346,6 +360,17 @@ def test_harmonic_operator_matches_explicit_assembly():
     other = harmonic_operator(grid, model,
                               LaguerreParams(h=120.0, alpha=3, n_terms=4))
     assert other.checksum() != op.checksum()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_harmonic_operator_rejects_a_reaction_beyond_the_float_range():
+    # h^2 / (4 rho^2): h^2 alone overflows at h = 1e155, the quotient at a
+    # moderate h over a small rho
+    grid = Grid2D(9, 8, 10.0, 7.0)
+    for h, rho in ((1e155, 1.0), (1e150, 1e-100)):
+        with pytest.raises(DomainError, match="h = "):
+            harmonic_operator(grid, MediumModel.homogeneous(1.0, rho=rho),
+                              LaguerreParams(h=h, alpha=3, n_terms=4))
 
 
 def test_harmonic_operator_samples_the_medium_once():

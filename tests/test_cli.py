@@ -499,6 +499,45 @@ def test_non_finite_config_value_exits_2_before_any_solve(
     assert calls == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model, name", [
+    ("speed = 1e200", "speed"),
+    ("rho = 1e-200", "speed"),
+    ("kind = fault\nv_top = 1e200", "v_top"),
+    ("kind = fault\nv_bottom = 1e200", "v_bottom"),
+])
+def test_medium_beyond_the_float_range_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, model, name):
+    # v_s = (speed / rho)^2 overflows although every value read is finite
+    calls = []
+    monkeypatch.setattr(acoustic, "pcg_solve",
+                        lambda *args, **kwargs: calls.append(1))
+    cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 8\n"
+                    "[laguerre]\nn_terms = 4\n[model]\n" + model + "\n")
+    assert run_cli("acoustic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert name in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["poisson", "elliptic"])
+def test_rhs_file_without_path_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path / "run.cfg", SMALL_GRID + "[rhs]\nkind = file\n")
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "path" in err
+
+
+@pytest.mark.parametrize("command", ["poisson", "elliptic", "bench"])
+def test_default_configuration_exits_0(tmp_path, command):
+    # the shared default [model] kind = homogeneous is the constant medium
+    # kappa0/q0 for poisson and elliptic
+    assert run_cli(command, "--out", str(tmp_path / "out")) == 0
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

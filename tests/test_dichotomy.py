@@ -6,7 +6,6 @@ head-block solve gives (1/3, 2/3)).  Randomized checks compare against
 numpy.linalg.solve on the dense matrix.
 """
 
-import csv
 import math
 import threading
 
@@ -30,6 +29,8 @@ from axisolver.dichotomy import (
 from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
                               InvalidPartition)
 from axisolver.tridiag import TridiagonalMatrix, thomas_solve
+
+from recorded_traffic import per_rank, record_sends, split_levels
 
 
 def random_dominant(rng, n):
@@ -59,7 +60,6 @@ def test_partition_indices():
     assert part.p == 3 and part.n == 9
     assert [part.m_L(i) for i in (1, 2, 3)] == [1, 3, 6]
     assert [part.m_R(i) for i in (1, 2, 3)] == [2, 5, 9]
-    assert part.owned_slice(2) == slice(2, 5)
 
 
 def test_partition_validation():
@@ -283,27 +283,26 @@ def test_p1_solve_is_bitwise_thomas():
     assert np.array_equal(solve_many(plan, F), thomas_solve(A, F))
 
 
-def test_p7_matches_dense_and_reports_three_levels(tmp_path):
+def test_p7_matches_dense_and_reports_three_levels(monkeypatch):
     rng = np.random.default_rng(5)
     n = 28
     A = random_dominant(rng, n)
     plan = make_plan(n, [4] * 7, matrix=A)
     F = rng.normal(size=n)
-    trace_file = tmp_path / "trace.csv"
-    x = solve_many(plan, F, trace_path=trace_file)
+    sent = record_sends(monkeypatch)
+    x = solve_many(plan, F)
     x_dense = np.linalg.solve(A.to_dense(), F)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) <= 1e-10
 
-    with open(trace_file) as fh:
-        rows = list(csv.DictReader(fh))
-    levels = sorted({int(r["level"]) for r in rows})
+    level_of = split_levels(sent, 7, size=1)
+    levels = sorted(set(level_of.values()))
     assert levels == [1, 2, 3]
-    middles = {s: sorted(int(r["rank"]) for r in rows
-                         if int(r["level"]) == s and r["role"] == "middle")
+    middles = {s: sorted(r for r in level_of if level_of[r] == s)
                for s in levels}
     assert middles == {1: [4], 2: [2, 6], 3: [1, 3, 5, 7]}
-    # level-3 singletons communicate nothing
-    assert all(int(r["scalars_sent"]) == 0 for r in rows if int(r["level"]) == 3)
+    # level-3 singletons send no correction: only their reduce
+    # contributions at the levels above
+    assert all(size == 2 for r, _, size in sent if level_of[r] == 3)
 
 
 def test_p2_stats_report_one_level():
@@ -432,21 +431,21 @@ def test_unknown_executor_is_rejected_at_every_p(sizes):
         solve_series(family, np.ones((12, 3)), executor="bogus")
 
 
-def test_trace_totals_match_measured_traffic(tmp_path):
+def test_trace_totals_match_measured_traffic(monkeypatch):
+    # the messages recorded during the solve are the ones CommStats counts
     rng = np.random.default_rng(14)
     n = 28
     A = random_dominant(rng, n)
     plan = make_plan(n, [4] * 7, matrix=A)
-    trace_file = tmp_path / "trace.csv"
-    solve_many(plan, rng.normal(size=(n, 3)), trace_path=trace_file)
-    with open(trace_file) as fh:
-        rows = list(csv.DictReader(fh))
-    assert sum(int(r["scalars_sent"]) for r in rows) == \
-        plan.world.stats_snapshot().total_scalars()
+    sent = record_sends(monkeypatch)
+    solve_many(plan, rng.normal(size=(n, 3)))
+    stats = plan.world.stats_snapshot()
+    assert per_rank(sent, 7) == (list(stats.msgs_sent),
+                                 list(stats.scalars_sent))
 
 
 def test_p256_sim_solve_starts_no_thread_and_sends_the_plan_traffic(
-        tmp_path, monkeypatch):
+        monkeypatch):
     # the sim executor runs all 256 rank programs in the calling thread
     # (never start the threads executor at this p)
     rng = np.random.default_rng(15)
@@ -463,26 +462,31 @@ def test_p256_sim_solve_starts_no_thread_and_sends_the_plan_traffic(
         return real_betas(*args)
 
     monkeypatch.setattr(dichotomy_module, "local_betas", counting_betas)
-    trace_file = tmp_path / "trace.csv"
-    X = solve_many(plan, F, trace_path=trace_file)
+    sent = record_sends(monkeypatch)
+    X = solve_many(plan, F)
     assert seen == [threads_before] * p
     assert threading.active_count() == threads_before
     assert np.abs(X - thomas_solve(A, F)).max() <= 1e-10 * np.abs(X).max()
 
-    # measured per-rank traffic equals the plan's: the trace derived from
-    # the tree, one message per reduce-group member and per correction
-    with open(trace_file) as fh:
-        rows = list(csv.DictReader(fh))
-    # (a middle sends one correction of M scalars per neighbour and is the
-    # root of one reduce per neighbour; every other member sends its 2*M
-    # scalars in one message per reduce)
-    scalars, msgs = [0] * p, [0] * p
-    for r in rows:
-        rank, sent = int(r["rank"]), int(r["scalars_sent"])
-        scalars[rank - 1] += sent
-        msgs[rank - 1] += sent // M if r["role"] == "middle" else sent // (2 * M)
-    stats = plan.world.stats_snapshot()
+    # the plan's traffic, from its splitting tree: each split's reduce
+    # groups get one message of 2*M scalars from every member but the
+    # middle, and the middle sends each neighbour one correction of M
+    msgs, scalars = [0] * p, [0] * p
+    for level in plan.levels:
+        for entry in level:
+            if entry[0] == "leaf":
+                continue
+            _, lo, hi, mid = entry
+            for r in range(lo, hi + 1):
+                if r != mid:
+                    msgs[r - 1] += 1
+                    scalars[r - 1] += 2 * M
+            neighbours = (mid - 1 >= lo) + (mid + 1 <= hi)
+            msgs[mid - 1] += neighbours
+            scalars[mid - 1] += neighbours * M
     assert plan.depth == 8
+    assert per_rank(sent, p) == (msgs, scalars)
+    stats = plan.world.stats_snapshot()
     assert list(stats.scalars_sent) == scalars
     assert list(stats.msgs_sent) == list(stats.reduces) == msgs
 
