@@ -85,23 +85,25 @@ def laguerre_function_table(m_max: int, alpha: float, taus, *, h: float = 1.0,
     deficit = log0.copy()
     v_prev = np.zeros_like(taus)
     v_curr = np.ones_like(taus)
-    with np.errstate(over="ignore", under="ignore"):
+    # a huge tau can overflow a step to inf (or inf - inf to NaN) before the
+    # guard sees it: the guard, not a numpy warning, reports that
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         out[:, 0] = v_curr * np.exp(deficit)
-    for m in range(m_max):
-        nxt = ((2 * m + alpha + 1.0 - taus) * v_curr
-               - math.sqrt(m * (m + alpha)) * v_prev)
-        nxt /= math.sqrt((m + 1.0) * (m + alpha + 1.0))
-        v_prev, v_curr = v_curr, nxt
-        mag = np.abs(v_curr)
-        if np.any(mag >= _HARD_LIMIT):
-            raise OverflowGuard(
-                f"recurrence magnitude exceeded {_HARD_LIMIT:g} at m={m + 1}")
-        big = mag > _RENORM
-        if big.any():
-            v_curr = np.where(big, v_curr / _RENORM, v_curr)
-            v_prev = np.where(big, v_prev / _RENORM, v_prev)
-            deficit = np.where(big, deficit + _LOG_RENORM, deficit)
-        with np.errstate(over="ignore", under="ignore"):
+        for m in range(m_max):
+            nxt = ((2 * m + alpha + 1.0 - taus) * v_curr
+                   - math.sqrt(m * (m + alpha)) * v_prev)
+            nxt /= math.sqrt((m + 1.0) * (m + alpha + 1.0))
+            v_prev, v_curr = v_curr, nxt
+            mag = np.abs(v_curr)
+            if np.any(~np.isfinite(mag) | (mag >= _HARD_LIMIT)):
+                raise OverflowGuard(
+                    f"recurrence magnitude exceeded {_HARD_LIMIT:g} "
+                    f"at m={m + 1}")
+            big = mag > _RENORM
+            if big.any():
+                v_curr = np.where(big, v_curr / _RENORM, v_curr)
+                v_prev = np.where(big, v_prev / _RENORM, v_prev)
+                deficit = np.where(big, deficit + _LOG_RENORM, deficit)
             out[:, m + 1] = v_curr * np.exp(deficit)
     if not np.all(np.isfinite(out)):
         raise OverflowGuard("non-finite Laguerre function value")

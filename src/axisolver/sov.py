@@ -16,6 +16,14 @@ Applying ``B``-inverse is therefore: cosine analysis down the columns, one
 banded solve per mode, cosine synthesis back.  All mode systems are
 eliminated once at construction and reused across applications.
 
+The mode family is ordered as the coefficient slots of
+:func:`axisolver.fourier.dct_forward` (member ``j`` is mode
+``spectral_modes(nz)[j]`` = 0, nz, 1, nz - 1, 2, ...), so the transforms
+hand their arrays to the mode solves and back with no repacking.  ``lam_l``
+holds at l = nz too, the member whose right-hand side is always zero, and
+for even nz mode nz/2 has two members: nz + 1 members for odd nz, nz + 2
+for even nz.
+
 Two backends solve the mode systems.  With ``ranks=1`` the family is solved
 in row blocks, the partition of the dichotomy algorithm on one process
 (Wang, ACM TOMS 7, 1981): the n = nr - 1 radial rows split into
@@ -46,7 +54,7 @@ from .comm import CommWorld, check_executor
 from .dichotomy import Partition, build_plan, solve_series
 from .elliptic import DiscreteOperator, Grid2D
 from .errors import DomainError, NonPositiveCoefficient, as_integer
-from .fourier import dct_forward, dct_inverse
+from .fourier import dct_forward, dct_inverse, spectral_modes
 from .kernels import multi_apply, multi_factor
 from .tridiag import TridiagonalMatrix
 
@@ -178,9 +186,10 @@ class SovPreconditioner:
         # dominance check downstream holds with zero slack
         cond = np.arange(g.nr) * g.dr * self.vtilde / g.dr ** 2
         r_in = g.r_nodes[:nu]
-        lam = self.mode_eigenvalues
+        lam = self._eigenvalues(spectral_modes(g.nz))
         self._off_r = -cond[1:nu]
-        # bands of every mode system, shaped (order, n_modes)
+        # bands of every mode system, shaped (order, slots): column j is
+        # mode spectral_modes(nz)[j]
         self._diag_modes = ((cond[:nu] + cond[1:])[:, None]
                             + r_in[:, None] * (self.vtilde * lam[None, :]
                                                + self.shift))
@@ -188,7 +197,7 @@ class SovPreconditioner:
             self._solve_modes = _ModeBlocks(self._diag_modes,
                                             self._off_r).solve
         else:
-            off = np.tile(self._off_r[:, None], (1, g.nz))
+            off = np.tile(self._off_r[:, None], (1, lam.size))
             plan = build_plan(TridiagonalMatrix(self._diag_modes, off, off),
                               Partition.balanced(nu, ranks), CommWorld(ranks))
             # closes over the plan and executor, not self: no reference cycle
@@ -204,19 +213,23 @@ class SovPreconditioner:
         vtilde, shift = recovered_midranges(op)
         return cls(op.grid, vtilde, shift, ranks=ranks, executor=executor)
 
+    def _eigenvalues(self, l: np.ndarray) -> np.ndarray:
+        g = self.grid
+        return 4.0 * np.sin(np.pi * l / (2.0 * g.nz)) ** 2 / g.dz ** 2
+
     @property
     def mode_eigenvalues(self) -> np.ndarray:
         """lam_l = 4 sin^2(pi l / (2 nz)) / dz^2 for l = 0 .. nz-1."""
-        g = self.grid
-        l = np.arange(g.nz)
-        return 4.0 * np.sin(np.pi * l / (2.0 * g.nz)) ** 2 / g.dz ** 2
+        return self._eigenvalues(np.arange(self.grid.nz))
 
     def mode_matrix(self, l: int) -> TridiagonalMatrix:
         """The tridiagonal radial system of cosine mode ``l`` (0-based)."""
         l = as_integer(l, DomainError, "mode index")
-        if not 0 <= l < self.grid.nz:
-            raise DomainError(f"mode index {l} outside 0..{self.grid.nz - 1}")
-        return TridiagonalMatrix(self._diag_modes[:, l], self._off_r,
+        nz = self.grid.nz
+        if not 0 <= l < nz:
+            raise DomainError(f"mode index {l} outside 0..{nz - 1}")
+        slot = 2 * l if 2 * l <= nz else 2 * (nz - l) + 1
+        return TridiagonalMatrix(self._diag_modes[:, slot], self._off_r,
                                  self._off_r)
 
     # -- application --------------------------------------------------------
@@ -224,8 +237,8 @@ class SovPreconditioner:
     def apply_inverse(self, f) -> np.ndarray:
         """Solve ``B x = f``; shape of ``f`` ((nz, nr-1) or flat) preserved."""
         F, flat = self.grid.as_field(f)
-        modes = dct_forward(F, axis=0)                   # row l = mode l
-        out = dct_inverse(self._solve_modes(modes.T).T, axis=0)
+        modes = dct_forward(F, axis=0)          # row j = spectral slot j
+        out = dct_inverse(self._solve_modes(modes.T).T, self.grid.nz, axis=0)
         return out.ravel() if flat else out
 
     def apply(self, x) -> np.ndarray:
@@ -235,5 +248,5 @@ class SovPreconditioner:
         out_modes = self._diag_modes.T * modes
         out_modes[:, :-1] += self._off_r * modes[:, 1:]
         out_modes[:, 1:] += self._off_r * modes[:, :-1]
-        out = dct_inverse(out_modes, axis=0)
+        out = dct_inverse(out_modes, self.grid.nz, axis=0)
         return out.ravel() if flat else out

@@ -168,7 +168,7 @@ def test_criterion_04_sov_exactness():
     worst_dct = 0.0
     for nz in (8, 64, 100, 256):
         x = rng.standard_normal((nz, 7))
-        rel = np.linalg.norm(dct_inverse(dct_forward(x)) - x) / \
+        rel = np.linalg.norm(dct_inverse(dct_forward(x), nz) - x) / \
             np.linalg.norm(x)
         worst_dct = max(worst_dct, rel)
         assert rel <= 1e-12

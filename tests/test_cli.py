@@ -436,6 +436,30 @@ times = 0.0, 1.2, 11
     assert not (out / "seismograms.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("receivers", ["", "times = 0.0, 1e-160, 2\n"])
+def test_acoustic_overflowing_laguerre_recurrence_exits_3(tmp_path, capsys,
+                                                          receivers):
+    # at h = 1e155 the Laguerre recurrence overflows, in the synthesis
+    # weights with the default receiver times and in the source projection
+    # with these: a one-line solver error either way, with no numpy warning
+    cfg = write_cfg(tmp_path / "run.cfg", f"""\
+[grid]
+nr = 9
+nz = 8
+[laguerre]
+h = 1e155
+n_terms = 4
+[receivers]
+{receivers}""")
+    out = tmp_path / "out"
+    assert run_cli("acoustic", "--config", cfg, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
+    assert "recurrence magnitude" in err
+    assert not (out / "seismograms.csv").exists()
+
+
 @pytest.mark.parametrize("bad", ["f0 = inf", "amplitude = nan"])
 def test_acoustic_non_finite_wavelet_exits_2_before_any_solve(
         tmp_path, capsys, monkeypatch, bad):

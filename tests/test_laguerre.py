@@ -102,6 +102,14 @@ def test_huge_scale_survives_log_space_start():
     assert np.abs(ours[:, 350:]).max() > 1e-20
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recurrence_overflow_raises_the_guard_without_a_warning():
+    # at tau = 2e155 the recurrence's second step overflows to inf in
+    # numpy; that must reach OverflowGuard, not a RuntimeWarning
+    with pytest.raises(OverflowGuard, match="at m=2"):
+        laguerre_function_table(23, 5, [0.0, 1e-5, 2e155], h=1e155)
+
+
 def test_scale_factor_is_sqrt_h():
     taus = np.linspace(0.0, 30.0, 7)
     base = laguerre_function_table(20, 3.0, taus, h=1.0)
