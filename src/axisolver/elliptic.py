@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -219,46 +220,40 @@ class DiscreteOperator:
 
     # -- application ------------------------------------------------------
 
-    def _divergence_and_reaction(self, Y: np.ndarray):
-        """((div_r + div_z) Y, reaction * Y), each in a fresh buffer."""
-        g = self.grid
-        nz = Y.shape[0]
-        # radial differences across faces 1..nr-1; the last one reaches the
-        # Dirichlet ghost, 0 - Y[:, -1]
+    @cached_property
+    def _conductances(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only conductances / dr**2 of the radial faces 1..nr-1 and
+        / dz**2 of the z faces 1..nz-1, derived on first use."""
+        scaled = (self.r_faces[:, 1:] / self.grid.dr ** 2,
+                  self.z_faces[1: self.grid.nz] / self.grid.dz ** 2)
+        for c in scaled:
+            c.setflags(write=False)
+        return scaled
+
+    def apply_spd(self, y) -> np.ndarray:
+        """SPD orientation: reaction * y - (div_r + div_z) y."""
+        Y, flat = self.grid.as_field(y)
+        c_r, c_z = self._conductances
+        out = np.multiply(self.reaction, Y)
+        # each face flux leaves the cell below it and enters the one above;
+        # the last radial face reaches the Dirichlet ghost, 0 - Y[:, -1]
         flux = np.empty_like(Y)
         np.subtract(Y[:, 1:], Y[:, :-1], out=flux[:, :-1])
         np.subtract(0.0, Y[:, -1], out=flux[:, -1])
-        flux *= self.r_faces[:, 1:]
-        div = np.empty_like(Y)
-        div[:, 0] = flux[:, 0]
-        np.subtract(flux[:, 1:], flux[:, :-1], out=div[:, 1:])
-        div /= g.dr ** 2
-
-        flux_z = flux[: nz - 1]                                  # faces 1..nz-1
-        np.subtract(Y[1:], Y[:-1], out=flux_z)
-        flux_z *= self.z_faces[1: nz, :]
-        work = np.empty_like(Y)
-        work[0] = flux_z[0]
-        np.subtract(flux_z[1:], flux_z[:-1], out=work[1: nz - 1])
-        np.subtract(0.0, flux_z[-1], out=work[-1])
-        work /= g.dz ** 2
-        div += work
-        np.multiply(self.reaction, Y, out=work)
-        return div, work
+        flux *= c_r
+        out -= flux
+        out[:, 1:] += flux[:, :-1]
+        flux = flux[:-1]                                   # z faces 1..nz-1
+        np.subtract(Y[1:], Y[:-1], out=flux)
+        flux *= c_z
+        out[:-1] -= flux
+        out[1:] += flux
+        return out.ravel() if flat else out
 
     def apply(self, y) -> np.ndarray:
-        """Flux-divergence form: (div_r + div_z) y - reaction * y."""
-        Y, flat = self.grid.as_field(y)
-        div, reaction = self._divergence_and_reaction(Y)
-        div -= reaction
-        return div.ravel() if flat else div
-
-    def apply_spd(self, y) -> np.ndarray:
-        """Symmetric positive-definite orientation: -apply(y)."""
-        Y, flat = self.grid.as_field(y)
-        div, reaction = self._divergence_and_reaction(Y)
-        np.subtract(reaction, div, out=div)
-        return div.ravel() if flat else div
+        """Flux-divergence form, exactly ``-apply_spd(y)``."""
+        out = self.apply_spd(y)
+        return np.negative(out, out=out)
 
     @property
     def rhs(self) -> np.ndarray:
@@ -280,8 +275,8 @@ class DiscreteOperator:
         return cols
 
     def checksum(self) -> str:
-        """SHA-256 over the coefficient arrays (source excluded), proving the
-        operator itself is unchanged between solves."""
+        """SHA-256 over the coefficient arrays (source and the derived
+        conductances excluded), identifying the operator."""
         h = hashlib.sha256()
         for arr in (self.r_faces, self.z_faces, self.reaction):
             h.update(arr.tobytes())

@@ -15,6 +15,9 @@ the per-step cost communication-free in a distributed setting.
 ``estimate_bounds`` recovers a spectral interval for the Chebyshev method
 from the tridiagonal (Lanczos) coefficients of a short conjugate-gradient
 probe run.
+
+Both solvers call an optional ``trace(it, x, relres)`` after each residual
+check; ``x`` is a read-only view of the live iterate, valid during the call.
 """
 
 from __future__ import annotations
@@ -76,9 +79,14 @@ class IterationReport:
     solution: Optional[np.ndarray] = field(default=None, repr=False)
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    view = x.view()
+    view.setflags(write=False)
+    return view
+
+
 def _flat(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    return v.ravel() if v.ndim > 1 else v
+    return np.asarray(v, dtype=np.float64).reshape(-1)
 
 
 def _checked_problem(rhs, tol: float, maxiter) -> Tuple[np.ndarray, int]:
@@ -106,19 +114,17 @@ def _pcg_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray):
     """
     x = np.zeros_like(f)
     r = f.copy()
-    p = None
-    beta = 0.0
+    p = np.zeros_like(f)
+    rz = np.inf                                   # so the first beta is 0.0
     while True:
         z = _flat(apply_pc(r))
         rz_new = float(r @ z)
         if not rz_new > 0.0:
             raise Breakdown(f"preconditioner lost positivity: "
                             f"r^T z = {rz_new!r}")
-        if p is None:
-            p = z.copy()
-        else:
-            beta = rz_new / rz
-            p = z + beta * p
+        beta = rz_new / rz
+        p *= beta
+        p += z
         rz = rz_new
         Ap = _flat(apply_op(p))
         pAp = float(p @ Ap)
@@ -128,6 +134,7 @@ def _pcg_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
+        del z, Ap                     # not held through the next inversion
         yield x, r, alpha, beta
 
 
@@ -141,8 +148,8 @@ def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
     Returns ``(x, report)`` once the 2-norm relative residual drops to
     ``tol``; raises :class:`MaxIterExceeded` (carrying the report with the
     last iterate) otherwise, and :class:`Breakdown` when a direction loses
-    positive curvature, which signals a non-SPD pair.  ``trace(it, x, relres)``
-    is invoked after every iteration when given.  A ``tol`` that is not
+    positive curvature, which signals a non-SPD pair.  ``trace`` (see the
+    module docstring) runs after every iteration.  A ``tol`` that is not
     finite and positive, a ``maxiter`` that is not an integer >= 1 and a
     rhs with a non-finite entry raise :class:`DomainError` before any
     application.
@@ -159,7 +166,7 @@ def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
         relres = float(np.linalg.norm(r)) / norm_f
         history.append((it, relres))
         if trace is not None:
-            trace(it, x.copy(), relres)
+            trace(it, _read_only(x), relres)
         if relres <= tol:
             report = IterationReport(it, relres, True, it,
                                      tuple(history), x)
@@ -207,7 +214,7 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
             relres = float(np.linalg.norm(r)) / norm_f
             history.append((it, relres))
             if trace is not None:
-                trace(it, x.copy(), relres)
+                trace(it, _read_only(x), relres)
             if relres <= tol:
                 report = IterationReport(it, relres, True, binv,
                                          tuple(history), x)
@@ -220,6 +227,7 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
             rho_next = 1.0 / (2.0 * sigma1 - rho)
             d = (rho_next * rho) * d + (2.0 * rho_next / delta) * z
             rho = rho_next
+        del z                         # not held through the next inversion
     final = float(np.linalg.norm(r)) / norm_f
     history.append((maxiter, final))
     report = IterationReport(maxiter, final, False, binv, tuple(history), x)

@@ -143,10 +143,8 @@ def recovered_midranges(op: DiscreteOperator):
     g = op.grid
     j = np.arange(1, g.nr) * g.dr
     r_in = g.r_nodes[: g.nr - 1]
-    kappa_samples = [op.r_faces[:, 1:] / j[None, :]]
-    if g.nz > 1:
-        kappa_samples.append(op.z_faces[1: g.nz, :] / r_in[None, :])
-    kv = np.concatenate([s.ravel() for s in kappa_samples])
+    kv = np.concatenate([(op.r_faces[:, 1:] / j[None, :]).ravel(),
+                         (op.z_faces[1: g.nz, :] / r_in[None, :]).ravel()])
     qv = (op.reaction / r_in[None, :]).ravel()
     vtilde = 0.5 * (float(kv.min()) + float(kv.max()))
     shift = 0.5 * (float(qv.min()) + float(qv.max()))
@@ -174,31 +172,17 @@ class SovPreconditioner:
         self.vtilde = float(vtilde)
         self.shift = float(shift)
         self.ranks = ranks
-        self.executor = executor
 
-        g = grid
-        nu = g.nr - 1
+        nu = grid.nr - 1
         if ranks > 1 and nu < 2 * ranks:
             raise DomainError(
                 f"{nu} radial unknowns cannot be split across {ranks} ranks")
-        # conductances already in stencil units; the diagonal is formed as
-        # the exact floating-point sum of the two coupling magnitudes so the
-        # dominance check downstream holds with zero slack
-        cond = np.arange(g.nr) * g.dr * self.vtilde / g.dr ** 2
-        r_in = g.r_nodes[:nu]
-        lam = self._eigenvalues(spectral_modes(g.nz))
-        self._off_r = -cond[1:nu]
-        # bands of every mode system, shaped (order, slots): column j is
-        # mode spectral_modes(nz)[j]
-        self._diag_modes = ((cond[:nu] + cond[1:])[:, None]
-                            + r_in[:, None] * (self.vtilde * lam[None, :]
-                                               + self.shift))
+        diag, off_r = self._mode_bands()
         if ranks == 1:
-            self._solve_modes = _ModeBlocks(self._diag_modes,
-                                            self._off_r).solve
+            self._solve_modes = _ModeBlocks(diag, off_r).solve
         else:
-            off = np.tile(self._off_r[:, None], (1, lam.size))
-            plan = build_plan(TridiagonalMatrix(self._diag_modes, off, off),
+            off = np.tile(off_r[:, None], (1, diag.shape[1]))
+            plan = build_plan(TridiagonalMatrix(diag, off, off),
                               Partition.balanced(nu, ranks), CommWorld(ranks))
             # closes over the plan and executor, not self: no reference cycle
             self._solve_modes = lambda F: solve_series(plan, F,
@@ -212,6 +196,21 @@ class SovPreconditioner:
         """Midrange reference coefficients recovered from ``op``."""
         vtilde, shift = recovered_midranges(op)
         return cls(op.grid, vtilde, shift, ranks=ranks, executor=executor)
+
+    def _mode_bands(self):
+        """(diag, off) of the mode systems, recomputed, not stored: column j
+        of ``diag`` is mode ``spectral_modes(nz)[j]``."""
+        g = self.grid
+        nu = g.nr - 1
+        # conductances already in stencil units; the diagonal is formed as
+        # the exact floating-point sum of the two coupling magnitudes so the
+        # dominance check downstream holds with zero slack
+        cond = np.arange(g.nr) * g.dr * self.vtilde / g.dr ** 2
+        lam = self._eigenvalues(spectral_modes(g.nz))
+        diag = ((cond[:nu] + cond[1:])[:, None]
+                + g.r_nodes[:nu, None] * (self.vtilde * lam[None, :]
+                                          + self.shift))
+        return diag, -cond[1:nu]
 
     def _eigenvalues(self, l: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -229,8 +228,8 @@ class SovPreconditioner:
         if not 0 <= l < nz:
             raise DomainError(f"mode index {l} outside 0..{nz - 1}")
         slot = 2 * l if 2 * l <= nz else 2 * (nz - l) + 1
-        return TridiagonalMatrix(self._diag_modes[:, slot], self._off_r,
-                                 self._off_r)
+        diag, off = self._mode_bands()
+        return TridiagonalMatrix(diag[:, slot], off, off)
 
     # -- application --------------------------------------------------------
 
@@ -245,8 +244,9 @@ class SovPreconditioner:
         """Forward application ``B x`` (used to verify exactness)."""
         X, flat = self.grid.as_field(x)
         modes = dct_forward(X, axis=0)
-        out_modes = self._diag_modes.T * modes
-        out_modes[:, :-1] += self._off_r * modes[:, 1:]
-        out_modes[:, 1:] += self._off_r * modes[:, :-1]
+        diag, off = self._mode_bands()
+        out_modes = diag.T * modes
+        out_modes[:, :-1] += off * modes[:, 1:]
+        out_modes[:, 1:] += off * modes[:, :-1]
         out = dct_inverse(out_modes, self.grid.nz, axis=0)
         return out.ravel() if flat else out

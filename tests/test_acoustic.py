@@ -38,6 +38,7 @@ from axisolver.acoustic import (
 )
 from axisolver.elliptic import (
     CoefficientFields,
+    DiscreteOperator,
     Grid2D,
     assemble,
     read_field_raw,
@@ -500,6 +501,24 @@ def test_progress_callback_sees_every_harmonic():
                         progress=lambda m, rep: seen.append((m, rep.converged)))
     assert [m for m, _ in seen] == list(range(12))
     assert all(ok for _, ok in seen)
+
+
+def test_chain_hashes_the_operator_once(monkeypatch):
+    grid = Grid2D(17, 16, 400.0, 400.0)
+    model = MediumModel.homogeneous(900.0)
+    params = LaguerreParams(h=90.0, alpha=2, n_terms=6)
+    checksum = DiscreteOperator.checksum
+    calls = []
+
+    def counting_checksum(op):
+        calls.append(op)
+        return checksum(op)
+
+    monkeypatch.setattr(DiscreteOperator, "checksum", counting_checksum)
+    series = solve_all_harmonics(grid, model, params, Wavelet(f0=6.0, t0=0.4))
+    assert len(calls) == 1
+    assert series.operator_checksum == checksum(
+        harmonic_operator(grid, model, params))
 
 
 # ---------------------------------------------------------------------------

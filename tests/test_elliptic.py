@@ -300,9 +300,19 @@ def test_operator_shape_validation():
 
 
 def test_operator_arrays_are_read_only():
+    # the chain hashes the operator once and trusts it after that, so every
+    # array the operator stores, the derived conductances too, must refuse
+    # writes
     op = assemble(Grid2D(4, 3, 1.0, 1.0), unit_fields())
-    with pytest.raises(ValueError):
-        op.r_faces[0, 0] = 1.0
+    op.apply_spd(np.ones(op.grid.n_unknowns))      # derives the conductances
+    stored = [a for v in vars(op).values()
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert len(stored) == 6
+    for arr in stored:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
 
 
 def test_operator_stores_copies_of_the_callers_arrays():

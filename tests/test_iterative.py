@@ -144,6 +144,29 @@ def test_pcg_maxiter_carries_partial_iterate():
     assert float(e @ (A @ e)) < float(x_exact @ (A @ x_exact))
 
 
+DIAG10 = np.arange(1.0, 11.0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda f, trace: pcg_solve(lambda v: DIAG10 * v, IDENT, f, trace=trace),
+    lambda f, trace: chebyshev_solve(lambda v: DIAG10 * v, IDENT, f,
+                                     SpectralBounds(1.0, 10.0), trace=trace),
+], ids=["pcg", "chebyshev"])
+def test_trace_sees_a_read_only_view_of_the_live_iterate(solve):
+    f = np.random.default_rng(8).standard_normal(10)
+    views = []
+
+    def trace(it, x, relres):
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        views.append(x)
+
+    x, rep = solve(f, trace)
+    assert len(views) == len(rep.history) > 1
+    assert all(np.shares_memory(v, x) for v in views)     # no copy per trace
+    np.testing.assert_array_equal(views[-1], x)
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev semi-iteration
 # ---------------------------------------------------------------------------
