@@ -326,6 +326,9 @@ def cmd_acoustic(cfg: RunConfig) -> int:
         except ValueError as exc:
             raise ConfigError(f"[snapshot] t = {snap_raw!r} is not a number") \
                 from exc
+        if not 0.0 <= t_snap < math.inf:
+            raise ConfigError(f"[snapshot] t = {snap_raw!r} must be a finite "
+                              f"time >= 0")
     # the synthesis weights depend on [laguerre] and the requested times
     # only: one beyond the float range fails here, before any harmonic solve
     _synthesis_weights(params, times if t_snap is None

@@ -14,24 +14,23 @@ gets its result back the same way::
 
     CommWorld(2).run(program)   # {1: None, 2: array([1., 2.])}
 
-The generator's return value is the rank's result.  Two interchangeable
-executors serve the requests (generators used as coroutines, PEP 342):
+The generator's return value is the rank's result.  One driver serves the
+requests (generators used as coroutines, PEP 342), on 1 worker under
+``"sim"`` and on min(p, cores) under ``"threads"``; the calling thread is
+worker 0, so ``"sim"`` starts no thread.  Each worker owns a contiguous block
+of ranks.  It resumes one of them until that rank waits on an empty channel
+or finishes, then passes on to its next runnable rank in round-robin order,
+which makes the ``"sim"`` order reproducible.  When no rank anywhere can run
+and not every rank finished, the run fails at once, without a timeout, with
+:class:`Deadlock` (or :class:`MissingParticipant` when a rank waits in a
+reduce that a finished rank never joined).
 
-* ``"sim"``    - deterministic scheduler in the calling thread.  It resumes
-  one rank until that rank waits on an empty channel or finishes, then
-  passes on to the next runnable rank in round-robin order after it.
-  Execution order is therefore reproducible, no thread is started, and
-  "no rank runnable, not every rank finished" is reported at once as
-  :class:`Deadlock` (or :class:`MissingParticipant` when a rank waits in a
-  reduce that a finished rank never joined).
-* ``"threads"`` - one free-running thread per rank, each driving its
-  generator against blocking channels; used to measure parallel speedup.
-
-Numerical results are bit-identical across executors because both run the
-same generator bodies, the summation tree of every reduce is a pure function
-of the member ranks, and channels are FIFO per (source, destination) pair.
-When a rank raises, the executor closes every other rank's generator and
-re-raises that first failure.
+Rank programs block only on reads from FIFO (source, destination) channels,
+so their results, their traffic and the state they stall in do not depend on
+the schedule (Kahn, IFIP 1974): both executors give bit-identical results
+and the same stall error, and the summation tree of every reduce is a pure
+function of the member ranks.  When a rank raises, the driver stops, closes
+every rank's generator and re-raises that first failure.
 
 Reduction-tree shape (recursive halving on the rank-sorted member list):
 with the root in first position the tail half sends onto the head half each
@@ -45,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import inspect
+import os
 import threading
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -238,14 +238,15 @@ class Comm:
         return None
 
 
-def _stall_error(waiting, finished) -> Exception:
+def _stall_error(waiting, results) -> Exception:
     """The error for "no rank runnable, not every rank finished":
-    ``waiting`` maps each blocked rank to its (src, reduce members)."""
+    ``waiting`` maps each blocked rank to its (src, reduce members), and
+    ``results`` holds the ranks that finished."""
     blocked = {}
     for r, (src, members) in sorted(waiting.items()):
         blocked[r] = f"{'recv' if members is None else 'reduce'} from {src}"
         if members is not None:
-            gone = [m for m in members if finished[m]]
+            gone = [m for m in members if m in results]
             if gone:
                 return MissingParticipant(
                     f"rank {r} waits in a reduce over {members} but rank(s) "
@@ -269,8 +270,6 @@ def check_executor(executor: str) -> None:
 
 class CommWorld:
     """A set of ranks 1..p, their statistics, and the program launcher."""
-
-    RECV_TIMEOUT = 120.0  # threads executor: a recv waiting longer deadlocks
 
     def __init__(self, p: int):
         p = as_integer(p, IndexOutOfRange, "the rank count p")
@@ -310,8 +309,9 @@ class CommWorld:
         """Run the generator ``program(comm)`` once per rank; returns
         {rank: return value}.
 
-        ``executor="sim"`` is deterministic, runs in the calling thread and
-        detects deadlock; ``executor="threads"`` runs ranks concurrently.
+        ``executor="sim"`` drives every rank in the calling thread on a fixed
+        schedule; ``executor="threads"`` spreads them over min(p, cores)
+        workers so their numeric work can overlap.
         """
         check_executor(executor)
         gens = []
@@ -325,102 +325,100 @@ class CommWorld:
                         f"comm.send(...)' / 'comm.recv(...)' / "
                         f"'comm.reduce_sum_to_root(...)'")
                 gens.append(gen)
-            if executor == "sim":
-                return self._run_sim(gens)
-            return self._run_threads(gens)
+            workers = 1 if executor == "sim" else min(self.p, os.cpu_count() or 1)
+            return self._run(gens, workers)
         finally:
             for gen in gens:
                 gen.close()
 
-    def _run_sim(self, gens) -> Dict[int, object]:
+    def _run(self, gens, workers: int) -> Dict[int, object]:
+        """Drive the generators on ``workers`` threads, worker 0 being the
+        caller's; the bookkeeping lock is released while a rank runs."""
         p = self.p
+        lock = threading.Lock()
+        wake = threading.Condition(lock) if workers > 1 else None
         channels: Dict[Tuple[int, int], deque] = defaultdict(deque)
         waiting: Dict[int, Tuple[int, object]] = {}   # rank -> (src, members)
         inbox: List[object] = [None] * (p + 1)         # value to resume with
-        finished = [False] * (p + 1)
-        runnable = list(range(1, p + 1))               # sorted
-        results: Dict[int, object] = {}
-        r = 1
-        while True:
-            gen, value = gens[r - 1], inbox[r]
-            inbox[r] = None
-            try:
-                while True:
-                    kind, peer, data = gen.send(value)
-                    if kind is _SEND:
-                        value = None
-                        blocked_on = waiting.get(peer)
-                        if blocked_on is not None and blocked_on[0] == r:
-                            # the peer waits on this channel, which is empty
-                            del waiting[peer]
-                            inbox[peer] = data
-                            bisect.insort(runnable, peer)
-                        else:
-                            channels[r, peer].append(data)
-                    else:
-                        ch = channels[peer, r]
-                        if ch:
-                            value = ch.popleft()
-                        else:
-                            waiting[r] = (peer, data)
-                            break
-            except StopIteration as stop:
-                results[r] = stop.value
-                finished[r] = True
-            runnable.remove(r)
-            if not runnable:
-                if waiting:
-                    raise _stall_error(waiting, finished)
-                return results
-            # round-robin: the first runnable rank after r
-            i = bisect.bisect_right(runnable, r)
-            r = runnable[i] if i < len(runnable) else runnable[0]
-
-    def _run_threads(self, gens) -> Dict[int, object]:
-        cond = threading.Condition()
-        channels: Dict[Tuple[int, int], deque] = defaultdict(deque)
+        # worker w owns ranks w*p//workers + 1 .. (w+1)*p//workers, so rank r
+        # belongs to worker (r*workers - 1)//p
+        runnable = [list(range(w * p // workers + 1,
+                               (w + 1) * p // workers + 1))
+                    for w in range(workers)]           # per worker, sorted
         results: Dict[int, object] = {}
         failure: List[BaseException] = []
 
-        def serve(rank, gen):
-            """Drive one rank's generator until it finishes (StopIteration)
-            or another rank has failed (plain return)."""
-            value = None
-            while True:
-                kind, peer, data = gen.send(value)
-                with cond:
-                    if failure:
-                        return
-                    if kind is _SEND:
-                        channels[rank, peer].append(data)
-                        cond.notify_all()
-                        value = None
-                        continue
-                    ch = channels[peer, rank]
-                    while not ch:
-                        if not cond.wait(timeout=self.RECV_TIMEOUT):
-                            raise Deadlock({rank: f"recv from {peer} timed out"})
-                        if failure:
-                            return
-                    value = ch.popleft()
-
-        def worker(rank):
+        def drive(w):
+            mine = runnable[w]
+            r = 0
+            lock.acquire()
             try:
-                serve(rank, gens[rank - 1])
-            except StopIteration as stop:
-                results[rank] = stop.value
-            except BaseException as exc:  # deliver the first rank failure
-                with cond:
-                    if not failure:
-                        failure.append(exc)
-                    cond.notify_all()
+                while not failure:
+                    if not mine:
+                        if not any(runnable):  # no rank anywhere can run
+                            return
+                        wake.wait()
+                        continue
+                    # round-robin: the first runnable rank after r
+                    i = bisect.bisect_right(mine, r)
+                    r = mine[i] if i < len(mine) else mine[0]
+                    gen, value = gens[r - 1], inbox[r]
+                    inbox[r] = None
+                    try:
+                        while True:
+                            lock.release()
+                            try:
+                                kind, peer, data = gen.send(value)
+                            finally:
+                                lock.acquire()
+                            if failure:
+                                return
+                            if kind is _SEND:
+                                value = None
+                                blocked_on = waiting.get(peer)
+                                if blocked_on is not None and blocked_on[0] == r:
+                                    # the peer waits on this channel, which is empty
+                                    del waiting[peer]
+                                    inbox[peer] = data
+                                    owner = (peer * workers - 1) // p
+                                    bisect.insort(runnable[owner], peer)
+                                    if owner != w:
+                                        wake.notify_all()
+                                else:
+                                    channels[r, peer].append(data)
+                            else:
+                                ch = channels[peer, r]
+                                if ch:
+                                    value = ch.popleft()
+                                else:
+                                    waiting[r] = (peer, data)
+                                    break
+                    except StopIteration as stop:
+                        results[r] = stop.value
+                    mine.remove(r)
+            except BaseException as exc:  # keep the first rank failure
+                failure.append(exc)
+            finally:
+                if wake:  # a worker that stops wakes the others to look
+                    wake.notify_all()
+                lock.release()
 
-        threads = [threading.Thread(target=worker, args=(r,), daemon=True)
-                   for r in range(1, self.p + 1)]
-        for t in threads:
-            t.start()
+        threads = []
+        try:
+            for w in range(1, workers):
+                t = threading.Thread(target=drive, args=(w,), daemon=True)
+                t.start()
+                threads.append(t)
+        except BaseException as exc:  # a worker that could not start
+            with lock:
+                failure.append(exc)
+                wake.notify_all()
+        else:
+            drive(0)
         for t in threads:
             t.join()
         if failure:
             raise failure[0]
+        if waiting:
+            raise _stall_error(waiting, results)
         return results

@@ -118,7 +118,10 @@ class RunConfig:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"[receivers] times: bad entry in {raw!r}") from exc
-        if count < 1 or stop <= start:
+        if not 0.0 <= start < stop < float("inf"):
+            raise ConfigError(f"[receivers] times: need finite times with "
+                              f"0 <= start < stop, got {raw!r}")
+        if count < 1:
             raise ConfigError(f"[receivers] times: empty span in {raw!r}")
         return np.linspace(start, stop, count)
 

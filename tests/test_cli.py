@@ -524,6 +524,28 @@ def test_non_finite_config_value_exits_2_before_any_solve(
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("section, bad", [
+    ("receivers", "times = 0.0, inf, 11"),
+    ("receivers", "times = nan, 1.0, 3"),
+    ("receivers", "times = 0.0, nan, 3"),
+    ("receivers", "times = -1.0, 1.0, 3"),
+    ("snapshot", "t = inf"),
+    ("snapshot", "t = nan"),
+    ("snapshot", "t = -0.5"),
+])
+def test_bad_time_names_its_key(tmp_path, capsys, section, bad):
+    # receiver and snapshot times must be finite and >= 0; the error names
+    # the key, with no numpy warning from building the time axis
+    cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 7\n"
+                    f"[laguerre]\nn_terms = 4\n[{section}]\n{bad}\n")
+    assert run_cli("acoustic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert f"[{section}] {bad.split()[0]}" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("model, name", [
     ("speed = 1e200", "speed"),
     ("rho = 1e-200", "speed"),

@@ -1,13 +1,15 @@
 """Tests for axisolver.comm: channels, reduces, executors, statistics."""
 
+import os
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from axisolver.comm import CommStats, CommWorld, Group, reduce_schedule
+from axisolver.comm import EXECUTORS, CommStats, CommWorld, Group, reduce_schedule
 from axisolver.errors import (
     Deadlock,
     IndexOutOfRange,
@@ -142,22 +144,160 @@ def test_program_that_is_not_a_generator_is_rejected():
     assert world.stats_snapshot().total_msgs() == 0
 
 
+def _extra_threads(executor, p):
+    """The most threads a run may start: the calling thread is worker 0."""
+    return 0 if executor == "sim" else min(p, os.cpu_count()) - 1
+
+
 def test_p256_deadlock_is_reported_at_once():
-    # every rank waits on its right neighbour: the simulator sees that no
-    # rank can run without waiting for a timeout, and starts no thread
-    world = CommWorld(256)
+    # every rank waits on its right neighbour: the driver sees that no rank
+    # can run without waiting for a timeout, on at most min(p, cores) workers
+    p = 256
+    threads_before = threading.active_count()
+    for executor in EXECUTORS:
+        def program(comm):
+            assert threading.active_count() - threads_before <= \
+                _extra_threads(executor, p)
+            yield from comm.recv(comm.rank % comm.p + 1)
+
+        started = time.perf_counter()
+        with pytest.raises(Deadlock) as exc:
+            CommWorld(p).run(program, executor=executor)
+        assert time.perf_counter() - started < 1.2
+        assert exc.value.blocked == {r: f"recv from {r % p + 1}"
+                                     for r in range(1, p + 1)}
+        assert threading.active_count() == threads_before
+
+
+def test_threads_at_p256_run_on_at_most_one_thread_per_core():
+    # a ring shift over 256 ranks: each rank sends its number on, then
+    # receives its left neighbour's, on min(p, cores) - 1 started threads
+    p = 256
     threads_before = threading.active_count()
 
     def program(comm):
-        assert threading.active_count() == threads_before
-        yield from comm.recv(comm.rank % comm.p + 1)
+        yield from comm.send(comm.rank % comm.p + 1, [float(comm.rank)])
+        got = yield from comm.recv((comm.rank - 2) % comm.p + 1)
+        assert threading.active_count() - threads_before <= \
+            _extra_threads("threads", p)
+        return float(got[0])
 
-    started = time.perf_counter()
-    with pytest.raises(Deadlock) as exc:
-        world.run(program, executor="sim")
-    assert time.perf_counter() - started < CommWorld.RECV_TIMEOUT / 100
-    assert sorted(exc.value.blocked) == list(range(1, 257))
-    assert exc.value.blocked[256] == "recv from 1"
+    world = CommWorld(p)
+    results = world.run(program, executor="threads")
+    assert results == {r: float((r - 2) % p + 1) for r in range(1, p + 1)}
+    assert world.stats_snapshot().total_msgs() == p
+    assert threading.active_count() == threads_before
+
+
+def test_missing_participant_is_reported_alike_under_both_executors():
+    # rank 8 finishes without joining the reduce the other seven wait in
+    group = Group(tuple(range(1, 9)), root=1)
+
+    def program(comm):
+        if comm.rank < 8:
+            yield from comm.reduce_sum_to_root(group, [1.0])
+
+    messages = {}
+    for executor in EXECUTORS:
+        started = time.perf_counter()
+        with pytest.raises(MissingParticipant) as exc:
+            CommWorld(8).run(program, executor=executor)
+        assert time.perf_counter() - started < 1.0
+        messages[executor] = str(exc.value)
+    assert messages["threads"] == messages["sim"]
+
+
+def test_threads_rank_failure_closes_every_rank_and_leaves_no_thread():
+    # the last rank fails while the others wait on it: its error is
+    # re-raised, every generator that started is closed, no thread is left
+    p = 8
+    threads_before = threading.active_count()
+    started, closed = set(), set()
+
+    def program(comm):
+        started.add(comm.rank)
+        try:
+            if comm.rank == p:
+                raise ValueError(f"failure on rank {p}")
+            yield from comm.recv(p)
+        finally:
+            closed.add(comm.rank)
+
+    with pytest.raises(ValueError, match="failure on rank 8"):
+        CommWorld(p).run(program, executor="threads")
+    assert p in started and closed == started
+    assert threading.active_count() == threads_before
+
+
+def test_threads_stress_more_workers_than_cores(monkeypatch):
+    # 8 reported cores give 8 workers for 16 ranks, more workers than real
+    # cores, and the interpreter switches threads every microsecond: a lost
+    # wake-up would hang the run, a lost update would change its results or
+    # its traffic
+    p = 16
+    group = Group(tuple(range(1, p + 1)), root=5)
+
+    def program(comm):
+        acc = np.array([float(comm.rank), 1.0])
+        for _ in range(20):
+            yield from comm.send(comm.rank % p + 1, acc)
+            acc = 0.5 * acc + (yield from comm.recv((comm.rank - 2) % p + 1))
+            total = yield from comm.reduce_sum_to_root(group, acc)
+            if total is not None:
+                acc = acc + 1e-3 * total
+        return acc.tobytes()
+
+    def outcome(executor):
+        world = CommWorld(p)
+        return world.run(program, executor=executor), world.stats_snapshot()
+
+    expected = outcome("sim")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    runs = []
+    runner = threading.Thread(
+        target=lambda: runs.extend(outcome("threads") for _ in range(5)),
+        daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert runs == [expected] * 5
+
+
+def test_worker_that_cannot_start_stops_the_run(monkeypatch):
+    # four workers are due; the second thread fails to start, so the one
+    # already running stops, and the start error is raised
+    real_start = threading.Thread.start
+    workers = []
+
+    def start(thread):
+        if workers:
+            raise RuntimeError("can't start new thread")
+        workers.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    threads_before = threading.active_count()
+    started, closed = set(), set()
+
+    def program(comm):
+        started.add(comm.rank)
+        try:
+            yield from comm.send(comm.rank % comm.p + 1, [1.0])
+            yield from comm.recv((comm.rank - 2) % comm.p + 1)
+        finally:
+            closed.add(comm.rank)
+
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        CommWorld(8).run(program, executor="threads")
+    assert len(workers) == 1 and not workers[0].is_alive()
+    assert closed == started
+    assert threading.active_count() == threads_before
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +537,73 @@ def test_threaded_reduce_matches_simulator_stats():
         totals[executor] = results[4]
         assert world.stats_snapshot().total_msgs() == 6
     assert totals["sim"] == totals["threads"] == float(sum(r * r for r in range(1, 8)))
+
+
+# one step of a random program: (kind, members drawn from 1..8, root pick);
+# a ring whose members all receive first deadlocks, and so may a reduce whose
+# last non-root member stays away (or it ends in MissingParticipant)
+_STEPS = st.lists(st.tuples(
+    st.sampled_from(["ring", "ring-recv-first", "pipeline", "reduce",
+                     "reduce-one-absent"]),
+    st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True),
+    st.integers(0, 7)), min_size=1, max_size=4)
+
+
+def _random_program(p, steps):
+    plan = []
+    for kind, members, pick in steps:
+        members = sorted(m for m in members if m <= p)
+        if members:
+            plan.append((kind, members, Group(tuple(members),
+                                              members[pick % len(members)])))
+
+    def program(comm):
+        acc = np.array([float(comm.rank), 1.0])
+        for kind, members, group in plan:
+            if comm.rank not in members:
+                continue
+            i, k = members.index(comm.rank), len(members)
+            if kind == "ring" and k > 1:
+                yield from comm.send(members[(i + 1) % k], acc)
+                acc = 0.5 * acc + (yield from comm.recv(members[i - 1]))
+            elif kind == "ring-recv-first" and k > 1:
+                acc = 0.5 * acc + (yield from comm.recv(members[i - 1]))
+                yield from comm.send(members[(i + 1) % k], acc)
+            elif kind == "pipeline":
+                if i + 1 < k:
+                    acc = acc + (yield from comm.recv(members[i + 1]))
+                if i > 0:
+                    yield from comm.send(members[i - 1], 0.25 * acc)
+            elif kind.startswith("reduce"):
+                absent = max(m for m in members if m != group.root) \
+                    if k > 1 and kind == "reduce-one-absent" else None
+                if comm.rank != absent:
+                    out = yield from comm.reduce_sum_to_root(group, acc)
+                    acc = acc if out is None else out
+        return acc.tobytes()
+    return program
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 8), steps=_STEPS)
+@example(p=5, steps=[("ring-recv-first", [2, 3, 4], 0)])
+@example(p=8, steps=[("pipeline", [1, 2, 3, 4, 5, 6, 7, 8], 0),
+                     ("reduce-one-absent", [1, 3, 5, 7, 8], 2)])
+@example(p=6, steps=[("ring", [1, 6, 3], 0),
+                     ("reduce-one-absent", [2, 4, 6], 1),
+                     ("ring-recv-first", [6, 1], 0)])
+def test_executors_agree_on_random_programs(p, steps):
+    # rank programs block only on reads from FIFO channels, so results,
+    # traffic and the final stall do not depend on the schedule
+    outcomes = {}
+    for executor in EXECUTORS:
+        world = CommWorld(p)
+        try:
+            out = world.run(_random_program(p, steps), executor=executor)
+        except (Deadlock, MissingParticipant) as exc:
+            out = (type(exc), str(exc))
+        outcomes[executor] = (out, world.stats_snapshot())
+    assert outcomes["threads"] == outcomes["sim"]
 
 
 def test_unknown_executor_rejected():
