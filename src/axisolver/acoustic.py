@@ -354,7 +354,7 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
     pc = SovPreconditioner.from_operator(op, ranks=ranks, executor=executor)
     if method == "chebyshev":
         bounds = estimate_bounds(op.apply_spd, pc.apply_inverse,
-                                 grid.n_unknowns, steps=40)
+                                 grid.n_unknowns)
 
     node = grid.nearest_node(*source)
     sums = RunningSums(grid, params.alpha)

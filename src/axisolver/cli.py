@@ -276,15 +276,13 @@ def cmd_elliptic(cfg: RunConfig) -> int:
         x, report = pcg_solve(op.apply_spd, pre.apply_inverse, rhs,
                               tol=tol, maxiter=maxiter, trace=trace)
     else:
-        bounds = estimate_bounds(op.apply_spd, pre.apply_inverse,
-                                 rhs.size, steps=40)
+        bounds = estimate_bounds(op.apply_spd, pre.apply_inverse, rhs.size)
         x, report = chebyshev_solve(op.apply_spd, pre.apply_inverse, rhs,
                                     bounds, tol=tol, maxiter=maxiter,
                                     trace=trace)
     x = x.reshape(grid.unknown_shape)
 
     _write_solution(outdir, grid, x)
-    seconds += [0.0] * (len(report.history) - len(seconds))
     _write_iteration_log(outdir, report.history, seconds)
     _write_report(outdir, [
         "command = elliptic",

@@ -59,6 +59,7 @@ from .errors import (
     IndexOutOfRange,
     MismatchedLength,
     MissingParticipant,
+    WorkerStartFailure,
     as_integer,
 )
 
@@ -410,8 +411,13 @@ class CommWorld:
                 t.start()
                 threads.append(t)
         except BaseException as exc:  # a worker that could not start
+            error = exc              # an interrupt stays what it is
+            if isinstance(exc, Exception):
+                error = WorkerStartFailure(
+                    f"worker thread {len(threads) + 1} could not start: {exc}")
+                error.__cause__ = exc
             with lock:
-                failure.append(exc)
+                failure.append(error)
                 wake.notify_all()
         else:
             drive(0)

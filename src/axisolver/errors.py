@@ -95,6 +95,10 @@ class MismatchedLength(SolverError):
     """Collective participants supplied contributions of different lengths."""
 
 
+class WorkerStartFailure(SolverError, RuntimeError):
+    """A worker thread of the ``threads`` executor could not start."""
+
+
 class MissingParticipant(SolverError):
     """A collective completed a step without hearing from every group member."""
 

@@ -10,8 +10,9 @@ stated in.
 preconditioner.  ``chebyshev_solve`` is the two-term Chebyshev semi-iteration
 over a given spectral interval of the preconditioned operator; it needs no
 inner products, so the residual norm is evaluated only at sparse convergence
-checkpoints (first after one step, then every ``check_every`` steps), making
-the per-step cost communication-free in a distributed setting.
+checkpoints (after the first step, every ``check_every`` steps and the last
+allowed step), making the per-step cost communication-free in a distributed
+setting.  Each method is one step generator run by one convergence loop.
 ``estimate_bounds`` recovers a spectral interval for the Chebyshev method
 from the tridiagonal (Lanczos) coefficients of a short conjugate-gradient
 probe run.
@@ -79,12 +80,6 @@ class IterationReport:
     solution: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _read_only(x: np.ndarray) -> np.ndarray:
-    view = x.view()
-    view.setflags(write=False)
-    return view
-
-
 def _flat(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(-1)
 
@@ -138,6 +133,55 @@ def _pcg_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray):
         yield x, r, alpha, beta
 
 
+def _chebyshev_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray,
+                     bounds: SpectralBounds):
+    """The two-term Chebyshev recurrence over ``bounds`` from x = 0 (Saad,
+    Iterative Methods for Sparse Linear Systems, Algorithm 12.1), written
+    with ``w = delta * rho`` so nothing divides by the half-width
+    ``delta``; yields ``(x, r)`` like :func:`_pcg_steps`."""
+    theta = 0.5 * (bounds.upper + bounds.lower)
+    delta = 0.5 * (bounds.upper - bounds.lower)
+    x = np.zeros_like(f)
+    r = f.copy()
+    z = _flat(apply_pc(r))
+    d, w = z / theta, delta * delta / theta
+    while True:
+        del z                         # not held through the next inversion
+        x += d
+        r -= _flat(apply_op(d))
+        yield x, r
+        z = _flat(apply_pc(r))
+        scale = 2.0 * theta - w
+        d = (w * d + 2.0 * z) / scale
+        w = delta * delta / scale
+
+
+def _run_to_tol(steps, f: np.ndarray, tol: float, maxiter: int,
+                check_every: int, trace: Optional[Callable]
+                ) -> Tuple[np.ndarray, IterationReport]:
+    """Run ``steps`` until the relative residual, read after step 1, each
+    ``check_every``-th step and step ``maxiter``, reaches ``tol``; each
+    read adds a history row and calls ``trace``."""
+    norm_f = float(np.linalg.norm(f))
+    if norm_f == 0.0:
+        x = np.zeros_like(f)
+        return x, IterationReport(0, 0.0, True, 0, (), x)
+    history = []
+    for it, (x, r, *_) in enumerate(islice(steps, maxiter), 1):
+        if it % check_every and it != 1 and it != maxiter:
+            continue
+        relres = float(np.linalg.norm(r)) / norm_f
+        history.append((it, relres))
+        if trace is not None:
+            view = x.view()
+            view.setflags(write=False)
+            trace(it, view, relres)
+        if relres <= tol:
+            return x, IterationReport(it, relres, True, it, tuple(history), x)
+    raise MaxIterExceeded(IterationReport(maxiter, relres, False, maxiter,
+                                          tuple(history), x))
+
+
 def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
               tol: float = 1e-10, maxiter: int = 500,
               trace: Optional[Callable] = None
@@ -155,25 +199,8 @@ def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
     application.
     """
     f, maxiter = _checked_problem(rhs, tol, maxiter)
-    norm_f = float(np.linalg.norm(f))
-    if norm_f == 0.0:
-        report = IterationReport(0, 0.0, True, 0, (), np.zeros_like(f))
-        return np.zeros_like(f), report
-
-    history = []
-    steps = islice(_pcg_steps(apply_op, apply_pc, f), maxiter)
-    for it, (x, r, _alpha, _beta) in enumerate(steps, 1):
-        relres = float(np.linalg.norm(r)) / norm_f
-        history.append((it, relres))
-        if trace is not None:
-            trace(it, _read_only(x), relres)
-        if relres <= tol:
-            report = IterationReport(it, relres, True, it,
-                                     tuple(history), x)
-            return x, report
-    report = IterationReport(maxiter, relres, False, maxiter,
-                             tuple(history), x)
-    raise MaxIterExceeded(report)
+    return _run_to_tol(_pcg_steps(apply_op, apply_pc, f), f, tol, maxiter,
+                       1, trace)
 
 
 def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
@@ -183,59 +210,20 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
                     ) -> Tuple[np.ndarray, IterationReport]:
     """Two-term Chebyshev semi-iteration over ``bounds``.
 
-    The residual 2-norm is evaluated only after the first step and then
-    every ``check_every`` steps, so steps in between involve no reductions.
-    Convergence semantics match :func:`pcg_solve`, and so do the
-    :class:`DomainError` cases for ``tol``, ``maxiter`` and the rhs.
+    The residual 2-norm is read only at the checkpoints of the module
+    docstring, so steps in between involve no reductions.  Everything
+    else, :class:`DomainError` cases included, matches :func:`pcg_solve`.
     """
     f, maxiter = _checked_problem(rhs, tol, maxiter)
     check_every = as_integer(check_every, InvalidBounds, "check_every")
     if check_every < 1:
         raise InvalidBounds(f"check_every must be >= 1, got {check_every}")
-    norm_f = float(np.linalg.norm(f))
-    if norm_f == 0.0:
-        report = IterationReport(0, 0.0, True, 0, (), np.zeros_like(f))
-        return np.zeros_like(f), report
-
-    theta = 0.5 * (bounds.upper + bounds.lower)
-    delta = 0.5 * (bounds.upper - bounds.lower)
-    x = np.zeros_like(f)
-    r = f.copy()
-    d = _flat(apply_pc(r)) / theta
-    binv = 1
-    history = []
-    scalar_spectrum = delta <= 1e-14 * theta
-    sigma1 = None if scalar_spectrum else theta / delta
-    rho = None if scalar_spectrum else 1.0 / sigma1
-    for it in range(1, maxiter + 1):
-        x += d
-        r -= _flat(apply_op(d))
-        if it == 1 or it % check_every == 0:
-            relres = float(np.linalg.norm(r)) / norm_f
-            history.append((it, relres))
-            if trace is not None:
-                trace(it, _read_only(x), relres)
-            if relres <= tol:
-                report = IterationReport(it, relres, True, binv,
-                                         tuple(history), x)
-                return x, report
-        z = _flat(apply_pc(r))
-        binv += 1
-        if scalar_spectrum:
-            d = z / theta
-        else:
-            rho_next = 1.0 / (2.0 * sigma1 - rho)
-            d = (rho_next * rho) * d + (2.0 * rho_next / delta) * z
-            rho = rho_next
-        del z                         # not held through the next inversion
-    final = float(np.linalg.norm(r)) / norm_f
-    history.append((maxiter, final))
-    report = IterationReport(maxiter, final, False, binv, tuple(history), x)
-    raise MaxIterExceeded(report)
+    return _run_to_tol(_chebyshev_steps(apply_op, apply_pc, f, bounds), f,
+                       tol, maxiter, check_every, trace)
 
 
 def estimate_bounds(apply_op: Callable, apply_pc: Callable, n: int, *,
-                    steps: int = 50) -> SpectralBounds:
+                    steps: int = 40) -> SpectralBounds:
     """Spectral interval of the preconditioned operator from the Lanczos
     coefficients of one short conjugate-gradient run.
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import axisolver
-from axisolver import acoustic
+from axisolver import acoustic, cli
 from axisolver.cli import main
 from axisolver.elliptic import Grid2D, read_field_raw, write_field_text
 
@@ -83,6 +84,21 @@ def test_poisson_distributed_ranks(tmp_path):
     assert run_cli("poisson", "--config", cfg, "--out", str(out),
                    "--ranks", "4") == 0
     assert float(report_value(out, "relative_residual")) <= 1e-10
+
+
+def test_worker_thread_that_cannot_start_exits_3(tmp_path, capsys,
+                                                 monkeypatch):
+    def start(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    out = tmp_path / "out"
+    assert run_cli("elliptic", "--out", str(out), "--ranks", "4",
+                   "--executor", "threads") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
+    assert "can't start new thread" in err
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +304,35 @@ def test_elliptic_chebyshev_method(tmp_path, smooth_kappa_file):
     assert run_cli("elliptic", "--config", cfg, "--out", str(out)) == 0
     assert report_value(out, "converged") == "True"
     assert float(report_value(out, "relative_residual")) <= 1e-10
+
+
+@pytest.mark.parametrize("maxiter, checks", [
+    ("", [1, 8, 16]),
+    # step 15 is the first to meet tol; as the last allowed step it is read
+    ("maxiter = 15\n", [1, 8, 15]),
+], ids=["default", "converges-at-maxiter"])
+def test_elliptic_chebyshev_logs_one_row_per_history_entry(
+        tmp_path, smooth_kappa_file, monkeypatch, maxiter, checks):
+    reports = []
+    real = cli.chebyshev_solve
+
+    def recording(*args, **kwargs):
+        x, report = real(*args, **kwargs)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(cli, "chebyshev_solve", recording)
+    cfg = write_cfg(tmp_path / "run.cfg",
+                    elliptic_cfg(smooth_kappa_file, 32)
+                    + "[solver]\nmethod = chebyshev\n" + maxiter)
+    out = tmp_path / "out"
+    assert run_cli("elliptic", "--config", cfg, "--out", str(out)) == 0
+    lines = (out / "iterations.csv").read_text(encoding="ascii").splitlines()
+    rows = [line.split(", ") for line in lines[1:]]
+    assert [(int(it), float(relres)) for it, relres, _ in rows] \
+        == list(reports[0].history)
+    assert [it for it, _ in reports[0].history] == checks
+    assert report_value(out, "binv_applications") == str(checks[-1])
 
 
 def test_iteration_log_format(tmp_path, smooth_kappa_file):

@@ -389,6 +389,82 @@ def test_pcg_solves_random_spd_property(n, seed):
 
 
 # ---------------------------------------------------------------------------
+# the report contract of the shared convergence loop
+# ---------------------------------------------------------------------------
+
+LAM50 = np.linspace(1.0, 4.0, 50)
+
+
+def chebyshev_on_lam50(maxiter, pc=IDENT, check_every=8):
+    # checked at every step, this solve first meets tol = 1e-8 at step 18
+    return chebyshev_solve(lambda v: LAM50 * v, pc, np.ones(50),
+                           SpectralBounds(1.0, 4.0), tol=1e-8,
+                           maxiter=maxiter, check_every=check_every)
+
+
+def test_chebyshev_lam50_first_meets_tol_at_step_18():
+    _, rep = chebyshev_on_lam50(100, check_every=1)
+    assert rep.iterations == 18
+    assert [it for it, _ in rep.history] == list(range(1, 19))
+
+
+def test_chebyshev_checks_after_its_last_allowed_step():
+    # step 18 is no multiple of check_every = 8, but it is the last allowed
+    x, rep = chebyshev_on_lam50(18)
+    assert rep.converged and rep.iterations == 18
+    assert rep.final_relres <= 1e-8
+    assert [it for it, _ in rep.history] == [1, 8, 16, 18]
+    assert np.linalg.norm(np.ones(50) - LAM50 * x) <= 1e-8 * np.sqrt(50)
+
+
+def test_chebyshev_pays_no_inversion_after_its_last_step():
+    calls = []
+    with pytest.raises(MaxIterExceeded) as exc:
+        chebyshev_on_lam50(17, _counting_identity(calls))
+    assert exc.value.report.iterations == 17
+    assert exc.value.report.binv_applications == 17 == len(calls)
+
+
+def test_chebyshev_history_has_one_row_per_residual_read():
+    # step 16 is both a checkpoint and the last allowed step: one row
+    with pytest.raises(MaxIterExceeded) as exc:
+        chebyshev_on_lam50(16)
+    assert [it for it, _ in exc.value.report.history] == [1, 8, 16]
+
+
+@settings(max_examples=80, deadline=None)
+@given(method=st.sampled_from(["pcg", "chebyshev"]),
+       lam=st.lists(st.floats(0.5, 20.0), min_size=1, max_size=8),
+       tol_exponent=st.floats(-12.0, -1.0), maxiter=st.integers(1, 30),
+       check_every=st.integers(1, 10), seed=st.integers(0, 2 ** 31 - 1))
+def test_report_contract_property(method, lam, tol_exponent, maxiter,
+                                  check_every, seed):
+    lam = np.array(lam)
+    f = np.random.default_rng(seed).standard_normal(lam.size)
+    tol = 10.0 ** tol_exponent
+    calls = []
+    pc = _counting_identity(calls)
+    try:
+        if method == "pcg":
+            _, rep = pcg_solve(lambda v: lam * v, pc, f, tol=tol,
+                               maxiter=maxiter)
+        else:
+            _, rep = chebyshev_solve(lambda v: lam * v, pc, f,
+                                     SpectralBounds(lam.min(), lam.max()),
+                                     tol=tol, maxiter=maxiter,
+                                     check_every=check_every)
+    except MaxIterExceeded as exc:
+        rep = exc.report
+        assert rep.iterations == maxiter
+    assert rep.converged == (rep.final_relres <= tol)
+    assert rep.binv_applications == rep.iterations == len(calls)
+    its = [it for it, _ in rep.history]
+    assert all(a < b for a, b in zip(its, its[1:]))
+    assert its[-1] == rep.iterations
+    assert rep.history[-1][1] == rep.final_relres
+
+
+# ---------------------------------------------------------------------------
 # integration with the discretization and preconditioner
 # ---------------------------------------------------------------------------
 
