@@ -19,7 +19,8 @@ from .dichotomy import (DichotomyPlan, Partition, build_plan,
                         solve_many, solve_series)
 from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        manufactured_problem, read_field_raw, read_field_text,
-                       sampler_from_field, write_field_raw, write_field_text)
+                       sampler_from_field, weighted_source, write_field_raw,
+                       write_field_text)
 from .sov import SovPreconditioner
 from .iterative import (IterationReport, chebyshev_solve, estimate_bounds,
                         pcg_solve)
@@ -42,7 +43,7 @@ __all__ = [
     "predict_time_dichotomy", "predict_time_cyclic",
     # elliptic discretization and preconditioned iterations
     "Grid2D", "CoefficientFields", "DiscreteOperator", "assemble",
-    "manufactured_problem", "write_field_text", "read_field_text",
+    "weighted_source", "manufactured_problem", "write_field_text", "read_field_text",
     "write_field_raw", "read_field_raw", "sampler_from_field",
     "SovPreconditioner", "IterationReport", "pcg_solve", "chebyshev_solve",
     "estimate_bounds",

@@ -43,9 +43,9 @@ from .comm import EXECUTORS, CommWorld
 from .config import DEFAULTS, RunConfig, load_config
 from .dichotomy import (Partition, build_plan, predict_time_cyclic,
                         predict_time_dichotomy, solve_many)
-from .elliptic import (CoefficientFields, Grid2D, assemble,
+from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        manufactured_problem, read_field_text,
-                       sampler_from_field, write_field_raw)
+                       sampler_from_field, weighted_source, write_field_raw)
 from .errors import (ConfigError, DimensionMismatch, DomainError, SolverError)
 from .iterative import chebyshev_solve, estimate_bounds, pcg_solve
 from .sov import SovPreconditioner
@@ -59,18 +59,16 @@ __all__ = ["main", "cmd_poisson", "cmd_elliptic", "cmd_acoustic", "cmd_bench"]
 # ---------------------------------------------------------------------------
 
 
-def _outdir(cfg: RunConfig) -> str:
+def _open_outdir(cfg: RunConfig) -> str:
+    """Create ``[output] dir`` and echo the configuration into it."""
     path = cfg.get("output", "dir")
     if not path:
         raise ConfigError("[output] dir must be non-empty")
     os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _echo_config(cfg: RunConfig, outdir: str) -> None:
-    with open(os.path.join(outdir, "effective.cfg"), "w",
+    with open(os.path.join(path, "effective.cfg"), "w",
               encoding="ascii") as fh:
         fh.write(cfg.effective_text())
+    return path
 
 
 def _build_grid(cfg: RunConfig) -> Grid2D:
@@ -90,17 +88,6 @@ def _build_medium(cfg: RunConfig) -> MediumModel:
         throw=cfg.get_float("model", "throw"),
         fault_r=cfg.get_float("model", "fault_r"),
         dip=cfg.get_float("model", "dip"), rho=rho)
-
-
-def _field_sampler(path: str, grid: Grid2D) -> Callable:
-    """Sampler over a full-node text panel whose grid must equal the run
-    grid (nodal data such as a right-hand side)."""
-    file_grid, values = read_field_text(path)
-    if file_grid != grid:
-        raise DimensionMismatch(
-            f"{path}: file grid {file_grid.nr}x{file_grid.nz} does not match "
-            f"run grid {grid.nr}x{grid.nz}")
-    return sampler_from_field(file_grid, values)
 
 
 def _coefficient_sampler(cfg: RunConfig, key: str, positive: bool
@@ -161,26 +148,24 @@ def _relative_residual(op, x: np.ndarray, rhs: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# poisson: direct separable solve
+# poisson and elliptic: one way to pose the problem
 # ---------------------------------------------------------------------------
 
 
-def _source_callable(cfg: RunConfig, grid: Grid2D, kind: str) -> Callable:
-    """Continuum source for the ``zero``, ``uniform`` and ``file`` rhs
-    kinds."""
-    if kind == "zero":
-        return lambda r, z: np.zeros(np.shape(r))
-    if kind == "uniform":
-        value = cfg.get_float("rhs", "value")
-        return lambda r, z: np.full(np.shape(r), value)
-    if not cfg.get("rhs", "path"):
-        raise ConfigError("[rhs] kind = file needs path")
-    return _field_sampler(cfg.get("rhs", "path"), grid)
-
-
-def _constant_fields(cfg: RunConfig) -> CoefficientFields:
-    """``[model] kappa0`` > 0 and ``q0`` >= 0, both finite, as constant
-    coefficients."""
+def _fields(cfg: RunConfig, kinds) -> CoefficientFields:
+    """Coefficients for ``[model] kind``, one of ``kinds``: ``files`` reads
+    the ``kappa_file``/``reaction_file`` panels, ``homogeneous`` and
+    ``constant`` take ``kappa0`` > 0 and ``q0`` >= 0, both finite."""
+    if cfg.get_choice("model", "kind", kinds) == "files":
+        if not cfg.get("model", "kappa_file"):
+            raise ConfigError("[model] kind = files needs kappa_file")
+        kappa = _coefficient_sampler(cfg, "kappa_file", positive=True)
+        if cfg.get("model", "reaction_file"):
+            reaction = _coefficient_sampler(cfg, "reaction_file",
+                                            positive=False)
+        else:
+            reaction = lambda r, z: np.zeros(np.shape(r))
+        return CoefficientFields(kappa, reaction)
     kappa0 = cfg.get_float("model", "kappa0")
     q0 = cfg.get_float("model", "q0")
     if not (0.0 < kappa0 < math.inf and 0.0 <= q0 < math.inf):
@@ -189,27 +174,68 @@ def _constant_fields(cfg: RunConfig) -> CoefficientFields:
     return CoefficientFields.constant(kappa0, q0)
 
 
-def cmd_poisson(cfg: RunConfig) -> int:
-    outdir = _outdir(cfg)
-    _echo_config(cfg, outdir)
-    grid = _build_grid(cfg)
-    fields = _constant_fields(cfg)
+def _source_callable(cfg: RunConfig, grid: Grid2D, kind: str) -> Callable:
+    """Continuum source for the ``zero``, ``uniform`` and ``file`` rhs
+    kinds; a non-finite ``[rhs] value`` or ``[rhs] path`` entry is a
+    configuration error that names its key."""
+    if kind == "zero":
+        return lambda r, z: np.zeros(np.shape(r))
+    if kind == "uniform":
+        value = cfg.get_float("rhs", "value")
+        if not math.isfinite(value):
+            raise ConfigError(f"[rhs] value = {cfg.get('rhs', 'value')!r} "
+                              f"must be finite")
+        return lambda r, z: np.full(np.shape(r), value)
+    path = cfg.get("rhs", "path")
+    if not path:
+        raise ConfigError("[rhs] kind = file needs path")
+    file_grid, values = read_field_text(path)
+    if file_grid != grid:
+        raise DimensionMismatch(
+            f"{path}: file grid {file_grid.nr}x{file_grid.nz} does not match "
+            f"run grid {grid.nr}x{grid.nz}")
+    ok = np.isfinite(values)
+    if not ok.all():
+        raise ConfigError(f"[rhs] path = {path}: entries must be finite, "
+                          f"found {float(values[~ok][0])!r}")
+    return sampler_from_field(file_grid, values)
 
+
+def _discrete_rhs(grid: Grid2D, fields: CoefficientFields,
+                  target: Callable) -> Tuple[DiscreteOperator, np.ndarray]:
+    """The operator and ``A t`` for ``t`` the target at the nodes, so the
+    discrete solution is ``t`` itself."""
+    op = assemble(grid, fields)
+    return op, op.apply_spd(target(*grid.node_mesh()))
+
+
+def _pose(cfg: RunConfig, kinds, manufactured: Callable):
+    """``(grid, op, rhs, pre)`` for ``poisson`` and ``elliptic``: the
+    coefficients of ``[model] kind`` in ``kinds``, the ``[rhs]`` source
+    and the separable preconditioner.  For ``[rhs] kind = manufactured``,
+    ``manufactured(grid, fields, target)`` gives the operator and rhs of a
+    smooth target that meets the boundary conditions."""
+    grid = _build_grid(cfg)
+    fields = _fields(cfg, kinds)
     rhs_kind = cfg.get_choice("rhs", "kind",
                               {"manufactured", "zero", "uniform", "file"})
     if rhs_kind == "manufactured":
-        op = assemble(grid, fields)
-        R, Z = grid.node_mesh()
-        target = (np.cos(0.5 * np.pi * R / grid.rmax)
-                  * np.cos(np.pi * Z / grid.zmax))
-        rhs = op.apply_spd(target)
+        target = (lambda r, z: np.cos(0.5 * np.pi * r / grid.rmax)
+                  * np.cos(np.pi * z / grid.zmax))
+        op, rhs = manufactured(grid, fields, target)
     else:
-        op = assemble(grid, fields, _source_callable(cfg, grid, rhs_kind))
-        rhs = op.rhs
-
+        source = _source_callable(cfg, grid, rhs_kind)
+        op = assemble(grid, fields)
+        rhs = weighted_source(grid, source)
     pre = SovPreconditioner.from_operator(
         op, ranks=cfg.get_int("solver", "ranks"),
         executor=cfg.get_choice("solver", "executor", EXECUTORS))
+    return grid, op, rhs, pre
+
+
+def cmd_poisson(cfg: RunConfig, outdir: str) -> int:
+    grid, op, rhs, pre = _pose(cfg, {"homogeneous", "constant"},
+                               _discrete_rhs)
     x = pre.apply_inverse(rhs)
     relres = _relative_residual(op, x, rhs)
 
@@ -224,50 +250,18 @@ def cmd_poisson(cfg: RunConfig) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# elliptic: preconditioned iterative solve
-# ---------------------------------------------------------------------------
-
-
-def _elliptic_fields(cfg: RunConfig) -> CoefficientFields:
-    if cfg.get_choice("model", "kind",
-                      {"homogeneous", "constant", "files"}) != "files":
-        return _constant_fields(cfg)
-    if not cfg.get("model", "kappa_file"):
-        raise ConfigError("[model] kind = files needs kappa_file")
-    kappa = _coefficient_sampler(cfg, "kappa_file", positive=True)
-    if cfg.get("model", "reaction_file"):
-        reaction = _coefficient_sampler(cfg, "reaction_file", positive=False)
-    else:
-        reaction = lambda r, z: np.zeros(np.shape(r))
-    return CoefficientFields(kappa, reaction)
-
-
-def cmd_elliptic(cfg: RunConfig) -> int:
-    outdir = _outdir(cfg)
-    _echo_config(cfg, outdir)
-    grid = _build_grid(cfg)
-    fields = _elliptic_fields(cfg)
-
-    rhs_kind = cfg.get_choice("rhs", "kind",
-                              {"manufactured", "zero", "uniform", "file"})
-    if rhs_kind == "manufactured":
-        exact = (lambda r, z: np.cos(0.5 * np.pi * r / grid.rmax)
-                 * np.cos(np.pi * z / grid.zmax))
-        op, rhs, _ = manufactured_problem(grid, exact, fields)
-    else:
-        op = assemble(grid, fields, _source_callable(cfg, grid, rhs_kind))
-        rhs = op.rhs
-
-    executor = cfg.get_choice("solver", "executor", EXECUTORS)
-    pre = SovPreconditioner.from_operator(
-        op, ranks=cfg.get_int("solver", "ranks"), executor=executor)
+def cmd_elliptic(cfg: RunConfig, outdir: str) -> int:
+    # the continuum source of the target, which the solution approximates
+    grid, op, rhs, pre = _pose(
+        cfg, {"homogeneous", "constant", "files"},
+        lambda grid, fields, target:
+            manufactured_problem(grid, target, fields)[:2])
     tol, maxiter = _stopping_rule(cfg)
     method = cfg.get_choice("solver", "method", {"pcg", "chebyshev"})
 
     seconds: List[float] = []
     started = time.perf_counter()
-    timed = executor == "threads"
+    timed = cfg.get("solver", "executor") == "threads"
 
     def trace(_it, _x, _relres):
         seconds.append(time.perf_counter() - started if timed else 0.0)
@@ -301,9 +295,7 @@ def cmd_elliptic(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_acoustic(cfg: RunConfig) -> int:
-    outdir = _outdir(cfg)
-    _echo_config(cfg, outdir)
+def cmd_acoustic(cfg: RunConfig, outdir: str) -> int:
     grid = _build_grid(cfg)
     model = _build_medium(cfg)
     params = LaguerreParams(h=cfg.get_float("laguerre", "h"),
@@ -383,9 +375,7 @@ def _bench_once(matrix: TridiagonalMatrix, batch: np.ndarray, p: int,
     return plan.depth, world.stats_snapshot(), wall
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    outdir = _outdir(cfg)
-    _echo_config(cfg, outdir)
+def cmd_bench(cfg: RunConfig, outdir: str) -> int:
     executor = cfg.get_choice("solver", "executor", EXECUTORS)
     ranks = cfg.bench_ranks()
     n = cfg.get_int("bench", "n")
@@ -492,7 +482,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides["bench"] = {"ranks": str(args.ranks)}
     try:
         cfg = load_config(args.config, overrides)
-        return _COMMANDS[args.subcommand](cfg)
+        return _COMMANDS[args.subcommand](cfg, _open_outdir(cfg))
     except (ConfigError, DomainError, DimensionMismatch) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,9 @@ __all__ = ["DEFAULTS", "RunConfig", "load_config", "parse_points"]
 #: grid      -- node counts and physical extents of the axisymmetric box
 #: model     -- medium/coefficient description shared by the subcommands:
 #:                kind      homogeneous | fault | constant | files
-#:                          (elliptic reads homogeneous as constant)
+#:                          (acoustic: homogeneous | fault; poisson:
+#:                          constant; elliptic: constant | files; both
+#:                          read homogeneous as constant)
 #:                speed,rho              homogeneous wave medium
 #:                v_top..dip             parametric two-layer fault medium
 #:                                       (defaults are artifact choices)

@@ -22,12 +22,11 @@ Unknowns are the nodes i = 1..nr-1, k = 1..nz (the column i = nr is the
 Dirichlet ghost, identically zero), stored row-major with k outer and i
 inner so that r-lines are contiguous.
 
-Sign conventions
-----------------
-``DiscreteOperator.apply`` returns the flux-divergence form
-``(div_r + div_z) y - reaction * y`` (negative semi-definite); its negation
-``apply_spd`` is the symmetric positive-definite form that the iterative
-solvers consume together with the ``source`` array as right-hand side.
+Sign convention
+---------------
+``DiscreteOperator.apply_spd`` is the symmetric positive-definite form
+``reaction * y - (div_r + div_z) y``; :func:`weighted_source` forms the
+right-hand side ``r * f`` that pairs with it.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .tridiag import frozen_copy
 
 __all__ = [
     "Grid2D", "CoefficientFields", "DiscreteOperator", "assemble",
-    "manufactured_problem", "check_boundary_conditions",
+    "weighted_source", "manufactured_problem", "check_boundary_conditions",
     "write_field_text", "read_field_text", "write_field_raw",
     "read_field_raw", "sampler_from_field",
 ]
@@ -196,15 +195,14 @@ class DiscreteOperator:
     j = nr - 1 couples the last unknown to the Dirichlet ghost).
     ``z_faces[j, i]`` is the conductance of the z-face at ``z = j * dz``
     (j = 0 and j = nz carry the zero-flux closure and are zero).
-    ``reaction`` and ``source`` hold ``r * q`` and ``r * f`` at the nodes.
-    The operator keeps read-only copies of the four arrays.
+    ``reaction`` holds ``r * q`` at the nodes.  The operator keeps
+    read-only copies of the three arrays.
     """
 
     grid: Grid2D
     r_faces: np.ndarray
     z_faces: np.ndarray
     reaction: np.ndarray
-    source: np.ndarray
 
     def __post_init__(self):
         g = self.grid
@@ -212,7 +210,6 @@ class DiscreteOperator:
             "r_faces": (g.nz, g.nr),
             "z_faces": (g.nz + 1, g.nr - 1),
             "reaction": g.unknown_shape,
-            "source": g.unknown_shape,
         }
         for name, shape in expect.items():
             object.__setattr__(self, name,
@@ -250,32 +247,22 @@ class DiscreteOperator:
         out[1:] += flux
         return out.ravel() if flat else out
 
-    def apply(self, y) -> np.ndarray:
-        """Flux-divergence form, exactly ``-apply_spd(y)``."""
-        out = self.apply_spd(y)
-        return np.negative(out, out=out)
-
-    @property
-    def rhs(self) -> np.ndarray:
-        """Right-hand side paired with ``apply_spd`` (the weighted source)."""
-        return self.source
-
-    def to_dense(self, spd: bool = True) -> np.ndarray:
-        """Dense matrix by unit-vector application; small grids only."""
+    def to_dense(self) -> np.ndarray:
+        """Dense matrix of ``apply_spd`` by unit-vector application; small
+        grids only."""
         n = self.grid.n_unknowns
         if n > 6000:
             raise DomainError("dense assembly capped at 6000 unknowns")
-        apply_fn = self.apply_spd if spd else self.apply
         cols = np.zeros((n, n))
         e = np.zeros(n)
         for j in range(n):
             e[j] = 1.0
-            cols[:, j] = apply_fn(e)
+            cols[:, j] = self.apply_spd(e)
             e[j] = 0.0
         return cols
 
     def checksum(self) -> str:
-        """SHA-256 over the coefficient arrays (source and the derived
+        """SHA-256 over the three coefficient arrays (the derived
         conductances excluded), identifying the operator."""
         h = hashlib.sha256()
         for arr in (self.r_faces, self.z_faces, self.reaction):
@@ -288,17 +275,16 @@ class DiscreteOperator:
 # ---------------------------------------------------------------------------
 
 
-def assemble(grid: Grid2D, fields: CoefficientFields,
-             source: Optional[Callable] = None) -> DiscreteOperator:
+def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
     """Sample the coefficients once at their staggered locations, check
     them and build the operator arrays.
 
     Radial faces take ``r * kappa`` at ``r = j * dr`` between neighbouring
     nodes; z-faces take ``r_i * kappa`` at ``z = j * dz``; nodes take
-    ``r_i * q`` and ``r_i * f``.  Each sampler is evaluated once per
-    point set: ``kappa`` twice, ``reaction`` and ``source`` once.  A
-    non-finite sample raises :class:`DomainError`, ``kappa <= 0`` or
-    ``q < 0`` :class:`NonPositiveCoefficient`.
+    ``r_i * q``.  Each sampler is evaluated once per point set: ``kappa``
+    twice, ``reaction`` once.  A non-finite sample raises
+    :class:`DomainError`, ``kappa <= 0`` or ``q < 0``
+    :class:`NonPositiveCoefficient`.
     """
     g = grid
     r_face_pos = np.arange(g.nr) * g.dr                 # j = 0..nr-1
@@ -323,14 +309,19 @@ def assemble(grid: Grid2D, fields: CoefficientFields,
     if q.min() < 0:
         raise NonPositiveCoefficient(
             f"reaction coefficient must be >= 0, found {q.min()!r}")
-    reaction = R * q
+    return DiscreteOperator(grid=g, r_faces=r_faces, z_faces=z_faces,
+                            reaction=R * q)
 
-    phi = np.zeros(g.unknown_shape) if source is None else R * _sample(source, R, Z)
+
+def weighted_source(grid: Grid2D, f: Callable) -> np.ndarray:
+    """The right-hand side ``r * f`` paired with ``apply_spd``, shaped
+    ``grid.unknown_shape``: ``f`` is sampled once at the nodes, and a
+    non-finite sample raises :class:`DomainError`."""
+    R, Z = grid.node_mesh()
+    phi = R * _sample(f, R, Z)
     if not np.all(np.isfinite(phi)):
         raise DomainError("source sampler produced non-finite values")
-
-    return DiscreteOperator(grid=g, r_faces=r_faces, z_faces=z_faces,
-                            reaction=reaction, source=phi)
+    return phi
 
 
 def _validate_coefficient(values: np.ndarray, where: str) -> None:
@@ -412,10 +403,10 @@ def manufactured_problem(grid: Grid2D, exact: Callable,
 
         source = continuum_source
 
-    op = assemble(grid, fields, source)
+    op = assemble(grid, fields)
+    rhs = weighted_source(grid, source)
     R, Z = grid.node_mesh()
-    exact_values = _sample(exact, R, Z)
-    return op, op.rhs, exact_values
+    return op, rhs, _sample(exact, R, Z)
 
 
 # ---------------------------------------------------------------------------

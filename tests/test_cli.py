@@ -163,9 +163,10 @@ kind = uniform
 """)
 
 
-def assert_one_line_config_error(capsys):
+def assert_one_line_config_error(capsys, key=""):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert key in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -620,6 +621,45 @@ def test_rhs_file_without_path_exits_2(tmp_path, capsys, command):
                    "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "path" in err
+
+
+@pytest.mark.parametrize("kind", ["nonsense", "fault", "files"])
+def test_poisson_rejects_a_model_kind_it_cannot_solve(tmp_path, capsys, kind):
+    # poisson solves constant coefficients only; files would be read as
+    # kappa0/q0 with the panels ignored
+    cfg = write_cfg(tmp_path / "run.cfg", SMALL_GRID + f"""\
+[model]
+kind = {kind}
+kappa_file = {tmp_path / 'kappa.txt'}
+""")
+    assert run_cli("poisson", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, "[model] kind")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["poisson", "elliptic"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_non_finite_rhs_value_names_its_key(tmp_path, capsys, command, value):
+    cfg = write_cfg(tmp_path / "run.cfg", SMALL_GRID
+                    + f"[rhs]\nkind = uniform\nvalue = {value}\n")
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, "[rhs] value")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["poisson", "elliptic"])
+def test_non_finite_rhs_panel_names_its_key(tmp_path, capsys, command):
+    g = Grid2D(33, 32, 950.0, 950.0)
+    panel = np.ones((g.nz, g.nr))
+    panel[5, 7] = np.nan
+    write_field_text(tmp_path / "rhs.txt", g, panel)
+    cfg = write_cfg(tmp_path / "run.cfg", SMALL_GRID
+                    + f"[rhs]\nkind = file\npath = {tmp_path / 'rhs.txt'}\n")
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, "[rhs] path")
 
 
 @pytest.mark.parametrize("command", ["poisson", "elliptic", "bench"])

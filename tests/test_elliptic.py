@@ -27,6 +27,7 @@ from axisolver.elliptic import (
     read_field_raw,
     read_field_text,
     sampler_from_field,
+    weighted_source,
     write_field_raw,
     write_field_text,
 )
@@ -225,7 +226,6 @@ def test_assemble_unit_kappa_face_conductances():
         np.broadcast_to(g.r_nodes[:-1], (g.nz - 1, g.nr - 1)),
         rtol=0, atol=1e-15)
     np.testing.assert_array_equal(op.reaction, np.zeros(g.unknown_shape))
-    np.testing.assert_array_equal(op.source, np.zeros(g.unknown_shape))
 
 
 def test_assemble_two_by_two_reaction_weight():
@@ -282,21 +282,41 @@ def test_assemble_rejects_nonfinite_samples():
         assemble(g, fields)
 
 
+def test_weighted_source_is_r_times_f_at_the_nodes():
+    g = Grid2D(6, 5, 1.3, 0.9)
+    calls = []
+
+    def f(r, z):
+        calls.append((np.shape(r), np.shape(z)))
+        return np.sin(3.0 * r) * np.exp(z) - r * z
+
+    phi = weighted_source(g, f)
+    R, Z = g.node_mesh()
+    assert calls == [(g.unknown_shape, g.unknown_shape)]    # sampled once
+    assert phi.shape == g.unknown_shape
+    np.testing.assert_array_equal(phi, R * f(R, Z))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weighted_source_rejects_nonfinite_samples(bad):
+    g = Grid2D(6, 5, 1.0, 1.0)
+    with pytest.raises(DomainError, match="non-finite"):
+        weighted_source(g, lambda r, z: np.where(z > 0.5, bad, 1.0) + 0.0 * r)
+
+
 def test_operator_shape_validation():
     g = Grid2D(4, 3, 1.0, 1.0)
     ok = assemble(g, unit_fields())
     with pytest.raises(DimensionMismatch):
         DiscreteOperator(grid=g, r_faces=ok.r_faces[:, :-1],
-                         z_faces=ok.z_faces, reaction=ok.reaction,
-                         source=ok.source)
+                         z_faces=ok.z_faces, reaction=ok.reaction)
     with pytest.raises(DimensionMismatch):
         DiscreteOperator(grid=g, r_faces=ok.r_faces,
-                         z_faces=ok.z_faces.T, reaction=ok.reaction,
-                         source=ok.source)
+                         z_faces=ok.z_faces.T, reaction=ok.reaction)
     with pytest.raises(DimensionMismatch):    # not only ndarrays are checked
         DiscreteOperator(grid=g, r_faces=ok.r_faces.tolist(),
-                         z_faces=ok.z_faces, reaction=ok.reaction,
-                         source=ok.source[:-1].tolist())
+                         z_faces=ok.z_faces,
+                         reaction=ok.reaction[:-1].tolist())
 
 
 def test_operator_arrays_are_read_only():
@@ -308,7 +328,7 @@ def test_operator_arrays_are_read_only():
     stored = [a for v in vars(op).values()
               for a in (v if isinstance(v, tuple) else (v,))
               if isinstance(a, np.ndarray)]
-    assert len(stored) == 6
+    assert len(stored) == 5
     for arr in stored:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -319,7 +339,7 @@ def test_operator_stores_copies_of_the_callers_arrays():
     g = Grid2D(4, 3, 1.0, 1.0)
     ok = assemble(g, unit_fields())
     mine = {name: np.array(getattr(ok, name))
-            for name in ("r_faces", "z_faces", "reaction", "source")}
+            for name in ("r_faces", "z_faces", "reaction")}
     op = DiscreteOperator(grid=g, **mine)
     for name, arr in mine.items():
         assert arr.flags.writeable
@@ -335,43 +355,35 @@ def test_operator_stores_copies_of_the_callers_arrays():
 
 def test_apply_zero_is_zero():
     op = assemble(Grid2D(6, 5, 1.0, 1.0), unit_fields())
-    out = op.apply(np.zeros(op.grid.n_unknowns))
+    out = op.apply_spd(np.zeros(op.grid.n_unknowns))
     np.testing.assert_array_equal(out, np.zeros(op.grid.n_unknowns))
 
 
 def test_apply_constant_one_hits_only_dirichlet_column():
     # with q = 0 a constant field has zero divergence everywhere except next
-    # to the Dirichlet ghost, where the flux-divergence form contributes
-    # -r_face/dr^2 (the wall face conductance)
+    # to the Dirichlet ghost, where the SPD form contributes r_face/dr^2
+    # (the wall face conductance)
     g = Grid2D(7, 5, 1.3, 0.9)
     op = assemble(g, unit_fields())
-    out = op.apply(np.ones(g.unknown_shape))
+    out = op.apply_spd(np.ones(g.unknown_shape))
     expect = np.zeros(g.unknown_shape)
-    expect[:, -1] = -op.r_faces[:, g.nr - 1] / g.dr ** 2
+    expect[:, -1] = op.r_faces[:, g.nr - 1] / g.dr ** 2
     np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
-
-
-def test_apply_spd_is_negated_apply():
-    rng = np.random.default_rng(7)
-    op = assemble(Grid2D(6, 4, 1.0, 2.0),
-                  CoefficientFields.constant(1.0, 0.5))
-    y = rng.standard_normal(op.grid.n_unknowns)
-    np.testing.assert_array_equal(op.apply_spd(y), -op.apply(y))
 
 
 def test_apply_accepts_flat_and_grid_shapes():
     op = assemble(Grid2D(5, 4, 1.0, 1.0), unit_fields())
     rng = np.random.default_rng(3)
     y = rng.standard_normal(op.grid.unknown_shape)
-    flat = op.apply(y.ravel())
-    grid = op.apply(y)
+    flat = op.apply_spd(y.ravel())
+    grid = op.apply_spd(y)
     assert flat.shape == (op.grid.n_unknowns,)
     assert grid.shape == op.grid.unknown_shape
     np.testing.assert_array_equal(flat, grid.ravel())
     with pytest.raises(DimensionMismatch):
-        op.apply(np.zeros(op.grid.n_unknowns + 1))
+        op.apply_spd(np.zeros(op.grid.n_unknowns + 1))
     with pytest.raises(DimensionMismatch):
-        op.apply(np.zeros((2, 2)))
+        op.apply_spd(np.zeros((2, 2)))
 
 
 def test_dense_matches_loop_oracle_variable_coefficients():
@@ -380,30 +392,28 @@ def test_dense_matches_loop_oracle_variable_coefficients():
         lambda r, z: 1.0 + 0.5 * np.sin(2.1 * r) * np.cos(1.3 * z),
         lambda r, z: 0.3 + 0.2 * r + 0.1 * z)
     op = assemble(g, fields)
-    A = op.to_dense(spd=True)
-    np.testing.assert_allclose(A, dense_oracle(op), rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(op.to_dense(spd=False), -A, rtol=0, atol=0)
+    np.testing.assert_allclose(op.to_dense(), dense_oracle(op),
+                               rtol=1e-13, atol=1e-14)
 
 
 @pytest.mark.parametrize("nr", [2, 3, 9, 17])
 @pytest.mark.parametrize("nz", [2, 3, 9])
 def test_dense_matches_loop_oracle_across_grid_widths(nr, nz):
-    # nr = 9 gives rows of 8 unknowns: a 64-byte column stride, at which
-    # numpy 2.4's np.negative into a strided output returns wrong values
+    # from the 2-node minimum to nr = 17; nr = 9 gives rows of 8 unknowns,
+    # a 64-byte column stride
     g = Grid2D(nr, nz, 1.3, 0.9)
     fields = CoefficientFields(
         lambda r, z: 1.0 + 0.3 * r + 0.2 * z * z,
         lambda r, z: 0.2 + 0.1 * r * z)
     op = assemble(g, fields)
-    A = op.to_dense(spd=True)
-    np.testing.assert_allclose(A, dense_oracle(op), rtol=1e-13, atol=1e-14)
-    np.testing.assert_array_equal(op.to_dense(spd=False), -A)
+    np.testing.assert_allclose(op.to_dense(), dense_oracle(op),
+                               rtol=1e-13, atol=1e-14)
 
 
 def test_spd_matrix_symmetric_and_positive_definite():
     g = Grid2D(6, 5, 1.0, 1.0)
     op = assemble(g, unit_fields())           # q = 0: Dirichlet supplies PD
-    A = op.to_dense(spd=True)
+    A = op.to_dense()
     np.testing.assert_allclose(A, A.T, rtol=0, atol=1e-13)
     assert np.linalg.eigvalsh(A).min() > 0
 
@@ -417,10 +427,12 @@ def test_sparse_oracle_matches_dense():
                                rtol=1e-13, atol=1e-14)
 
 
-def test_checksum_tracks_coefficients_not_source():
+def test_checksum_tracks_coefficients():
     g = Grid2D(5, 4, 1.0, 1.0)
+    # equal samples from a different pair of samplers hash the same
     a = assemble(g, unit_fields())
-    b = assemble(g, unit_fields(), source=lambda r, z: r + z)
+    b = assemble(g, CoefficientFields(lambda r, z: 1.0 + 0.0 * r * z,
+                                      lambda r, z: 0.0 * r * z))
     c = assemble(g, CoefficientFields.constant(2.0))
     assert a.checksum() == b.checksum()
     assert a.checksum() != c.checksum()
@@ -435,8 +447,8 @@ def test_apply_is_linear(nr, nz, seed):
     x = rng.standard_normal(op.grid.n_unknowns)
     y = rng.standard_normal(op.grid.n_unknowns)
     a, b = rng.uniform(-2, 2, size=2)
-    lhs = op.apply(a * x + b * y)
-    rhs = a * op.apply(x) + b * op.apply(y)
+    lhs = op.apply_spd(a * x + b * y)
+    rhs = a * op.apply_spd(x) + b * op.apply_spd(y)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -452,8 +464,7 @@ def test_operator_self_adjoint_on_random_fields(nr, nz, seed):
     z_faces[0] = 0.0
     z_faces[g.nz] = 0.0
     op = DiscreteOperator(grid=g, r_faces=r_faces, z_faces=z_faces,
-                          reaction=rng.uniform(0.0, 1.0, g.unknown_shape),
-                          source=np.zeros(g.unknown_shape))
+                          reaction=rng.uniform(0.0, 1.0, g.unknown_shape))
     x = rng.standard_normal(g.n_unknowns)
     y = rng.standard_normal(g.n_unknowns)
     lhs = float(op.apply_spd(x) @ y)

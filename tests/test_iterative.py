@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axisolver.elliptic import CoefficientFields, Grid2D, assemble
+from axisolver.elliptic import (CoefficientFields, Grid2D, assemble,
+                                weighted_source)
 from axisolver.errors import (Breakdown, DomainError, InvalidBounds,
                               MaxIterExceeded)
 from axisolver.iterative import (
@@ -474,26 +475,24 @@ def elliptic_problem(n):
     fields = CoefficientFields(
         lambda r, z: 1.5 + 0.5 * np.sin(np.pi * r) * np.cos(0.5 * np.pi * z),
         lambda r, z: 0.3 + 0.3 * r * z)
-    op = assemble(g, fields,
-                  source=lambda r, z: np.exp(-10 * ((r - 0.3) ** 2
-                                                    + (z - 0.5) ** 2)))
-    return op, SovPreconditioner.from_operator(op)
+    op = assemble(g, fields)
+    f = weighted_source(g, lambda r, z: np.exp(-10 * ((r - 0.3) ** 2
+                                                      + (z - 0.5) ** 2)))
+    return op, SovPreconditioner.from_operator(op), f.ravel()
 
 
 def test_preconditioned_counts_are_mesh_independent():
     counts = []
     for n in (32, 64, 128):
-        op, M = elliptic_problem(n)
-        x, rep = pcg_solve(op.apply_spd, M.apply_inverse, op.rhs.ravel(),
-                           tol=1e-10)
+        op, M, f = elliptic_problem(n)
+        x, rep = pcg_solve(op.apply_spd, M.apply_inverse, f, tol=1e-10)
         assert rep.converged
         counts.append(rep.binv_applications)
     assert max(counts) - min(counts) <= 2, counts
 
 
 def test_chebyshev_and_pcg_work_within_thirty_percent():
-    op, M = elliptic_problem(64)
-    f = op.rhs.ravel()
+    op, M, f = elliptic_problem(64)
     _, rep_cg = pcg_solve(op.apply_spd, M.apply_inverse, f, tol=1e-8)
     bounds = estimate_bounds(op.apply_spd, M.apply_inverse,
                              op.grid.n_unknowns, steps=40)
@@ -507,11 +506,10 @@ def test_constant_coefficients_need_at_most_two_iterations():
     # when the coefficients are constant the preconditioner reproduces the
     # operator exactly, so conjugate gradients converge immediately
     g = Grid2D(33, 32, 1.0, 1.0)
-    op = assemble(g, CoefficientFields.constant(2.0, 0.5),
-                  source=lambda r, z: np.cos(np.pi * z) * (1 - r ** 2))
+    op = assemble(g, CoefficientFields.constant(2.0, 0.5))
+    f = weighted_source(g, lambda r, z: np.cos(np.pi * z) * (1 - r ** 2))
     M = SovPreconditioner.from_operator(op)
-    x, rep = pcg_solve(op.apply_spd, M.apply_inverse, op.rhs.ravel(),
-                       tol=1e-10)
+    x, rep = pcg_solve(op.apply_spd, M.apply_inverse, f.ravel(), tol=1e-10)
     assert rep.iterations <= 2
-    res = op.rhs.ravel() - op.apply_spd(x)
-    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(op.rhs)
+    res = f.ravel() - op.apply_spd(x)
+    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(f)

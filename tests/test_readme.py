@@ -1,7 +1,10 @@
-"""The README's library examples run as written."""
+"""The README's library examples run as written, and its CLI section
+documents every configuration key."""
 
 import re
 from pathlib import Path
+
+from axisolver.config import DEFAULTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +22,17 @@ def test_readme_python_examples_run_in_order(tmp_path, monkeypatch):
              namespace)
     assert namespace["results"][1].tolist() == [9.0]
     assert namespace["X"].shape == (4096, 16)
+
+
+def test_readme_documents_every_config_key_under_its_section():
+    # each "* `[section]` — ..." bullet of the CLI section, continuation
+    # lines included, names every key of that section in backticks
+    text = README.read_text(encoding="utf-8")
+    cli = text[text.index("## Command-line interface"):]
+    cli = cli[:cli.index("\n## ", 1)]
+    bullets = dict(re.findall(r"^\* `\[(\w+)\]` (.*?)(?=^\S|^$)", cli,
+                              flags=re.DOTALL | re.MULTILINE))
+    missing = {section: [key for key in keys if f"`{key}`" not in
+                         bullets.get(section, "")]
+               for section, keys in DEFAULTS.items()}
+    assert {s: k for s, k in missing.items() if k} == {}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axisolver.errors import DimensionMismatch, DomainError, ZeroPivot
+from axisolver import kernels
 from axisolver.kernels import multi_apply, multi_factor
 from axisolver.tridiag import TridiagonalMatrix, thomas_solve
 
@@ -183,6 +184,87 @@ def test_one_member_family_solves_a_batch_like_thomas_bitwise():
     np.testing.assert_array_equal(multi_apply(fact, F), thomas_solve(A, F))
     with pytest.raises(DimensionMismatch):
         multi_apply(multi_factor(*random_family(rng, 12, 3)), F)
+
+
+# ---------------------------------------------------------------------------
+# kernel bodies: the compiled loops and the numpy fallback agree bitwise
+# ---------------------------------------------------------------------------
+
+
+def python_body(kernel):
+    """The Python source of a kernel: numba keeps it as ``py_func``, and
+    without numba the decorator returns the function itself."""
+    return getattr(kernel, "py_func", kernel)
+
+
+def factor_both(lower, diag, upper):
+    """(row, cp, dn) from the numpy fallback and from the compiled body."""
+    out = []
+    for factor in (kernels._factor_multi_np,
+                   python_body(kernels._factor_multi_jit)):
+        cp = np.zeros((diag.shape[0] - 1, diag.shape[1]))
+        dn = np.zeros_like(diag)
+        out.append((factor(lower, diag, upper, cp, dn), cp, dn))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+def test_kernel_bodies_agree_bitwise_on_a_dominant_family(n):
+    rng = np.random.default_rng(40 + n)
+    lower, diag, upper = random_family(rng, n, 5)
+    (row_np, cp, dn), (row_jit, cp_jit, dn_jit) = factor_both(lower, diag,
+                                                              upper)
+    assert row_np == row_jit == -1
+    np.testing.assert_array_equal(cp_jit, cp)
+    np.testing.assert_array_equal(dn_jit, dn)
+    F = rng.normal(size=(n, 5))
+    X, X_jit = np.empty_like(F), np.empty_like(F)
+    kernels._solve(lower, cp, dn, F, X)
+    python_body(kernels._solve_multi_jit)(lower, cp, dn, F, X_jit)
+    np.testing.assert_array_equal(X_jit, X)
+    # the single-matrix bodies reproduce each member's column
+    for l in range(5):
+        cp1, dn1, x1 = np.zeros(n - 1), np.zeros(n), np.empty(n)
+        assert python_body(kernels._factor1)(
+            lower[:, l], diag[:, l], upper[:, l], cp1, dn1) == -1
+        np.testing.assert_array_equal(cp1, cp[:, l])
+        np.testing.assert_array_equal(dn1, dn[:, l])
+        python_body(kernels._solve1)(lower[:, l], cp1, dn1, F[:, l], x1)
+        np.testing.assert_array_equal(x1, X[:, l])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+def test_batch_kernel_body_agrees_bitwise_on_shared_bands(n):
+    rng = np.random.default_rng(50 + n)
+    A = random_dominant(rng, n)
+    cp, dn = np.zeros(n - 1), np.zeros(n)
+    assert kernels._factor(A.lower, A.diag, A.upper, cp, dn) == -1
+    F = rng.normal(size=(n, 6))
+    X, X_jit = np.empty_like(F), np.empty_like(F)
+    kernels._solve(A.lower, cp, dn, F, X)
+    python_body(kernels._solveb_jit)(A.lower, cp, dn, F, X_jit)
+    np.testing.assert_array_equal(X_jit, X)
+
+
+@pytest.mark.parametrize("row", [0, 2])
+def test_kernel_bodies_return_the_same_zero_pivot_row(row):
+    # member 3 of a family of order 6 loses its pivot at ``row``: a zero
+    # leading entry, or unit off-diagonals over diagonal (1, 2, 1), whose
+    # pivots run 1, 2 - 1, 1 - 1
+    lower, diag, upper = random_family(np.random.default_rng(60), 6, 4)
+    if row == 0:
+        diag[0, 3] = 0.0
+    else:
+        lower[:2, 3] = upper[:2, 3] = 1.0
+        diag[:3, 3] = [1.0, 2.0, 1.0]
+    rows = [r for r, _, _ in factor_both(lower, diag, upper)]
+    cp1, dn1 = np.zeros(5), np.zeros(6)
+    rows.append(python_body(kernels._factor1)(
+        lower[:, 3], diag[:, 3], upper[:, 3], cp1, dn1))
+    assert rows == [row] * 3
+    with pytest.raises(ZeroPivot) as exc:
+        multi_factor(lower, diag, upper)
+    assert exc.value.row == row
 
 
 def test_family_bands_and_dominance():
