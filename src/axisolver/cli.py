@@ -108,6 +108,9 @@ def _coefficient_sampler(cfg: RunConfig, key: str, positive: bool
     return sampler_from_field(file_grid, values)
 
 
+_METHODS = ("pcg", "chebyshev")
+
+
 def _stopping_rule(cfg: RunConfig) -> Tuple[float, int]:
     """``[solver] tol`` (also set by ``--tol``), a finite number > 0, and
     ``[solver] maxiter``, an integer >= 1."""
@@ -234,6 +237,11 @@ def _pose(cfg: RunConfig, kinds, manufactured: Callable):
 
 
 def cmd_poisson(cfg: RunConfig, outdir: str) -> int:
+    """Direct separable solve of the constant-coefficient operator."""
+    # the direct solve reads no [solver] method, tol or maxiter, but a bad
+    # value is a configuration error here as it is for elliptic
+    cfg.get_choice("solver", "method", _METHODS)
+    _stopping_rule(cfg)
     grid, op, rhs, pre = _pose(cfg, {"homogeneous", "constant"},
                                _discrete_rhs)
     x = pre.apply_inverse(rhs)
@@ -251,13 +259,14 @@ def cmd_poisson(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_elliptic(cfg: RunConfig, outdir: str) -> int:
+    """Preconditioned iterative solve with variable coefficients."""
     # the continuum source of the target, which the solution approximates
     grid, op, rhs, pre = _pose(
         cfg, {"homogeneous", "constant", "files"},
         lambda grid, fields, target:
             manufactured_problem(grid, target, fields)[:2])
     tol, maxiter = _stopping_rule(cfg)
-    method = cfg.get_choice("solver", "method", {"pcg", "chebyshev"})
+    method = cfg.get_choice("solver", "method", _METHODS)
 
     seconds: List[float] = []
     started = time.perf_counter()
@@ -296,6 +305,7 @@ def cmd_elliptic(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_acoustic(cfg: RunConfig, outdir: str) -> int:
+    """Spectral-time wave run: seismograms and an optional snapshot."""
     grid = _build_grid(cfg)
     model = _build_medium(cfg)
     params = LaguerreParams(h=cfg.get_float("laguerre", "h"),
@@ -327,7 +337,7 @@ def cmd_acoustic(cfg: RunConfig, outdir: str) -> int:
     series = solve_all_harmonics(
         grid, model, params, wavelet,
         source=(cfg.get_float("source", "r"), cfg.get_float("source", "z")),
-        method=cfg.get_choice("solver", "method", {"pcg", "chebyshev"}),
+        method=cfg.get_choice("solver", "method", _METHODS),
         tol=tol, maxiter=maxiter,
         ranks=cfg.get_int("solver", "ranks"),
         executor=cfg.get_choice("solver", "executor", EXECUTORS))
@@ -376,6 +386,7 @@ def _bench_once(matrix: TridiagonalMatrix, batch: np.ndarray, p: int,
 
 
 def cmd_bench(cfg: RunConfig, outdir: str) -> int:
+    """Distributed tridiagonal solves swept over rank counts."""
     executor = cfg.get_choice("solver", "executor", EXECUTORS)
     ranks = cfg.bench_ranks()
     n = cfg.get_int("bench", "n")
@@ -454,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Axisymmetric elliptic and acoustic solver toolkit.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
+        p = sub.add_parser(name, help=fn.__doc__, description=fn.__doc__)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="key = value configuration file")
         p.add_argument("--ranks", type=int, default=None, metavar="P",

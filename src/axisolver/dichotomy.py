@@ -30,9 +30,12 @@ Preparation.  Two eliminations of the whole family -- top-down (pivots
   couplings to the block's first and last rows.
 
 Each of these is a length-L vector (or an (·, L) array), so a rank's plan is
-O(n/p + log p) per member.  The build is three eliminations of n rows in
-total (the two above and the ranks' interiors), plus the Z products, all
-vectorized over the members.
+O(n/p + log p) per member.  The build is three eliminations in total, plus
+the Z products, all vectorized over the members: the two above, of n rows
+each, and one of every rank's interior at once.  That last one lays the
+interiors side by side as a single (longest interior, R * L) family, R the
+number of blocks with an interior, padding each at its end with decoupled
+identity rows; each rank keeps a copy of its own rows and columns.
 
 Splitting: the rank interval is halved recursively at ``mid =
 ceil((lo+hi)/2)``.  The solution components at the middle rank's first/last
@@ -58,6 +61,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -231,6 +235,42 @@ class DichotomyPlan:
         return digest.hexdigest()
 
 
+def _interior_factors(part: Partition, lower, diag, upper
+                      ) -> List[Optional[MultiFactorization]]:
+    """Per rank, the elimination of its interior rows ``m_L+1..m_R-1``
+    (None for a two-row block), all from one :func:`multi_factor` call.
+
+    The interiors sit side by side as one (longest interior, R * L) family,
+    R the number of blocks with an interior, each padded at its end with
+    decoupled identity rows (diagonal 1, couplings 0).  The elimination runs
+    column by column, so every rank's read-only copy of its own rows and
+    columns is bitwise the elimination of its interior alone.
+    """
+    L = diag.shape[1]
+    # (0-based rank, 0-based first interior row, interior size)
+    blocks = [(m, start + 1, size - 2) for m, (start, size) in enumerate(
+        zip(accumulate((0,) + part.sizes), part.sizes)) if size > 2]
+    facts: List[Optional[MultiFactorization]] = [None] * part.p
+    if not blocks:
+        return facts
+    longest = max(k for _, _, k in blocks)
+
+    def padded(band, short, fill):
+        out = np.full((longest - short, len(blocks), L), fill)
+        for j, (_, first, k) in enumerate(blocks):
+            out[:k - short, j] = band[first: first + k - short]
+        return out.reshape(longest - short, len(blocks) * L)
+
+    family = multi_factor(padded(lower, 1, 0.0), padded(diag, 0, 1.0),
+                          padded(upper, 1, 0.0))
+    for j, (m, _, k) in enumerate(blocks):
+        cols = slice(j * L, (j + 1) * L)
+        facts[m] = MultiFactorization(frozen_copy(family.lower[:k - 1, cols]),
+                                      frozen_copy(family.cp[:k - 1, cols]),
+                                      frozen_copy(family.dn[:k, cols]))
+    return facts
+
+
 def build_plan(A: TridiagonalMatrix, part: Partition,
                world: CommWorld) -> DichotomyPlan:
     """One-time preparation of one matrix or a family, with no
@@ -247,6 +287,10 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
     p = part.p
     levels = build_tree(p)
     diag, upper, lower = (b.reshape(-1, L) for b in (A.diag, A.upper, A.lower))
+
+    # first, so the padded interior family is gone before the two full
+    # eliminations are made
+    interiors = _interior_factors(part, lower, diag, upper)
 
     # top-down elimination (dn, cp) and bottom-up elimination (en, cq), the
     # latter as the top-down elimination of the reversed family
@@ -322,23 +366,16 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
                         weights[s, 1] = z_right(m_R, k2 + 1)
                     steps.append(("middle", s, left, right))
 
-        interior = m_R - m_L - 1  # rows m_L+1..m_R-1
-        if interior > 0:
-            i0 = m_L  # 0-based index of first interior row
-            interior_fact = MultiFactorization(*map(frozen_copy, multi_factor(
-                lower[i0: i0 + interior - 1],
-                diag[i0: i0 + interior],
-                upper[i0: i0 + interior - 1])))
+        if m_R - m_L > 1:  # the interior rows m_L+1..m_R-1
             interior_c, interior_a = lower[m_L - 1], upper[m_R - 2]
         else:
-            interior_fact = None
             interior_c = interior_a = np.zeros(L)
         ranks.append(RankPlan(
             rank=m, m_L=m_L, m_R=m_R,
             G_L=frozen_copy(G_L), G_R=frozen_copy(G_R),
             fold_left=frozen_copy(G_L[-1] / den_left),
             fold_right=frozen_copy(G_R[0] / den_right),
-            weights=frozen_copy(weights), interior_fact=interior_fact,
+            weights=frozen_copy(weights), interior_fact=interiors[m - 1],
             interior_c=frozen_copy(interior_c),
             interior_a=frozen_copy(interior_a),
             steps=tuple(steps),

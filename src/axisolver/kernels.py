@@ -14,7 +14,10 @@ single-matrix factor and solve bodies, which are written once and compiled
 when numba is present; without it the one solve body also serves the
 batched and multi-system cases.  Both backends perform identical
 elementwise arithmetic in identical order, so results are bit-for-bit the
-same across backends.
+same across backends.  Only the pivot check differs: the compiled bodies
+stop at the first pivot below the floor, while the numpy family fallback
+runs the whole sweep and then flags the first row holding such a pivot,
+which is the same row.
 
 Band convention (0-based storage of an order-``n`` system):
 
@@ -130,17 +133,18 @@ def _solve_multi_jit(lower, cp, dn, F, X):
 
 
 def _factor_multi_np(lower, diag, upper, cp, dn):
-    n = diag.shape[0]
-    if np.any(np.abs(diag[0]) < PIVOT_FLOOR):
-        return 0
+    # the whole sweep first, then one pivot check: rows past a lost pivot
+    # may hold inf or nan, but the first flagged row is the one the
+    # compiled body stops at
     dn[0] = diag[0]
-    for i in range(1, n):
-        cp[i - 1] = upper[i - 1] / dn[i - 1]
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if np.any(np.abs(piv) < PIVOT_FLOOR):
-            return i
-        dn[i] = piv
-    return -1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for u, lo, d, c, piv, prev in zip(upper, lower, diag[1:], cp, dn[1:],
+                                          dn):
+            np.divide(u, prev, out=c)
+            np.multiply(lo, c, out=piv)
+            np.subtract(d, piv, out=piv)
+        bad = np.flatnonzero((np.abs(dn) < PIVOT_FLOOR).any(axis=1))
+    return int(bad[0]) if bad.size else -1
 
 
 _jit = njit(cache=True, nogil=True)

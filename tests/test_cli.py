@@ -623,6 +623,18 @@ def test_rhs_file_without_path_exits_2(tmp_path, capsys, command):
     assert err.startswith("configuration error:") and "path" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("method", "gauss"), ("tol", "-1"), ("tol", "nan"), ("maxiter", "0")])
+def test_poisson_rejects_a_bad_solver_key(tmp_path, capsys, key, value):
+    # the direct solve does not iterate, but a bad [solver] key is the same
+    # configuration error it is for elliptic
+    cfg = write_cfg(tmp_path / "run.cfg",
+                    SMALL_GRID + f"[solver]\n{key} = {value}\n")
+    assert run_cli("poisson", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, f"[solver] {key}")
+
+
 @pytest.mark.parametrize("kind", ["nonsense", "fault", "files"])
 def test_poisson_rejects_a_model_kind_it_cannot_solve(tmp_path, capsys, kind):
     # poisson solves constant coefficients only; files would be read as
@@ -757,6 +769,22 @@ def test_bench_configuration_errors_exit_2(tmp_path, bench):
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+
+def test_help_describes_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+    listing = capsys.readouterr().out
+    for name in cli._COMMANDS:
+        # "    poisson             Direct separable solve ..."
+        assert any(line.split()[:1] == [name] and len(line.split()) > 1
+                   for line in listing.splitlines()), name
+        with pytest.raises(SystemExit) as exc:
+            run_cli(name, "--help")
+        assert exc.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        assert " ".join(cli._COMMANDS[name].__doc__.split()) in shown
 
 
 def test_module_entry_point_subprocess(tmp_path):

@@ -28,6 +28,7 @@ from axisolver.dichotomy import (
 )
 from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
                               InvalidPartition)
+from axisolver.kernels import multi_factor
 from axisolver.tridiag import TridiagonalMatrix, thomas_solve
 
 from recorded_traffic import per_rank, record_sends, split_levels
@@ -595,6 +596,63 @@ def test_series_and_batch_shapes_are_checked():
     single = make_plan(12, [6, 6], rng=rng)
     with pytest.raises(DimensionMismatch):
         solve_series(single, np.zeros((12, 4)))
+
+
+# uneven blocks with sizes 2 (no interior) and 3 (one interior row)
+UNEVEN = {2: (3, 2), 3: (2, 9, 3), 5: (3, 12, 2, 5, 3),
+          7: (2, 7, 3, 3, 12, 2, 5), 8: (9, 2, 3, 12, 5, 3, 2, 7)}
+
+
+@pytest.mark.parametrize("L", [1, 4])
+@pytest.mark.parametrize("p", sorted(UNEVEN))
+def test_interior_factors_are_each_rank_alone_bitwise(p, L):
+    # all interiors are eliminated as one padded family; each rank's share
+    # is what eliminating its interior alone gives, in its own storage
+    sizes = UNEVEN[p]
+    n = sum(sizes)
+    rng = np.random.default_rng(70 + 10 * p + L)
+    A = random_family(rng, n, L) if L > 1 else random_dominant(rng, n)
+    plan = make_plan(n, sizes, matrix=A)
+    lower, diag, upper = (b.reshape(-1, L) for b in (A.lower, A.diag, A.upper))
+    scalars = 0
+    for rp, size in zip(plan.ranks, sizes):
+        k = size - 2
+        scalars += (2 * size + 2 + 2 * plan.depth + 2) * L
+        if k == 0:
+            assert rp.interior_fact is None
+            continue
+        i0 = rp.m_L          # 0-based first interior row
+        alone = multi_factor(lower[i0: i0 + k - 1], diag[i0: i0 + k],
+                             upper[i0: i0 + k - 1])
+        for arr, ref in zip(rp.interior_fact, alone):
+            assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes()
+            assert arr.flags.c_contiguous and arr.flags.owndata
+            assert not arr.flags.writeable
+        scalars += (3 * k - 2) * L
+    # plan_mb counts exactly the per-rank arrays: no padded row is kept
+    held = sum(arr.nbytes for rp in plan.ranks
+               for arr in (rp.G_L, rp.G_R, rp.fold_left, rp.fold_right,
+                           rp.weights, rp.interior_c, rp.interior_a,
+                           *(rp.interior_fact or ())))
+    assert held == 8 * scalars
+
+
+@pytest.mark.parametrize("sizes, calls", [
+    ((16,) * 4, 3), ((16,) * 16, 3), ((2,) * 4, 2), ((2,) * 16, 2)])
+def test_build_plan_eliminates_the_interiors_in_one_call(monkeypatch, sizes,
+                                                         calls):
+    # top-down, bottom-up, and every rank's interior at once: a per-rank
+    # elimination would make p + 2 calls
+    factor = dichotomy_module.multi_factor
+    made = []
+
+    def counting_factor(*bands):
+        made.append(bands)
+        return factor(*bands)
+
+    monkeypatch.setattr(dichotomy_module, "multi_factor", counting_factor)
+    make_plan(sum(sizes), sizes, rng=np.random.default_rng(80))
+    assert len(made) == calls
 
 
 # ---------------------------------------------------------------------------

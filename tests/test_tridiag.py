@@ -5,6 +5,8 @@ Oracle policy: expected numbers were produced by dense linear algebra
 randomized checks compare against a dense solve computed inside the test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,25 +248,45 @@ def test_batch_kernel_body_agrees_bitwise_on_shared_bands(n):
     np.testing.assert_array_equal(X_jit, X)
 
 
-@pytest.mark.parametrize("row", [0, 2])
+@pytest.mark.parametrize("row", [0, 2, 5])
 def test_kernel_bodies_return_the_same_zero_pivot_row(row):
-    # member 3 of a family of order 6 loses its pivot at ``row``: a zero
-    # leading entry, or unit off-diagonals over diagonal (1, 2, 1), whose
-    # pivots run 1, 2 - 1, 1 - 1
-    lower, diag, upper = random_family(np.random.default_rng(60), 6, 4)
-    if row == 0:
-        diag[0, 3] = 0.0
-    else:
-        lower[:2, 3] = upper[:2, 3] = 1.0
-        diag[:3, 3] = [1.0, 2.0, 1.0]
-    rows = [r for r, _, _ in factor_both(lower, diag, upper)]
-    cp1, dn1 = np.zeros(5), np.zeros(6)
-    rows.append(python_body(kernels._factor1)(
-        lower[:, 3], diag[:, 3], upper[:, 3], cp1, dn1))
-    assert rows == [row] * 3
-    with pytest.raises(ZeroPivot) as exc:
-        multi_factor(lower, diag, upper)
-    assert exc.value.row == row
+    # the first or the last member (3) of a family of order 6 loses its
+    # pivot at ``row``: a zero leading entry, or unit off-diagonals over the
+    # diagonal (1, 2, ..., 2, 1) on rows 0..row, whose pivots run
+    # 1, 1, ..., 1, 0; at row 2 later rows divide by that exact zero.  Below
+    # the last row, the other of the two loses a later pivot too.
+    for member in (0, 3):
+        lower, diag, upper = random_family(np.random.default_rng(60), 6, 4)
+        if row < 5:
+            lower[4, 3 - member] = diag[5, 3 - member] = 0.0
+        if row == 0:
+            diag[0, member] = 0.0
+        else:
+            lower[:row, member] = upper[:row, member] = 1.0
+            diag[:row + 1, member] = [1.0] + [2.0] * (row - 1) + [1.0]
+        both = factor_both(lower, diag, upper)
+        cp1, dn1 = np.zeros(5), np.zeros(6)
+        rows = [r for r, _, _ in both] + [python_body(kernels._factor1)(
+            lower[:, member], diag[:, member], upper[:, member], cp1, dn1)]
+        assert rows == [row] * 3
+        # every row before the failing one is complete and bitwise equal,
+        # and so is the failing member's ratio on the failing row
+        (_, cp, dn), (_, cp_jit, dn_jit) = both
+        done = max(row - 1, 0)
+        np.testing.assert_array_equal(cp[:done], cp_jit[:done])
+        np.testing.assert_array_equal(dn[:row], dn_jit[:row])
+        np.testing.assert_array_equal(cp[:row, member], cp_jit[:row, member])
+        np.testing.assert_array_equal(cp1[:row], cp_jit[:row, member])
+        np.testing.assert_array_equal(dn1[:row], dn_jit[:row, member])
+        # the pivot the compiled body stopped at
+        value = diag[0, member] if row == 0 else (
+            diag[row, member] - lower[row - 1, member] * cp_jit[row - 1, member])
+        assert value == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroPivot) as exc:
+                multi_factor(lower, diag, upper)
+        assert (exc.value.row, exc.value.value) == (row, value)
 
 
 def test_family_bands_and_dominance():
