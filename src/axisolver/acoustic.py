@@ -12,8 +12,10 @@ Pipeline:
 2. assemble the shared operator: diffusion slot takes the medium's ``v_s``
    field and the reaction slot takes ``h^2 / (4 rho^2)``,
 3. for m = 0, 1, ...: build the rhs from the point source and the running
-   sums, solve with PCG or Chebyshev using the separable preconditioner,
-   absorb the new harmonic into the sums,
+   sums; for m >= 1 project the solution onto the last 16 harmonics
+   through their Gram matrix; solve with PCG or Chebyshev using the
+   separable preconditioner, starting with a line search along that
+   projection; absorb the new harmonic into the sums,
 4. synthesize time-domain fields or receiver traces as weighted partial sums
    of the stored harmonics.
 
@@ -57,6 +59,13 @@ __all__ = [
 # the envelope threshold that defines "effectively zero" for time supports
 _ENVELOPE_FLOOR = 1e-14
 _SQRT_MAX = math.sqrt(np.finfo(float).max)  # largest x with a finite x**2
+# each harmonic starts from its Galerkin projection onto the last _WINDOW
+# solved harmonics; a harmonic joins the projection while the squared
+# A-norm of its part outside the harmonics already kept exceeds
+# _GRAM_FLOOR times the largest squared A-norm in the window, i.e. while
+# that part is above 1e-8 of the largest harmonic in the A-norm
+_WINDOW = 16
+_GRAM_FLOOR = 1e-16
 
 
 @dataclass(frozen=True)
@@ -330,6 +339,47 @@ def harmonic_rhs(op: DiscreteOperator, m: int, source_node: Tuple[int, int],
     return rhs
 
 
+def _galerkin_coefficients(gram: np.ndarray, g: np.ndarray
+                           ) -> Optional[np.ndarray]:
+    """``c`` with ``gram c = g`` over the directions a pivoted Cholesky
+    factorization of the symmetric part of ``gram`` keeps, zero on the
+    rest; None when it keeps none.
+
+    The factorization stops at the first pivot at or below ``_GRAM_FLOOR``
+    times the largest diagonal entry, so nearly dependent directions drop
+    out.  It runs in numpy without LAPACK: the system is at most
+    ``_WINDOW`` square.
+    """
+    a = 0.5 * (gram + gram.T)
+    n = g.size
+    order = np.arange(n)
+    floor = _GRAM_FLOOR * max(float(a.diagonal().max()), 0.0)
+    kept = 0
+    while kept < n:
+        j = kept + int(np.argmax(a.diagonal()[kept:]))
+        if not a[j, j] > floor:
+            break
+        a[[kept, j]] = a[[j, kept]]
+        a[:, [kept, j]] = a[:, [j, kept]]
+        order[[kept, j]] = order[[j, kept]]
+        a[kept, kept] = math.sqrt(a[kept, kept])
+        a[kept + 1:, kept] /= a[kept, kept]
+        col = a[kept + 1:, kept]
+        a[kept + 1:, kept + 1:] -= np.outer(col, col)
+        kept += 1
+    if kept == 0:
+        return None
+    low = a[:kept, :kept]            # lower-triangular factor, diagonal first
+    y = g[order[:kept]]
+    for i in range(kept):                            # low y' = g
+        y[i] = (y[i] - low[i, :i] @ y[:i]) / low[i, i]
+    for i in reversed(range(kept)):                  # low^T c = y'
+        y[i] = (y[i] - low[i + 1:, i] @ y[i + 1:]) / low[i, i]
+    c = np.zeros(n)
+    c[order[:kept]] = y
+    return c
+
+
 def solve_all_harmonics(grid: Grid2D, model: MediumModel,
                         params: LaguerreParams, wavelet: Wavelet, *,
                         source: Tuple[float, float] = (0.0, 0.0),
@@ -342,7 +392,16 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
 
     The operator and the separable preconditioner are built once; the solves
     change only the rhs, and the read-only operator is hashed once, for the
-    series.  Solver failures are re-raised as
+    series.  Each harmonic m >= 1 starts from the A-orthogonal (Galerkin)
+    projection of its solution onto the last ``_WINDOW`` harmonics: the
+    harmonics span a Krylov space of ``A^-1 R`` (R the coupling), so that
+    combination holds all but the newest direction.  The window's Gram
+    matrix ``G_ij = q_i . b_j`` (``A q_j = b_j``) costs one product of the
+    window with each rhs plus ``q_m . b_m``; the solver's first step is a
+    line search along the projection with the true operator.  When
+    harmonic 0 converged in one inversion (an exact preconditioner, as in
+    a homogeneous medium) every harmonic does, and none is projected.
+    Solver failures are re-raised as
     :class:`HarmonicSolveFailure` carrying the harmonic index.
     ``progress(m, report)`` is invoked after each harmonic when given.
     """
@@ -359,20 +418,42 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
     node = grid.nearest_node(*source)
     sums = RunningSums(grid, params.alpha)
     harmonics = np.zeros((params.n_terms,) + grid.unknown_shape)
+    flat = harmonics.reshape(params.n_terms, -1)
+    gram = np.zeros((_WINDOW, _WINDOW))   # q_i . b_j over the window
+    project = False
     total_binv = 0
     iterations = []
     for m in range(params.n_terms):
         rhs = harmonic_rhs(op, m, node, float(coeffs[m]), sums)
+        b = rhs.reshape(-1)
+        guess = None
+        if project:
+            w = min(m, _WINDOW)
+            window = flat[m - w:m]
+            g = window @ b                      # q_j . b_m, j in the window
+            c = _galerkin_coefficients(gram[:w, :w], g)
+            if c is not None and c.any():
+                guess = c @ window
         try:
             if method == "pcg":
                 x, report = pcg_solve(op.apply_spd, pc.apply_inverse, rhs,
-                                      tol=tol, maxiter=maxiter)
+                                      tol=tol, maxiter=maxiter, guess=guess)
             else:
                 x, report = chebyshev_solve(op.apply_spd, pc.apply_inverse,
                                             rhs, bounds, tol=tol,
-                                            maxiter=maxiter)
+                                            maxiter=maxiter, guess=guess)
         except SolverError as exc:
             raise HarmonicSolveFailure(m, exc) from exc
+        if m == 0:
+            project = report.binv_applications > 1
+            g = np.zeros(0)
+        if project:
+            k = min(m, _WINDOW - 1)             # row of harmonic m
+            if m >= _WINDOW:                    # the oldest harmonic leaves
+                gram[:-1, :-1] = gram[1:, 1:]
+                g = g[1:]
+            gram[k, :k] = gram[:k, k] = g
+            gram[k, k] = float(x @ b)
         q_m = x.reshape(grid.unknown_shape)
         harmonics[m] = q_m
         sums.absorb(q_m)
@@ -380,6 +461,7 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
         iterations.append(report.iterations)
         if progress is not None:
             progress(m, report)
+        del x, q_m, report                # not held through the next solve
     return LaguerreSeries(grid=grid, params=params, harmonics=harmonics,
                           source_coeffs=coeffs, binv_applications=total_binv,
                           operator_checksum=op.checksum(),

@@ -184,12 +184,22 @@ class CommStats:
 
 class Comm:
     """One rank's view of the world.  Every operation is a generator that
-    yields the rank's requests to the executor; use it with ``yield from``."""
+    yields the rank's requests to the executor; use it with ``yield from``.
 
-    def __init__(self, world: "CommWorld", rank: int):
-        self.world = world
+    It holds its own counters and the world's statistics lock, not the
+    world, so a dropped world is freed by reference counting."""
+
+    def __init__(self, p: int, rank: int, counters: _RankCounters,
+                 stats_lock):
         self.rank = rank
-        self.p = world.p
+        self.p = p
+        self._counters = counters
+        self._stats_lock = stats_lock
+
+    def _account_send(self, nscalars: int) -> None:
+        with self._stats_lock:
+            self._counters.msgs_sent += 1
+            self._counters.scalars_sent += nscalars
 
     def _check_peer(self, other: int) -> None:
         if not (1 <= other <= self.p):
@@ -203,7 +213,7 @@ class Comm:
         arr = np.array(payload, dtype=np.float64, copy=True, ndmin=1)
         if arr.ndim != 1:
             raise DimensionMismatch("payload must be scalar or 1-D")
-        self.world._account_send(self.rank, arr.size)
+        self._account_send(arr.size)
         yield _SEND, to, arr
 
     def recv(self, src: int):
@@ -224,7 +234,9 @@ class Comm:
                 f"rank {self.rank} called a reduce over {members} it is not part of")
         acc = np.array(contribution, dtype=np.float64, copy=True, ndmin=1)
         sources, dst = group._steps[self.rank]
-        self.world._account_reduce(self.rank, group.depth)
+        with self._stats_lock:
+            self._counters.reduces += 1
+            self._counters.levels += group.depth
         for src in sources:
             incoming = yield _RECV, src, members
             if incoming.size != acc.size:
@@ -234,7 +246,7 @@ class Comm:
             acc = acc + incoming
         if dst is None:
             return acc  # only the root reaches this point
-        self.world._account_send(self.rank, acc.size)
+        self._account_send(acc.size)
         yield _SEND, dst, acc
         return None
 
@@ -279,21 +291,10 @@ class CommWorld:
         self.p = p
         self._stats_lock = threading.Lock()
         self._counters = {r: _RankCounters() for r in range(1, p + 1)}
-        self._comms = tuple(Comm(self, r) for r in range(1, p + 1))
+        self._comms = tuple(Comm(p, r, self._counters[r], self._stats_lock)
+                            for r in range(1, p + 1))
 
     # accounting -------------------------------------------------------------
-    def _account_send(self, src: int, nscalars: int) -> None:
-        with self._stats_lock:
-            c = self._counters[src]
-            c.msgs_sent += 1
-            c.scalars_sent += nscalars
-
-    def _account_reduce(self, rank: int, nlevels: int) -> None:
-        with self._stats_lock:
-            c = self._counters[rank]
-            c.reduces += 1
-            c.levels += nlevels
-
     def stats_snapshot(self) -> CommStats:
         with self._stats_lock:
             ranks = range(1, self.p + 1)

@@ -17,6 +17,14 @@ setting.  Each method is one step generator run by one convergence loop.
 from the tridiagonal (Lanczos) coefficients of a short conjugate-gradient
 probe run.
 
+Both solvers start from x = 0 unless given a ``guess`` d.  Then step 1 is
+the line search x = alpha d with alpha = (d . b) / (d . A d): one operator
+apply and no inversion, after which the method's own steps continue from x.
+It counts as an iteration, is checked and traced like any step, and raises
+:class:`Breakdown` when d . A d <= 0.  So ``iterations`` counts operator
+applies and ``binv_applications`` the inversions actually made: one fewer
+than the iterations with a guess, equal to them without.
+
 Both solvers call an optional ``trace(it, x, relres)`` after each residual
 check; ``x`` is a read-only view of the live iterate, valid during the call.
 """
@@ -84,9 +92,11 @@ def _flat(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(-1)
 
 
-def _checked_problem(rhs, tol: float, maxiter) -> Tuple[np.ndarray, int]:
-    """The flat rhs and ``maxiter`` as an int, once ``tol`` is finite and
-    > 0, ``maxiter`` a whole number >= 1 and every rhs entry finite;
+def _checked_problem(rhs, tol: float, maxiter, guess=None
+                     ) -> Tuple[np.ndarray, int, Optional[np.ndarray]]:
+    """The flat rhs, ``maxiter`` as an int and the flat guess (or None),
+    once ``tol`` is finite and > 0, ``maxiter`` a whole number >= 1 and
+    every rhs and guess entry finite, the guess as long as the rhs;
     otherwise :class:`DomainError`."""
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
@@ -96,20 +106,48 @@ def _checked_problem(rhs, tol: float, maxiter) -> Tuple[np.ndarray, int]:
     f = _flat(rhs)
     if not np.isfinite(f).all():
         raise DomainError("right-hand side has non-finite entries")
-    return f, maxiter
+    if guess is not None:
+        guess = _flat(guess)
+        if guess.size != f.size:
+            raise DomainError(f"guess has {guess.size} entries, the "
+                              f"right-hand side {f.size}")
+        if not np.isfinite(guess).all():
+            raise DomainError("guess has non-finite entries")
+        if not guess.flags.writeable or np.may_share_memory(guess, f):
+            guess = guess.copy()
+    return f, maxiter, guess
 
 
-def _pcg_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray):
-    """The preconditioned conjugate-gradient recurrence from x = 0.
+def _steps_from(apply_op: Callable, f: np.ndarray, guess, method_steps):
+    """``method_steps(x, r)`` from x = 0, r = f; with a ``guess`` d, first
+    the line search x = alpha d, alpha = (d . f) / (d . A d), as step 1:
+    one operator apply and no inversion.  ``d`` becomes the iterate."""
+    if guess is None:
+        yield from method_steps(np.zeros_like(f), f.copy())
+        return
+    r = _flat(apply_op(guess))
+    dAd = float(guess @ r)
+    if not dAd > 0.0:
+        raise Breakdown(f"guess has no positive curvature: d^T A d = {dAd!r}")
+    alpha = float(guess @ f) / dAd
+    guess *= alpha
+    r *= -alpha
+    r += f
+    yield guess, r
+    yield from method_steps(guess, r)
+
+
+def _pcg_steps(apply_op: Callable, apply_pc: Callable, x: np.ndarray,
+               r: np.ndarray):
+    """The preconditioned conjugate-gradient recurrence from the iterate
+    ``x`` with residual ``r``.
 
     Yields ``(x, r, alpha, beta)`` after each step, with the iterate and
     residual updated in place and ``beta`` the ratio that formed the step's
     direction (0.0 for the first).  Each step starts with one inversion, so
     a caller that stops after k steps has paid k.
     """
-    x = np.zeros_like(f)
-    r = f.copy()
-    p = np.zeros_like(f)
+    p = np.zeros_like(r)
     rz = np.inf                                   # so the first beta is 0.0
     while True:
         z = _flat(apply_pc(r))
@@ -133,16 +171,14 @@ def _pcg_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray):
         yield x, r, alpha, beta
 
 
-def _chebyshev_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray,
-                     bounds: SpectralBounds):
-    """The two-term Chebyshev recurrence over ``bounds`` from x = 0 (Saad,
-    Iterative Methods for Sparse Linear Systems, Algorithm 12.1), written
-    with ``w = delta * rho`` so nothing divides by the half-width
-    ``delta``; yields ``(x, r)`` like :func:`_pcg_steps`."""
+def _chebyshev_steps(apply_op: Callable, apply_pc: Callable, x: np.ndarray,
+                     r: np.ndarray, bounds: SpectralBounds):
+    """The two-term Chebyshev recurrence over ``bounds`` from ``x`` with
+    residual ``r`` (Saad, Iterative Methods for Sparse Linear Systems,
+    Algorithm 12.1), written with ``w = delta * rho`` so nothing divides by
+    the half-width ``delta``; yields ``(x, r)`` like :func:`_pcg_steps`."""
     theta = 0.5 * (bounds.upper + bounds.lower)
     delta = 0.5 * (bounds.upper - bounds.lower)
-    x = np.zeros_like(f)
-    r = f.copy()
     z = _flat(apply_pc(r))
     d, w = z / theta, delta * delta / theta
     while True:
@@ -156,16 +192,19 @@ def _chebyshev_steps(apply_op: Callable, apply_pc: Callable, f: np.ndarray,
         w = delta * delta / scale
 
 
-def _run_to_tol(steps, f: np.ndarray, tol: float, maxiter: int,
-                check_every: int, trace: Optional[Callable]
+def _run_to_tol(apply_op: Callable, method_steps, f: np.ndarray, guess,
+                tol: float, maxiter: int, check_every: int,
+                trace: Optional[Callable]
                 ) -> Tuple[np.ndarray, IterationReport]:
-    """Run ``steps`` until the relative residual, read after step 1, each
-    ``check_every``-th step and step ``maxiter``, reaches ``tol``; each
-    read adds a history row and calls ``trace``."""
+    """Run :func:`_steps_from` until the relative residual, read after step
+    1, each ``check_every``-th step and step ``maxiter``, reaches ``tol``;
+    each read adds a history row and calls ``trace``."""
     norm_f = float(np.linalg.norm(f))
     if norm_f == 0.0:
         x = np.zeros_like(f)
         return x, IterationReport(0, 0.0, True, 0, (), x)
+    free = 0 if guess is None else 1              # steps with no inversion
+    steps = _steps_from(apply_op, f, guess, method_steps)
     history = []
     for it, (x, r, *_) in enumerate(islice(steps, maxiter), 1):
         if it % check_every and it != 1 and it != maxiter:
@@ -177,14 +216,15 @@ def _run_to_tol(steps, f: np.ndarray, tol: float, maxiter: int,
             view.setflags(write=False)
             trace(it, view, relres)
         if relres <= tol:
-            return x, IterationReport(it, relres, True, it, tuple(history), x)
-    raise MaxIterExceeded(IterationReport(maxiter, relres, False, maxiter,
-                                          tuple(history), x))
+            return x, IterationReport(it, relres, True, it - free,
+                                      tuple(history), x)
+    raise MaxIterExceeded(IterationReport(maxiter, relres, False,
+                                          maxiter - free, tuple(history), x))
 
 
 def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
               tol: float = 1e-10, maxiter: int = 500,
-              trace: Optional[Callable] = None
+              trace: Optional[Callable] = None, guess=None
               ) -> Tuple[np.ndarray, IterationReport]:
     """Preconditioned conjugate gradients for SPD ``apply_op`` with SPD
     inverse-preconditioner action ``apply_pc``.
@@ -193,33 +233,39 @@ def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
     ``tol``; raises :class:`MaxIterExceeded` (carrying the report with the
     last iterate) otherwise, and :class:`Breakdown` when a direction loses
     positive curvature, which signals a non-SPD pair.  ``trace`` (see the
-    module docstring) runs after every iteration.  A ``tol`` that is not
-    finite and positive, a ``maxiter`` that is not an integer >= 1 and a
-    rhs with a non-finite entry raise :class:`DomainError` before any
-    application.
+    module docstring) runs after every iteration.  A ``guess`` starts the
+    solve with the line search of the module docstring; the solver may
+    overwrite a float64 guess and return it as ``x``.  A ``tol`` that is
+    not finite and positive, a ``maxiter`` that is not an integer >= 1, a
+    rhs or guess with a non-finite entry and a guess whose size is not the
+    rhs's raise :class:`DomainError` before any application.
     """
-    f, maxiter = _checked_problem(rhs, tol, maxiter)
-    return _run_to_tol(_pcg_steps(apply_op, apply_pc, f), f, tol, maxiter,
-                       1, trace)
+    f, maxiter, guess = _checked_problem(rhs, tol, maxiter, guess)
+    return _run_to_tol(
+        apply_op, lambda x, r: _pcg_steps(apply_op, apply_pc, x, r), f,
+        guess, tol, maxiter, 1, trace)
 
 
 def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
                     bounds: SpectralBounds, *, tol: float = 1e-10,
                     maxiter: int = 1000, check_every: int = 8,
-                    trace: Optional[Callable] = None
+                    trace: Optional[Callable] = None, guess=None
                     ) -> Tuple[np.ndarray, IterationReport]:
     """Two-term Chebyshev semi-iteration over ``bounds``.
 
     The residual 2-norm is read only at the checkpoints of the module
     docstring, so steps in between involve no reductions.  Everything
-    else, :class:`DomainError` cases included, matches :func:`pcg_solve`.
+    else, ``guess`` and :class:`DomainError` cases included, matches
+    :func:`pcg_solve`.
     """
-    f, maxiter = _checked_problem(rhs, tol, maxiter)
+    f, maxiter, guess = _checked_problem(rhs, tol, maxiter, guess)
     check_every = as_integer(check_every, InvalidBounds, "check_every")
     if check_every < 1:
         raise InvalidBounds(f"check_every must be >= 1, got {check_every}")
-    return _run_to_tol(_chebyshev_steps(apply_op, apply_pc, f, bounds), f,
-                       tol, maxiter, check_every, trace)
+    return _run_to_tol(
+        apply_op,
+        lambda x, r: _chebyshev_steps(apply_op, apply_pc, x, r, bounds), f,
+        guess, tol, maxiter, check_every, trace)
 
 
 def estimate_bounds(apply_op: Callable, apply_pc: Callable, n: int, *,
@@ -242,7 +288,8 @@ def estimate_bounds(apply_op: Callable, apply_pc: Callable, n: int, *,
     f = np.random.default_rng(0).standard_normal(n)
     norm_f = float(np.linalg.norm(f))
     alphas, betas = [], []
-    for _x, r, alpha, beta in islice(_pcg_steps(apply_op, apply_pc, f), steps):
+    for _x, r, alpha, beta in islice(
+            _pcg_steps(apply_op, apply_pc, np.zeros(n), f), steps):
         alphas.append(alpha)
         betas.append(beta)
         if float(np.linalg.norm(r)) <= 1e-14 * norm_f:

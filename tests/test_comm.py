@@ -1,9 +1,11 @@
 """Tests for axisolver.comm: channels, reduces, executors, statistics."""
 
+import gc
 import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -611,3 +613,56 @@ def test_unknown_executor_rejected():
 
     with pytest.raises(ConfigError):
         CommWorld(1).run(lambda comm: None, executor="mpi")
+
+
+# ---------------------------------------------------------------------------
+# lifetime
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def collector_off():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_dropped_plan_frees_its_world_without_the_collector(collector_off, p):
+    from axisolver.dichotomy import Partition, build_plan, solve_many
+    from axisolver.tridiag import TridiagonalMatrix
+
+    n = 32
+    A = TridiagonalMatrix(np.full(n, 4.0), np.ones(n - 1), np.ones(n - 1))
+    plan = build_plan(A, Partition.balanced(n, p), CommWorld(p))
+    solve_many(plan, np.ones((n, 2)), executor="sim")
+    world = weakref.ref(plan.world)
+    del plan
+    assert world() is None
+
+
+def test_dropped_preconditioner_frees_its_world_without_the_collector(
+        collector_off, monkeypatch):
+    from axisolver import sov
+    from axisolver.elliptic import CoefficientFields, Grid2D, assemble
+
+    worlds = []
+
+    def recording_world(p):
+        world = CommWorld(p)
+        worlds.append(weakref.ref(world))
+        return world
+
+    monkeypatch.setattr(sov, "CommWorld", recording_world)
+    grid = Grid2D(17, 16, 1.0, 1.0)
+    op = assemble(grid, CoefficientFields.from_samplers(
+        lambda r, z: 1.0 + 0.1 * r, lambda r, z: 0.5 + 0.0 * r, grid))
+    pc = sov.SovPreconditioner.from_operator(op, ranks=4)
+    pc.apply_inverse(np.ones(grid.unknown_shape))
+    assert len(worlds) == 1 and worlds[0]() is not None
+    del pc
+    assert worlds[0]() is None

@@ -513,3 +513,113 @@ def test_constant_coefficients_need_at_most_two_iterations():
     assert rep.iterations <= 2
     res = f.ravel() - op.apply_spd(x)
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(f)
+
+
+# ---------------------------------------------------------------------------
+# starting from a guess
+# ---------------------------------------------------------------------------
+
+
+def _guess_solve(method, A, f, calls, **kwargs):
+    """Solve with an operator and an identity preconditioner that count
+    their calls in ``calls``, and for Chebyshev the exact interval."""
+    def op(v):
+        calls["op"] += 1
+        return A @ v
+
+    def pc(v):
+        calls["pc"] += 1
+        return v
+
+    if method == "pcg":
+        return pcg_solve(op, pc, f, **kwargs)
+    lam = np.abs(np.linalg.eigvalsh(A))
+    return chebyshev_solve(op, pc, f, SpectralBounds(lam.min(), lam.max()),
+                           **kwargs)
+
+
+@pytest.mark.parametrize("method", ["pcg", "chebyshev"])
+def test_exact_guess_takes_one_iteration_and_no_inversion(method):
+    rng = np.random.default_rng(11)
+    A = random_spd(rng, 20, cond=40.0)
+    f = rng.standard_normal(20)
+    exact = np.linalg.solve(A, f)
+    calls = {"op": 0, "pc": 0}
+    x, rep = _guess_solve(method, A, f, calls, tol=1e-10, guess=exact.copy())
+    assert (rep.iterations, rep.binv_applications) == (1, 0)
+    assert calls == {"op": 1, "pc": 0}
+    assert rep.converged and [it for it, _ in rep.history] == [1]
+    np.testing.assert_allclose(x, exact, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["pcg", "chebyshev"])
+def test_guess_step_counts_as_an_iteration_without_an_inversion(method):
+    rng = np.random.default_rng(12)
+    A = random_spd(rng, 30, cond=100.0)
+    f = rng.standard_normal(30)
+    guess = np.linalg.solve(A, f) + 0.1 * rng.standard_normal(30)
+    d = guess.copy()
+    calls = {"op": 0, "pc": 0}
+    seen = []
+    x, rep = _guess_solve(method, A, f, calls, tol=1e-9, maxiter=400,
+                          trace=lambda it, x, rr: seen.append(it), guess=d)
+    assert rep.converged
+    assert np.shares_memory(x, d)              # the guess became the iterate
+    assert calls == {"op": rep.iterations, "pc": rep.iterations - 1}
+    assert rep.binv_applications == rep.iterations - 1
+    assert seen[0] == 1 and rep.history[0][0] == 1
+    # step 1 is the line search: x = alpha d with alpha = d.f / d.Ad
+    alpha = (guess @ f) / (guess @ (A @ guess))
+    assert rep.history[0][1] == pytest.approx(
+        np.linalg.norm(f - alpha * (A @ guess)) / np.linalg.norm(f),
+        rel=1e-12)
+    assert np.linalg.norm(f - A @ x) <= 1e-8 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("method", ["pcg", "chebyshev"])
+@pytest.mark.parametrize("maxiter", [1, 3])
+def test_maxiter_counts_the_guess_step(method, maxiter):
+    rng = np.random.default_rng(13)
+    A = random_spd(rng, 30, cond=1e4)
+    f = rng.standard_normal(30)
+    guess = np.linalg.solve(A, f) + rng.standard_normal(30)
+    with pytest.raises(MaxIterExceeded) as err:
+        _guess_solve(method, A, f, {"op": 0, "pc": 0}, tol=1e-14,
+                     maxiter=maxiter, guess=guess)
+    rep = err.value.report
+    assert rep.iterations == maxiter
+    assert rep.binv_applications == maxiter - 1
+
+
+@pytest.mark.parametrize("method", ["pcg", "chebyshev"])
+@pytest.mark.parametrize("sign, guess, error, applies", [
+    (1.0, np.ones(5), DomainError, 0),
+    (1.0, np.ones(7), DomainError, 0),
+    (1.0, np.array([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]), DomainError, 0),
+    (1.0, np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0]), DomainError, 0),
+    (1.0, np.zeros(6), Breakdown, 1),
+    (-1.0, np.ones(6), Breakdown, 1),
+], ids=["short", "long", "nan", "inf", "zero-curvature",
+        "negative-curvature"])
+def test_bad_guess_raises_before_any_inversion(method, sign, guess, error,
+                                               applies):
+    calls = {"op": 0, "pc": 0}
+    with pytest.raises(error):
+        _guess_solve(method, sign * np.eye(6), np.ones(6), calls,
+                     guess=guess)
+    assert calls == {"op": applies, "pc": 0}
+
+
+def test_guess_may_be_read_only_or_the_rhs_itself():
+    A = np.diag(np.arange(1.0, 9.0))
+    f = np.linspace(1.0, 2.0, 8)
+    guess = f / np.arange(1.0, 9.0) + 0.01
+    guess.setflags(write=False)
+    x, rep = pcg_solve(lambda v: A @ v, IDENT, f, tol=1e-12, guess=guess)
+    assert rep.converged and not np.shares_memory(x, guess)
+    np.testing.assert_array_equal(guess, f / np.arange(1.0, 9.0) + 0.01)
+    f_before = f.copy()
+    x, rep = pcg_solve(lambda v: A @ v, IDENT, f, tol=1e-12, guess=f)
+    assert rep.converged and not np.shares_memory(x, f)
+    np.testing.assert_array_equal(f, f_before)
+    np.testing.assert_allclose(A @ x, f, rtol=1e-11)
