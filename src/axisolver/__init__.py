@@ -22,8 +22,7 @@ from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        sampler_from_field, weighted_source, write_field_raw,
                        write_field_text)
 from .sov import SovPreconditioner
-from .iterative import (IterationReport, chebyshev_solve, estimate_bounds,
-                        pcg_solve)
+from .iterative import IterationReport, chebyshev_solve, pcg_solve
 from .laguerre import project_source, reconstruct_signal
 from .acoustic import (LaguerreParams, LaguerreSeries, MediumModel, Wavelet,
                        reconstruct, snapshot_field, solve_all_harmonics,
@@ -46,7 +45,6 @@ __all__ = [
     "weighted_source", "manufactured_problem", "write_field_text", "read_field_text",
     "write_field_raw", "read_field_raw", "sampler_from_field",
     "SovPreconditioner", "IterationReport", "pcg_solve", "chebyshev_solve",
-    "estimate_bounds",
     # spectral-in-time acoustics
     "project_source", "reconstruct_signal", "LaguerreParams", "Wavelet",
     "MediumModel", "LaguerreSeries", "solve_all_harmonics", "reconstruct",

@@ -35,7 +35,7 @@ import numpy as np
 from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        write_field_raw)
 from .errors import DomainError, HarmonicSolveFailure, SolverError, as_integer
-from .iterative import chebyshev_solve, estimate_bounds, pcg_solve
+from .iterative import SpectralBounds, chebyshev_solve, pcg_solve
 from .laguerre import (apply_half_power, laguerre_function_table,
                        project_source)
 from .sov import SovPreconditioner
@@ -207,7 +207,7 @@ class LaguerreSeries:
     ``grid.unknown_shape``); ``binv_applications`` totals the preconditioner
     inversions across all harmonics, the cost proxy used by the mesh
     independence checks; ``iterations`` holds the per-harmonic outer
-    counts.
+    counts; ``spectral_bounds`` is the Chebyshev interval, None for PCG.
     """
 
     grid: Grid2D
@@ -217,6 +217,8 @@ class LaguerreSeries:
     binv_applications: int
     operator_checksum: str
     iterations: Tuple[int, ...] = field(default=(), repr=False)
+    spectral_bounds: Optional[SpectralBounds] = field(default=None,
+                                                      repr=False)
 
     def __post_init__(self):
         q = np.asarray(self.harmonics, dtype=np.float64)
@@ -401,6 +403,8 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
     line search along the projection with the true operator.  When
     harmonic 0 converged in one inversion (an exact preconditioner, as in
     a homogeneous medium) every harmonic does, and none is projected.
+    Chebyshev runs over the preconditioner's closed-form interval
+    (:meth:`SovPreconditioner.bounds_for`), kept in the series.
     Solver failures are re-raised as
     :class:`HarmonicSolveFailure` carrying the harmonic index.
     ``progress(m, report)`` is invoked after each harmonic when given.
@@ -411,9 +415,7 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
                             params.h, t_upper=wavelet.support_end)
     op = harmonic_operator(grid, model, params)
     pc = SovPreconditioner.from_operator(op, ranks=ranks, executor=executor)
-    if method == "chebyshev":
-        bounds = estimate_bounds(op.apply_spd, pc.apply_inverse,
-                                 grid.n_unknowns)
+    bounds = pc.bounds_for(op) if method == "chebyshev" else None
 
     node = grid.nearest_node(*source)
     sums = RunningSums(grid, params.alpha)
@@ -465,7 +467,8 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
     return LaguerreSeries(grid=grid, params=params, harmonics=harmonics,
                           source_coeffs=coeffs, binv_applications=total_binv,
                           operator_checksum=op.checksum(),
-                          iterations=tuple(iterations))
+                          iterations=tuple(iterations),
+                          spectral_bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

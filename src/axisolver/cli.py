@@ -47,7 +47,7 @@ from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        manufactured_problem, read_field_text,
                        sampler_from_field, weighted_source, write_field_raw)
 from .errors import (ConfigError, DimensionMismatch, DomainError, SolverError)
-from .iterative import chebyshev_solve, estimate_bounds, pcg_solve
+from .iterative import SpectralBounds, chebyshev_solve, pcg_solve
 from .sov import SovPreconditioner
 from .tridiag import TridiagonalMatrix
 
@@ -132,6 +132,13 @@ def _write_solution(outdir: str, grid: Grid2D, interior: np.ndarray) -> None:
 def _write_report(outdir: str, lines: List[str]) -> None:
     with open(os.path.join(outdir, "report.txt"), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _bounds_lines(bounds: Optional[SpectralBounds]) -> List[str]:
+    """The report line of a Chebyshev run's interval; none for PCG."""
+    if bounds is None:
+        return []
+    return [f"spectral_bounds = {bounds.lower!r}, {bounds.upper!r}"]
 
 
 def _write_iteration_log(outdir: str, history, seconds: List[float]) -> None:
@@ -275,11 +282,12 @@ def cmd_elliptic(cfg: RunConfig, outdir: str) -> int:
     def trace(_it, _x, _relres):
         seconds.append(time.perf_counter() - started if timed else 0.0)
 
+    bounds = None
     if method == "pcg":
         x, report = pcg_solve(op.apply_spd, pre.apply_inverse, rhs,
                               tol=tol, maxiter=maxiter, trace=trace)
     else:
-        bounds = estimate_bounds(op.apply_spd, pre.apply_inverse, rhs.size)
+        bounds = pre.bounds_for(op)
         x, report = chebyshev_solve(op.apply_spd, pre.apply_inverse, rhs,
                                     bounds, tol=tol, maxiter=maxiter,
                                     trace=trace)
@@ -294,6 +302,7 @@ def cmd_elliptic(cfg: RunConfig, outdir: str) -> int:
         f"relative_residual = {report.final_relres!r}",
         f"binv_applications = {report.binv_applications}",
         f"converged = {report.converged}",
+        *_bounds_lines(bounds),
         f"operator_checksum = {op.checksum()}",
     ])
     return 0
@@ -353,6 +362,7 @@ def cmd_acoustic(cfg: RunConfig, outdir: str) -> int:
         f"binv_applications = {series.binv_applications}",
         f"iterations_total = {sum(series.iterations)}",
         f"tail_energy_ratio = {series.tail_energy_ratio()!r}",
+        *_bounds_lines(series.spectral_bounds),
         f"operator_checksum = {series.operator_checksum}",
     ])
     return 0

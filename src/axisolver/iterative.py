@@ -13,9 +13,10 @@ inner products, so the residual norm is evaluated only at sparse convergence
 checkpoints (after the first step, every ``check_every`` steps and the last
 allowed step), making the per-step cost communication-free in a distributed
 setting.  Each method is one step generator run by one convergence loop.
-``estimate_bounds`` recovers a spectral interval for the Chebyshev method
-from the tridiagonal (Lanczos) coefficients of a short conjugate-gradient
-probe run.
+The Chebyshev interval comes from the caller; for the axisymmetric
+operator under the separable preconditioner,
+:meth:`axisolver.sov.SovPreconditioner.bounds_for` gives one in closed form
+that encloses the whole spectrum.
 
 Both solvers start from x = 0 unless given a ``guess`` d.  Then step 1 is
 the line search x = alpha d with alpha = (d . b) / (d . A d): one operator
@@ -41,7 +42,7 @@ from .errors import (Breakdown, DomainError, InvalidBounds, MaxIterExceeded,
                      as_integer)
 
 __all__ = ["SpectralBounds", "IterationReport", "pcg_solve",
-           "chebyshev_solve", "estimate_bounds"]
+           "chebyshev_solve"]
 
 
 @dataclass(frozen=True)
@@ -142,10 +143,9 @@ def _pcg_steps(apply_op: Callable, apply_pc: Callable, x: np.ndarray,
     """The preconditioned conjugate-gradient recurrence from the iterate
     ``x`` with residual ``r``.
 
-    Yields ``(x, r, alpha, beta)`` after each step, with the iterate and
-    residual updated in place and ``beta`` the ratio that formed the step's
-    direction (0.0 for the first).  Each step starts with one inversion, so
-    a caller that stops after k steps has paid k.
+    Yields ``(x, r)`` after each step, with the iterate and residual
+    updated in place.  Each step starts with one inversion, so a caller
+    that stops after k steps has paid k.
     """
     p = np.zeros_like(r)
     rz = np.inf                                   # so the first beta is 0.0
@@ -155,8 +155,7 @@ def _pcg_steps(apply_op: Callable, apply_pc: Callable, x: np.ndarray,
         if not rz_new > 0.0:
             raise Breakdown(f"preconditioner lost positivity: "
                             f"r^T z = {rz_new!r}")
-        beta = rz_new / rz
-        p *= beta
+        p *= rz_new / rz
         p += z
         rz = rz_new
         Ap = _flat(apply_op(p))
@@ -168,7 +167,7 @@ def _pcg_steps(apply_op: Callable, apply_pc: Callable, x: np.ndarray,
         x += alpha * p
         r -= alpha * Ap
         del z, Ap                     # not held through the next inversion
-        yield x, r, alpha, beta
+        yield x, r
 
 
 def _chebyshev_steps(apply_op: Callable, apply_pc: Callable, x: np.ndarray,
@@ -206,7 +205,7 @@ def _run_to_tol(apply_op: Callable, method_steps, f: np.ndarray, guess,
     free = 0 if guess is None else 1              # steps with no inversion
     steps = _steps_from(apply_op, f, guess, method_steps)
     history = []
-    for it, (x, r, *_) in enumerate(islice(steps, maxiter), 1):
+    for it, (x, r) in enumerate(islice(steps, maxiter), 1):
         if it % check_every and it != 1 and it != maxiter:
             continue
         relres = float(np.linalg.norm(r)) / norm_f
@@ -266,39 +265,3 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
         apply_op,
         lambda x, r: _chebyshev_steps(apply_op, apply_pc, x, r, bounds), f,
         guess, tol, maxiter, check_every, trace)
-
-
-def estimate_bounds(apply_op: Callable, apply_pc: Callable, n: int, *,
-                    steps: int = 40) -> SpectralBounds:
-    """Spectral interval of the preconditioned operator from the Lanczos
-    coefficients of one short conjugate-gradient run.
-
-    The run on a seeded random right-hand side yields step sizes ``alpha_j``
-    and direction ratios ``beta_j``; the associated Jacobi matrix has
-    diagonal ``1/alpha_j + beta_{j-1}/alpha_{j-1}`` and off-diagonal
-    ``sqrt(beta_j)/alpha_j``, and its eigenvalues approximate the extreme
-    eigenvalues from inside, so the result is widened by 5 %.
-    ``steps`` below 1 raises :class:`DomainError`.
-    """
-    if n < 1:
-        raise InvalidBounds(f"need n >= 1, got {n}")
-    steps = as_integer(steps, DomainError, "steps")
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    f = np.random.default_rng(0).standard_normal(n)
-    norm_f = float(np.linalg.norm(f))
-    alphas, betas = [], []
-    for _x, r, alpha, beta in islice(
-            _pcg_steps(apply_op, apply_pc, np.zeros(n), f), steps):
-        alphas.append(alpha)
-        betas.append(beta)
-        if float(np.linalg.norm(r)) <= 1e-14 * norm_f:
-            break
-    alphas = np.array(alphas)
-    betas = np.array(betas[1:])
-    diag = 1.0 / alphas
-    diag[1:] += betas / alphas[:-1]
-    off = np.sqrt(betas) / alphas[:-1]
-    theta = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
-                               + np.diag(off, -1))
-    return SpectralBounds(0.95 * float(theta.min()), 1.05 * float(theta.max()))

@@ -133,9 +133,12 @@ def apply_half_power(table: np.ndarray, alpha: float, taus) -> np.ndarray:
     return weights
 
 
-def _gauss_legendre_panels(a: float, b: float, panels: int
+def _gauss_legendre_panels(rule: Tuple[np.ndarray, np.ndarray], a: float,
+                           b: float, panels: int
                            ) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(32)
+    """Nodes and weights of the Gauss-Legendre ``rule`` (nodes, weights on
+    [-1, 1]) repeated on ``panels`` equal panels of [a, b]."""
+    x, w = rule
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -149,18 +152,19 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
     """Expansion coefficients Q_0..Q_{m_max} of a signal supported on
     [0, t_upper].
 
-    The integral is evaluated on panelized 32-node Gauss-Legendre rules,
-    doubling the panel count from 8 until two consecutive answers agree to
-    1e-10 relative to the largest coefficient; raises
-    :class:`QuadratureNotConverged` past 256 panels.
+    The integral is evaluated on one 32-node Gauss-Legendre rule, built
+    once and repeated on equal panels, doubling the panel count from 8
+    until two consecutive answers agree to 1e-10 relative to the largest
+    coefficient; raises :class:`QuadratureNotConverged` past 256 panels.
     """
     _validate(m_max, alpha, h)
     if t_upper <= 0.0:
         raise DomainError(f"t_upper must be positive, got {t_upper}")
+    rule = np.polynomial.legendre.leggauss(32)
     prev = None
     panels = 8
     while panels <= 256:
-        pts, wts = _gauss_legendre_panels(0.0, t_upper, panels)
+        pts, wts = _gauss_legendre_panels(rule, 0.0, t_upper, panels)
         weights = laguerre_function_table(m_max, alpha, h * pts, h=h,
                                           include_power=False)
         values = np.asarray(fn(pts), dtype=np.float64)

@@ -42,6 +42,13 @@ communicator, and one launch running one splitting protocol per
 application, whose messages carry every mode at once.  An application
 therefore sends as many messages as one single-matrix solve
 (7 at p = 4), whatever nz is.
+
+``bounds_for(op)`` encloses the spectrum of ``B^-1 A`` in closed form, the
+interval the Chebyshev method needs.  A and B are conductance stencils on
+one graph, so the face ratios kappa / vtilde, the node reactions q against
+``shift`` and a lower bound ``radial_floor`` of B's radial faces against
+sum r x^2 bound the Rayleigh quotient, from one min/max pass over the
+coefficients, the pass that also gives ``recovered_midranges``.
 """
 
 from __future__ import annotations
@@ -53,8 +60,10 @@ import numpy as np
 from .comm import CommWorld, check_executor
 from .dichotomy import Partition, build_plan, solve_series
 from .elliptic import DiscreteOperator, Grid2D
-from .errors import DomainError, NonPositiveCoefficient, as_integer
+from .errors import (DimensionMismatch, DomainError, NonPositiveCoefficient,
+                     as_integer)
 from .fourier import dct_forward, dct_inverse, spectral_modes
+from .iterative import SpectralBounds
 from .kernels import multi_apply, multi_factor
 from .tridiag import TridiagonalMatrix
 
@@ -137,18 +146,25 @@ class _ModeBlocks:
         return out[: F.shape[0]]
 
 
-def recovered_midranges(op: DiscreteOperator):
-    """(vtilde, shift) from an assembled operator: midranges of the
-    diffusivity and reaction samples recovered from the weighted arrays."""
+def _sample_ranges(op: DiscreteOperator):
+    """(kappa_lo, kappa_hi, q_lo, q_hi): one min/max pass over the
+    diffusivity samples at the radial faces 1..nr-1 and the interior z faces
+    and the reaction samples at the nodes, recovered from the weighted
+    arrays."""
     g = op.grid
     j = np.arange(1, g.nr) * g.dr
     r_in = g.r_nodes[: g.nr - 1]
     kv = np.concatenate([(op.r_faces[:, 1:] / j[None, :]).ravel(),
                          (op.z_faces[1: g.nz, :] / r_in[None, :]).ravel()])
-    qv = (op.reaction / r_in[None, :]).ravel()
-    vtilde = 0.5 * (float(kv.min()) + float(kv.max()))
-    shift = 0.5 * (float(qv.min()) + float(qv.max()))
-    return vtilde, shift
+    qv = op.reaction / r_in[None, :]
+    return float(kv.min()), float(kv.max()), float(qv.min()), float(qv.max())
+
+
+def recovered_midranges(op: DiscreteOperator):
+    """(vtilde, shift) from an assembled operator: midranges of the
+    diffusivity and reaction samples recovered from the weighted arrays."""
+    k_lo, k_hi, q_lo, q_hi = _sample_ranges(op)
+    return 0.5 * (k_lo + k_hi), 0.5 * (q_lo + q_hi)
 
 
 class SovPreconditioner:
@@ -196,6 +212,42 @@ class SovPreconditioner:
         """Midrange reference coefficients recovered from ``op``."""
         vtilde, shift = recovered_midranges(op)
         return cls(op.grid, vtilde, shift, ranks=ranks, executor=executor)
+
+    @property
+    def radial_floor(self) -> float:
+        """mu = vtilde / (dr sum_i r_i (H_nu - H_i)), H_k = sum_{j<=k} 1/j:
+        B's radial faces alone give x^T B x >= mu sum_i r_i x_i^2.
+
+        Cauchy-Schwarz on x_i = sum_{j>i} (x_{j-1} - x_j), the ghost x_nu
+        = 0, against the face conductances j vtilde / dr; so mu never
+        exceeds the smallest eigenvalue of that stencil against diag r."""
+        g = self.grid
+        nu = g.nr - 1
+        tail = np.cumsum(1.0 / np.arange(nu, 0, -1))[::-1]   # H_nu - H_i
+        # r_i = (i + 1/2) dr; dividing by dr twice never forms dr**2
+        return self.vtilde / g.dr / g.dr / float((np.arange(nu) + 0.5) @ tail)
+
+    def bounds_for(self, op: DiscreteOperator) -> SpectralBounds:
+        """An interval enclosing the spectrum of B^-1 A for A = ``op``.
+
+        A and B are conductance stencils on one graph: face by face A's
+        conductance is f = kappa / vtilde times B's, node by node A carries
+        r q where B carries r shift.  With F_B >= mu R (``radial_floor``,
+        R = sum r x^2) the Rayleigh quotient (F_A + Q_A) / (F_B + shift R)
+        lies in [min(f_lo, (f_lo mu + q_lo) / (mu + shift)),
+        max(f_hi, (f_hi mu + q_hi) / (mu + shift))], which is [1, 1] when
+        A = B.  Its lower end is positive unless it lies below the float
+        range, where :class:`SpectralBounds` raises :class:`InvalidBounds`.
+        An operator of another grid raises :class:`DimensionMismatch`."""
+        if op.grid != self.grid:
+            raise DimensionMismatch(f"operator grid {op.grid} is not the "
+                                    f"preconditioner's {self.grid}")
+        k_lo, k_hi, q_lo, q_hi = _sample_ranges(op)
+        f_lo, f_hi = k_lo / self.vtilde, k_hi / self.vtilde
+        mu, s = self.radial_floor, self.shift
+        w = mu / (mu + s)         # f * mu, which can underflow, is not formed
+        return SpectralBounds(min(f_lo, w * f_lo + q_lo / (mu + s)),
+                              max(f_hi, w * f_hi + q_hi / (mu + s)))
 
     def _mode_bands(self):
         """(diag, off) of the mode systems, recomputed, not stored: column j

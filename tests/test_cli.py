@@ -20,6 +20,7 @@ import axisolver
 from axisolver import acoustic, cli
 from axisolver.cli import main
 from axisolver.elliptic import Grid2D, read_field_raw, write_field_text
+from axisolver.sov import SovPreconditioner
 
 
 def run_cli(*argv):
@@ -307,6 +308,56 @@ def test_elliptic_chebyshev_method(tmp_path, smooth_kappa_file):
     assert float(report_value(out, "relative_residual")) <= 1e-10
 
 
+@pytest.fixture(scope="module")
+def layered_files(tmp_path_factory):
+    """A 33x32 kappa panel with a smooth part and a jump below z = 500, and
+    a reaction panel that is zero above z = 400."""
+    grid = Grid2D(33, 32, 950.0, 950.0)
+    r = np.broadcast_to(grid.r_nodes[None, :], (grid.nz, grid.nr))
+    z = np.broadcast_to(grid.z_nodes[:, None], (grid.nz, grid.nr))
+    kappa = (1.0 + 0.6 * np.cos(np.pi * r / 950.0)
+             * np.cos(2.0 * np.pi * z / 950.0) + 0.8 * (z > 500.0))
+    folder = tmp_path_factory.mktemp("layered")
+    write_field_text(folder / "kappa.txt", grid, kappa)
+    write_field_text(folder / "reaction.txt", grid, 2e-5 * (z > 400.0))
+    return folder
+
+
+@pytest.mark.parametrize("ranks", [1, 4])
+def test_elliptic_chebyshev_reports_the_inversions_it_makes(
+        tmp_path, layered_files, monkeypatch, ranks):
+    calls = []
+    real = SovPreconditioner.apply_inverse
+
+    def counted(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(SovPreconditioner, "apply_inverse", counted)
+    cfg = write_cfg(tmp_path / "run.cfg", f"""\
+[grid]
+nr = 129
+nz = 128
+rmax = 950.0
+zmax = 950.0
+[model]
+kind = files
+kappa_file = {layered_files / "kappa.txt"}
+reaction_file = {layered_files / "reaction.txt"}
+[rhs]
+kind = uniform
+[solver]
+method = chebyshev
+""")
+    out = tmp_path / "out"
+    assert run_cli("elliptic", "--config", cfg, "--out", str(out),
+                   "--ranks", str(ranks)) == 0
+    assert report_value(out, "converged") == "True"
+    assert int(report_value(out, "binv_applications")) == len(calls)
+    lower, upper = map(float, report_value(out, "spectral_bounds").split(", "))
+    assert 0.0 < lower < 1.0 < upper
+
+
 @pytest.mark.parametrize("maxiter, checks", [
     ("", [1, 8, 16]),
     # step 15 is the first to meet tol; as the last allowed step it is read
@@ -406,6 +457,32 @@ t = 0.5
     assert "t = 0.5" in meta
     # heterogeneous medium: preconditioner no longer equals the operator
     assert int(report_value(out, "binv_applications")) > 64
+
+
+@pytest.mark.parametrize("method", ["pcg", "chebyshev"])
+def test_acoustic_report_names_the_chebyshev_interval(tmp_path, method):
+    cfg = write_cfg(tmp_path / "run.cfg", f"""\
+[grid]
+nr = 17
+nz = 16
+rmax = 2000.0
+zmax = 2000.0
+[laguerre]
+n_terms = 8
+[model]
+kind = fault
+[solver]
+method = {method}
+""")
+    out = tmp_path / "out"
+    assert run_cli("acoustic", "--config", cfg, "--out", str(out)) == 0
+    if method == "pcg":
+        with pytest.raises(KeyError):
+            report_value(out, "spectral_bounds")
+    else:
+        lower, upper = map(float,
+                           report_value(out, "spectral_bounds").split(", "))
+        assert 0.0 < lower < 1.0 < upper
 
 
 def test_acoustic_determinism_and_config_echo_round_trip(tmp_path):

@@ -1,11 +1,11 @@
-"""Tests for axisolver.iterative: conjugate gradients, the Chebyshev
-semi-iteration, and Lanczos-based spectral-interval estimation.
+"""Tests for axisolver.iterative: conjugate gradients and the Chebyshev
+semi-iteration.
 
 Oracle policy: small systems are solved densely with numpy for comparison;
 the Chebyshev error bound 2 c^k (c the asymptotic reduction factor) is
 asserted on a diagonal problem where the error polynomial acts exactly;
-frozen bounds values follow from the 5% widening applied to the exact
-single-point spectrum of scaled-identity pairs.
+Chebyshev runs on generic operators take their known spectrum as the
+interval.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from axisolver.iterative import (
     IterationReport,
     SpectralBounds,
     chebyshev_solve,
-    estimate_bounds,
     pcg_solve,
 )
 from axisolver.sov import SovPreconditioner
@@ -250,70 +249,20 @@ def test_chebyshev_rejects_bad_check_interval():
                             check_every=check_every)
 
 
-# ---------------------------------------------------------------------------
-# spectral bounds estimation
-# ---------------------------------------------------------------------------
-
-
-def test_estimate_bounds_scaled_identity_frozen():
-    # A = 2 B has the single-point spectrum {2}; widened by 5% -> (1.9, 2.1)
-    b = estimate_bounds(lambda v: 2.0 * v, IDENT, 30)
-    assert b.lower == pytest.approx(1.9, rel=1e-12)
-    assert b.upper == pytest.approx(2.1, rel=1e-12)
-
-
-def test_estimate_bounds_recovers_diagonal_spectrum():
-    A = np.diag(np.arange(1.0, 11.0))
-    b = estimate_bounds(lambda v: A @ v, IDENT, 10, steps=50)
-    assert b.lower == pytest.approx(0.95, rel=1e-9)
-    assert b.upper == pytest.approx(10.5, rel=1e-9)
-
-
-def test_estimate_bounds_encloses_spectrum_of_random_spd():
-    rng = np.random.default_rng(9)
-    A = random_spd(rng, 35, cond=80.0)
-    b = estimate_bounds(lambda v: A @ v, IDENT, 35, steps=40)
-    lam = np.linalg.eigvalsh(A)
-    assert b.lower <= lam.min() * 1.001
-    assert b.upper >= lam.max() * 0.999
-
-
-def test_estimate_bounds_breakdown_on_indefinite():
-    with pytest.raises(Breakdown):
-        estimate_bounds(lambda v: -v, IDENT, 8)
-
-
-def test_estimate_bounds_pays_one_inversion_per_step():
-    calls = []
-
-    def counting_pc(v):
-        calls.append(1)
-        return v
-
-    A = np.diag(np.arange(1.0, 11.0))
-    estimate_bounds(lambda v: A @ v, counting_pc, 10, steps=4)
-    assert len(calls) == 4
-
-
 @pytest.mark.parametrize("solve", [
     lambda f: pcg_solve(IDENT, IDENT, f, maxiter=0),
     lambda f: pcg_solve(IDENT, IDENT, f, maxiter=-1),
     lambda f: chebyshev_solve(IDENT, IDENT, f, SpectralBounds(0.5, 2.0),
                               maxiter=0),
-    lambda f: estimate_bounds(IDENT, IDENT, f.size, steps=0),
     lambda f: pcg_solve(IDENT, IDENT, f, maxiter=2.5),
     lambda f: chebyshev_solve(IDENT, IDENT, f, SpectralBounds(0.5, 2.0),
                               maxiter=2.5),
-    lambda f: estimate_bounds(IDENT, IDENT, f.size, steps=2.5),
     lambda f: pcg_solve(IDENT, IDENT, f, maxiter=np.nan),
     lambda f: pcg_solve(IDENT, IDENT, f, maxiter=np.inf),
     lambda f: chebyshev_solve(IDENT, IDENT, f, SpectralBounds(0.5, 2.0),
                               maxiter="5"),
-    lambda f: estimate_bounds(IDENT, IDENT, f.size, steps=0.0),
-    lambda f: estimate_bounds(IDENT, IDENT, f.size, steps=np.nan),
-], ids=["pcg-0", "pcg-negative", "chebyshev-0", "probe-0", "pcg-fraction",
-        "chebyshev-fraction", "probe-fraction", "pcg-nan", "pcg-inf",
-        "chebyshev-string", "probe-float-0", "probe-nan"])
+], ids=["pcg-0", "pcg-negative", "chebyshev-0", "pcg-fraction",
+        "chebyshev-fraction", "pcg-nan", "pcg-inf", "chebyshev-string"])
 def test_iteration_counts_below_one_raise_domain_error(solve):
     with pytest.raises(DomainError):
         solve(np.ones(6))
@@ -334,8 +283,6 @@ def test_whole_number_counts_of_any_type_are_accepted():
                         tol=1e-14, maxiter=3.0)
     assert exc.value.report.iterations == 3
     assert type(exc.value.report.iterations) is int
-    assert estimate_bounds(lambda v: A @ v, IDENT, 10, steps=4.0) \
-        == estimate_bounds(lambda v: A @ v, IDENT, 10, steps=4)
 
 
 def _counting_identity(calls):
@@ -494,9 +441,8 @@ def test_preconditioned_counts_are_mesh_independent():
 def test_chebyshev_and_pcg_work_within_thirty_percent():
     op, M, f = elliptic_problem(64)
     _, rep_cg = pcg_solve(op.apply_spd, M.apply_inverse, f, tol=1e-8)
-    bounds = estimate_bounds(op.apply_spd, M.apply_inverse,
-                             op.grid.n_unknowns, steps=40)
-    _, rep_ch = chebyshev_solve(op.apply_spd, M.apply_inverse, f, bounds,
+    _, rep_ch = chebyshev_solve(op.apply_spd, M.apply_inverse, f,
+                                M.bounds_for(op),
                                 tol=1e-8, check_every=2)
     assert rep_ch.converged
     assert rep_ch.binv_applications <= 1.3 * rep_cg.binv_applications + 2

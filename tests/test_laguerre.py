@@ -188,6 +188,24 @@ def test_projection_of_basis_function_is_unit_vector():
     np.testing.assert_allclose(coeffs, expect, rtol=0, atol=1e-10)
 
 
+def test_projection_builds_its_gauss_legendre_rule_once(monkeypatch):
+    rules, levels = [], []
+    real = np.polynomial.legendre.leggauss
+
+    def counted(deg):
+        rules.append(deg)
+        return real(deg)
+
+    def signal(t):
+        levels.append(len(t))
+        return quiescent_wavelet()[0](t)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    project_source(signal, 200, 5.0, 300.0, t_upper=quiescent_wavelet()[1])
+    assert len(levels) >= 2           # the answer is compared across levels
+    assert rules == [32]
+
+
 def test_projection_quadrature_failure_raises():
     rough = lambda t: np.sign(np.sin(400.0 * t)) * np.exp(5.0 * np.asarray(t))
     with pytest.raises(QuadratureNotConverged):

@@ -348,6 +348,102 @@ def test_distributed_backend_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# spectral bounds of B^-1 A
+# ---------------------------------------------------------------------------
+
+
+def _cell_sampler(values, g):
+    """A piecewise-constant (r, z) sampler over the cells of ``values``
+    (shape (nz + 2, nr + 2)), so faces and nodes see different values."""
+    def sample(r, z):
+        i = np.clip((np.asarray(r) / g.dr).astype(int), 0, g.nr + 1)
+        k = np.clip((np.asarray(z) / g.dz).astype(int), 0, g.nz + 1)
+        return values[k, i]
+    return sample
+
+
+def _generalized_spectrum(op, M):
+    """Eigenvalues of A x = lam B x, B from the kron oracle."""
+    return sla.eigh(op.to_dense(), dense_reference(M), eigvals_only=True)
+
+
+@pytest.mark.parametrize("nr, nz", [(2, 2), (9, 8), (17, 5)])
+@pytest.mark.parametrize("kappa, q", [(1.0, 0.0), (2.3, 0.7), (1e-3, 40.0)])
+def test_bounds_of_constant_coefficients_are_one_point(nr, nz, kappa, q):
+    g = Grid2D(nr, nz, 950.0, 950.0)
+    op = assemble(g, CoefficientFields.constant(kappa, q))
+    bounds = SovPreconditioner.from_operator(op).bounds_for(op)
+    assert bounds.lower == pytest.approx(1.0, abs=1e-12)
+    assert bounds.upper == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("nr, rmax, vtilde", [(2, 1.0, 1.0), (3, 2.0, 0.5),
+                                              (11, 1.0, 3.0),
+                                              (40, 950.0, 1.7)])
+def test_radial_floor_stays_below_the_radial_stencil_spectrum(nr, rmax,
+                                                              vtilde):
+    g = Grid2D(nr, 4, rmax, 1.0)
+    M = SovPreconditioner(g, vtilde)
+    nu = g.nr - 1
+    cond = np.arange(g.nr) * vtilde / g.dr          # j vtilde / dr, j = 0..nu
+    T = (np.diag(cond[:nu] + cond[1:]) + np.diag(-cond[1:nu], 1)
+         + np.diag(-cond[1:nu], -1))
+    lam = sla.eigh(T, np.diag(g.r_nodes[:nu]), eigvals_only=True)
+    assert 0.0 < M.radial_floor <= lam[0]
+
+
+@pytest.mark.parametrize("shift", [0.0, 5.0])
+def test_bounds_cover_a_reaction_beyond_the_shift(shift):
+    # A = B + (50 - shift) r: the face ratios alone (f = 1) miss the top
+    g = Grid2D(9, 8, 1.0, 1.0)
+    op = assemble(g, CoefficientFields.constant(1.0, 50.0))
+    M = SovPreconditioner(g, 1.0, shift)
+    bounds = M.bounds_for(op)
+    lam = _generalized_spectrum(op, M)
+    assert lam[-1] > 2.0
+    assert bounds.lower <= lam[0] * (1.0 + 1e-9)
+    assert bounds.upper >= lam[-1] * (1.0 - 1e-9)
+
+
+def test_bounds_for_an_operator_of_another_grid_raise():
+    M = SovPreconditioner(Grid2D(9, 8, 1.0, 1.0), 1.0)
+    for g in (Grid2D(9, 8, 1.0, 2.0), Grid2D(10, 8, 1.0, 1.0)):
+        with pytest.raises(DimensionMismatch):
+            M.bounds_for(assemble(g, CoefficientFields.constant(1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10), st.integers(2, 8),
+       st.sampled_from(["no-reaction", "zero-patches", "constant-reaction",
+                        "any-preconditioner"]),
+       st.integers(0, 2 ** 31 - 1))
+def test_bounds_enclose_the_generalized_spectrum(nr, nz, case, seed):
+    rng = np.random.default_rng(seed)
+    g = Grid2D(nr, nz, rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
+    cells = (g.nz + 2, g.nr + 2)
+    kappa = 10.0 ** rng.uniform(-1.5, 1.5, cells)
+    if case == "no-reaction":
+        q = np.zeros(cells)
+    elif case == "constant-reaction":
+        q = np.full(cells, 10.0 ** rng.uniform(-2.0, 2.0))
+    else:
+        q = 10.0 ** rng.uniform(-2.0, 2.0, cells) * (rng.random(cells) < 0.5)
+    op = assemble(g, CoefficientFields(_cell_sampler(kappa, g),
+                                       _cell_sampler(q, g)))
+    if case == "any-preconditioner":
+        M = SovPreconditioner(g, 10.0 ** rng.uniform(-1.5, 1.5),
+                              rng.choice([0.0, 10.0 ** rng.uniform(-2, 2)]))
+    else:
+        M = SovPreconditioner.from_operator(op)
+    bounds = M.bounds_for(op)
+    lam = _generalized_spectrum(op, M)
+    assert bounds.lower <= lam[0] * (1.0 + 1e-9)
+    assert bounds.upper >= lam[-1] * (1.0 - 1e-9)
+    if case == "no-reaction":
+        assert M.shift == 0.0
+
+
+# ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
 
