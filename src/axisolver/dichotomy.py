@@ -50,6 +50,12 @@ communication at all: their first/last values are directly their
 ceil(log2(p)) when p is a power of two; it is processed within the last level
 (it depends only on the fold that same level), keeping the level count exact.
 
+A solve allocates one (n, K) solution array, and every rank writes its own
+rows of it and no others: its first and last rows, then the elimination of
+its interior, which runs in place in the rows between them.  The ranks of a
+launch never touch the same row, so they share the array under either
+executor.
+
 The decisive identity is that ratios of inverse-row entries
 ``(G_L)_k / (G_R)_k`` do not depend on k beyond the owned block, which is what
 lets one reduce carry both target components and lets neighbors fold the
@@ -415,80 +421,81 @@ def local_betas(plan: DichotomyPlan, m: int, F_local) -> Tuple[np.ndarray, np.nd
     return (bL, bR) if F_local.ndim == 2 else (bL[0], bR[0])
 
 
-def _protocol(comm, plan: DichotomyPlan, Q: np.ndarray):
+def _protocol(comm, plan: DichotomyPlan, B: np.ndarray, X: np.ndarray):
     """Rank program (a generator, see :mod:`.comm`): run the splitting
     protocol for the whole family on the calling rank.
 
-    ``Q`` is the rank's owned rhs slice, shape (local size, K).  Returns the
-    rank's block of the solution, same shape.
+    ``B`` is the (n, K) right-hand side, read only at the rank's own rows
+    ``m_L..m_R``; the rank writes those rows of the (n, K) solution ``X``
+    (first row, last row, then the interior elimination) and no others.
     """
     m = comm.rank
     rp = plan.rank_data(m)
+    a, b = rp.m_L - 1, rp.m_R - 1           # 0-based first/last owned row
+    Q = B[a: b + 1]
     K = Q.shape[1]
     bL, bR = local_betas(plan, m, Q)
-    first = last = None
 
     for step in rp.steps:
         role = step[0]
         if role == "leaf":
-            first, last = bL.copy(), bR.copy()
+            X[a], X[b] = bL, bR
             continue
-        w1, w2 = rp.weights[step[1]]
+        w = rp.weights[step[1]]             # (2, L): the Z entries of k1, k2
         if role == "left":
             group, neighbor = step[2], step[3]
-            yield from comm.reduce_sum_to_root(
-                group, np.concatenate([bR * w1, bR * w2]))
+            yield from comm.reduce_sum_to_root(group, (w * bR).ravel())
             if neighbor:
                 dL = yield from comm.recv(group.root)
                 bR = bR + dL
                 bL = bL + dL * rp.fold_left
         elif role == "right":
             group, neighbor = step[2], step[3]
-            yield from comm.reduce_sum_to_root(
-                group, np.concatenate([bL * w1, bL * w2]))
+            yield from comm.reduce_sum_to_root(group, (w * bL).ravel())
             if neighbor:
                 dR = yield from comm.recv(group.root)
                 bL = bL + dR
                 bR = bR + dR * rp.fold_right
         else:
             left_group, right_group = step[2], step[3]
+            contribution = np.empty((2, K))
+            contribution[0], contribution[1] = bL, bR
             left = yield from comm.reduce_sum_to_root(
-                left_group, np.concatenate([bL, bR]))
+                left_group, contribution.ravel())
             if right_group is not None:
                 right = yield from comm.reduce_sum_to_root(
                     right_group, np.zeros(2 * K))
             else:
                 right = np.zeros(2 * K)
-            first = left[:K] + right[:K]
-            last = left[K:] + right[K:]
+            np.add(left[:K], right[:K], out=X[a])
+            np.add(left[K:], right[K:], out=X[b])
             # mid = ceil((lo+hi)/2) > lo: the left neighbor always exists
-            yield from comm.send(m - 1, (right[:K] + bL) * w1)
+            yield from comm.send(m - 1, (right[:K] + bL) * w[0])
             if right_group is not None:
-                yield from comm.send(m + 1, left[K:] * w2)
+                yield from comm.send(m + 1, left[K:] * w[1])
 
-    # final local elimination of the interior rows
-    if rp.interior_fact is None:
-        return np.stack([first, last])
-    rhs = Q[1:-1].copy()
-    rhs[0] -= rp.interior_c * first
-    rhs[-1] -= rp.interior_a * last
-    interior = multi_apply(rp.interior_fact, rhs)
-    return np.vstack([first[None, :], interior, last[None, :]])
+    # final local elimination of the interior rows, in place in X
+    if rp.interior_fact is not None:
+        interior = X[a + 1: b]
+        interior[...] = Q[1:-1]
+        interior[0] -= rp.interior_c * X[a]
+        interior[-1] -= rp.interior_a * X[b]
+        multi_apply(rp.interior_fact, interior, out=interior)
 
 
 def _solve(plan: DichotomyPlan, B: np.ndarray, executor: str) -> np.ndarray:
-    """Solve for the (n, K) columns of ``B`` in one launch and one protocol."""
+    """Solve for the (n, K) columns of ``B`` in one launch and one protocol,
+    every rank writing its own rows of the one solution array."""
     check_executor(executor)
     if plan.p == 1:
         return multi_apply(plan.full_fact, B)
-
-    def program(comm):
-        rp = plan.rank_data(comm.rank)
-        return _protocol(comm, plan,
-                         np.ascontiguousarray(B[rp.m_L - 1: rp.m_R]))
-
-    results = plan.world.run(program, executor=executor)
-    return np.vstack([results[r] for r in range(1, plan.p + 1)])
+    # betas of strided rows would sum in another order: the bits of X must
+    # not depend on the caller's layout of B
+    B = np.ascontiguousarray(B)
+    X = np.empty(B.shape)
+    plan.world.run(lambda comm: _protocol(comm, plan, B, X),
+                   executor=executor)
+    return X
 
 
 def solve_many(plan: DichotomyPlan, B, executor: str = "sim") -> np.ndarray:

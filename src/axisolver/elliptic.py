@@ -284,7 +284,8 @@ def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
     ``r_i * q``.  Each sampler is evaluated once per point set: ``kappa``
     twice, ``reaction`` once.  A non-finite sample raises
     :class:`DomainError`, ``kappa <= 0`` or ``q < 0``
-    :class:`NonPositiveCoefficient`.
+    :class:`NonPositiveCoefficient`, and a weighted coefficient beyond the
+    float range :class:`DomainError` naming the coefficient.
     """
     g = grid
     r_face_pos = np.arange(g.nr) * g.dr                 # j = 0..nr-1
@@ -293,14 +294,16 @@ def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
     kappa_rf = _sample(fields.kappa, r_face_pos[None, 1:], z_col)
     _validate_coefficient(kappa_rf, "kappa at radial faces")
     r_faces = np.zeros((g.nz, g.nr))
-    r_faces[:, 1:] = r_face_pos[1:][None, :] * kappa_rf
+    r_faces[:, 1:] = _weighted(r_face_pos[1:][None, :], kappa_rf,
+                               "kappa at radial faces")
 
     z_face_pos = np.arange(1, g.nz) * g.dz              # interior faces
     r_in = g.r_nodes[: g.nr - 1]
     kappa_zf = _sample(fields.kappa, r_in[None, :], z_face_pos[:, None])
     _validate_coefficient(kappa_zf, "kappa at z faces")
     z_faces = np.zeros((g.nz + 1, g.nr - 1))
-    z_faces[1: g.nz, :] = r_in[None, :] * kappa_zf
+    z_faces[1: g.nz, :] = _weighted(r_in[None, :], kappa_zf,
+                                    "kappa at z faces")
 
     R, Z = g.node_mesh()
     q = _sample(fields.reaction, R, Z)
@@ -310,7 +313,7 @@ def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
         raise NonPositiveCoefficient(
             f"reaction coefficient must be >= 0, found {q.min()!r}")
     return DiscreteOperator(grid=g, r_faces=r_faces, z_faces=z_faces,
-                            reaction=R * q)
+                            reaction=_weighted(R, q, "reaction"))
 
 
 def weighted_source(grid: Grid2D, f: Callable) -> np.ndarray:
@@ -322,6 +325,17 @@ def weighted_source(grid: Grid2D, f: Callable) -> np.ndarray:
     if not np.all(np.isfinite(phi)):
         raise DomainError("source sampler produced non-finite values")
     return phi
+
+
+def _weighted(r: np.ndarray, values: np.ndarray, where: str) -> np.ndarray:
+    """``r * values`` of finite samples; a product beyond the float range
+    raises :class:`DomainError` naming ``where``."""
+    try:
+        with np.errstate(over="raise"):
+            return r * values
+    except FloatingPointError:
+        raise DomainError(
+            f"{where}: r * sample overflows the float range") from None
 
 
 def _validate_coefficient(values: np.ndarray, where: str) -> None:

@@ -81,7 +81,7 @@ def dct_forward(x, axis: int = 0) -> np.ndarray:
     """Half-sample cosine analysis with the sqrt(2/N) scale, in the slot
     layout of :func:`spectral_modes` (see module docstring); batched along
     every axis but ``axis``."""
-    xm = np.moveaxis(np.asarray(x, dtype=np.float64), axis, -1)
+    xm = np.asarray(x, dtype=np.float64).swapaxes(axis, -1)
     n = xm.shape[-1]
     half = (n + 1) // 2
     # fold into a buffer the FFT reads contiguously
@@ -95,14 +95,14 @@ def dct_forward(x, axis: int = 0) -> np.ndarray:
         # negation by multiplying: numpy 2.4's np.negative writes wrong
         # values into some strided outputs
         np.multiply(c[..., n], -1.0, out=c[..., n + 1])
-    return np.moveaxis(c, -1, axis)
+    return c.swapaxes(-1, axis)
 
 
 def dct_inverse(c, n: int, axis: int = 0) -> np.ndarray:
     """Inverse of :func:`dct_forward` (half weight on the constant mode):
     ``n`` samples from the 2 (n//2 + 1) slots along ``axis``.  The input is
     read, never written, and copied only when its slots are not contiguous."""
-    cm = np.moveaxis(np.asarray(c, dtype=np.float64), axis, -1)
+    cm = np.asarray(c, dtype=np.float64).swapaxes(axis, -1)
     if n < 1 or cm.shape[-1] != 2 * (n // 2 + 1):
         raise DimensionMismatch(
             f"{n} samples need {2 * (n // 2 + 1)} coefficient slots, "
@@ -111,8 +111,8 @@ def dct_inverse(c, n: int, axis: int = 0) -> np.ndarray:
         cm = np.ascontiguousarray(cm)
     v = np.fft.irfft(cm.view(np.complex128) * _twiddles(n)[1], n=n)
     half = (n + 1) // 2
-    out = np.empty(np.moveaxis(v, -1, axis).shape)
-    om = np.moveaxis(out, axis, -1)
+    out = np.empty(v.swapaxes(-1, axis).shape)
+    om = out.swapaxes(axis, -1)
     om[..., ::2] = v[..., :half]
     om[..., 1::2] = v[..., half:][..., ::-1]
     return out

@@ -5,7 +5,10 @@ One record, :class:`MultiFactorization`, and one pair,
 family of ``L`` independent matrices alike: a single matrix is the
 one-member family.  Band and right-hand-side arrays of a family are shaped
 ``(n, L)`` so the inner loop runs over contiguous memory; a single matrix
-may be passed as 1-D bands.
+may be passed as 1-D bands.  :func:`multi_apply` can write its solutions
+into a given array, the right-hand side itself included, since the
+elimination reads each row of the right-hand side before it writes that row
+of the solution.
 
 Two interchangeable backends live here: numba-compiled loops (``nogil`` so
 the threaded executor can actually overlap them) and plain numpy fallbacks
@@ -210,12 +213,24 @@ def multi_factor(lower, diag, upper) -> MultiFactorization:
     return MultiFactorization(lower, cp, dn)
 
 
-def multi_apply(fact: MultiFactorization, F) -> np.ndarray:
+def multi_apply(fact: MultiFactorization, F, out=None) -> np.ndarray:
     """Solve all systems; ``F[:, l]`` is the rhs of system ``l``.  A
     one-member family solves one 1-D rhs, or every column of an (n, M)
-    ``F``, instead."""
+    ``F``, instead.
+
+    ``out``, a C-contiguous float64 array of ``F``'s shape, receives the
+    solutions and is returned.  It may be ``F`` itself: the elimination
+    reads each row of ``F`` before it writes that row of the solution."""
     F = _as_f64(F, "F")
-    X = np.empty_like(F)
+    if out is None:
+        X = np.empty_like(F)
+    elif (out.dtype != np.float64 or out.shape != F.shape
+          or not out.flags.c_contiguous):
+        raise DimensionMismatch(
+            f"out must be a C-contiguous float64 array of shape {F.shape}, "
+            f"got {out.dtype} {out.shape}")
+    else:
+        X = out
     if fact.nsys == 1 and F.ndim in (1, 2) and F.shape[0] == fact.n:
         solve = _solve1 if F.ndim == 1 else _solveb
         solve(fact.lower[:, 0], fact.cp[:, 0], fact.dn[:, 0], F, X)

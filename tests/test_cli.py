@@ -181,6 +181,27 @@ def test_bad_constant_coefficient_exits_2(tmp_path, capsys, command, model):
     assert_one_line_config_error(capsys)
 
 
+@pytest.mark.parametrize("model, where", [
+    ("kappa0 = 1e300", "kappa at radial faces"), ("q0 = 1e300", "reaction")])
+def test_weighted_coefficient_beyond_the_float_range_exits_2(
+        tmp_path, capsys, model, where):
+    # r * kappa or r * q near the wall of a 1e200-wide grid overflows
+    cfg = write_cfg(tmp_path / "run.cfg", f"""\
+[grid]
+nr = 9
+nz = 8
+rmax = 1e200
+zmax = 1.0
+[model]
+{model}
+[rhs]
+kind = uniform
+""")
+    assert run_cli("elliptic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, where)
+
+
 @pytest.mark.parametrize("key, entry", [
     ("kappa_file", 0.0), ("kappa_file", -1.0), ("kappa_file", np.nan),
     ("reaction_file", -1.0)])

@@ -7,6 +7,8 @@ numpy.linalg.solve on the dense matrix.
 """
 
 import math
+import os
+import sys
 import threading
 
 import numpy as np
@@ -596,6 +598,78 @@ def test_series_and_batch_shapes_are_checked():
     single = make_plan(12, [6, 6], rng=rng)
     with pytest.raises(DimensionMismatch):
         solve_series(single, np.zeros((12, 4)))
+
+
+@pytest.mark.parametrize("executor", ["sim", "threads"])
+@pytest.mark.parametrize("sizes", [[14], [9, 5], [2, 5, 2, 5]])
+def test_solves_leave_the_rhs_unchanged_and_unshared(sizes, executor):
+    # the ranks write their rows of a fresh solution array, never into B
+    rng = np.random.default_rng(len(sizes))
+    n = sum(sizes)
+    cases = [(solve_many, make_plan(n, sizes, rng=rng), rng.normal(size=n)),
+             (solve_many, make_plan(n, sizes, rng=rng),
+              rng.normal(size=(n, 3))),
+             (solve_series, make_plan(n, sizes,
+                                      matrix=random_family(rng, n, 4)),
+              rng.normal(size=(n, 4)))]
+    for solve, plan, B in cases:
+        before = B.tobytes()
+        X = solve(plan, B, executor=executor)
+        assert B.tobytes() == before
+        assert X.shape == B.shape and not np.shares_memory(X, B)
+
+
+@pytest.mark.parametrize("L", [1, 5])
+def test_two_row_blocks_agree_across_executors_and_with_dense(L):
+    # a two-row block has no interior: its rank writes only the first and
+    # last rows of its share of the solution; L = 1 solves a batch of 3
+    rng = np.random.default_rng(21 + L)
+    sizes = [2, 5, 2, 12]
+    n = sum(sizes)
+    A = random_family(rng, n, L) if L > 1 else random_dominant(rng, n)
+    B = rng.normal(size=(n, L if L > 1 else 3))
+    solve = solve_series if L > 1 else solve_many
+    results = {}
+    for executor in ("sim", "threads"):
+        plan = make_plan(n, sizes, matrix=A)
+        results[executor] = solve(plan, B, executor=executor)
+    assert np.array_equal(results["sim"], results["threads"])
+    X = results["sim"]
+    # nor do the bits depend on the layout of B
+    plan = make_plan(n, sizes, matrix=A)
+    assert solve(plan, np.asfortranarray(B)).tobytes() == X.tobytes()
+    for j in range(B.shape[1]):
+        x = np.linalg.solve((member(A, j) if L > 1 else A).to_dense(),
+                            B[:, j])
+        assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_threads_share_the_solution_array_under_fast_switching(monkeypatch):
+    # eight workers on any host, switching every microsecond: each rank
+    # writes only its own rows of X, so every run is bitwise the sim run
+    rng = np.random.default_rng(23)
+    sizes = [2, 7, 3, 2, 12, 2, 5, 9]
+    n, L = sum(sizes), 5
+    family = random_family(rng, n, L)
+    B = rng.normal(size=(n, L))
+    expected = solve_series(make_plan(n, sizes, matrix=family), B)
+    plan = make_plan(n, sizes, matrix=family)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    runs = []
+    runner = threading.Thread(
+        target=lambda: runs.extend(
+            solve_series(plan, B, executor="threads").tobytes()
+            for _ in range(20)),
+        daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert runs == [expected.tobytes()] * 20
 
 
 # uneven blocks with sizes 2 (no interior) and 3 (one interior row)

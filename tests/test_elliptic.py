@@ -282,6 +282,25 @@ def test_assemble_rejects_nonfinite_samples():
         assemble(g, fields)
 
 
+@pytest.mark.parametrize("where", [
+    "kappa at radial faces", "kappa at z faces", "reaction"])
+def test_assemble_rejects_weighted_coefficients_beyond_the_float_range(where):
+    # finite samples whose product with r (up to 1e200) overflows; the z
+    # faces sit at whole multiples of dz, the nodes and radial faces do not
+    g = Grid2D(9, 8, 1e200, 1.0)
+
+    def kappa(r, z):
+        big = {"kappa at radial faces": True, "reaction": False,
+               "kappa at z faces": z * g.nz % 1.0 == 0.0}[where]
+        return np.where(big, 1e300, 1.0) + 0.0 * r
+
+    def reaction(r, z):
+        return (1e300 if where == "reaction" else 0.0) + 0.0 * r
+
+    with pytest.raises(DomainError, match=where):
+        assemble(g, CoefficientFields(kappa=kappa, reaction=reaction))
+
+
 def test_weighted_source_is_r_times_f_at_the_nodes():
     g = Grid2D(6, 5, 1.3, 0.9)
     calls = []

@@ -153,6 +153,26 @@ def test_three_dimensional_batch_along_middle_axis(n):
                                rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2, -2])
+@pytest.mark.parametrize("n", [7, 8])
+def test_axis_handling_is_layout_only(n, axis):
+    # along any axis both transforms are, bit for bit, the last-axis
+    # transforms of the array with that axis moved last; the coefficients
+    # come back with ``axis`` innermost in memory, the samples C-ordered
+    rng = np.random.default_rng(40 + n)
+    shape = [3, 5, 4]
+    shape[axis] = n
+    x = rng.standard_normal(shape)
+    c = dct_forward(x, axis=axis)
+    last = dct_forward(np.moveaxis(x, axis, -1), axis=-1)
+    assert np.moveaxis(c, axis, -1).tobytes() == last.tobytes()
+    assert c.strides[axis] == c.itemsize
+    y = dct_inverse(c, n, axis=axis)
+    assert np.moveaxis(y, axis, -1).tobytes() == \
+        dct_inverse(last, n, axis=-1).tobytes()
+    assert y.flags.c_contiguous
+
+
 @pytest.mark.parametrize("axis", [0, 1, -1])
 def test_transforms_leave_their_input_unchanged(axis):
     # 16 and 10 slots serve n = 14, 15 and n = 8, 9; in one of the two

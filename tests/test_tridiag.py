@@ -188,6 +188,28 @@ def test_one_member_family_solves_a_batch_like_thomas_bitwise():
         multi_apply(multi_factor(*random_family(rng, 12, 3)), F)
 
 
+@pytest.mark.parametrize("shape", [(12,), (12, 5)])
+@pytest.mark.parametrize("nsys", [1, 3])
+def test_solve_into_the_rhs_itself_is_bitwise_the_fresh_solve(nsys, shape):
+    # out=F: the elimination reads each row of F before writing it
+    rng = np.random.default_rng(14)
+    fact = multi_factor(*random_family(rng, 12, nsys))
+    F = rng.normal(size=shape if nsys == 1 else (12, nsys))
+    expected = multi_apply(fact, F)
+    assert multi_apply(fact, F, out=F) is F
+    assert F.tobytes() == expected.tobytes()
+
+
+def test_solve_refuses_an_out_it_could_not_write_in_place():
+    rng = np.random.default_rng(15)
+    fact = multi_factor(*random_family(rng, 12, 3))
+    F = rng.normal(size=(12, 3))
+    for out in (np.empty((12, 4)), np.empty((3, 12)).T,
+                np.empty((12, 3), dtype=np.float32)):
+        with pytest.raises(DimensionMismatch):
+            multi_apply(fact, F, out=out)
+
+
 # ---------------------------------------------------------------------------
 # kernel bodies: the compiled loops and the numpy fallback agree bitwise
 # ---------------------------------------------------------------------------
