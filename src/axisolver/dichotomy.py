@@ -10,7 +10,8 @@ collective sums plus one local elimination per rank.  Every member travels
 in the same messages, so the message count of a solve does not depend on L:
 each reduce carries 2*L*M scalars for L members with M right-hand sides.
 
-Preparation.  Two eliminations of the whole family -- top-down (pivots
+Preparation.  At p = 1 it is the family's one elimination, which is the
+solve.  At p >= 2 two eliminations of the whole family -- top-down (pivots
 ``dn``, ratios ``cp = upper/dn``) and bottom-up (pivots ``en``, ratios
 ``cq = lower[i]/en[i+1]``) -- give in closed form everything a rank reads:
 
@@ -24,7 +25,8 @@ Preparation.  Two eliminations of the whole family -- top-down (pivots
   ``m_R..n``.  Entry j of ``Z_L`` is the product of ``-cp`` over rows
   ``j..m_L-1``; entry j of ``Z_R`` the product of ``-cq`` over rows
   ``m_R..j-1``.  A rank keeps only the <= 2 entries per level that the
-  splitting tree reads (:attr:`RankPlan.weights`);
+  splitting tree reads (:attr:`RankPlan.weights`), products of each
+  block's products over its head (all rows but the last) and its last row;
 * the fold ratios ``(G_L)_{m_R}/(G_R)_{m_R}`` and ``(G_R)_{m_L}/(G_L)_{m_L}``;
 * the elimination of its interior rows ``m_L+1..m_R-1`` and their two
   couplings to the block's first and last rows.
@@ -75,11 +77,10 @@ import numpy as np
 from .comm import CommWorld, Group, check_executor
 from .errors import (DimensionMismatch, DomainError, InvalidPartition,
                      SingularPlan, as_integer)
-from .kernels import MultiFactorization, multi_apply, multi_factor
-from .tridiag import TridiagonalMatrix, frozen_copy
-
 # perfbench/spans.py traces the kernel layer through these two names
-thomas_apply, thomas_factor = multi_apply, multi_factor
+from .kernels import (MultiFactorization, multi_apply as thomas_apply,
+                      multi_factor as thomas_factor)
+from .tridiag import TridiagonalMatrix, frozen_copy
 
 FOLD_RATIO_FLOOR = 1e-280
 
@@ -196,17 +197,19 @@ class RankPlan:
 class DichotomyPlan:
     """Everything rhs-independent: partition, tree, per-rank data.
 
-    ``len(plan)`` is L, the number of member systems.  ``full_fact`` (the
-    family's elimination) is kept only for p = 1, where it is the solve.
+    ``len(plan)`` is L, the number of member systems.  A p = 1 plan holds
+    only ``full_fact``, the family's elimination, which is its solve.
     """
 
     partition: Partition
     world: CommWorld
     levels: Tuple[Tuple[tuple, ...], ...]
     ranks: Tuple[RankPlan, ...]
-    full_fact: Optional[MultiFactorization]
+    full_fact: Optional[MultiFactorization] = None
 
     def __len__(self) -> int:
+        if self.full_fact is not None:
+            return self.full_fact.nsys
         return self.ranks[0].G_L.shape[1]
 
     @property
@@ -244,7 +247,7 @@ class DichotomyPlan:
 def _interior_factors(part: Partition, lower, diag, upper
                       ) -> List[Optional[MultiFactorization]]:
     """Per rank, the elimination of its interior rows ``m_L+1..m_R-1``
-    (None for a two-row block), all from one :func:`multi_factor` call.
+    (None for a two-row block), all from one :func:`thomas_factor` call.
 
     The interiors sit side by side as one (longest interior, R * L) family,
     R the number of blocks with an interior, each padded at its end with
@@ -267,7 +270,7 @@ def _interior_factors(part: Partition, lower, diag, upper
             out[:k - short, j] = band[first: first + k - short]
         return out.reshape(longest - short, len(blocks) * L)
 
-    family = multi_factor(padded(lower, 1, 0.0), padded(diag, 0, 1.0),
+    family = thomas_factor(padded(lower, 1, 0.0), padded(diag, 0, 1.0),
                           padded(upper, 1, 0.0))
     for j, (m, _, k) in enumerate(blocks):
         cols = slice(j * L, (j + 1) * L)
@@ -281,7 +284,8 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
                world: CommWorld) -> DichotomyPlan:
     """One-time preparation of one matrix or a family, with no
     communication; see the module docstring for what it computes.  Every
-    member must be diagonally dominant.
+    member must be diagonally dominant.  At p = 1 it is one elimination;
+    at p >= 2 Z entries are products of per-block products of -cp and -cq.
     """
     n, L = A.n, A.nsys
     if part.n != n:
@@ -293,6 +297,10 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
     p = part.p
     levels = build_tree(p)
     diag, upper, lower = (b.reshape(-1, L) for b in (A.diag, A.upper, A.lower))
+    if p == 1:
+        fact = MultiFactorization(*map(frozen_copy, thomas_factor(
+            lower, diag, upper)))
+        return DichotomyPlan(part, world, levels, ranks=(), full_fact=fact)
 
     # first, so the padded interior family is gone before the two full
     # eliminations are made
@@ -300,96 +308,88 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
 
     # top-down elimination (dn, cp) and bottom-up elimination (en, cq), the
     # latter as the top-down elimination of the reversed family
-    down = multi_factor(lower, diag, upper)
-    up = multi_factor(upper[::-1], diag[::-1], lower[::-1])
-    dn, neg_cp = down.dn, -down.cp
-    en, cq = up.dn[::-1], up.cp[::-1]
-    neg_cq = -cq
+    down = thomas_factor(lower, diag, upper)
+    up = thomas_factor(upper[::-1], diag[::-1], lower[::-1])
+    dn, en, cq = down.dn, up.dn[::-1], up.cp[::-1]
 
-    def inverse_diag(k):
-        """(A^-1)_kk for 0-based row k."""
-        if k == n - 1:
-            return 1.0 / dn[k]
-        return 1.0 / (dn[k] - upper[k] * cq[k])
+    # 0-based first and last row of every block but row n - 1: reduceat
+    # gives each block's product over its head (all rows but the last),
+    # then over its last row
+    last = np.cumsum(part.sizes) - 1
+    edges = np.column_stack([last + 1 - part.sizes, last]).ravel()[:-1]
+    cp_blocks = np.multiply.reduceat(-down.cp, edges)
+    cq_blocks = np.multiply.reduceat(-cq, edges)
+    head_cp, last_cp = cp_blocks[0::2], cp_blocks[1::2]
+    head_cq, last_cq = cq_blocks[0::2], cq_blocks[1::2]
+    # (A^-1)_kk = 1/(dn_k - upper_k cq_k) at the same rows, 1/dn on row n-1
+    inverse_diag = np.vstack([
+        1.0 / (dn[edges] - upper[edges] * cq[edges]), 1.0 / dn[-1:]])
 
-    def z_left(m_L, row):
-        """Entry ``row`` (1-based, < m_L) of the head vector Z_L of m_L."""
-        return np.prod(neg_cp[row - 1: m_L - 1], axis=0)
-
-    def z_right(m_R, row):
-        """Entry ``row`` (1-based, > m_R) of the tail vector Z_R of m_R."""
-        return np.prod(neg_cq[m_R - 1: row - 1], axis=0)
-
-    # the left/right reduce groups of every split, built once and shared
-    groups = {}
-    for level in levels:
+    steps: List[List[tuple]] = [[] for _ in range(p)]
+    weights = np.zeros((p, len(levels), 2, L))
+    for s, level in enumerate(levels):
         for entry in level:
-            if entry[0] == "split":
-                _, lo, hi, mid = entry
-                groups[entry] = (Group(tuple(range(lo, mid + 1)), root=mid),
-                                 Group(tuple(range(mid, hi + 1)), root=mid)
-                                 if hi > mid else None)
+            if entry[0] == "leaf":
+                steps[entry[1] - 1].append(("leaf",))
+                continue
+            _, lo, hi, mid = entry
+            j = mid - 1                    # 0-based block of the middle
+            left = Group(tuple(range(lo, mid + 1)), root=mid)
+            right = (Group(tuple(range(mid, hi + 1)), root=mid)
+                     if hi > mid else None)
+            # the middle reads Z_L at its first row - 1, Z_R at its last + 1
+            steps[j].append(("middle", s, left, right))
+            weights[j, s, 0] = last_cp[j - 1]
+            # a left rank's Z_R at the middle's first row spans its own last
+            # row and the blocks between; at the middle's last, its head too
+            acc = 1.0
+            for r in range(j - 1, lo - 2, -1):
+                z = last_cq[r] * acc
+                weights[r, s] = z, z * head_cq[j]
+                steps[r].append(("left", s, left, r == j - 1))
+                acc = head_cq[r] * z
+            if right is None:
+                continue
+            weights[j, s, 1] = last_cq[j]
+            # and mirrored: a right rank's Z_L at the middle's last row
+            acc = 1.0
+            for r in range(j + 1, hi):
+                z = acc * last_cp[r - 1]
+                weights[r, s] = head_cp[j] * z, z
+                steps[r].append(("right", s, right, r == j + 1))
+                acc = z * head_cp[r]
 
     ranks = []
     for m in range(1, p + 1):
         m_L, m_R = part.m_L(m), part.m_R(m)
         a, b = m_L - 1, m_R - 1            # 0-based first/last owned row
-        G_L = inverse_diag(a) * np.cumprod(np.vstack(
+        G_L = inverse_diag[2 * m - 2] * np.cumprod(np.vstack(
             [np.ones((1, L)), -upper[a:b] / en[a + 1: b + 1]]), axis=0)
-        G_R = inverse_diag(b) * np.cumprod(np.vstack(
+        G_R = inverse_diag[2 * m - 1] * np.cumprod(np.vstack(
             [np.ones((1, L)), (-lower[a:b] / dn[a:b])[::-1]]),
             axis=0)[::-1]
 
-        den_left = G_R[-1]
-        den_right = G_L[0]
+        den_left, den_right = G_R[-1], G_L[0]
         if (np.any(np.abs(den_left) < FOLD_RATIO_FLOOR)
                 or np.any(np.abs(den_right) < FOLD_RATIO_FLOOR)):
             raise SingularPlan(
                 f"rank {m}: inverse-row boundary weight below {FOLD_RATIO_FLOOR}")
 
-        weights = np.zeros((len(levels), 2, L))
-        steps = []
-        for s, level in enumerate(levels):
-            for entry in level:
-                if entry[0] == "leaf":
-                    if entry[1] == m:
-                        steps.append(("leaf",))
-                    continue
-                _, lo, hi, mid = entry
-                if not lo <= m <= hi:
-                    continue
-                left, right = groups[entry]
-                k1, k2 = part.m_L(mid), part.m_R(mid)
-                if m < mid:
-                    weights[s] = z_right(m_R, k1), z_right(m_R, k2)
-                    steps.append(("left", s, left, m == mid - 1))
-                elif m > mid:
-                    weights[s] = z_left(m_L, k1), z_left(m_L, k2)
-                    steps.append(("right", s, right, m == mid + 1))
-                else:
-                    weights[s, 0] = z_left(m_L, k1 - 1)
-                    if mid < hi:
-                        weights[s, 1] = z_right(m_R, k2 + 1)
-                    steps.append(("middle", s, left, right))
-
-        if m_R - m_L > 1:  # the interior rows m_L+1..m_R-1
-            interior_c, interior_a = lower[m_L - 1], upper[m_R - 2]
-        else:
-            interior_c = interior_a = np.zeros(L)
+        # couplings of the interior rows m_L+1..m_R-1 to rows m_L and m_R
+        interior_c, interior_a = ((lower[a], upper[b - 1]) if b - a > 1
+                                  else (np.zeros(L),) * 2)
         ranks.append(RankPlan(
             rank=m, m_L=m_L, m_R=m_R,
             G_L=frozen_copy(G_L), G_R=frozen_copy(G_R),
             fold_left=frozen_copy(G_L[-1] / den_left),
             fold_right=frozen_copy(G_R[0] / den_right),
-            weights=frozen_copy(weights), interior_fact=interiors[m - 1],
+            weights=frozen_copy(weights[m - 1]), interior_fact=interiors[m - 1],
             interior_c=frozen_copy(interior_c),
             interior_a=frozen_copy(interior_a),
-            steps=tuple(steps),
+            steps=tuple(steps[m - 1]),
         ))
 
-    full_fact = MultiFactorization(*map(frozen_copy, down)) if p == 1 else None
-    return DichotomyPlan(partition=part, world=world, levels=levels,
-                         ranks=tuple(ranks), full_fact=full_fact)
+    return DichotomyPlan(part, world, levels, tuple(ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +480,7 @@ def _protocol(comm, plan: DichotomyPlan, B: np.ndarray, X: np.ndarray):
         interior[...] = Q[1:-1]
         interior[0] -= rp.interior_c * X[a]
         interior[-1] -= rp.interior_a * X[b]
-        multi_apply(rp.interior_fact, interior, out=interior)
+        thomas_apply(rp.interior_fact, interior, out=interior)
 
 
 def _solve(plan: DichotomyPlan, B: np.ndarray, executor: str) -> np.ndarray:
@@ -488,7 +488,7 @@ def _solve(plan: DichotomyPlan, B: np.ndarray, executor: str) -> np.ndarray:
     every rank writing its own rows of the one solution array."""
     check_executor(executor)
     if plan.p == 1:
-        return multi_apply(plan.full_fact, B)
+        return thomas_apply(plan.full_fact, B)
     # betas of strided rows would sum in another order: the bits of X must
     # not depend on the caller's layout of B
     B = np.ascontiguousarray(B)

@@ -88,6 +88,21 @@ class Grid2D:
     def dz(self) -> float:
         return self.zmax / self.nz
 
+    def spacing_squares(self) -> Tuple[float, float]:
+        """``(dr**2, dz**2)``; a square that is not finite and positive
+        raises :class:`DomainError` naming the spacing."""
+        squares = []
+        for name, h in (("dr", self.dr), ("dz", self.dz)):
+            try:
+                square = h ** 2
+            except OverflowError:
+                square = math.inf
+            if not 0.0 < square < math.inf:
+                raise DomainError(f"grid spacing {name} = {h!r}: its square "
+                                  f"is outside the float range")
+            squares.append(square)
+        return squares[0], squares[1]
+
     @property
     def r_nodes(self) -> np.ndarray:
         """Node radii, length nr; the last equals rmax exactly."""
@@ -221,8 +236,9 @@ class DiscreteOperator:
     def _conductances(self) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only conductances / dr**2 of the radial faces 1..nr-1 and
         / dz**2 of the z faces 1..nz-1, derived on first use."""
-        scaled = (self.r_faces[:, 1:] / self.grid.dr ** 2,
-                  self.z_faces[1: self.grid.nz] / self.grid.dz ** 2)
+        dr2, dz2 = self.grid.spacing_squares()
+        scaled = (self.r_faces[:, 1:] / dr2,
+                  self.z_faces[1: self.grid.nz] / dz2)
         for c in scaled:
             c.setflags(write=False)
         return scaled
@@ -285,7 +301,9 @@ def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
     twice, ``reaction`` once.  A non-finite sample raises
     :class:`DomainError`, ``kappa <= 0`` or ``q < 0``
     :class:`NonPositiveCoefficient`, and a weighted coefficient beyond the
-    float range :class:`DomainError` naming the coefficient.
+    float range :class:`DomainError` naming the coefficient; then a grid
+    spacing whose square is not finite and positive raises
+    :class:`DomainError` naming the spacing.
     """
     g = grid
     r_face_pos = np.arange(g.nr) * g.dr                 # j = 0..nr-1
@@ -312,8 +330,10 @@ def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
     if q.min() < 0:
         raise NonPositiveCoefficient(
             f"reaction coefficient must be >= 0, found {q.min()!r}")
+    reaction = _weighted(R, q, "reaction")
+    g.spacing_squares()
     return DiscreteOperator(grid=g, r_faces=r_faces, z_faces=z_faces,
-                            reaction=_weighted(R, q, "reaction"))
+                            reaction=reaction)
 
 
 def weighted_source(grid: Grid2D, f: Callable) -> np.ndarray:

@@ -257,7 +257,7 @@ class SovPreconditioner:
         # conductances already in stencil units; the diagonal is formed as
         # the exact floating-point sum of the two coupling magnitudes so the
         # dominance check downstream holds with zero slack
-        cond = np.arange(g.nr) * g.dr * self.vtilde / g.dr ** 2
+        cond = np.arange(g.nr) * g.dr * self.vtilde / g.spacing_squares()[0]
         lam = self._eigenvalues(spectral_modes(g.nz))
         diag = ((cond[:nu] + cond[1:])[:, None]
                 + g.r_nodes[:nu, None] * (self.vtilde * lam[None, :]
@@ -266,7 +266,8 @@ class SovPreconditioner:
 
     def _eigenvalues(self, l: np.ndarray) -> np.ndarray:
         g = self.grid
-        return 4.0 * np.sin(np.pi * l / (2.0 * g.nz)) ** 2 / g.dz ** 2
+        return (4.0 * np.sin(np.pi * l / (2.0 * g.nz)) ** 2
+                / g.spacing_squares()[1])
 
     @property
     def mode_eigenvalues(self) -> np.ndarray:

@@ -202,6 +202,29 @@ kind = uniform
     assert_one_line_config_error(capsys, where)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["poisson", "elliptic"])
+@pytest.mark.parametrize("extents, spacing", [
+    ("rmax = 1e200\nzmax = 1.0", "dr"), ("rmax = 1.0\nzmax = 1e-170", "dz")])
+def test_grid_spacing_squared_beyond_the_float_range_exits_2(
+        tmp_path, capsys, command, extents, spacing):
+    # dr**2 overflows on a 1e200-wide grid, dz**2 underflows to 0 on a
+    # 1e-170-deep one, with coefficients that stay in range
+    cfg = write_cfg(tmp_path / "run.cfg", f"""\
+[grid]
+nr = 9
+nz = 8
+{extents}
+[model]
+kappa0 = 1
+[rhs]
+kind = uniform
+""")
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, f"grid spacing {spacing} = ")
+
+
 @pytest.mark.parametrize("key, entry", [
     ("kappa_file", 0.0), ("kappa_file", -1.0), ("kappa_file", np.nan),
     ("reaction_file", -1.0)])

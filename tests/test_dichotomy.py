@@ -125,17 +125,29 @@ def test_tree_every_rank_becomes_middle_or_leaf_once():
 # ---------------------------------------------------------------------------
 
 
+def assert_plan_is_its_elimination(plan, A):
+    """A p = 1 plan holds the family's one elimination and no other array:
+    no rank data, no tree, and L read from that elimination."""
+    L = A.nsys
+    bands = (b.reshape(-1, L) for b in (A.lower, A.diag, A.upper))
+    assert plan.ranks == () and plan.levels == ()
+    assert len(plan) == L
+    for arr, ref in zip(plan.full_fact, multi_factor(*bands)):
+        assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes()
+    assert sum(arr.nbytes for arr in plan.full_fact) == 8 * (3 * A.n - 2) * L
+
+
 def test_plan_p1_green_rows_are_inverse_rows():
+    # at p = 1 the plan is the elimination its solve reads; the inverse,
+    # its first and last rows included, comes from that solve
     rng = np.random.default_rng(0)
     A = random_dominant(rng, 6)
+    for matrix in (A, random_family(rng, 6, 5)):
+        assert_plan_is_its_elimination(make_plan(6, [6], matrix=matrix),
+                                       matrix)
     plan = make_plan(6, [6], matrix=A)
-    assert plan.levels == ()
-    assert len(plan) == 1
     inv = np.linalg.inv(A.to_dense())
-    # with one rank the owned slice is the whole row
-    assert plan.rank_data(1).G_L.shape == (6, 1)
-    np.testing.assert_allclose(plan.rank_data(1).G_L[:, 0], inv[0], atol=1e-12)
-    np.testing.assert_allclose(plan.rank_data(1).G_R[:, 0], inv[-1], atol=1e-12)
+    np.testing.assert_allclose(solve_many(plan, np.eye(6)), inv, atol=1e-12)
 
 
 def test_plan_frozen_green_row():
@@ -205,11 +217,14 @@ def expected_weights(plan, A, m):
 @given(st.data())
 def test_plan_invariants_hold(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-    p = data.draw(st.sampled_from([1, 2, 3, 4, 7]))
+    p = data.draw(st.sampled_from([1, 2, 3, 4, 7, 8, 16, 33]))
     sizes = [data.draw(st.integers(2, 6)) for _ in range(p)]
     n = sum(sizes)
     A = random_dominant(rng, n)
     plan = make_plan(n, sizes, matrix=A)
+    if p == 1:
+        assert_plan_is_its_elimination(plan, A)
+        return
     inv = np.linalg.inv(A.to_dense())
     for m in range(1, p + 1):
         rp = plan.rank_data(m)
@@ -512,7 +527,7 @@ def member(family, l):
 
 
 @pytest.mark.parametrize("L", [1, 5, 63])
-@pytest.mark.parametrize("p", [2, 3, 4, 7])
+@pytest.mark.parametrize("p", [2, 3, 4, 7, 64])
 def test_family_solve_matches_per_member_dense(p, L):
     rng = np.random.default_rng(100 * p + L)
     sizes = [int(s) for s in rng.integers(2, 10, size=p)]   # uneven blocks
@@ -712,19 +727,21 @@ def test_interior_factors_are_each_rank_alone_bitwise(p, L):
 
 
 @pytest.mark.parametrize("sizes, calls", [
-    ((16,) * 4, 3), ((16,) * 16, 3), ((2,) * 4, 2), ((2,) * 16, 2)])
+    ((16,) * 4, 3), ((16,) * 16, 3), ((2,) * 4, 2), ((2,) * 16, 2),
+    ((16,), 1)])
 def test_build_plan_eliminates_the_interiors_in_one_call(monkeypatch, sizes,
                                                          calls):
     # top-down, bottom-up, and every rank's interior at once: a per-rank
-    # elimination would make p + 2 calls
-    factor = dichotomy_module.multi_factor
+    # elimination would make p + 2 calls; at p = 1 the one elimination the
+    # solve reads is the whole build
+    factor = dichotomy_module.thomas_factor
     made = []
 
     def counting_factor(*bands):
         made.append(bands)
         return factor(*bands)
 
-    monkeypatch.setattr(dichotomy_module, "multi_factor", counting_factor)
+    monkeypatch.setattr(dichotomy_module, "thomas_factor", counting_factor)
     make_plan(sum(sizes), sizes, rng=np.random.default_rng(80))
     assert len(made) == calls
 

@@ -67,14 +67,17 @@ def test_p1_preconditioner_calls_the_kernels_through_sov_bindings(
 
 def test_distributed_apply_reaches_the_traced_layers_through_bindings(
         monkeypatch):
-    # the traced elliptic-p4 run reads its fourier, dichotomy.solve and
-    # dichotomy.betas layers from these names: one apply makes one call of
-    # each of the first three and one local_betas call on every rank
+    # the traced elliptic-p4 run reads its fourier, dichotomy.solve,
+    # dichotomy.betas and kernels layers from these names: one apply makes
+    # one call of each of the first three, one local_betas call on every
+    # rank and one thomas_apply call on every rank with an interior (all
+    # four: the 22 radial rows split 6, 6, 5, 5)
     p = 4
     M = sov.SovPreconditioner(Grid2D(23, 9, 1.0, 1.0), 1.3, 0.4, ranks=p)
     calls = count_calls(monkeypatch, sov,
                         ("dct_forward", "dct_inverse", "solve_series"))
-    betas = count_calls(monkeypatch, dichotomy, ("local_betas",))
+    ranks = count_calls(monkeypatch, dichotomy,
+                        ("local_betas", "thomas_apply"))
     M.apply_inverse(np.ones(M.grid.unknown_shape))
     assert calls == {"dct_forward": 1, "dct_inverse": 1, "solve_series": 1}
-    assert betas == {"local_betas": p}
+    assert ranks == {"local_betas": p, "thomas_apply": p}
