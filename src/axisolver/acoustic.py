@@ -46,7 +46,6 @@ __all__ = [
     "MediumModel",
     "LaguerreSeries",
     "RunningSums",
-    "coupling_coefficient",
     "harmonic_operator",
     "harmonic_rhs",
     "solve_all_harmonics",
@@ -97,7 +96,7 @@ class Wavelet:
 
     The transform pair assumes signals that are quiescent at t = 0, so pick
     ``t0`` large enough that the envelope at zero is negligible --
-    ``t0 >= gamma * sqrt(-ln(1e-14)) / (2 pi f0)`` guarantees it.
+    ``t0 > gamma * sqrt(-ln(1e-14)) / (2 pi f0)`` guarantees it.
     """
 
     f0: float
@@ -141,8 +140,9 @@ class Wavelet:
 
     @property
     def is_quiescent(self) -> bool:
-        """True when the envelope at t = 0 is below the 1e-14 floor."""
-        return self.onset > 0.0 or self.t0 == 0.0 and self.amplitude == 0.0
+        """True when the envelope at t = 0 is below the 1e-14 floor, and
+        always for a zero amplitude."""
+        return self.amplitude == 0.0 or self.onset > 0.0
 
 
 @dataclass(frozen=True)
@@ -249,17 +249,6 @@ class LaguerreSeries:
 # ---------------------------------------------------------------------------
 # harmonic coupling
 # ---------------------------------------------------------------------------
-
-
-def coupling_coefficient(m: int, k: int, alpha: float) -> float:
-    """Weight of harmonic ``k`` in the rhs of harmonic ``m``:
-    ``(m - k) * sqrt(m! k+alpha! / (m+alpha! k!))`` evaluated in log space
-    (the factorials are never formed)."""
-    if k >= m:
-        return 0.0
-    log_ratio = 0.5 * (math.lgamma(m + 1) - math.lgamma(m + alpha + 1)
-                       + math.lgamma(k + alpha + 1) - math.lgamma(k + 1))
-    return (m - k) * math.exp(log_ratio)
 
 
 class RunningSums:

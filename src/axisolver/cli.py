@@ -324,6 +324,10 @@ def cmd_acoustic(cfg: RunConfig, outdir: str) -> int:
                       t0=cfg.get_float("source", "t0"),
                       gamma=cfg.get_float("source", "gamma"),
                       amplitude=cfg.get_float("source", "amplitude"))
+    if not wavelet.is_quiescent:
+        raise ConfigError(
+            f"[source] t0 = {wavelet.t0!r} leaves the wavelet active at "
+            f"t = 0; it must exceed {wavelet.half_width!r}")
     tol, maxiter = _stopping_rule(cfg)
     times = cfg.receiver_times()
     points = cfg.receiver_points()

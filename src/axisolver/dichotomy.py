@@ -66,7 +66,6 @@ corrections locally.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -75,8 +74,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .comm import CommWorld, Group, check_executor
-from .errors import (DimensionMismatch, DomainError, InvalidPartition,
-                     SingularPlan, as_integer)
+from .errors import (DimensionMismatch, DomainError, IndexOutOfRange,
+                     InvalidPartition, SingularPlan, as_integer)
 # perfbench/spans.py traces the kernel layer through these two names
 from .kernels import (MultiFactorization, multi_apply as thomas_apply,
                       multi_factor as thomas_factor)
@@ -225,23 +224,12 @@ class DichotomyPlan:
         return self.partition.p
 
     def rank_data(self, rank: int) -> RankPlan:
+        """The data of ``rank`` (1..p); a p = 1 plan holds none."""
+        if not 0 < rank <= len(self.ranks):
+            raise IndexOutOfRange(
+                f"rank {rank} outside 1..{self.p}" if self.ranks else
+                f"rank {rank}: a p = 1 plan holds no rank data")
         return self.ranks[rank - 1]
-
-    def checksum(self) -> str:
-        """SHA-256 over all numerical plan content (tests immutability)."""
-        digest = hashlib.sha256()
-        digest.update(np.asarray(self.partition.sizes, dtype=np.int64).tobytes())
-        for rp in self.ranks:
-            for arr in (rp.G_L, rp.G_R, rp.fold_left, rp.fold_right,
-                        rp.weights, rp.interior_c, rp.interior_a):
-                digest.update(arr.tobytes())
-            if rp.interior_fact is not None:
-                for arr in rp.interior_fact:
-                    digest.update(arr.tobytes())
-        if self.full_fact is not None:
-            for arr in self.full_fact:
-                digest.update(arr.tobytes())
-        return digest.hexdigest()
 
 
 def _interior_factors(part: Partition, lower, diag, upper

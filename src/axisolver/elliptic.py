@@ -263,20 +263,6 @@ class DiscreteOperator:
         out[1:] += flux
         return out.ravel() if flat else out
 
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix of ``apply_spd`` by unit-vector application; small
-        grids only."""
-        n = self.grid.n_unknowns
-        if n > 6000:
-            raise DomainError("dense assembly capped at 6000 unknowns")
-        cols = np.zeros((n, n))
-        e = np.zeros(n)
-        for j in range(n):
-            e[j] = 1.0
-            cols[:, j] = self.apply_spd(e)
-            e[j] = 0.0
-        return cols
-
     def checksum(self) -> str:
         """SHA-256 over the three coefficient arrays (the derived
         conductances excluded), identifying the operator."""

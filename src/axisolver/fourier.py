@@ -26,12 +26,11 @@ twiddled half spectrum: 2 (N//2 + 1) slots, slot 2k holding X[k] and slot
 slots N and N + 1 both carry mode N/2, and slot N + 1 is set to exactly
 -(slot N).  :func:`spectral_modes` names the mode of every slot.  The
 synthesis reads its input as the complex half spectrum (``irfft`` ignores
-the imaginary parts at k = 0 and k = N/2), so neither side repacks.
-Direct summation against a cached cosine matrix, in natural mode order, is
-kept as the oracle for the tests.  All routines are batched: the transform
-runs along ``axis`` and broadcasts over every other axis.  ``dct_forward``
-returns its coefficients with ``axis`` innermost in memory (the layout its
-FFT writes), ``dct_inverse`` returns C-ordered samples.
+the imaginary parts at k = 0 and k = N/2), so neither side repacks.  Both
+routines are batched: the transform runs along ``axis`` and broadcasts over
+every other axis.  ``dct_forward`` returns its coefficients with ``axis``
+innermost in memory (the layout its FFT writes), ``dct_inverse`` returns
+C-ordered samples.
 """
 
 from __future__ import annotations
@@ -42,10 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = [
-    "dct_forward", "dct_inverse", "spectral_modes", "dct_forward_direct",
-    "dct_inverse_direct",
-]
+__all__ = ["dct_forward", "dct_inverse", "spectral_modes"]
 
 
 @lru_cache(maxsize=32)
@@ -57,15 +53,6 @@ def _twiddles(n: int):
     analysis.setflags(write=False)
     synthesis.setflags(write=False)
     return analysis, synthesis
-
-
-@lru_cache(maxsize=32)
-def _cosine_matrix(n: int) -> np.ndarray:
-    l = np.arange(n)[:, None]
-    k = np.arange(n)[None, :]
-    C = np.cos(np.pi * (k + 0.5) * l / n)
-    C.setflags(write=False)
-    return C
 
 
 def spectral_modes(n: int) -> np.ndarray:
@@ -117,25 +104,3 @@ def dct_inverse(c, n: int, axis: int = 0) -> np.ndarray:
     om[..., 1::2] = v[..., half:][..., ::-1]
     return out
 
-
-def dct_forward_direct(x, axis: int = 0) -> np.ndarray:
-    """O(N^2) analysis by direct summation, in natural mode order; the
-    oracle for the tests."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[axis]
-    moved = np.moveaxis(x, axis, -1)
-    out = np.sqrt(2.0 / n) * (moved @ _cosine_matrix(n).T)
-    return np.moveaxis(out, -1, axis)
-
-
-def dct_inverse_direct(X, axis: int = 0) -> np.ndarray:
-    """O(N^2) synthesis by direct summation from natural mode order; the
-    oracle for the tests."""
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[axis]
-    weights = np.ones(n)
-    weights[0] = 0.5
-    basis = weights[:, None] * _cosine_matrix(n)
-    moved = np.moveaxis(X, axis, -1)
-    out = np.sqrt(2.0 / n) * (moved @ basis)
-    return np.moveaxis(out, -1, axis)

@@ -61,21 +61,6 @@ class SpectralBounds:
             raise InvalidBounds(
                 f"need 0 < lower <= upper, got [{self.lower}, {self.upper}]")
 
-    @property
-    def ratio(self) -> float:
-        """lower/upper in (0, 1]; the equivalence ratio of the pair."""
-        return self.lower / self.upper
-
-    @property
-    def condition(self) -> float:
-        return self.upper / self.lower
-
-    @property
-    def convergence_factor(self) -> float:
-        """Asymptotic error reduction per step, (1 - sqrt(ratio))/(1 + sqrt(ratio))."""
-        s = np.sqrt(self.ratio)
-        return (1.0 - s) / (1.0 + s)
-
 
 @dataclass(frozen=True)
 class IterationReport:

@@ -2,8 +2,10 @@
 
 The preconditioner ``B`` is the same finite-volume operator assembled with a
 *constant* diffusivity ``vtilde`` and a *constant* reaction ``shift`` (both
-still carrying the radial weight ``r``).  Because its coefficients do not
-vary with z, expanding each radial column in the half-sample cosine basis
+still carrying the radial weight ``r``): by definition
+``B = assemble(grid, CoefficientFields.constant(vtilde, shift))``, which
+this class only inverts.  Because its coefficients do not vary with z,
+expanding each radial column in the half-sample cosine basis
 (:mod:`axisolver.fourier`) block-diagonalizes it: mode ``l`` satisfies an
 independent tridiagonal system along r,
 
@@ -258,21 +260,12 @@ class SovPreconditioner:
         # the exact floating-point sum of the two coupling magnitudes so the
         # dominance check downstream holds with zero slack
         cond = np.arange(g.nr) * g.dr * self.vtilde / g.spacing_squares()[0]
-        lam = self._eigenvalues(spectral_modes(g.nz))
+        lam = (4.0 * np.sin(np.pi * spectral_modes(g.nz) / (2.0 * g.nz)) ** 2
+               / g.spacing_squares()[1])
         diag = ((cond[:nu] + cond[1:])[:, None]
                 + g.r_nodes[:nu, None] * (self.vtilde * lam[None, :]
                                           + self.shift))
         return diag, -cond[1:nu]
-
-    def _eigenvalues(self, l: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return (4.0 * np.sin(np.pi * l / (2.0 * g.nz)) ** 2
-                / g.spacing_squares()[1])
-
-    @property
-    def mode_eigenvalues(self) -> np.ndarray:
-        """lam_l = 4 sin^2(pi l / (2 nz)) / dz^2 for l = 0 .. nz-1."""
-        return self._eigenvalues(np.arange(self.grid.nz))
 
     def mode_matrix(self, l: int) -> TridiagonalMatrix:
         """The tridiagonal radial system of cosine mode ``l`` (0-based)."""
@@ -293,13 +286,3 @@ class SovPreconditioner:
         out = dct_inverse(self._solve_modes(modes.T).T, self.grid.nz, axis=0)
         return out.ravel() if flat else out
 
-    def apply(self, x) -> np.ndarray:
-        """Forward application ``B x`` (used to verify exactness)."""
-        X, flat = self.grid.as_field(x)
-        modes = dct_forward(X, axis=0)
-        diag, off = self._mode_bands()
-        out_modes = diag.T * modes
-        out_modes[:, :-1] += off * modes[:, 1:]
-        out_modes[:, 1:] += off * modes[:, :-1]
-        out = dct_inverse(out_modes, self.grid.nz, axis=0)
-        return out.ravel() if flat else out

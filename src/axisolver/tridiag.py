@@ -73,29 +73,6 @@ class TridiagonalMatrix:
         """Toeplitz matrix tridiag(sub, main, sup) of order n."""
         return cls(np.full(n, main), np.full(n - 1, sup), np.full(n - 1, sub))
 
-    def to_dense(self) -> np.ndarray:
-        """(n, n) for one matrix, (L, n, n) for a family of L."""
-        i = np.arange(self.n)
-        dense = np.zeros((self.nsys, self.n, self.n))
-        dense[:, i, i] = self.diag.reshape(-1, self.nsys).T
-        dense[:, i[:-1], i[1:]] = self.upper.reshape(-1, self.nsys).T
-        dense[:, i[1:], i[:-1]] = self.lower.reshape(-1, self.nsys).T
-        return dense if self.diag.ndim == 2 else dense[0]
-
-    def matvec(self, x) -> np.ndarray:
-        """A @ x: for one matrix a vector (n,) or a batch (n, M); for a
-        family x (n, L), column ``l`` against member ``l``."""
-        x = np.asarray(x, dtype=np.float64)
-        family = self.diag.ndim == 2
-        if x.shape != (self.diag.shape if family else (self.n,) + x.shape[1:]):
-            raise DimensionMismatch(f"x has shape {x.shape}, bands have "
-                                    f"{self.diag.shape}")
-        shape = (-1,) + (self.diag.shape[1:] if family else (1,) * (x.ndim - 1))
-        y = self.diag.reshape(shape) * x
-        y[:-1] += self.upper.reshape(shape) * x[1:]
-        y[1:] += self.lower.reshape(shape) * x[:-1]
-        return y
-
     def is_diagonally_dominant(self) -> bool:
         """Weak row dominance everywhere and strict in at least one row of
         every member."""

@@ -28,6 +28,7 @@ from axisolver.laguerre import (laguerre_function_table, project_source,
 from axisolver.sov import SovPreconditioner
 from axisolver.tridiag import TridiagonalMatrix
 
+from oracles import operator_dense, sov_operator, tridiagonal_dense
 from recorded_traffic import record_sends, split_levels
 from wavefront_utils import front_radius_along_axis, prearrival_ratio
 
@@ -60,7 +61,7 @@ def test_criterion_01_dichotomy_oracle_200_random_systems():
         plan = build_plan(A, Partition.balanced(n, p), CommWorld(p))
         f = rng.normal(size=n)
         x = solve_many(plan, f, executor="sim")
-        x_dense = np.linalg.solve(A.to_dense(), f)
+        x_dense = np.linalg.solve(tridiagonal_dense(A), f)
         rel = np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense)
         worst = max(worst, rel)
         assert rel <= 1e-10, (n, p, rel)
@@ -83,8 +84,8 @@ def test_criterion_02_p7_protocol_structure(monkeypatch):
     sent = record_sends(monkeypatch)
     f = rng.normal(size=n)
     x = solve_many(plan, f, executor="sim")
-    assert np.linalg.norm(x - np.linalg.solve(A.to_dense(), f)) <= 1e-10 * \
-        np.linalg.norm(x)
+    assert np.linalg.norm(x - np.linalg.solve(tridiagonal_dense(A), f)) \
+        <= 1e-10 * np.linalg.norm(x)
 
     # with one rhs a middle corrects each neighbour with 1 scalar and every
     # reduce contribution carries the weighted boundary pair, 2 scalars
@@ -147,19 +148,15 @@ def test_criterion_04_sov_exactness():
         grid = Grid2D(nr, nz, 1.8, 1.3)
         pre = SovPreconditioner(grid, 1.37, 0.52)
         f = rng.standard_normal(grid.unknown_shape)
-        back = pre.apply(pre.apply_inverse(f))
+        back = sov_operator(pre).apply_spd(pre.apply_inverse(f))
         rel = np.linalg.norm(back - f) / np.linalg.norm(f)
         worst = max(worst, rel)
         assert rel <= 1e-10, (nr, nz, rel)
 
     grid = Grid2D(13, 12, 1.0, 1.0)
     pre = SovPreconditioner(grid, 0.9, 0.3)
-    size = grid.unknown_shape[0] * grid.unknown_shape[1]
-    dense = np.empty((size, size))
-    eye = np.eye(size)
-    for j in range(size):
-        dense[:, j] = pre.apply(eye[:, j].reshape(grid.unknown_shape)).ravel()
-    f = rng.standard_normal(size)
+    dense = operator_dense(sov_operator(pre))
+    f = rng.standard_normal(grid.n_unknowns)
     x_direct = pre.apply_inverse(f.reshape(grid.unknown_shape)).ravel()
     x_dense = np.linalg.solve(dense, f)
     rel_dense = np.linalg.norm(x_direct - x_dense) / np.linalg.norm(x_dense)

@@ -2,8 +2,9 @@
 
 Oracles used here:
 
-* the recurrence coupling weights against direct log-gamma evaluation and a
-  frozen hand value;
+* the recurrence coupling weights against direct log-gamma evaluation
+  (``oracles.coupling_coefficient``, itself checked against a frozen hand
+  value);
 * a scalar oscillator u'' + w^2 u = f(t): the harmonic chain applied to a
   one-unknown grid must reproduce the *projection coefficients of the exact
   time solution* (solved independently by an adaptive ODE integrator) --
@@ -27,7 +28,6 @@ from axisolver.acoustic import (
     MediumModel,
     RunningSums,
     Wavelet,
-    coupling_coefficient,
     harmonic_operator,
     harmonic_rhs,
     reconstruct,
@@ -52,6 +52,7 @@ from axisolver.iterative import pcg_solve
 from axisolver.laguerre import laguerre_function_table, project_source
 from axisolver.sov import SovPreconditioner
 
+from oracles import coupling_coefficient
 from wavefront_utils import front_radius_along_axis, prearrival_ratio
 
 
@@ -261,6 +262,7 @@ def test_wavelet_support_and_quiescence():
     late = Wavelet(f0=10.0, t0=0.1, gamma=4.0)
     assert not late.is_quiescent
     assert late.onset == 0.0
+    assert Wavelet(f0=10.0, t0=0.1, gamma=4.0, amplitude=0.0).is_quiescent
 
     amp = Wavelet(f0=10.0, t0=0.4, gamma=4.0, amplitude=-2.5)
     t = np.linspace(0.0, 0.8, 7)

@@ -627,7 +627,8 @@ n_terms = 4
     assert not (out / "seismograms.csv").exists()
 
 
-@pytest.mark.parametrize("bad", ["f0 = inf", "amplitude = nan"])
+# t0 = 0.1 is finite but leaves the wavelet active at t = 0 (README's rule)
+@pytest.mark.parametrize("bad", ["f0 = inf", "amplitude = nan", "t0 = 0.1"])
 def test_acoustic_non_finite_wavelet_exits_2_before_any_solve(
         tmp_path, capsys, monkeypatch, bad):
     calls = []

@@ -29,10 +29,11 @@ from axisolver.dichotomy import (
     solve_series,
 )
 from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
-                              InvalidPartition)
+                              IndexOutOfRange, InvalidPartition)
 from axisolver.kernels import multi_factor
 from axisolver.tridiag import TridiagonalMatrix, thomas_solve
 
+from oracles import plan_checksum, tridiagonal_dense
 from recorded_traffic import per_rank, record_sends, split_levels
 
 
@@ -146,7 +147,7 @@ def test_plan_p1_green_rows_are_inverse_rows():
         assert_plan_is_its_elimination(make_plan(6, [6], matrix=matrix),
                                        matrix)
     plan = make_plan(6, [6], matrix=A)
-    inv = np.linalg.inv(A.to_dense())
+    inv = np.linalg.inv(tridiagonal_dense(A))
     np.testing.assert_allclose(solve_many(plan, np.eye(6)), inv, atol=1e-12)
 
 
@@ -177,7 +178,7 @@ def test_plan_frozen_z_vector():
 
 def dense_z_vectors(A, m_L, m_R):
     """Z_L on rows 1..m_L and Z_R on rows m_R..n from dense block solves."""
-    dense, n = A.to_dense(), A.n
+    dense, n = tridiagonal_dense(A), A.n
     head, tail = m_L - 1, n - m_R
     Z_L, Z_R = np.ones(m_L), np.ones(tail + 1)
     if head > 0:
@@ -225,7 +226,7 @@ def test_plan_invariants_hold(data):
     if p == 1:
         assert_plan_is_its_elimination(plan, A)
         return
-    inv = np.linalg.inv(A.to_dense())
+    inv = np.linalg.inv(tridiagonal_dense(A))
     for m in range(1, p + 1):
         rp = plan.rank_data(m)
         sl = slice(rp.m_L - 1, rp.m_R)
@@ -288,6 +289,16 @@ def test_local_betas_dimension_check():
         local_betas(plan, 1, np.zeros(3))
 
 
+@pytest.mark.parametrize("sizes, rank, message", [
+    ([4, 4], 0, "rank 0 outside 1..2"), ([4, 4], -1, "rank -1 outside 1..2"),
+    ([4, 4], 3, "rank 3 outside 1..2"), ([8], 1, "p = 1 plan")])
+def test_rank_outside_the_plan_raises(sizes, rank, message):
+    # not a negative index into the ranks: rank 0 is not the last rank
+    plan = make_plan(8, sizes, rng=np.random.default_rng(3))
+    with pytest.raises(IndexOutOfRange, match=message):
+        local_betas(plan, rank, np.zeros(4))
+
+
 # ---------------------------------------------------------------------------
 # solve_many
 # ---------------------------------------------------------------------------
@@ -309,7 +320,7 @@ def test_p7_matches_dense_and_reports_three_levels(monkeypatch):
     F = rng.normal(size=n)
     sent = record_sends(monkeypatch)
     x = solve_many(plan, F)
-    x_dense = np.linalg.solve(A.to_dense(), F)
+    x_dense = np.linalg.solve(tridiagonal_dense(A), F)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) <= 1e-10
 
     level_of = split_levels(sent, 7, size=1)
@@ -331,7 +342,7 @@ def test_p2_stats_report_one_level():
     x = solve_many(plan, F)
     stats = plan.world.stats_snapshot()
     assert stats.levels == (1, 1)
-    x_dense = np.linalg.solve(A.to_dense(), F)
+    x_dense = np.linalg.solve(tridiagonal_dense(A), F)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) <= 1e-10
 
 
@@ -348,7 +359,7 @@ def test_solve_matches_dense_oracle(data):
     plan = make_plan(n, sizes, matrix=A)
     F = rng.normal(size=n)
     x = solve_many(plan, F)
-    x_dense = np.linalg.solve(A.to_dense(), F)
+    x_dense = np.linalg.solve(tridiagonal_dense(A), F)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) <= 1e-10
 
 
@@ -359,7 +370,7 @@ def test_batch_matches_oracle_each_column():
     plan = make_plan(n, [6, 6, 6, 6], matrix=A)
     B = rng.normal(size=(n, 64))
     X = solve_many(plan, B)
-    X_dense = np.linalg.solve(A.to_dense(), B)
+    X_dense = np.linalg.solve(tridiagonal_dense(A), B)
     err = np.linalg.norm(X - X_dense, axis=0) / np.linalg.norm(X_dense, axis=0)
     assert err.max() <= 1e-10
 
@@ -419,10 +430,10 @@ def test_plan_not_mutated_by_solves():
     n = 16
     A = random_dominant(rng, n)
     plan = make_plan(n, [4, 4, 4, 4], matrix=A)
-    before = plan.checksum()
+    before = plan_checksum(plan)
     for _ in range(3):
         solve_many(plan, rng.normal(size=n))
-    assert plan.checksum() == before
+    assert plan_checksum(plan) == before
 
 
 def test_executors_agree_bitwise():
@@ -539,7 +550,7 @@ def test_family_solve_matches_per_member_dense(p, L):
     X = solve_series(plan, B)
     assert X.shape == (n, L)
     for l in range(L):
-        x = np.linalg.solve(member(family, l).to_dense(), B[:, l])
+        x = np.linalg.solve(tridiagonal_dense(member(family, l)), B[:, l])
         assert np.linalg.norm(X[:, l] - x) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -584,7 +595,7 @@ def test_one_member_family_is_the_matrix_plan():
         as_matrix = make_plan(20, sizes, matrix=A)
         as_family = make_plan(20, sizes, matrix=column)
         assert len(as_family) == len(as_matrix) == 1
-        assert as_family.checksum() == as_matrix.checksum()
+        assert plan_checksum(as_family) == plan_checksum(as_matrix)
 
 
 def test_rank_plan_holds_only_owned_rows_and_tree_entries():
@@ -654,8 +665,8 @@ def test_two_row_blocks_agree_across_executors_and_with_dense(L):
     plan = make_plan(n, sizes, matrix=A)
     assert solve(plan, np.asfortranarray(B)).tobytes() == X.tobytes()
     for j in range(B.shape[1]):
-        x = np.linalg.solve((member(A, j) if L > 1 else A).to_dense(),
-                            B[:, j])
+        x = np.linalg.solve(
+            tridiagonal_dense(member(A, j) if L > 1 else A), B[:, j])
         assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
 
 

@@ -39,6 +39,8 @@ from axisolver.errors import (
     NonPositiveCoefficient,
 )
 
+from oracles import operator_dense
+
 
 def dense_oracle(op):
     """Dense SPD matrix assembled node by node with explicit boundary
@@ -411,7 +413,7 @@ def test_dense_matches_loop_oracle_variable_coefficients():
         lambda r, z: 1.0 + 0.5 * np.sin(2.1 * r) * np.cos(1.3 * z),
         lambda r, z: 0.3 + 0.2 * r + 0.1 * z)
     op = assemble(g, fields)
-    np.testing.assert_allclose(op.to_dense(), dense_oracle(op),
+    np.testing.assert_allclose(operator_dense(op), dense_oracle(op),
                                rtol=1e-13, atol=1e-14)
 
 
@@ -425,14 +427,14 @@ def test_dense_matches_loop_oracle_across_grid_widths(nr, nz):
         lambda r, z: 1.0 + 0.3 * r + 0.2 * z * z,
         lambda r, z: 0.2 + 0.1 * r * z)
     op = assemble(g, fields)
-    np.testing.assert_allclose(op.to_dense(), dense_oracle(op),
+    np.testing.assert_allclose(operator_dense(op), dense_oracle(op),
                                rtol=1e-13, atol=1e-14)
 
 
 def test_spd_matrix_symmetric_and_positive_definite():
     g = Grid2D(6, 5, 1.0, 1.0)
     op = assemble(g, unit_fields())           # q = 0: Dirichlet supplies PD
-    A = op.to_dense()
+    A = operator_dense(op)
     np.testing.assert_allclose(A, A.T, rtol=0, atol=1e-13)
     assert np.linalg.eigvalsh(A).min() > 0
 
@@ -442,7 +444,7 @@ def test_sparse_oracle_matches_dense():
     fields = CoefficientFields(
         lambda r, z: 1.0 + r * z, lambda r, z: 0.1 + 0.0 * r)
     op = assemble(g, fields)
-    np.testing.assert_allclose(sparse_spd(op).toarray(), op.to_dense(),
+    np.testing.assert_allclose(sparse_spd(op).toarray(), operator_dense(op),
                                rtol=1e-13, atol=1e-14)
 
 
@@ -491,7 +493,7 @@ def test_operator_self_adjoint_on_random_fields(nr, nz, seed):
     scale = max(1.0, abs(lhs))
     assert abs(lhs - rhs) <= 1e-12 * scale
     # and the loop oracle agrees with the vectorized application
-    np.testing.assert_allclose(op.to_dense(), dense_oracle(op),
+    np.testing.assert_allclose(operator_dense(op), dense_oracle(op),
                                rtol=1e-13, atol=1e-13)
 
 

@@ -2,9 +2,9 @@
 FFT.
 
 Oracle policy: the fast cosine transforms, at power-of-two and other
-lengths, are checked against the module's own O(N^2) direct summation
-(which is itself checked against hand-built cosine sums), and frozen
-single-mode coefficients follow from the closed-form column norms
+lengths, are checked against scipy's unnormalized DCT-II and DCT-III scaled
+by 1/sqrt(2N) (themselves checked against hand-built cosine sums), and
+frozen single-mode coefficients follow from the closed-form column norms
 sum_k cos^2(pi (k+1/2) l / N) = N/2 for l >= 1 (and N for l = 0).  The fast
 pair keeps its coefficients in the real FFT's slot layout and the oracles
 in natural mode order; :func:`slots` below maps the one onto the other,
@@ -16,15 +16,21 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import dct
 
 from axisolver.errors import DimensionMismatch
-from axisolver.fourier import (
-    dct_forward,
-    dct_forward_direct,
-    dct_inverse,
-    dct_inverse_direct,
-    spectral_modes,
-)
+from axisolver.fourier import dct_forward, dct_inverse, spectral_modes
+
+
+def dct_forward_direct(x, axis=-1):
+    """The analysis in natural mode order: scipy's DCT-II over sqrt(2N)."""
+    return dct(x, type=2, axis=axis) / np.sqrt(2.0 * np.shape(x)[axis])
+
+
+def dct_inverse_direct(X, axis=-1):
+    """The synthesis from natural mode order: scipy's DCT-III over
+    sqrt(2N)."""
+    return dct(X, type=3, axis=axis) / np.sqrt(2.0 * np.shape(X)[axis])
 
 
 def slots(X, axis=-1):
