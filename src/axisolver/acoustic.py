@@ -119,8 +119,11 @@ class Wavelet:
     def __call__(self, t):
         arg = 2.0 * np.pi * self.f0 * (np.asarray(t, dtype=np.float64)
                                        - self.t0)
-        return self.amplitude * np.exp(-(arg ** 2) / self.gamma ** 2) \
-            * np.sin(arg)
+        # an envelope exponent beyond the float range is an envelope of
+        # exactly 0; arg / gamma, not arg**2 / gamma**2, is 0 at t = t0
+        with np.errstate(over="ignore"):
+            envelope = np.exp(-((arg / self.gamma) ** 2))
+        return self.amplitude * envelope * np.sin(arg)
 
     @property
     def half_width(self) -> float:
@@ -189,8 +192,11 @@ class MediumModel:
         def v_s(r, z):
             r, z = np.broadcast_arrays(np.asarray(r, dtype=np.float64),
                                        np.asarray(z, dtype=np.float64))
-            boundary = interface_z + dip * r + np.where(r > fault_r, throw,
-                                                        0.0)
+            # a dip too steep for the float range puts the interface at
+            # +-inf: one layer fills the column
+            with np.errstate(over="ignore"):
+                boundary = interface_z + dip * r + np.where(r > fault_r,
+                                                            throw, 0.0)
             speed = np.where(z < boundary, v_top, v_bottom)
             return (speed / rho) ** 2
 

@@ -47,7 +47,7 @@ from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        manufactured_problem, read_field_text,
                        sampler_from_field, weighted_source, write_field_raw)
 from .errors import (ConfigError, DimensionMismatch, DomainError, SolverError)
-from .iterative import SpectralBounds, chebyshev_solve, pcg_solve
+from .iterative import SpectralBounds, chebyshev_solve, norm2, pcg_solve
 from .sov import SovPreconditioner
 from .tridiag import TridiagonalMatrix
 
@@ -151,10 +151,10 @@ def _write_iteration_log(outdir: str, history, seconds: List[float]) -> None:
 
 
 def _relative_residual(op, x: np.ndarray, rhs: np.ndarray) -> float:
-    norm = float(np.linalg.norm(rhs))
+    norm = norm2(rhs)
     if norm == 0.0:
         return 0.0
-    return float(np.linalg.norm(op.apply_spd(x) - rhs)) / norm
+    return norm2(op.apply_spd(x) - rhs) / norm
 
 
 # ---------------------------------------------------------------------------

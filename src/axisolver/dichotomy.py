@@ -10,7 +10,15 @@ collective sums plus one local elimination per rank.  Every member travels
 in the same messages, so the message count of a solve does not depend on L:
 each reduce carries 2*L*M scalars for L members with M right-hand sides.
 
-Preparation.  At p = 1 it is the family's one elimination, which is the
+Blocked elimination.  Every elimination a solve runs -- the whole family
+at p = 1, every rank's interior at p >= 2 -- is one
+:class:`BlockElimination` (Wang, ACM TOMS 7, 1981): about sqrt(n) blocks
+of about sqrt(n) rows, all blocks of all members eliminated at once, then
+the separator rows between them.  A solve takes about 2 sqrt(n) batched
+row steps where one Thomas sweep takes 2 n; the Thomas kernels of
+:mod:`.kernels` remain the one elimination body beneath it.
+
+Preparation.  At p = 1 it is the family's blocked elimination, which is the
 solve.  At p >= 2 two eliminations of the whole family -- top-down (pivots
 ``dn``, ratios ``cp = upper/dn``) and bottom-up (pivots ``en``, ratios
 ``cq = lower[i]/en[i+1]``) -- give in closed form everything a rank reads:
@@ -28,16 +36,18 @@ solve.  At p >= 2 two eliminations of the whole family -- top-down (pivots
   splitting tree reads (:attr:`RankPlan.weights`), products of each
   block's products over its head (all rows but the last) and its last row;
 * the fold ratios ``(G_L)_{m_R}/(G_R)_{m_R}`` and ``(G_R)_{m_L}/(G_L)_{m_L}``;
-* the elimination of its interior rows ``m_L+1..m_R-1`` and their two
-  couplings to the block's first and last rows.
+* the blocked elimination of its interior rows ``m_L+1..m_R-1`` and their
+  two couplings to the block's first and last rows.
 
 Each of these is a length-L vector (or an (·, L) array), so a rank's plan is
 O(n/p + log p) per member.  The build is three eliminations in total, plus
 the Z products, all vectorized over the members: the two above, of n rows
-each, and one of every rank's interior at once.  That last one lays the
-interiors side by side as a single (longest interior, R * L) family, R the
-number of blocks with an interior, padding each at its end with decoupled
-identity rows; each rank keeps a copy of its own rows and columns.
+each, made in one kernel call on the family and its reversal side by side,
+and one blocked elimination of every rank's interior at once.  That last
+one lays the interiors side by side as a single (longest interior, R * L)
+family, R the number of blocks with an interior, padding each at its end
+with decoupled identity rows; each rank keeps its own columns over the
+blocks that hold its rows.
 
 Splitting: the rank interval is halved recursively at ``mid =
 ceil((lo+hi)/2)``.  The solution components at the middle rank's first/last
@@ -69,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -82,6 +92,163 @@ from .kernels import (MultiFactorization, multi_apply as thomas_apply,
 from .tridiag import TridiagonalMatrix, frozen_copy
 
 FOLD_RATIO_FLOOR = 1e-280
+
+
+# ---------------------------------------------------------------------------
+# the blocked elimination of a run of rows
+# ---------------------------------------------------------------------------
+
+
+def block_shape(n: int) -> Tuple[int, int]:
+    """(m, P) of the blocked elimination of ``n`` rows: P = isqrt(n + 1)
+    blocks of m = n // P rows, block k on rows k (m + 1) .. k (m + 1) + m - 1
+    and separator k on row k (m + 1) + m.  The last block holds between 1
+    and m of the rows, since P**2 <= n + 1."""
+    P = math.isqrt(n + 1)
+    return n // P, P
+
+
+def _to_blocks(a, width: int, m: int, P: int, fill: float) -> np.ndarray:
+    """Rows ``k (m + 1) + i``, ``i < width``, of ``a`` laid out as
+    ``out[i, k]`` (shape ``(width, P) + a.shape[1:]``); rows past the end of
+    ``a`` read ``fill``."""
+    head = (P - 1) * (m + 1)
+    out = np.empty((width, P) + a.shape[1:])
+    out[:, :-1] = a[:head].reshape((P - 1, m + 1) + a.shape[1:])[:, :width] \
+        .swapaxes(0, 1)
+    tail = a.shape[0] - head
+    out[:tail, -1] = a[head:]
+    out[tail:, -1] = fill
+    return out
+
+
+class BlockElimination(NamedTuple):
+    """The elimination of L tridiagonal systems of one order in row blocks
+    (Wang, ACM TOMS 7, 1981), the partition of the splitting method on one
+    process.
+
+    The n rows split into P blocks of m rows with one separator row between
+    neighbours (:func:`block_shape`), the last block padded with decoupled
+    identity rows.  Every block of every member is factored as one
+    (m, P * L) family; each block keeps its spikes, its solutions against
+    its couplings to the separators on either side, and the separators'
+    (P - 1, L) tridiagonal Schur complement is factored too.  A solve
+    eliminates m rows of all blocks at once, solves the separators and
+    subtracts the spikes: about 2 sqrt(n) batched row steps, where one sweep
+    of the family takes 2 n.  Every kernel call goes through
+    :func:`thomas_factor` and :func:`thomas_apply`, and every array is
+    read-only, with the member axis last.
+    """
+
+    blocks: MultiFactorization    # (m, P * L): block k of member l in column k * L + l
+    sep_lower: np.ndarray         # (P - 1, L): coupling of separator k to the row above
+    sep_upper: np.ndarray         # (P - 1, L): and to the row below
+    left: np.ndarray              # (m, P - 1, L): block k + 1 against its coupling to separator k
+    right: np.ndarray             # (m, P - 1, L): block k against its coupling to separator k
+    schur: Optional[MultiFactorization]   # (P - 1, L); None when P = 1
+
+    @property
+    def nsys(self) -> int:
+        return self.left.shape[2]
+
+    def solve(self, F: np.ndarray, out: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+        """Solve every member: ``F`` is (n, L), column l the rhs of member l,
+        or for one member (n,) or (n, M), a batch of M.  ``out``, a
+        C-contiguous array of ``F``'s shape, receives the solutions and may
+        be ``F`` itself: all of ``F`` is read before ``out`` is written."""
+        if out is not None and (out.shape != F.shape
+                                or not out.flags.c_contiguous):
+            raise DimensionMismatch(f"out must be a C-contiguous array of "
+                                    f"shape {F.shape}, got {out.shape}")
+        X = np.empty(F.shape) if out is None else out
+        n, L = F.shape[0], self.nsys
+        m, P = self.blocks.n, self.left.shape[1] + 1
+        # W columns: one per member, or the M of a one-member batch, which
+        # the (., L) couplings and spikes broadcast over
+        F = F.reshape(n, -1)
+        W = F.shape[1]
+        Y = _to_blocks(F, m, m, P, 0.0)                 # (m, P, W)
+        rows = Y.reshape(m, P * L) if W == L else Y     # else (m, P, M)
+        thomas_apply(self.blocks, rows, out=rows)
+        X2 = X.reshape(n, W)
+        head = (P - 1) * (m + 1)
+        if P > 1:
+            sep = slice(m, head, m + 1)
+            s = thomas_apply(self.schur, F[sep] - self.sep_lower * Y[-1, :-1]
+                             - self.sep_upper * Y[0, 1:])
+            c = self.left * s
+            Y[:, 1:] -= c
+            Y[:, :-1] -= np.multiply(self.right, s, out=c)
+            X2[sep] = s
+        X2[:head].reshape(P - 1, m + 1, W)[:, :m] = Y[:, :-1].swapaxes(0, 1)
+        X2[head:] = Y[: n - head, -1]
+        return X
+
+
+def block_factor(lower, diag, upper) -> BlockElimination:
+    """The blocked elimination of the family with (n, L) ``diag`` and
+    (n - 1, L) ``lower``/``upper`` (the band convention of
+    :mod:`.kernels`); it makes its own read-only copies."""
+    n, L = diag.shape
+    m, P = block_shape(n)
+    # padded rows: diagonal 1, no coupling, right-hand side 0
+    blocks = thomas_factor(
+        _to_blocks(lower, m - 1, m, P, 0.0).reshape(m - 1, P * L),
+        _to_blocks(diag, m, m, P, 1.0).reshape(m, P * L),
+        _to_blocks(upper, m - 1, m, P, 0.0).reshape(m - 1, P * L))
+    # separator k sits on row s = k (m + 1) + m, between rows s - 1 and s + 1
+    sep = slice(m, (P - 1) * (m + 1), m + 1)
+    above = slice(m - 1, sep.stop - 1, m + 1)
+    sep_lower, sep_upper = np.array(lower[above]), np.array(upper[sep])
+    left = right = np.empty((m, 0, L))
+    schur = None
+    if P > 1:
+        # spikes: block k + 1 against lower[s] on its first row (left[:, k]),
+        # block k against upper[s - 1] on its last row (right[:, k])
+        e = np.zeros((m, P, L))
+        e[0, 1:] = lower[sep]
+        left = thomas_apply(blocks, e.reshape(m, P * L)) \
+            .reshape(m, P, L)[:, 1:]
+        e[0] = 0.0
+        e[-1, :-1] = upper[above]
+        right = thomas_apply(blocks, e.reshape(m, P * L)) \
+            .reshape(m, P, L)[:, :-1]
+        schur = thomas_factor(
+            -sep_lower[1:] * left[-1, :-1],
+            diag[sep] - sep_lower * right[-1] - sep_upper * left[0],
+            -sep_upper[:-1] * right[0, 1:])
+    elim = BlockElimination(blocks, sep_lower, sep_upper, left, right, schur)
+    for arr in (*blocks, sep_lower, sep_upper, left, right, *(schur or ())):
+        arr.setflags(write=False)
+    return elim
+
+
+def _share(family: BlockElimination, cols: slice, k: int) -> BlockElimination:
+    """The members ``cols`` of ``family`` over their first ``k`` rows, where
+    every later row is a padded identity row: the blocks and separators
+    that hold those rows, so a solve of the k rows alone is bitwise the
+    family's solve of them.  The blocks are copied, since a solve takes
+    them as one (m, blocks * members) family; the spikes and separators are
+    read-only views of the family's."""
+    m, P = family.blocks.n, family.left.shape[1] + 1
+    keep = k // (m + 1) + 1        # blocks reaching row k - 1; fewer separators
+    cut = P - keep
+
+    def block_part(a):
+        rows, width = a.shape
+        return frozen_copy(a.reshape(rows, P, width // P)[:, :keep, cols]) \
+            .reshape(rows, keep * (cols.stop - cols.start))
+
+    def sep_part(a):
+        return a[:a.shape[0] - cut, cols]
+
+    return BlockElimination(
+        MultiFactorization(*map(block_part, family.blocks)),
+        sep_part(family.sep_lower), sep_part(family.sep_upper),
+        family.left[:, :keep - 1, cols], family.right[:, :keep - 1, cols],
+        MultiFactorization(*map(sep_part, family.schur)) if keep > 1
+        else None)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +351,7 @@ class RankPlan:
     fold_left: np.ndarray    # (L,): (G_L)_{m_R} / (G_R)_{m_R}, used when left neighbor of a middle
     fold_right: np.ndarray   # (L,): (G_R)_{m_L} / (G_L)_{m_L}, used when right neighbor of a middle
     weights: np.ndarray      # (depth, 2, L): the Z entries read at each level
-    interior_fact: Optional[MultiFactorization]
+    interior_fact: Optional[BlockElimination]
     interior_c: np.ndarray   # (L,): coupling of first interior row to the row above
     interior_a: np.ndarray   # (L,): coupling of last interior row to the row below
     steps: Tuple[tuple, ...]  # the rank's roles in the splitting tree, in order:
@@ -197,14 +364,15 @@ class DichotomyPlan:
     """Everything rhs-independent: partition, tree, per-rank data.
 
     ``len(plan)`` is L, the number of member systems.  A p = 1 plan holds
-    only ``full_fact``, the family's elimination, which is its solve.
+    only ``full_fact``, the family's blocked elimination, which is its
+    solve.
     """
 
     partition: Partition
     world: CommWorld
     levels: Tuple[Tuple[tuple, ...], ...]
     ranks: Tuple[RankPlan, ...]
-    full_fact: Optional[MultiFactorization] = None
+    full_fact: Optional[BlockElimination] = None
 
     def __len__(self) -> int:
         if self.full_fact is not None:
@@ -233,21 +401,22 @@ class DichotomyPlan:
 
 
 def _interior_factors(part: Partition, lower, diag, upper
-                      ) -> List[Optional[MultiFactorization]]:
-    """Per rank, the elimination of its interior rows ``m_L+1..m_R-1``
-    (None for a two-row block), all from one :func:`thomas_factor` call.
+                      ) -> List[Optional[BlockElimination]]:
+    """Per rank, the blocked elimination of its interior rows
+    ``m_L+1..m_R-1`` (None for a two-row block), all from one
+    :func:`block_factor` call.
 
     The interiors sit side by side as one (longest interior, R * L) family,
     R the number of blocks with an interior, each padded at its end with
-    decoupled identity rows (diagonal 1, couplings 0).  The elimination runs
-    column by column, so every rank's read-only copy of its own rows and
-    columns is bitwise the elimination of its interior alone.
+    decoupled identity rows (diagonal 1, couplings 0).  Each rank keeps its
+    own columns over the blocks that hold its rows (:func:`_share`), so its
+    solve is bitwise the family's solve of them.
     """
     L = diag.shape[1]
     # (0-based rank, 0-based first interior row, interior size)
     blocks = [(m, start + 1, size - 2) for m, (start, size) in enumerate(
         zip(accumulate((0,) + part.sizes), part.sizes)) if size > 2]
-    facts: List[Optional[MultiFactorization]] = [None] * part.p
+    facts: List[Optional[BlockElimination]] = [None] * part.p
     if not blocks:
         return facts
     longest = max(k for _, _, k in blocks)
@@ -258,13 +427,10 @@ def _interior_factors(part: Partition, lower, diag, upper
             out[:k - short, j] = band[first: first + k - short]
         return out.reshape(longest - short, len(blocks) * L)
 
-    family = thomas_factor(padded(lower, 1, 0.0), padded(diag, 0, 1.0),
-                          padded(upper, 1, 0.0))
+    family = block_factor(padded(lower, 1, 0.0), padded(diag, 0, 1.0),
+                         padded(upper, 1, 0.0))
     for j, (m, _, k) in enumerate(blocks):
-        cols = slice(j * L, (j + 1) * L)
-        facts[m] = MultiFactorization(frozen_copy(family.lower[:k - 1, cols]),
-                                      frozen_copy(family.cp[:k - 1, cols]),
-                                      frozen_copy(family.dn[:k, cols]))
+        facts[m] = _share(family, slice(j * L, (j + 1) * L), k)
     return facts
 
 
@@ -272,8 +438,9 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
                world: CommWorld) -> DichotomyPlan:
     """One-time preparation of one matrix or a family, with no
     communication; see the module docstring for what it computes.  Every
-    member must be diagonally dominant.  At p = 1 it is one elimination;
-    at p >= 2 Z entries are products of per-block products of -cp and -cq.
+    member must be diagonally dominant.  At p = 1 it is one blocked
+    elimination; at p >= 2 Z entries are products of per-block products of
+    -cp and -cq.
     """
     n, L = A.n, A.nsys
     if part.n != n:
@@ -286,26 +453,28 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
     levels = build_tree(p)
     diag, upper, lower = (b.reshape(-1, L) for b in (A.diag, A.upper, A.lower))
     if p == 1:
-        fact = MultiFactorization(*map(frozen_copy, thomas_factor(
-            lower, diag, upper)))
-        return DichotomyPlan(part, world, levels, ranks=(), full_fact=fact)
+        return DichotomyPlan(part, world, levels, ranks=(),
+                             full_fact=block_factor(lower, diag, upper))
 
-    # first, so the padded interior family is gone before the two full
+    # first, so the padded interior family is gone before the full
     # eliminations are made
     interiors = _interior_factors(part, lower, diag, upper)
 
     # top-down elimination (dn, cp) and bottom-up elimination (en, cq), the
-    # latter as the top-down elimination of the reversed family
-    down = thomas_factor(lower, diag, upper)
-    up = thomas_factor(upper[::-1], diag[::-1], lower[::-1])
-    dn, en, cq = down.dn, up.dn[::-1], up.cp[::-1]
+    # latter as the top-down elimination of the reversed family: one call
+    # on the two side by side, a family of 2 L members
+    both = thomas_factor(np.hstack([lower, upper[::-1]]),
+                         np.hstack([diag, diag[::-1]]),
+                         np.hstack([upper, lower[::-1]]))
+    dn, cp = both.dn[:, :L], both.cp[:, :L]
+    en, cq = both.dn[::-1, L:], both.cp[::-1, L:]
 
     # 0-based first and last row of every block but row n - 1: reduceat
     # gives each block's product over its head (all rows but the last),
     # then over its last row
     last = np.cumsum(part.sizes) - 1
     edges = np.column_stack([last + 1 - part.sizes, last]).ravel()[:-1]
-    cp_blocks = np.multiply.reduceat(-down.cp, edges)
+    cp_blocks = np.multiply.reduceat(-cp, edges)
     cq_blocks = np.multiply.reduceat(-cq, edges)
     head_cp, last_cp = cp_blocks[0::2], cp_blocks[1::2]
     head_cq, last_cq = cq_blocks[0::2], cq_blocks[1::2]
@@ -347,6 +516,7 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
                 steps[r].append(("right", s, right, r == j + 1))
                 acc = z * head_cp[r]
 
+    weights.setflags(write=False)   # each rank reads its own row
     ranks = []
     for m in range(1, p + 1):
         m_L, m_R = part.m_L(m), part.m_R(m)
@@ -366,12 +536,14 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
         # couplings of the interior rows m_L+1..m_R-1 to rows m_L and m_R
         interior_c, interior_a = ((lower[a], upper[b - 1]) if b - a > 1
                                   else (np.zeros(L),) * 2)
+        fold_left, fold_right = G_L[-1] / den_left, G_R[0] / den_right
+        for arr in (G_L, fold_left, fold_right):   # fresh: frozen in place
+            arr.setflags(write=False)
         ranks.append(RankPlan(
             rank=m, m_L=m_L, m_R=m_R,
-            G_L=frozen_copy(G_L), G_R=frozen_copy(G_R),
-            fold_left=frozen_copy(G_L[-1] / den_left),
-            fold_right=frozen_copy(G_R[0] / den_right),
-            weights=frozen_copy(weights[m - 1]), interior_fact=interiors[m - 1],
+            G_L=G_L, G_R=frozen_copy(G_R),
+            fold_left=fold_left, fold_right=fold_right,
+            weights=weights[m - 1], interior_fact=interiors[m - 1],
             interior_c=frozen_copy(interior_c),
             interior_a=frozen_copy(interior_a),
             steps=tuple(steps[m - 1]),
@@ -468,7 +640,7 @@ def _protocol(comm, plan: DichotomyPlan, B: np.ndarray, X: np.ndarray):
         interior[...] = Q[1:-1]
         interior[0] -= rp.interior_c * X[a]
         interior[-1] -= rp.interior_a * X[b]
-        thomas_apply(rp.interior_fact, interior, out=interior)
+        rp.interior_fact.solve(interior, out=interior)
 
 
 def _solve(plan: DichotomyPlan, B: np.ndarray, executor: str) -> np.ndarray:
@@ -476,7 +648,7 @@ def _solve(plan: DichotomyPlan, B: np.ndarray, executor: str) -> np.ndarray:
     every rank writing its own rows of the one solution array."""
     check_executor(executor)
     if plan.p == 1:
-        return thomas_apply(plan.full_fact, B)
+        return plan.full_fact.solve(B)
     # betas of strided rows would sum in another order: the bits of X must
     # not depend on the caller's layout of B
     B = np.ascontiguousarray(B)

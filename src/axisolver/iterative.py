@@ -32,6 +32,7 @@ check; ``x`` is a read-only view of the live iterate, valid during the call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Optional, Tuple
@@ -176,6 +177,19 @@ def _chebyshev_steps(apply_op: Callable, apply_pc: Callable, x: np.ndarray,
         w = delta * delta / scale
 
 
+def norm2(v: np.ndarray) -> float:
+    """The 2-norm of ``v``.  Only when the plain sum of squares overflows
+    is ``v`` rescaled by its largest magnitude, so a finite norm costs no
+    second pass; a non-finite entry gives inf or nan."""
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.norm(v))
+    if out == math.inf:
+        big = float(np.abs(v).max())
+        if big < math.inf:
+            return big * float(np.linalg.norm(v / big))
+    return out
+
+
 def _run_to_tol(apply_op: Callable, method_steps, f: np.ndarray, guess,
                 tol: float, maxiter: int, check_every: int,
                 trace: Optional[Callable]
@@ -183,7 +197,7 @@ def _run_to_tol(apply_op: Callable, method_steps, f: np.ndarray, guess,
     """Run :func:`_steps_from` until the relative residual, read after step
     1, each ``check_every``-th step and step ``maxiter``, reaches ``tol``;
     each read adds a history row and calls ``trace``."""
-    norm_f = float(np.linalg.norm(f))
+    norm_f = norm2(f)
     if norm_f == 0.0:
         x = np.zeros_like(f)
         return x, IterationReport(0, 0.0, True, 0, (), x)
@@ -193,7 +207,7 @@ def _run_to_tol(apply_op: Callable, method_steps, f: np.ndarray, guess,
     for it, (x, r) in enumerate(islice(steps, maxiter), 1):
         if it % check_every and it != 1 and it != maxiter:
             continue
-        relres = float(np.linalg.norm(r)) / norm_f
+        relres = norm2(r) / norm_f
         history.append((it, relres))
         if trace is not None:
             view = x.view()

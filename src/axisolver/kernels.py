@@ -15,7 +15,9 @@ the threaded executor can actually overlap them) and plain numpy fallbacks
 used when numba is not installed.  A one-member family runs the
 single-matrix factor and solve bodies, which are written once and compiled
 when numba is present; without it the one solve body also serves the
-batched and multi-system cases.  Both backends perform identical
+batched and multi-system cases.  A family with several right-hand sides per
+member, an (n, L, M) batch, runs that one numpy solve body on either
+backend.  Both backends perform identical
 elementwise arithmetic in identical order, so results are bit-for-bit the
 same across backends.  Only the pivot check differs: the compiled bodies
 stop at the first pivot below the floor, while the numpy family fallback
@@ -216,7 +218,8 @@ def multi_factor(lower, diag, upper) -> MultiFactorization:
 def multi_apply(fact: MultiFactorization, F, out=None) -> np.ndarray:
     """Solve all systems; ``F[:, l]`` is the rhs of system ``l``.  A
     one-member family solves one 1-D rhs, or every column of an (n, M)
-    ``F``, instead.
+    ``F``, instead; any family solves every column of an (n, L, M) ``F``,
+    ``F[:, l]`` holding the M right-hand sides of system ``l``.
 
     ``out``, a C-contiguous float64 array of ``F``'s shape, receives the
     solutions and is returned.  It may be ``F`` itself: the elimination
@@ -234,6 +237,12 @@ def multi_apply(fact: MultiFactorization, F, out=None) -> np.ndarray:
     if fact.nsys == 1 and F.ndim in (1, 2) and F.shape[0] == fact.n:
         solve = _solve1 if F.ndim == 1 else _solveb
         solve(fact.lower[:, 0], fact.cp[:, 0], fact.dn[:, 0], F, X)
+        return X
+    if F.ndim == 3 and F.shape[:2] == (fact.n, fact.nsys):
+        # the numpy body on either backend, each member's bands broadcast
+        # over its M columns
+        _solve(fact.lower[..., None], fact.cp[..., None], fact.dn[..., None],
+               F, X)
         return X
     if F.shape != (fact.n, fact.nsys):
         raise DimensionMismatch(

@@ -45,15 +45,31 @@ def coupling_coefficient(m, k, alpha):
     return (m - k) * math.exp(log_ratio)
 
 
+def arrays_of(record):
+    """Every array of a tuple record such as a ``BlockElimination``, nested
+    records flattened and absent (None) ones skipped, in field order."""
+    if record is None:
+        return []
+    if isinstance(record, np.ndarray):
+        return [record]
+    return [arr for field in record for arr in arrays_of(field)]
+
+
+def plan_arrays(plan):
+    """Every array a dichotomy plan holds."""
+    arrays = arrays_of(plan.full_fact)
+    for rp in plan.ranks:
+        arrays += [rp.G_L, rp.G_R, rp.fold_left, rp.fold_right, rp.weights,
+                   rp.interior_c, rp.interior_a,
+                   *arrays_of(rp.interior_fact)]
+    return arrays
+
+
 def plan_checksum(plan):
     """SHA-256 over a dichotomy plan's partition and arrays, asserting that
     every array is read-only."""
-    arrays = list(plan.full_fact or ())
-    for rp in plan.ranks:
-        arrays += [rp.G_L, rp.G_R, rp.fold_left, rp.fold_right, rp.weights,
-                   rp.interior_c, rp.interior_a, *(rp.interior_fact or ())]
     digest = hashlib.sha256(np.asarray(plan.partition.sizes).tobytes())
-    for arr in arrays:
+    for arr in plan_arrays(plan):
         assert not arr.flags.writeable
         digest.update(arr.tobytes())
     return digest.hexdigest()

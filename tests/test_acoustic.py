@@ -269,6 +269,16 @@ def test_wavelet_support_and_quiescence():
     assert np.allclose(amp(t), -2.5 * w(t), rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("f0, gamma", [(1e200, 4.0), (10.0, 1e-308),
+                                       (10.0, 5e-324)])
+def test_wavelet_envelope_beyond_the_float_range_is_zero(f0, gamma):
+    # (2 pi f0 (t - t0) / gamma)^2 overflows off t0: the pulse is 0 there,
+    # and at t0 itself it is sin(0) = 0, not 0 / 0
+    w = Wavelet(f0=f0, t0=0.4, gamma=gamma)
+    t = np.array([0.0, 0.3, 0.4, 0.4 + 1e-3, 1.2])
+    np.testing.assert_array_equal(w(t), 0.0)
+
+
 def test_wavelet_validation():
     with pytest.raises(DomainError):
         Wavelet(f0=0.0)
@@ -295,6 +305,16 @@ def test_medium_builders():
     assert fault.v_s(300.0, 500.0) == pytest.approx(1800.0 ** 2)  # 400+30+120
     assert fault.v_s(300.0, 560.0) == pytest.approx(2200.0 ** 2)
     assert fault.max_speed == 2200.0
+
+
+def test_fault_dip_beyond_the_float_range_puts_the_interface_at_infinity():
+    # dip * r overflows for r > 0: the interface is at +-inf there, so one
+    # layer fills the column; at r = 0 the interface stays where it is
+    r, z = np.array([0.0, 0.0, 950.0, 950.0]), np.array([1.0, 9e3] * 2)
+    for dip, far in ((1e308, 1800.0), (-1e308, 2200.0)):
+        fault = MediumModel.fault(1800.0, 2200.0, interface_z=400.0, dip=dip)
+        np.testing.assert_array_equal(
+            fault.v_s(r, z), np.array([1800.0, 2200.0, far, far]) ** 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -181,6 +181,21 @@ def test_bad_constant_coefficient_exits_2(tmp_path, capsys, command, model):
     assert_one_line_config_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["poisson", "elliptic"])
+def test_huge_coefficient_gives_a_finite_relative_residual(tmp_path,
+                                                           command):
+    # |f| near 1e200: its plain sum of squares overflows, its norm does not
+    cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 8\n"
+                    "rmax = 1.0\nzmax = 1.0\n[model]\nkind = constant\n"
+                    "kappa0 = 1e200\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 0
+    assert float(report_value(out, "relative_residual")) <= 1e-10
+    if command == "elliptic":
+        assert report_value(out, "converged") == "True"
+        assert int(report_value(out, "iterations")) >= 1
+
+
 @pytest.mark.parametrize("model, where", [
     ("kappa0 = 1e300", "kappa at radial faces"), ("q0 = 1e300", "reaction")])
 def test_weighted_coefficient_beyond_the_float_range_exits_2(

@@ -20,6 +20,8 @@ from axisolver.comm import CommWorld
 from axisolver.dichotomy import (
     DichotomyPlan,
     Partition,
+    block_factor,
+    block_shape,
     build_plan,
     build_tree,
     local_betas,
@@ -30,10 +32,9 @@ from axisolver.dichotomy import (
 )
 from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
                               IndexOutOfRange, InvalidPartition)
-from axisolver.kernels import multi_factor
 from axisolver.tridiag import TridiagonalMatrix, thomas_solve
 
-from oracles import plan_checksum, tridiagonal_dense
+from oracles import arrays_of, plan_checksum, tridiagonal_dense
 from recorded_traffic import per_rank, record_sends, split_levels
 
 
@@ -127,15 +128,17 @@ def test_tree_every_rank_becomes_middle_or_leaf_once():
 
 
 def assert_plan_is_its_elimination(plan, A):
-    """A p = 1 plan holds the family's one elimination and no other array:
-    no rank data, no tree, and L read from that elimination."""
+    """A p = 1 plan holds the family's blocked elimination and no other
+    array: no rank data, no tree, and L read from that elimination."""
     L = A.nsys
     bands = (b.reshape(-1, L) for b in (A.lower, A.diag, A.upper))
     assert plan.ranks == () and plan.levels == ()
     assert len(plan) == L
-    for arr, ref in zip(plan.full_fact, multi_factor(*bands)):
-        assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes()
-    assert sum(arr.nbytes for arr in plan.full_fact) == 8 * (3 * A.n - 2) * L
+    held, ref = arrays_of(plan.full_fact), arrays_of(block_factor(*bands))
+    assert len(held) == len(ref)
+    for arr, want in zip(held, ref):
+        assert arr.shape == want.shape and arr.tobytes() == want.tobytes()
+        assert not arr.flags.writeable
 
 
 def test_plan_p1_green_rows_are_inverse_rows():
@@ -304,12 +307,18 @@ def test_rank_outside_the_plan_raises(sizes, rank, message):
 # ---------------------------------------------------------------------------
 
 
-def test_p1_solve_is_bitwise_thomas():
+def test_p1_solve_is_bitwise_its_blocked_elimination():
+    # the p = 1 solve is the blocked elimination's, which agrees with one
+    # Thomas sweep to rounding
     rng = np.random.default_rng(4)
     A = random_dominant(rng, 12)
     plan = make_plan(12, [12], matrix=A)
     F = rng.normal(size=12)
-    assert np.array_equal(solve_many(plan, F), thomas_solve(A, F))
+    elim = block_factor(A.lower[:, None], A.diag[:, None], A.upper[:, None])
+    X = solve_many(plan, F)
+    assert X.tobytes() == elim.solve(F).tobytes()
+    x = thomas_solve(A, F)
+    assert np.linalg.norm(X - x) <= 1e-14 * np.linalg.norm(x)
 
 
 def test_p7_matches_dense_and_reports_three_levels(monkeypatch):
@@ -607,8 +616,10 @@ def test_rank_plan_holds_only_owned_rows_and_tree_entries():
         assert rp.G_L.shape == rp.G_R.shape == (50, L)
         assert rp.weights.shape == (plan.depth, 2, L)
         assert rp.fold_left.shape == rp.fold_right.shape == (L,)
-        assert all(arr.shape == (48, L) or arr.shape == (47, L)
-                   for arr in rp.interior_fact)
+        # the 48 interior rows in blocks: O(n/p) scalars per member
+        assert rp.interior_fact.nsys == L
+        assert all(arr.size <= 2 * 48 * L
+                   for arr in arrays_of(rp.interior_fact))
     assert plan.full_fact is None
 
 
@@ -699,62 +710,168 @@ def test_threads_share_the_solution_array_under_fast_switching(monkeypatch):
 
 
 # uneven blocks with sizes 2 (no interior) and 3 (one interior row)
-UNEVEN = {2: (3, 2), 3: (2, 9, 3), 5: (3, 12, 2, 5, 3),
-          7: (2, 7, 3, 3, 12, 2, 5), 8: (9, 2, 3, 12, 5, 3, 2, 7)}
+UNEVEN = {2: (3, 2), 3: (2, 9, 3), 4: (3, 14, 2, 6), 5: (3, 12, 2, 5, 3),
+          7: (2, 7, 3, 3, 12, 2, 5), 8: (9, 2, 3, 12, 5, 3, 2, 7),
+          16: (2, 3, 11, 2, 4, 3, 9, 2, 3, 2, 17, 3, 5, 2, 3, 6)}
+
+
+def padded_bands(lower, diag, upper, first, k, longest):
+    """Rows first..first + k - 1 of the bands, padded to ``longest`` rows
+    with decoupled identity rows."""
+    L = diag.shape[1]
+    out = [np.zeros((longest - 1, L)), np.ones((longest, L)),
+           np.zeros((longest - 1, L))]
+    out[0][:k - 1] = lower[first: first + k - 1]
+    out[1][:k] = diag[first: first + k]
+    out[2][:k - 1] = upper[first: first + k - 1]
+    return out
 
 
 @pytest.mark.parametrize("L", [1, 4])
 @pytest.mark.parametrize("p", sorted(UNEVEN))
 def test_interior_factors_are_each_rank_alone_bitwise(p, L):
-    # all interiors are eliminated as one padded family; each rank's share
-    # is what eliminating its interior alone gives, in its own storage
+    # all interiors are eliminated as one padded family; each rank's share,
+    # solving its interior alone in its own storage, gives bitwise what the
+    # blocked elimination of its padded interior gives on those rows
     sizes = UNEVEN[p]
     n = sum(sizes)
+    longest = max(sizes) - 2
     rng = np.random.default_rng(70 + 10 * p + L)
     A = random_family(rng, n, L) if L > 1 else random_dominant(rng, n)
     plan = make_plan(n, sizes, matrix=A)
     lower, diag, upper = (b.reshape(-1, L) for b in (A.lower, A.diag, A.upper))
-    scalars = 0
+    m, P = block_shape(longest)
     for rp, size in zip(plan.ranks, sizes):
         k = size - 2
-        scalars += (2 * size + 2 + 2 * plan.depth + 2) * L
         if k == 0:
             assert rp.interior_fact is None
             continue
-        i0 = rp.m_L          # 0-based first interior row
-        alone = multi_factor(lower[i0: i0 + k - 1], diag[i0: i0 + k],
-                             upper[i0: i0 + k - 1])
-        for arr, ref in zip(rp.interior_fact, alone):
-            assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes()
-            assert arr.flags.c_contiguous and arr.flags.owndata
-            assert not arr.flags.writeable
-        scalars += (3 * k - 2) * L
-    # plan_mb counts exactly the per-rank arrays: no padded row is kept
-    held = sum(arr.nbytes for rp in plan.ranks
-               for arr in (rp.G_L, rp.G_R, rp.fold_left, rp.fold_right,
-                           rp.weights, rp.interior_c, rp.interior_a,
-                           *(rp.interior_fact or ())))
-    assert held == 8 * scalars
+        share = rp.interior_fact
+        assert all(not arr.flags.writeable for arr in arrays_of(share))
+        assert all(arr.flags.c_contiguous for arr in share.blocks)
+        # its own L columns, over the blocks that reach its last row
+        keep = k // (m + 1) + 1
+        assert share.blocks.dn.shape == (m, keep * L)
+        assert share.left.shape == (m, keep - 1, L)
+        ref = block_factor(*padded_bands(lower, diag, upper, rp.m_L, k,
+                                         longest))
+        F = np.zeros((longest, L if L > 1 else 3))
+        F[:k] = rng.normal(size=(k, F.shape[1]))
+        X = share.solve(F[:k])
+        assert X.tobytes() == ref.solve(F)[:k].tobytes()
+        interior = TridiagonalMatrix(*(b[:, 0] if L == 1 else b for b in (
+            diag[rp.m_L: rp.m_L + k], upper[rp.m_L: rp.m_L + k - 1],
+            lower[rp.m_L: rp.m_L + k - 1])))
+        for j in range(F.shape[1]):
+            x = np.linalg.solve(tridiagonal_dense(
+                member(interior, j) if L > 1 else interior), F[:k, j])
+            assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
 
 
-@pytest.mark.parametrize("sizes, calls", [
+@pytest.mark.parametrize("L", [1, 4])
+@pytest.mark.parametrize("p", [1] + sorted(set(UNEVEN) - {5}))
+def test_uneven_plans_agree_across_executors_and_with_dense(p, L):
+    # blocked interiors of 0 to 15 rows in one launch: sim and threads agree
+    # bit for bit; L = 1 solves a batch of 3
+    sizes = UNEVEN.get(p, (9,))
+    n = sum(sizes)
+    rng = np.random.default_rng(90 + 10 * p + L)
+    A = random_family(rng, n, L) if L > 1 else random_dominant(rng, n)
+    B = rng.normal(size=(n, L if L > 1 else 3))
+    solve = solve_series if L > 1 else solve_many
+    X = solve(make_plan(n, sizes, matrix=A), B)
+    threads = solve(make_plan(n, sizes, matrix=A), B, executor="threads")
+    assert threads.tobytes() == X.tobytes()
+    for j in range(B.shape[1]):
+        x = np.linalg.solve(
+            tridiagonal_dense(member(A, j) if L > 1 else A), B[:, j])
+        assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("sizes, eliminations", [
     ((16,) * 4, 3), ((16,) * 16, 3), ((2,) * 4, 2), ((2,) * 16, 2),
     ((16,), 1)])
 def test_build_plan_eliminates_the_interiors_in_one_call(monkeypatch, sizes,
-                                                         calls):
-    # top-down, bottom-up, and every rank's interior at once: a per-rank
-    # elimination would make p + 2 calls; at p = 1 the one elimination the
-    # solve reads is the whole build
+                                                         eliminations):
+    # a p >= 2 build eliminates the matrix top-down and bottom-up, both in
+    # one kernel call as a family of two, and every rank's interior in one
+    # blocked elimination: per-rank eliminations would make p + 2 calls; at
+    # p = 1 the one blocked elimination the solve reads is the whole build
     factor = dichotomy_module.thomas_factor
-    made = []
+    blocked = dichotomy_module.block_factor
+    calls, inside = [], []          # members eliminated by each call
 
-    def counting_factor(*bands):
-        made.append(bands)
-        return factor(*bands)
+    def counting_factor(lower, diag, upper):
+        if not inside:
+            calls.append(diag.shape[1])
+        return factor(lower, diag, upper)
+
+    def counting_blocked(*bands):
+        calls.append(1)
+        inside.append(True)
+        try:
+            return blocked(*bands)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(dichotomy_module, "thomas_factor", counting_factor)
+    monkeypatch.setattr(dichotomy_module, "block_factor", counting_blocked)
     make_plan(sum(sizes), sizes, rng=np.random.default_rng(80))
-    assert len(made) == calls
+    assert sum(calls) == eliminations
+    assert len(calls) == eliminations - (len(sizes) > 1)
+
+
+# ---------------------------------------------------------------------------
+# the blocked elimination
+# ---------------------------------------------------------------------------
+
+
+def test_block_elimination_matches_dense_at_every_order():
+    # one block (n <= 2), exact fit (n = P m + P - 1) and padded last
+    # blocks; nonsymmetric families, and a one-member family's batches
+    kinds = set()
+    for n in range(1, 301):
+        m, P = block_shape(n)
+        kinds.add("one block" if P == 1 else
+                  "exact fit" if n == P * m + P - 1 else "padded")
+        rng = np.random.default_rng(n)
+        family = random_family(rng, n, 3)
+        elim = block_factor(family.lower, family.diag, family.upper)
+        B = rng.normal(size=(n, 3))
+        X = elim.solve(B)
+        A = random_dominant(rng, n)
+        single = block_factor(A.lower[:, None], A.diag[:, None],
+                              A.upper[:, None])
+        dense = tridiagonal_dense(A)
+        for j in range(3):
+            x = np.linalg.solve(tridiagonal_dense(member(family, j)), B[:, j])
+            assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+        for F in (B[:, 0], B[:, :1], B):
+            x = np.linalg.solve(dense, F)
+            assert np.linalg.norm(single.solve(F) - x) \
+                <= 1e-12 * np.linalg.norm(x)
+    assert kinds == {"one block", "exact fit", "padded"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 15, 40])
+def test_block_elimination_solves_in_place(n):
+    # out may be the right-hand side itself; the bits are those of a fresh
+    # solve, for a family and for a one-member batch of 1 and of 3
+    rng = np.random.default_rng(30 + n)
+    family = random_family(rng, n, 4)
+    A = random_dominant(rng, n)
+    cases = [(block_factor(family.lower, family.diag, family.upper), 4),
+             (block_factor(A.lower[:, None], A.diag[:, None],
+                           A.upper[:, None]), 1),
+             (block_factor(A.lower[:, None], A.diag[:, None],
+                           A.upper[:, None]), 3)]
+    for elim, K in cases:
+        F = rng.normal(size=(n, K))
+        expected = elim.solve(F)
+        assert elim.solve(F, out=F) is F
+        assert F.tobytes() == expected.tobytes()
+    with pytest.raises(DimensionMismatch):
+        elim.solve(F, out=np.empty((n, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from axisolver.iterative import (
     IterationReport,
     SpectralBounds,
     chebyshev_solve,
+    norm2,
     pcg_solve,
 )
 from axisolver.sov import SovPreconditioner
@@ -107,6 +108,21 @@ def test_pcg_reports_history_and_reaches_tolerance():
     assert rep.final_relres <= 1e-9
     assert [it for it, _ in rep.history] == list(range(1, rep.iterations + 1))
     assert np.linalg.norm(f - A @ x) / np.linalg.norm(f) <= 1e-9
+
+
+def test_residual_norms_near_the_float_range_do_not_overflow():
+    # |f| = 2e200: the plain sum of squares overflows, the rescaled norm
+    # does not, and the relative residuals stay finite
+    f = np.full(4, 1e200)
+    x, rep = pcg_solve(lambda v: 2.0 * v, lambda v: 1e-200 * v, f,
+                       tol=1e-12)
+    assert rep.converged and rep.iterations == 1
+    assert rep.history == ((1, 0.0),)
+    np.testing.assert_array_equal(x, f / 2.0)
+    assert norm2(np.array([3e200, -4e200])) == pytest.approx(5e200,
+                                                             rel=1e-15)
+    assert norm2(np.array([1e308, np.inf])) == np.inf
+    assert np.isnan(norm2(np.array([1.0, np.nan])))
 
 
 def test_pcg_breakdown_on_indefinite_operator():

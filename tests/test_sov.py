@@ -17,12 +17,12 @@ import axisolver.sov as sov_module
 from axisolver.acoustic import (LaguerreParams, MediumModel, Wavelet,
                                 solve_all_harmonics)
 from axisolver.comm import CommWorld
-from axisolver.dichotomy import Partition, build_plan, solve_many
+from axisolver.dichotomy import Partition, block_shape, build_plan, solve_many
 from axisolver.elliptic import CoefficientFields, Grid2D, assemble
 from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
                               NonPositiveCoefficient)
 from axisolver.kernels import multi_apply, multi_factor
-from axisolver.sov import SovPreconditioner, block_shape, recovered_midranges
+from axisolver.sov import SovPreconditioner, recovered_midranges
 
 from oracles import operator_dense, sov_operator
 
@@ -218,11 +218,10 @@ def test_non_power_of_two_mode_count_supported():
 
 class ThomasModes:
     """Oracle for the p = 1 mode solve: one Thomas sweep over all n rows of
-    the family, with the interface of ``sov._ModeBlocks``."""
+    the family, built like ``dichotomy.block_factor``."""
 
-    def __init__(self, diag, off):
-        band = np.tile(off[:, None], (1, diag.shape[1]))
-        self.fact = multi_factor(band, diag, band)
+    def __init__(self, lower, diag, upper):
+        self.fact = multi_factor(lower, diag, upper)
 
     def solve(self, F):
         return multi_apply(self.fact, F)
@@ -257,7 +256,7 @@ def test_blocked_modes_match_thomas_oracle(monkeypatch):
         for shift in (0.0, 0.8):
             x = SovPreconditioner(g, 1.3, shift).apply_inverse(f)
             with monkeypatch.context() as mp:
-                mp.setattr(sov_module, "_ModeBlocks", ThomasModes)
+                mp.setattr(sov_module, "block_factor", ThomasModes)
                 ref = SovPreconditioner(g, 1.3, shift).apply_inverse(f)
             err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
             assert err <= 1e-12, (n, shift, err)
@@ -282,7 +281,7 @@ def test_fault_medium_pcg_iterations_equal_thomas_oracle(monkeypatch):
     params = LaguerreParams(h=280.0, alpha=5, n_terms=6)
     wavelet = Wavelet(f0=10.0, t0=0.4, gamma=4.0)
     blocked = solve_all_harmonics(grid, model, params, wavelet)
-    monkeypatch.setattr(sov_module, "_ModeBlocks", ThomasModes)
+    monkeypatch.setattr(sov_module, "block_factor", ThomasModes)
     thomas = solve_all_harmonics(grid, model, params, wavelet)
     assert blocked.iterations == thomas.iterations
     scale = np.abs(thomas.harmonics).max()

@@ -154,6 +154,22 @@ def test_multi_solve_equals_per_member_thomas_bitwise(n, nsys):
         np.testing.assert_array_equal(X[:, l], multi_apply(fact, F[:, l]))
 
 
+@pytest.mark.parametrize("nsys", [1, 4])
+def test_multi_solve_of_m_columns_per_member_is_bitwise_per_column(nsys):
+    # an (n, L, M) rhs: member l solves its M columns F[:, l], each bitwise
+    # as its own one-column solve, the rhs itself allowed as out
+    rng = np.random.default_rng(16 + nsys)
+    fact = multi_factor(*random_family(rng, 9, nsys))
+    F = rng.normal(size=(9, nsys, 3))
+    X = multi_apply(fact, F)
+    for j in range(3):
+        assert X[:, :, j].tobytes() == multi_apply(
+            fact, np.ascontiguousarray(F[:, :, j])).tobytes()
+    assert multi_apply(fact, F, out=F) is F and F.tobytes() == X.tobytes()
+    with pytest.raises(DimensionMismatch):
+        multi_apply(fact, np.ones((9, nsys + 1, 3)))
+
+
 def test_multi_factor_first_pivot_zero_raises():
     lower, diag, upper = random_family(np.random.default_rng(11), 5, 4)
     diag[0, 2] = 0.0
