@@ -37,7 +37,7 @@ from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
 from .errors import DomainError, HarmonicSolveFailure, SolverError, as_integer
 from .iterative import SpectralBounds, chebyshev_solve, pcg_solve
 from .laguerre import (apply_half_power, laguerre_function_table,
-                       project_source)
+                       project_source, scaled_times)
 from .sov import SovPreconditioner
 
 __all__ = [
@@ -474,11 +474,9 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
 def _synthesis_weights(params: LaguerreParams, times) -> np.ndarray:
     """Rows of ``(h t)^(alpha/2) * l_m(h t)`` for every requested time;
     see :func:`~axisolver.laguerre.apply_half_power` for the log-space
-    product and its :class:`OverflowGuard`."""
-    times = np.asarray(times, dtype=np.float64).ravel()
-    if times.size and times.min() < 0.0:
-        raise DomainError("times must be >= 0")
-    taus = params.h * times
+    product and its :class:`OverflowGuard`, and
+    :func:`~axisolver.laguerre.scaled_times` for the times it refuses."""
+    taus = scaled_times(params.h, times)
     table = laguerre_function_table(params.n_terms - 1, params.alpha, taus,
                                     h=params.h)
     return apply_half_power(table, params.alpha, taus)

@@ -48,6 +48,7 @@ from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        sampler_from_field, weighted_source, write_field_raw)
 from .errors import (ConfigError, DimensionMismatch, DomainError, SolverError)
 from .iterative import SpectralBounds, chebyshev_solve, norm2, pcg_solve
+from .laguerre import scaled_times
 from .sov import SovPreconditioner
 from .tridiag import TridiagonalMatrix
 
@@ -122,6 +123,16 @@ def _stopping_rule(cfg: RunConfig) -> Tuple[float, int]:
     if maxiter < 1:
         raise ConfigError(f"[solver] maxiter = {maxiter} must be >= 1")
     return tol, maxiter
+
+
+def _scaled_times(key: str, h: float, times) -> None:
+    """Check that ``h t`` stays in the float range for the times of the
+    config ``key``, as :func:`~axisolver.laguerre.scaled_times` does, the
+    error naming the key."""
+    try:
+        scaled_times(h, times)
+    except DomainError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _write_solution(outdir: str, grid: Grid2D, interior: np.ndarray) -> None:
@@ -342,8 +353,14 @@ def cmd_acoustic(cfg: RunConfig, outdir: str) -> int:
         if not 0.0 <= t_snap < math.inf:
             raise ConfigError(f"[snapshot] t = {snap_raw!r} must be a finite "
                               f"time >= 0")
-    # the synthesis weights depend on [laguerre] and the requested times
-    # only: one beyond the float range fails here, before any harmonic solve
+    # the source projection scales times up to the wavelet's support end
+    # by h, and the synthesis the requested times; the synthesis weights
+    # depend on [laguerre] and those times only.  A time or a weight
+    # beyond the float range fails here, before any harmonic solve
+    _scaled_times("[source] t0", params.h, wavelet.support_end)
+    _scaled_times("[receivers] times", params.h, times)
+    if t_snap is not None:
+        _scaled_times("[snapshot] t", params.h, t_snap)
     _synthesis_weights(params, times if t_snap is None
                        else np.append(times, t_snap))
 

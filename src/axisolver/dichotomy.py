@@ -175,8 +175,10 @@ class BlockElimination(NamedTuple):
         head = (P - 1) * (m + 1)
         if P > 1:
             sep = slice(m, head, m + 1)
-            s = thomas_apply(self.schur, F[sep] - self.sep_lower * Y[-1, :-1]
-                             - self.sep_upper * Y[0, 1:])
+            r = F[sep] - self.sep_lower * Y[-1, :-1] - self.sep_upper * Y[0, 1:]
+            # a one-member batch is the (P - 1, 1, M) rhs of its Schur family
+            s = thomas_apply(self.schur, r if W == L else r[:, None]) \
+                .reshape(r.shape)
             c = self.left * s
             Y[:, 1:] -= c
             Y[:, :-1] -= np.multiply(self.right, s, out=c)

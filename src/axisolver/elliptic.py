@@ -61,7 +61,9 @@ class Grid2D:
     """Half-cell-offset tensor grid on [0, rmax] x [0, zmax].
 
     ``nr``/``nz`` count nodes along r/z, including the Dirichlet column at
-    ``r = rmax``.
+    ``r = rmax``.  Extents that are not finite and positive, or a spacing
+    whose square leaves the float range (:meth:`spacing_squares`), raise
+    :class:`DomainError`.
     """
 
     nr: int
@@ -79,6 +81,7 @@ class Grid2D:
             raise DomainError(
                 f"domain extents must be positive and finite, got "
                 f"rmax = {self.rmax!r}, zmax = {self.zmax!r}")
+        self.spacing_squares()
 
     @property
     def dr(self) -> float:
@@ -287,9 +290,7 @@ def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
     twice, ``reaction`` once.  A non-finite sample raises
     :class:`DomainError`, ``kappa <= 0`` or ``q < 0``
     :class:`NonPositiveCoefficient`, and a weighted coefficient beyond the
-    float range :class:`DomainError` naming the coefficient; then a grid
-    spacing whose square is not finite and positive raises
-    :class:`DomainError` naming the spacing.
+    float range :class:`DomainError` naming the coefficient.
     """
     g = grid
     r_face_pos = np.arange(g.nr) * g.dr                 # j = 0..nr-1
@@ -317,7 +318,6 @@ def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
         raise NonPositiveCoefficient(
             f"reaction coefficient must be >= 0, found {q.min()!r}")
     reaction = _weighted(R, q, "reaction")
-    g.spacing_squares()
     return DiscreteOperator(grid=g, r_faces=r_faces, z_faces=z_faces,
                             reaction=reaction)
 

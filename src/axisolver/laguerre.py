@@ -38,8 +38,8 @@ import numpy as np
 from .errors import DomainError, OverflowGuard, QuadratureNotConverged
 
 __all__ = [
-    "laguerre_function_table", "apply_half_power", "project_source",
-    "reconstruct_signal",
+    "laguerre_function_table", "apply_half_power", "scaled_times",
+    "project_source", "reconstruct_signal",
 ]
 
 _RENORM = 1e250
@@ -133,6 +133,21 @@ def apply_half_power(table: np.ndarray, alpha: float, taus) -> np.ndarray:
     return weights
 
 
+def scaled_times(h: float, times) -> np.ndarray:
+    """``tau = h t`` for every time, flattened.  A negative time raises
+    :class:`DomainError`, and so does a ``tau`` beyond the float range,
+    formed without a numpy warning."""
+    times = np.asarray(times, dtype=np.float64).ravel()
+    if times.size and times.min() < 0.0:
+        raise DomainError("times must be >= 0")
+    with np.errstate(over="ignore"):
+        taus = h * times
+    if not np.all(np.isfinite(taus)):
+        raise DomainError(f"tau = h t leaves the float range at h = {h!r}, "
+                          f"t up to {float(times.max())!r}")
+    return taus
+
+
 def _gauss_legendre_panels(rule: Tuple[np.ndarray, np.ndarray], a: float,
                            b: float, panels: int
                            ) -> Tuple[np.ndarray, np.ndarray]:
@@ -141,7 +156,9 @@ def _gauss_legendre_panels(rule: Tuple[np.ndarray, np.ndarray], a: float,
     x, w = rule
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
+    # halving each edge before adding cannot overflow, and above the
+    # subnormal range it gives the bits of halving the sum
+    mid = 0.5 * edges[:-1] + 0.5 * edges[1:]
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wts = (half[:, None] * w[None, :]).ravel()
     return pts, wts
@@ -155,18 +172,21 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
     The integral is evaluated on one 32-node Gauss-Legendre rule, built
     once and repeated on equal panels, doubling the panel count from 8
     until two consecutive answers agree to 1e-10 relative to the largest
-    coefficient; raises :class:`QuadratureNotConverged` past 256 panels.
+    coefficient; raises :class:`QuadratureNotConverged` past 256 panels,
+    and :class:`DomainError` when ``t_upper`` is not finite and positive
+    or a node's ``h t`` (:func:`scaled_times`) leaves the float range.
     """
     _validate(m_max, alpha, h)
-    if t_upper <= 0.0:
-        raise DomainError(f"t_upper must be positive, got {t_upper}")
+    if not 0.0 < t_upper < math.inf:
+        raise DomainError(f"t_upper must be positive and finite, "
+                          f"got {t_upper}")
     rule = np.polynomial.legendre.leggauss(32)
     prev = None
     panels = 8
     while panels <= 256:
         pts, wts = _gauss_legendre_panels(rule, 0.0, t_upper, panels)
-        weights = laguerre_function_table(m_max, alpha, h * pts, h=h,
-                                          include_power=False)
+        weights = laguerre_function_table(m_max, alpha, scaled_times(h, pts),
+                                          h=h, include_power=False)
         values = np.asarray(fn(pts), dtype=np.float64)
         coeffs = (wts * values) @ weights
         if prev is not None:
@@ -182,15 +202,15 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
 
 def reconstruct_signal(coeffs, alpha: float, h: float, times) -> np.ndarray:
     """Synthesize ``(ht)^(alpha/2) sum_m Q_m l_m(ht)`` at every time; a
-    weight beyond the float range raises :class:`OverflowGuard`."""
+    weight beyond the float range raises :class:`OverflowGuard`, and a
+    negative time or an ``h t`` beyond it (:func:`scaled_times`)
+    :class:`DomainError`."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise DomainError(f"need a 1-D coefficient vector, got {coeffs.shape}")
     times = np.asarray(times, dtype=np.float64)
     _validate(coeffs.size - 1, alpha, h)
-    if times.size and times.min() < 0.0:
-        raise DomainError("times must be >= 0")
-    taus = h * times.ravel()
+    taus = scaled_times(h, times)
     table = laguerre_function_table(coeffs.size - 1, alpha, taus, h=h)
     out = apply_half_power(table, alpha, taus) @ coeffs
     return out.reshape(times.shape)

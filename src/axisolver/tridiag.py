@@ -9,11 +9,10 @@ numbered 1..n when talking about math):
 
 So row ``i`` (1-based) reads ``lower[i-2]*x[i-1] + diag[i-1]*x[i] +
 upper[i-1]*x[i+1]``.  A family of L matrices of one order carries a
-trailing member axis on every band (``diag`` (n, L)); a single matrix is
-the one-member family with 1-D bands.  All values are float64;
-:class:`TridiagonalMatrix` stores read-only copies of the bands it is given,
-so instances are freely shareable across threads and the caller's arrays
-stay writable.
+trailing member axis on every band (``diag`` (n, L)); a single matrix has
+1-D bands.  All values are float64; :class:`TridiagonalMatrix` stores
+read-only copies of the bands it is given, so instances are freely
+shareable across threads and the caller's arrays stay writable.
 """
 
 from __future__ import annotations
@@ -88,8 +87,17 @@ def thomas_solve(A: TridiagonalMatrix, f) -> np.ndarray:
     """Direct elimination solve of ``A x = f``.
 
     ``f`` is a vector (n,) or a batch (n, m) for one matrix, and (n, L), one
-    column per member, for a family.  Raises ZeroPivot when a pivot falls
-    below 1e-300 in magnitude (the matrix is expected to be diagonally
-    dominant, where that cannot happen).
+    column per member, for a family.  One matrix is solved as the
+    one-member family of :mod:`.kernels`, a vector as its (n, 1) right-hand
+    side and a batch as its (n, 1, m) one.  Raises ZeroPivot when a pivot
+    falls below 1e-300 in magnitude (the matrix is expected to be
+    diagonally dominant, where that cannot happen), and DimensionMismatch
+    for an ``f`` of another shape.
     """
-    return multi_apply(multi_factor(A.lower, A.diag, A.upper), f)
+    fact = multi_factor(*(band.reshape(band.shape[0], A.nsys)
+                          for band in (A.lower, A.diag, A.upper)))
+    if A.diag.ndim == 2:
+        return multi_apply(fact, f)
+    f = np.asarray(f, dtype=np.float64)
+    return multi_apply(fact, f.reshape(f.shape[:1] + (1,) + f.shape[1:])) \
+        .reshape(f.shape)

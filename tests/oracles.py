@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from axisolver.elliptic import CoefficientFields, assemble
+from axisolver.errors import ZeroPivot
 
 
 def tridiagonal_dense(A):
@@ -23,6 +24,30 @@ def tridiagonal_matvec(A, x):
     """A @ x; for a family, column ``l`` of ``x`` against member ``l``."""
     dense = tridiagonal_dense(A)
     return np.einsum("lij,jl->il", dense, x) if A.diag.ndim == 2 else dense @ x
+
+
+def scalar_thomas(lower, diag, upper, f):
+    """The Thomas elimination of one matrix and one right-hand side, one
+    Python float at a time in the kernels' order of operations: the lists
+    ``(cp, dn, x)``.  Raises ZeroPivot at the first pivot below 1e-300 in
+    magnitude, as the kernels do."""
+    lower, diag, upper, f = ([float(v) for v in a]
+                             for a in (lower, diag, upper, f))
+    n = len(diag)
+    cp, dn, x = [], [], [0.0] * n
+    for i in range(n):
+        if i:
+            cp.append(upper[i - 1] / dn[i - 1])
+        piv = diag[i] - lower[i - 1] * cp[i - 1] if i else diag[0]
+        if abs(piv) < 1e-300:
+            raise ZeroPivot(i, piv)
+        dn.append(piv)
+    x[0] = f[0] / dn[0]
+    for i in range(1, n):
+        x[i] = (f[i] - lower[i - 1] * x[i - 1]) / dn[i]
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return cp, dn, x
 
 
 def operator_dense(op):

@@ -200,12 +200,13 @@ def test_huge_coefficient_gives_a_finite_relative_residual(tmp_path,
     ("kappa0 = 1e300", "kappa at radial faces"), ("q0 = 1e300", "reaction")])
 def test_weighted_coefficient_beyond_the_float_range_exits_2(
         tmp_path, capsys, model, where):
-    # r * kappa or r * q near the wall of a 1e200-wide grid overflows
+    # r * kappa or r * q near the wall of a 1e150-wide grid overflows,
+    # while dr**2 stays in range
     cfg = write_cfg(tmp_path / "run.cfg", f"""\
 [grid]
 nr = 9
 nz = 8
-rmax = 1e200
+rmax = 1e150
 zmax = 1.0
 [model]
 {model}
@@ -236,6 +237,21 @@ kappa0 = 1
 kind = uniform
 """)
     assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, f"grid spacing {spacing} = ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("extent, spacing", [
+    ("rmax = 5e-324", "dr"), ("zmax = 1e308", "dz"), ("zmax = 5e-324", "dz")])
+def test_grid_refuses_its_spacing_before_the_manufactured_solution(
+        tmp_path, capsys, extent, spacing):
+    # the default elliptic run samples a manufactured solution on the grid:
+    # a zero dr (subnormal rmax) would fail its boundary check as a solver
+    # error, and a dz of 1.25e307 or 0 would warn while sampling
+    cfg = write_cfg(tmp_path / "run.cfg",
+                    f"[grid]\nnr = 9\nnz = 8\n{extent}\n")
+    assert run_cli("elliptic", "--config", cfg,
                    "--out", str(tmp_path / "out")) == 2
     assert_one_line_config_error(capsys, f"grid spacing {spacing} = ")
 
@@ -640,6 +656,34 @@ n_terms = 4
     assert err.startswith("solver error:") and err.count("\n") == 1
     assert "recurrence magnitude" in err
     assert not (out / "seismograms.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("section, bad, key", [
+    ("snapshot", "t = 1e308", "[snapshot] t"),
+    ("receivers", "times = 0.0, 1e308, 3", "[receivers] times"),
+    ("source", "t0 = 1e308", "[source] t0")])
+def test_acoustic_time_beyond_the_float_range_at_h_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, section, bad, key):
+    # each time is finite, but h t is not at the default h = 280: a
+    # one-line configuration error naming the key, with no numpy warning
+    # and no harmonic solve started
+    calls = []
+    monkeypatch.setattr(acoustic, "pcg_solve",
+                        lambda *args, **kwargs: calls.append(1))
+    cfg = write_cfg(tmp_path / "run.cfg", f"""\
+[grid]
+nr = 9
+nz = 8
+[laguerre]
+n_terms = 4
+[{section}]
+{bad}
+""")
+    assert run_cli("acoustic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, key)
+    assert calls == []
 
 
 # t0 = 0.1 is finite but leaves the wavelet active at t = 0 (README's rule)

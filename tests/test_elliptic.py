@@ -137,6 +137,12 @@ def test_grid_validation():
             Grid2D(4, 4, extent, 1.0)
         with pytest.raises(DomainError):
             Grid2D(4, 4, 1.0, extent)
+    # finite, positive extents whose spacing squares to inf or 0
+    for rmax, zmax, spacing in ((1e200, 1.0, "dr"), (5e-324, 1.0, "dr"),
+                                (1.0, 1e308, "dz"), (1.0, 5e-324, "dz"),
+                                (1.0, 1e-170, "dz")):
+        with pytest.raises(DomainError, match=f"grid spacing {spacing} = "):
+            Grid2D(9, 8, rmax, zmax)
 
 
 def test_nearest_node_rounding_and_clipping():
@@ -287,9 +293,10 @@ def test_assemble_rejects_nonfinite_samples():
 @pytest.mark.parametrize("where", [
     "kappa at radial faces", "kappa at z faces", "reaction"])
 def test_assemble_rejects_weighted_coefficients_beyond_the_float_range(where):
-    # finite samples whose product with r (up to 1e200) overflows; the z
-    # faces sit at whole multiples of dz, the nodes and radial faces do not
-    g = Grid2D(9, 8, 1e200, 1.0)
+    # finite samples whose product with r (up to 1e150, where dr**2 stays
+    # in range) overflows; the z faces sit at whole multiples of dz, the
+    # nodes and radial faces do not
+    g = Grid2D(9, 8, 1e150, 1.0)
 
     def kappa(r, z):
         big = {"kappa at radial faces": True, "reaction": False,

@@ -17,9 +17,11 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from axisolver.errors import DomainError, OverflowGuard, QuadratureNotConverged
 from axisolver.laguerre import (
+    _gauss_legendre_panels,
     laguerre_function_table,
     project_source,
     reconstruct_signal,
+    scaled_times,
 )
 
 
@@ -219,6 +221,32 @@ def test_projection_validation():
         reconstruct_signal(np.zeros((2, 2)), 2.0, 1.0, np.array([0.5]))
     with pytest.raises(DomainError):
         reconstruct_signal(np.ones(3), 2.0, 1.0, np.array([-1.0]))
+
+
+@pytest.mark.parametrize("t_upper", [1e308, 1.7e308])
+def test_times_beyond_the_float_range_at_h_raise_without_a_warning(t_upper):
+    # tau = h t overflows at h = 280, in the projection's nodes and in the
+    # synthesis times; the panel midpoints of [0, t_upper] stay finite
+    with pytest.raises(DomainError, match="tau = h t"):
+        project_source(lambda t: np.zeros_like(t), 3, 2.0, 280.0,
+                       t_upper=t_upper)
+    with pytest.raises(DomainError, match="tau = h t"):
+        reconstruct_signal(np.ones(3), 2.0, 280.0, [0.0, t_upper])
+    np.testing.assert_array_equal(scaled_times(280.0, [[0.5], [2.0]]),
+                                  [140.0, 560.0])
+
+
+def test_panel_midpoints_are_the_halved_sums_of_their_edges():
+    # halving each edge first is the same bits as halving their sum
+    rule = np.polynomial.legendre.leggauss(32)
+    for t_upper in (1e-3, 0.3, 1.0, 7.0, 1e5):
+        for panels in (8, 16, 256):
+            edges = np.linspace(0.0, t_upper, panels + 1)
+            half = 0.5 * np.diff(edges)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            pts, _ = _gauss_legendre_panels(rule, 0.0, t_upper, panels)
+            assert pts.tobytes() == (mid[:, None] + half[:, None]
+                                     * rule[0][None, :]).ravel().tobytes()
 
 
 def test_reconstruct_at_large_alpha_is_finite_or_raises_overflow_guard():

@@ -16,7 +16,7 @@ from axisolver import kernels
 from axisolver.kernels import multi_apply, multi_factor
 from axisolver.tridiag import TridiagonalMatrix, thomas_solve
 
-from oracles import tridiagonal_dense, tridiagonal_matvec
+from oracles import scalar_thomas, tridiagonal_dense, tridiagonal_matvec
 
 
 def random_dominant(rng, n):
@@ -100,8 +100,9 @@ def test_zero_pivot_reports_the_failing_pivot():
 
 def test_dimension_mismatch_raises():
     A = TridiagonalMatrix.constant(4, -1.0, 2.0, -1.0)
-    with pytest.raises(DimensionMismatch):
-        thomas_solve(A, np.ones(5))
+    for f in (np.ones(5), np.ones((5, 2)), np.ones((4, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            thomas_solve(A, f)
     with pytest.raises(DimensionMismatch):
         TridiagonalMatrix(np.ones(4), np.ones(4), np.ones(3))
 
@@ -143,15 +144,30 @@ def random_family(rng, n, nsys):
     return lower, diag, upper
 
 
+def assert_matches_scalar_thomas(lower, diag, upper, F, X, cp=None, dn=None):
+    """Every member's column of X (and of cp and dn, when given) is bitwise
+    the scalar Thomas loop of that member."""
+    for l in range(diag.shape[1]):
+        cp1, dn1, x1 = scalar_thomas(lower[:, l], diag[:, l], upper[:, l],
+                                     F[:, l])
+        np.testing.assert_array_equal(X[:, l], x1)
+        if cp is not None:
+            np.testing.assert_array_equal(cp[:, l], cp1)
+            np.testing.assert_array_equal(dn[:, l], dn1)
+
+
 @pytest.mark.parametrize("n,nsys", [(1, 3), (2, 1), (17, 6), (64, 9)])
 def test_multi_solve_equals_per_member_thomas_bitwise(n, nsys):
+    # each member's column is its own scalar Thomas loop, and the one-matrix
+    # thomas_solve of that member
     rng = np.random.default_rng(n * 100 + nsys)
     lower, diag, upper = random_family(rng, n, nsys)
     F = rng.normal(size=(n, nsys))
     X = multi_apply(multi_factor(lower, diag, upper), F)
+    assert_matches_scalar_thomas(lower, diag, upper, F, X)
     for l in range(nsys):
-        fact = multi_factor(lower[:, l], diag[:, l], upper[:, l])
-        np.testing.assert_array_equal(X[:, l], multi_apply(fact, F[:, l]))
+        A = TridiagonalMatrix(diag[:, l], upper[:, l], lower[:, l])
+        np.testing.assert_array_equal(thomas_solve(A, F[:, l]), X[:, l])
 
 
 @pytest.mark.parametrize("nsys", [1, 4])
@@ -168,6 +184,20 @@ def test_multi_solve_of_m_columns_per_member_is_bitwise_per_column(nsys):
     assert multi_apply(fact, F, out=F) is F and F.tobytes() == X.tobytes()
     with pytest.raises(DimensionMismatch):
         multi_apply(fact, np.ones((9, nsys + 1, 3)))
+
+
+def test_kernels_take_only_families_and_their_batches():
+    # bands are (n, L) and a rhs (n, L) or (n, L, M); one matrix is the
+    # caller's to reshape into its one-member family
+    rng = np.random.default_rng(18)
+    lower, diag, upper = random_family(rng, 7, 3)
+    with pytest.raises(DimensionMismatch):
+        multi_factor(lower[:, 0], diag[:, 0], upper[:, 0])
+    for nsys in (1, 3):
+        fact = multi_factor(lower[:, :nsys], diag[:, :nsys], upper[:, :nsys])
+        for F in (np.ones(7), np.ones((7, 5)), np.ones((7, nsys, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                multi_apply(fact, F)
 
 
 def test_multi_factor_first_pivot_zero_raises():
@@ -198,11 +228,18 @@ def test_multi_factor_interior_pivot_zero_raises():
 
 
 def test_one_member_family_solves_a_batch_like_thomas_bitwise():
+    # one matrix's (n, M) batch is the (n, 1, M) rhs of its one-member
+    # family: thomas_solve reshapes it so, and every column is the scalar
+    # Thomas loop
     rng = np.random.default_rng(13)
     A = random_dominant(rng, 12)
     F = rng.normal(size=(12, 5))
-    fact = multi_factor(A.lower[:, None], A.diag[:, None], A.upper[:, None])
-    np.testing.assert_array_equal(multi_apply(fact, F), thomas_solve(A, F))
+    bands = (A.lower[:, None], A.diag[:, None], A.upper[:, None])
+    X = multi_apply(multi_factor(*bands), F[:, None])[:, 0]
+    np.testing.assert_array_equal(thomas_solve(A, F), X)
+    for j in range(5):
+        np.testing.assert_array_equal(
+            X[:, j], scalar_thomas(A.lower, A.diag, A.upper, F[:, j])[2])
     with pytest.raises(DimensionMismatch):
         multi_apply(multi_factor(*random_family(rng, 12, 3)), F)
 
@@ -210,10 +247,11 @@ def test_one_member_family_solves_a_batch_like_thomas_bitwise():
 @pytest.mark.parametrize("shape", [(12,), (12, 5)])
 @pytest.mark.parametrize("nsys", [1, 3])
 def test_solve_into_the_rhs_itself_is_bitwise_the_fresh_solve(nsys, shape):
-    # out=F: the elimination reads each row of F before writing it
+    # out=F: the elimination reads each row of F before writing it; the
+    # member axis goes after the first, so F is (12, L) or (12, L, 5)
     rng = np.random.default_rng(14)
     fact = multi_factor(*random_family(rng, 12, nsys))
-    F = rng.normal(size=shape if nsys == 1 else (12, nsys))
+    F = rng.normal(size=shape[:1] + (nsys,) + shape[1:])
     expected = multi_apply(fact, F)
     assert multi_apply(fact, F, out=F) is F
     assert F.tobytes() == expected.tobytes()
@@ -230,7 +268,8 @@ def test_solve_refuses_an_out_it_could_not_write_in_place():
 
 
 # ---------------------------------------------------------------------------
-# kernel bodies: the compiled loops and the numpy fallback agree bitwise
+# kernel bodies: the compiled loops and the numpy fallback agree bitwise,
+# and with the scalar Thomas loop of every member
 # ---------------------------------------------------------------------------
 
 
@@ -251,42 +290,47 @@ def factor_both(lower, diag, upper):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 33])
-def test_kernel_bodies_agree_bitwise_on_a_dominant_family(n):
-    rng = np.random.default_rng(40 + n)
-    lower, diag, upper = random_family(rng, n, 5)
-    (row_np, cp, dn), (row_jit, cp_jit, dn_jit) = factor_both(lower, diag,
-                                                              upper)
-    assert row_np == row_jit == -1
-    np.testing.assert_array_equal(cp_jit, cp)
-    np.testing.assert_array_equal(dn_jit, dn)
-    F = rng.normal(size=(n, 5))
+def solve_both(lower, cp, dn, F):
+    """X from the numpy solve body and from the compiled one."""
     X, X_jit = np.empty_like(F), np.empty_like(F)
     kernels._solve(lower, cp, dn, F, X)
     python_body(kernels._solve_multi_jit)(lower, cp, dn, F, X_jit)
-    np.testing.assert_array_equal(X_jit, X)
-    # the single-matrix bodies reproduce each member's column
-    for l in range(5):
-        cp1, dn1, x1 = np.zeros(n - 1), np.zeros(n), np.empty(n)
-        assert python_body(kernels._factor1)(
-            lower[:, l], diag[:, l], upper[:, l], cp1, dn1) == -1
-        np.testing.assert_array_equal(cp1, cp[:, l])
-        np.testing.assert_array_equal(dn1, dn[:, l])
-        python_body(kernels._solve1)(lower[:, l], cp1, dn1, F[:, l], x1)
-        np.testing.assert_array_equal(x1, X[:, l])
+    return X, X_jit
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+def test_kernel_bodies_agree_bitwise_on_a_dominant_family(n):
+    # on the family of 5 and on each member alone, the family of L = 1:
+    # both backends' bodies give the scalar Thomas loop's cp, dn and x
+    rng = np.random.default_rng(40 + n)
+    lower, diag, upper = random_family(rng, n, 5)
+    F = rng.normal(size=(n, 5))
+    for cols in [slice(None)] + [slice(l, l + 1) for l in range(5)]:
+        bands = (lower[:, cols], diag[:, cols], upper[:, cols])
+        for row, cp, dn in factor_both(*bands):
+            assert row == -1
+            for X in solve_both(bands[0], cp, dn, F[:, cols]):
+                assert_matches_scalar_thomas(*bands, F[:, cols], X, cp, dn)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 33])
 def test_batch_kernel_body_agrees_bitwise_on_shared_bands(n):
+    # an (n, L, M) rhs runs the numpy body with each member's bands shared
+    # by its M columns, on either backend: bitwise the compiled body on the
+    # family of L * M members that repeats each band M times, and the
+    # scalar Thomas loop of every column
     rng = np.random.default_rng(50 + n)
-    A = random_dominant(rng, n)
-    cp, dn = np.zeros(n - 1), np.zeros(n)
-    assert kernels._factor(A.lower, A.diag, A.upper, cp, dn) == -1
-    F = rng.normal(size=(n, 6))
-    X, X_jit = np.empty_like(F), np.empty_like(F)
-    kernels._solve(A.lower, cp, dn, F, X)
-    python_body(kernels._solveb_jit)(A.lower, cp, dn, F, X_jit)
-    np.testing.assert_array_equal(X_jit, X)
+    lower, diag, upper = random_family(rng, n, 2)
+    fact = multi_factor(lower, diag, upper)
+    F = rng.normal(size=(n, 2, 6))
+    X = multi_apply(fact, F)
+    wide = [np.repeat(band, 6, axis=1) for band in (lower, diag, upper)]
+    _, cp, dn = factor_both(*wide)[1]
+    X_jit = np.empty((n, 12))
+    python_body(kernels._solve_multi_jit)(wide[0], cp, dn,
+                                          F.reshape(n, 12), X_jit)
+    np.testing.assert_array_equal(X_jit.reshape(n, 2, 6), X)
+    assert_matches_scalar_thomas(*wide, F.reshape(n, 12), X.reshape(n, 12))
 
 
 @pytest.mark.parametrize("row", [0, 2, 5])
@@ -306,28 +350,35 @@ def test_kernel_bodies_return_the_same_zero_pivot_row(row):
             lower[:row, member] = upper[:row, member] = 1.0
             diag[:row + 1, member] = [1.0] + [2.0] * (row - 1) + [1.0]
         both = factor_both(lower, diag, upper)
-        cp1, dn1 = np.zeros(5), np.zeros(6)
-        rows = [r for r, _, _ in both] + [python_body(kernels._factor1)(
-            lower[:, member], diag[:, member], upper[:, member], cp1, dn1)]
-        assert rows == [row] * 3
+        assert [r for r, _, _ in both] == [row] * 2
         # every row before the failing one is complete and bitwise equal,
-        # and so is the failing member's ratio on the failing row
+        # the scalar loop's over those rows alone, and so is the failing
+        # member's ratio on the failing row
         (_, cp, dn), (_, cp_jit, dn_jit) = both
         done = max(row - 1, 0)
         np.testing.assert_array_equal(cp[:done], cp_jit[:done])
         np.testing.assert_array_equal(dn[:row], dn_jit[:row])
         np.testing.assert_array_equal(cp[:row, member], cp_jit[:row, member])
-        np.testing.assert_array_equal(cp1[:row], cp_jit[:row, member])
-        np.testing.assert_array_equal(dn1[:row], dn_jit[:row, member])
-        # the pivot the compiled body stopped at
+        if row:
+            cp1, dn1, _ = scalar_thomas(lower[:row - 1, member],
+                                        diag[:row, member],
+                                        upper[:row - 1, member], np.ones(row))
+            np.testing.assert_array_equal(cp1, cp_jit[:row - 1, member])
+            np.testing.assert_array_equal(dn1, dn_jit[:row, member])
+        # the pivot the compiled body stopped at, which the scalar loop and
+        # multi_factor name
         value = diag[0, member] if row == 0 else (
             diag[row, member] - lower[row - 1, member] * cp_jit[row - 1, member])
         assert value == 0.0
+        with pytest.raises(ZeroPivot) as oracle:
+            scalar_thomas(lower[:, member], diag[:, member], upper[:, member],
+                          np.ones(6))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ZeroPivot) as exc:
                 multi_factor(lower, diag, upper)
-        assert (exc.value.row, exc.value.value) == (row, value)
+        assert (exc.value.row, exc.value.value) == (row, value) \
+            == (oracle.value.row, oracle.value.value)
 
 
 def test_family_bands_and_dominance():
