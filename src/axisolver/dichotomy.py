@@ -176,9 +176,11 @@ class BlockElimination(NamedTuple):
         if P > 1:
             sep = slice(m, head, m + 1)
             r = F[sep] - self.sep_lower * Y[-1, :-1] - self.sep_upper * Y[0, 1:]
-            # a one-member batch is the (P - 1, 1, M) rhs of its Schur family
-            s = thomas_apply(self.schur, r if W == L else r[:, None]) \
-                .reshape(r.shape)
+            # a one-member batch: its M columns are M members sharing the
+            # Schur bands, so the family body runs them
+            schur = self.schur if W == L else MultiFactorization(
+                *(np.repeat(band, W, axis=1) for band in self.schur))
+            s = thomas_apply(schur, r)
             c = self.left * s
             Y[:, 1:] -= c
             Y[:, :-1] -= np.multiply(self.right, s, out=c)

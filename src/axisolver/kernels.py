@@ -5,7 +5,8 @@ One record, :class:`MultiFactorization`, and one pair,
 independent matrices of one order.  Bands are shaped ``(n, L)`` so the inner
 loop runs over contiguous memory; a right-hand side is ``(n, L)``, one per
 member, or ``(n, L, M)``, M per member, and every other shape is refused.
-A caller holding one matrix passes it as the one-member family.
+A caller holding one matrix passes it as the one-member family, or an
+(n, M) batch of its right-hand sides as M members sharing its bands.
 :func:`multi_apply` can write its solutions into a given array, the
 right-hand side itself included, since the elimination reads each row of
 the right-hand side before it writes that row of the solution.

@@ -874,6 +874,20 @@ def test_block_elimination_solves_in_place(n):
         elim.solve(F, out=np.empty((n, 2)))
 
 
+@pytest.mark.parametrize("n", [3, 24, 99])
+def test_one_member_batch_is_bitwise_its_columns_solved_apart(n):
+    # a batch's Schur step solves its columns as members sharing the Schur
+    # bands; every column keeps the bits of its own solve
+    rng = np.random.default_rng(40 + n)
+    A = random_dominant(rng, n)
+    elim = block_factor(A.lower[:, None], A.diag[:, None], A.upper[:, None])
+    assert elim.schur is not None
+    B = rng.normal(size=(n, 5))
+    X = elim.solve(B)
+    for j in range(5):
+        assert X[:, j].tobytes() == elim.solve(B[:, j].copy()).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # cost models
 # ---------------------------------------------------------------------------
