@@ -189,16 +189,19 @@ class MediumModel:
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
 
+        # v_s of each layer, squared as numpy squares an array
+        top, bottom = v_top / rho, v_bottom / rho
+        vs_top, vs_bottom = top * top, bottom * bottom
+
         def v_s(r, z):
-            r, z = np.broadcast_arrays(np.asarray(r, dtype=np.float64),
-                                       np.asarray(z, dtype=np.float64))
-            # a dip too steep for the float range puts the interface at
-            # +-inf: one layer fills the column
+            r = np.asarray(r, dtype=np.float64)
+            # the interface depth on r's own shape; a dip too steep for the
+            # float range puts it at +-inf: one layer fills the column
             with np.errstate(over="ignore"):
                 boundary = interface_z + dip * r + np.where(r > fault_r,
                                                             throw, 0.0)
-            speed = np.where(z < boundary, v_top, v_bottom)
-            return (speed / rho) ** 2
+            return np.where(np.asarray(z, dtype=np.float64) < boundary,
+                            vs_top, vs_bottom)
 
         return cls(v_s=v_s,
                    rho=lambda r, z: np.full(np.broadcast(r, z).shape, rho),
@@ -243,9 +246,18 @@ class LaguerreSeries:
 
     def tail_energy_ratio(self) -> float:
         """Energy share of the last 5% of harmonics -- a truncation
-        diagnostic; values near zero indicate a resolved series."""
+        diagnostic; values near zero indicate a resolved series.  The share
+        does not change with the harmonics' scale, so when their energies
+        overflow or all underflow it is taken of the harmonics scaled by a
+        power of two to a largest magnitude in [0.5, 1)."""
         e = self.harmonic_energies()
         total = float(e.sum())
+        if not 0.0 < total < math.inf and self.harmonics.any():
+            peak = float(np.abs(self.harmonics).max())
+            flat = np.ldexp(self.harmonics, -math.frexp(peak)[1]) \
+                .reshape(self.params.n_terms, -1)
+            e = np.einsum("ij,ij->i", flat, flat)
+            total = float(e.sum())
         if total == 0.0:
             return 0.0
         tail = max(1, math.ceil(0.05 * self.params.n_terms))
@@ -307,7 +319,8 @@ def harmonic_operator(grid: Grid2D, model: MediumModel,
 
     def reaction(r, z):
         with np.errstate(over="ignore", divide="ignore"):
-            q = shift / np.asarray(model.rho(r, z), dtype=np.float64) ** 2
+            q = np.square(np.asarray(model.rho(r, z), dtype=np.float64))
+            np.divide(shift, q, out=q)
         if not q.max() < math.inf:
             raise DomainError(f"h = {params.h!r}: h^2 / (4 rho^2) overflows")
         return q
@@ -403,11 +416,21 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
     Solver failures are re-raised as
     :class:`HarmonicSolveFailure` carrying the harmonic index.
     ``progress(m, report)`` is invoked after each harmonic when given.
+
+    The chain solves for the source coefficients scaled by a power of two
+    2**-e to a largest magnitude in [0.5, 1) (the reports describe those
+    solves) and scales the harmonics back by 2**e, so a source of any
+    amplitude keeps the chain's inner products in range; harmonics beyond
+    the float range raise :class:`DomainError` naming the amplitude.
     """
     if method not in ("pcg", "chebyshev"):
         raise DomainError(f"method must be 'pcg' or 'chebyshev', got {method!r}")
     coeffs = project_source(wavelet, params.n_terms - 1, params.alpha,
                             params.h, t_upper=wavelet.support_end)
+    # the chain is linear in the source, and powers of two scale exactly:
+    # wherever the unscaled chain stays in range, the harmonics are its bits
+    e = math.frexp(float(np.abs(coeffs).max()))[1]
+    unit = np.ldexp(coeffs, -e)
     op = harmonic_operator(grid, model, params)
     pc = SovPreconditioner.from_operator(op, ranks=ranks, executor=executor)
     bounds = pc.bounds_for(op) if method == "chebyshev" else None
@@ -421,7 +444,7 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
     total_binv = 0
     iterations = []
     for m in range(params.n_terms):
-        rhs = harmonic_rhs(op, m, node, float(coeffs[m]), sums)
+        rhs = harmonic_rhs(op, m, node, float(unit[m]), sums)
         b = rhs.reshape(-1)
         guess = None
         if project:
@@ -459,6 +482,13 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
         if progress is not None:
             progress(m, report)
         del x, q_m, report                # not held through the next solve
+    try:
+        with np.errstate(over="raise"):
+            np.ldexp(harmonics, e, out=harmonics)
+    except FloatingPointError:
+        raise DomainError(
+            f"the harmonics of a wavelet of amplitude {wavelet.amplitude!r} "
+            f"leave the float range") from None
     return LaguerreSeries(grid=grid, params=params, harmonics=harmonics,
                           source_coeffs=coeffs, binv_applications=total_binv,
                           operator_checksum=op.checksum(),
@@ -491,13 +521,25 @@ def reconstruct(series: LaguerreSeries, times,
     if not nodes:
         raise DomainError("need at least one receiver position")
     q_sel = np.stack([series.harmonics[:, k, i] for k, i in nodes], axis=1)
-    return weights @ q_sel
+    return _in_range(lambda: weights @ q_sel, "receiver trace values")
 
 
 def snapshot_field(series: LaguerreSeries, t: float) -> np.ndarray:
     """The full wavefield at one instant (shape ``grid.unknown_shape``)."""
     weights = _synthesis_weights(series.params, [t])[0]
-    return np.tensordot(weights, series.harmonics, axes=(0, 0))
+    return _in_range(lambda: np.tensordot(weights, series.harmonics,
+                                          axes=(0, 0)), "snapshot values")
+
+
+def _in_range(synthesize: Callable, what: str) -> np.ndarray:
+    """The sums ``synthesize()`` forms; sums beyond the float range (of
+    finite harmonics too large for their weights) raise
+    :class:`DomainError` naming ``what``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = synthesize()
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"{what} leave the float range")
+    return out
 
 
 # ---------------------------------------------------------------------------

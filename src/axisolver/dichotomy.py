@@ -193,14 +193,16 @@ class BlockElimination(NamedTuple):
 def block_factor(lower, diag, upper) -> BlockElimination:
     """The blocked elimination of the family with (n, L) ``diag`` and
     (n - 1, L) ``lower``/``upper`` (the band convention of
-    :mod:`.kernels`); it makes its own read-only copies."""
+    :mod:`.kernels`); it makes its own read-only copies, one of the two
+    coupling bands when they are the same array."""
     n, L = diag.shape
     m, P = block_shape(n)
     # padded rows: diagonal 1, no coupling, right-hand side 0
-    blocks = thomas_factor(
-        _to_blocks(lower, m - 1, m, P, 0.0).reshape(m - 1, P * L),
-        _to_blocks(diag, m, m, P, 1.0).reshape(m, P * L),
-        _to_blocks(upper, m - 1, m, P, 0.0).reshape(m - 1, P * L))
+    lower_b = _to_blocks(lower, m - 1, m, P, 0.0).reshape(m - 1, P * L)
+    upper_b = lower_b if upper is lower else \
+        _to_blocks(upper, m - 1, m, P, 0.0).reshape(m - 1, P * L)
+    blocks = thomas_factor(lower_b, _to_blocks(diag, m, m, P, 1.0)
+                           .reshape(m, P * L), upper_b)
     # separator k sits on row s = k (m + 1) + m, between rows s - 1 and s + 1
     sep = slice(m, (P - 1) * (m + 1), m + 1)
     above = slice(m - 1, sep.stop - 1, m + 1)
@@ -209,15 +211,25 @@ def block_factor(lower, diag, upper) -> BlockElimination:
     schur = None
     if P > 1:
         # spikes: block k + 1 against lower[s] on its first row (left[:, k]),
-        # block k against upper[s - 1] on its last row (right[:, k])
-        e = np.zeros((m, P, L))
-        e[0, 1:] = lower[sep]
-        left = thomas_apply(blocks, e.reshape(m, P * L)) \
-            .reshape(m, P, L)[:, 1:]
-        e[0] = 0.0
-        e[-1, :-1] = upper[above]
-        right = thomas_apply(blocks, e.reshape(m, P * L)) \
-            .reshape(m, P, L)[:, :-1]
+        # solved for blocks 1..P-1 only, in place
+        left = np.zeros((m, (P - 1) * L))
+        left[0] = lower[sep].reshape(-1)
+        thomas_apply(MultiFactorization(*(a[:, L:] for a in blocks)), left,
+                     out=left)
+        left = left.reshape(m, P - 1, L)
+        # block k against upper[s - 1] on its last row (right[:, k]): the
+        # forward sweep over the zero rows leaves 0 / dn (zeros signed as
+        # the kernel's), the last row takes the coupling, and the kernel's
+        # back substitution follows
+        head = slice(0, (P - 1) * L)
+        right = np.divide(0.0, blocks.dn[:, head])
+        last = upper[above].reshape(-1)
+        if m > 1:
+            last = last - blocks.lower[-1, head] * right[-2]
+        np.divide(last, blocks.dn[-1, head], out=right[-1])
+        for i in range(m - 2, -1, -1):
+            right[i] -= blocks.cp[i, head] * right[i + 1]
+        right = right.reshape(m, P - 1, L)
         schur = thomas_factor(
             -sep_lower[1:] * left[-1, :-1],
             diag[sep] - sep_lower * right[-1] - sep_upper * left[0],

@@ -214,7 +214,8 @@ class DiscreteOperator:
     ``z_faces[j, i]`` is the conductance of the z-face at ``z = j * dz``
     (j = 0 and j = nz carry the zero-flux closure and are zero).
     ``reaction`` holds ``r * q`` at the nodes.  The operator keeps
-    read-only copies of the three arrays.
+    read-only copies of the three arrays it is given; :func:`assemble`'s
+    own arrays, which no caller holds, are frozen in place.
     """
 
     grid: Grid2D
@@ -232,6 +233,20 @@ class DiscreteOperator:
         for name, shape in expect.items():
             object.__setattr__(self, name,
                                frozen_copy(getattr(self, name), name, shape))
+
+    @classmethod
+    def _adopt(cls, grid: Grid2D, r_faces: np.ndarray, z_faces: np.ndarray,
+               reaction: np.ndarray) -> "DiscreteOperator":
+        """The operator over arrays that no caller holds, made read-only
+        in place instead of copied: :func:`assemble` hands over the
+        arrays it has just built."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "grid", grid)
+        for name, arr in (("r_faces", r_faces), ("z_faces", z_faces),
+                          ("reaction", reaction)):
+            arr.setflags(write=False)
+            object.__setattr__(op, name, arr)
+        return op
 
     # -- application ------------------------------------------------------
 
@@ -299,16 +314,16 @@ def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
     kappa_rf = _sample(fields.kappa, r_face_pos[None, 1:], z_col)
     _validate_coefficient(kappa_rf, "kappa at radial faces")
     r_faces = np.zeros((g.nz, g.nr))
-    r_faces[:, 1:] = _weighted(r_face_pos[1:][None, :], kappa_rf,
-                               "kappa at radial faces")
+    _weighted(r_face_pos[1:][None, :], kappa_rf, "kappa at radial faces",
+              out=r_faces[:, 1:])
 
     z_face_pos = np.arange(1, g.nz) * g.dz              # interior faces
     r_in = g.r_nodes[: g.nr - 1]
     kappa_zf = _sample(fields.kappa, r_in[None, :], z_face_pos[:, None])
     _validate_coefficient(kappa_zf, "kappa at z faces")
     z_faces = np.zeros((g.nz + 1, g.nr - 1))
-    z_faces[1: g.nz, :] = _weighted(r_in[None, :], kappa_zf,
-                                    "kappa at z faces")
+    _weighted(r_in[None, :], kappa_zf, "kappa at z faces",
+              out=z_faces[1: g.nz])
 
     R, Z = g.node_mesh()
     q = _sample(fields.reaction, R, Z)
@@ -318,8 +333,7 @@ def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
         raise NonPositiveCoefficient(
             f"reaction coefficient must be >= 0, found {q.min()!r}")
     reaction = _weighted(R, q, "reaction")
-    return DiscreteOperator(grid=g, r_faces=r_faces, z_faces=z_faces,
-                            reaction=reaction)
+    return DiscreteOperator._adopt(g, r_faces, z_faces, reaction)
 
 
 def weighted_source(grid: Grid2D, f: Callable) -> np.ndarray:
@@ -333,12 +347,14 @@ def weighted_source(grid: Grid2D, f: Callable) -> np.ndarray:
     return phi
 
 
-def _weighted(r: np.ndarray, values: np.ndarray, where: str) -> np.ndarray:
-    """``r * values`` of finite samples; a product beyond the float range
-    raises :class:`DomainError` naming ``where``."""
+def _weighted(r: np.ndarray, values: np.ndarray, where: str,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``r * values`` of finite samples, written into ``out`` when given;
+    a product beyond the float range raises :class:`DomainError` naming
+    ``where``."""
     try:
         with np.errstate(over="raise"):
-            return r * values
+            return np.multiply(r, values, out=out)
     except FloatingPointError:
         raise DomainError(
             f"{where}: r * sample overflows the float range") from None
@@ -493,9 +509,17 @@ def read_field_text(path) -> Tuple[Grid2D, np.ndarray]:
 
 
 def write_field_raw(path, grid: Grid2D, field) -> None:
+    """Write ``field`` in the raw format; a finite value beyond the float32
+    range of the payload raises :class:`DomainError` before any file is
+    opened."""
     field = _check_field_shape(grid, field)
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(field, dtype="<f4")
+    if np.any(np.isinf(payload) & np.isfinite(field)):
+        raise DomainError(f"{path}: field values beyond the float32 range "
+                          f"of the raw format")
     with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(field, dtype="<f4").tobytes())
+        fh.write(payload.tobytes())
     with open(str(path) + ".hdr", "w", encoding="utf-8") as fh:
         fh.write(_header_line(grid) + "\n<f4\n")
 

@@ -31,6 +31,7 @@ functions re-enter the representable range.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
@@ -88,23 +89,26 @@ def laguerre_function_table(m_max: int, alpha: float, taus, *, h: float = 1.0,
     # a huge tau can overflow a step to inf (or inf - inf to NaN) before the
     # guard sees it: the guard, not a numpy warning, reports that
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out[:, 0] = v_curr * np.exp(deficit)
+        scale = np.exp(deficit)          # recomputed only when D changes
+        out[:, 0] = v_curr * scale
         for m in range(m_max):
             nxt = ((2 * m + alpha + 1.0 - taus) * v_curr
                    - math.sqrt(m * (m + alpha)) * v_prev)
             nxt /= math.sqrt((m + 1.0) * (m + alpha + 1.0))
             v_prev, v_curr = v_curr, nxt
-            mag = np.abs(v_curr)
-            if np.any(~np.isfinite(mag) | (mag >= _HARD_LIMIT)):
+            # one reduction checks both limits; a NaN anywhere makes it NaN
+            top = float(np.abs(v_curr).max(initial=0.0))
+            if not top < _HARD_LIMIT:
                 raise OverflowGuard(
                     f"recurrence magnitude exceeded {_HARD_LIMIT:g} "
                     f"at m={m + 1}")
-            big = mag > _RENORM
-            if big.any():
+            if top > _RENORM:
+                big = np.abs(v_curr) > _RENORM
                 v_curr = np.where(big, v_curr / _RENORM, v_curr)
                 v_prev = np.where(big, v_prev / _RENORM, v_prev)
                 deficit = np.where(big, deficit + _LOG_RENORM, deficit)
-            out[:, m + 1] = v_curr * np.exp(deficit)
+                scale = np.exp(deficit)
+            out[:, m + 1] = v_curr * scale
     if not np.all(np.isfinite(out)):
         raise OverflowGuard("non-finite Laguerre function value")
     return out
@@ -148,6 +152,16 @@ def scaled_times(h: float, times) -> np.ndarray:
     return taus
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the 32-node Gauss-Legendre rule on
+    [-1, 1], built on first use and kept for the process."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gauss_legendre_panels(rule: Tuple[np.ndarray, np.ndarray], a: float,
                            b: float, panels: int
                            ) -> Tuple[np.ndarray, np.ndarray]:
@@ -170,17 +184,18 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
     [0, t_upper].
 
     The integral is evaluated on one 32-node Gauss-Legendre rule, built
-    once and repeated on equal panels, doubling the panel count from 8
-    until two consecutive answers agree to 1e-10 relative to the largest
-    coefficient; raises :class:`QuadratureNotConverged` past 256 panels,
-    and :class:`DomainError` when ``t_upper`` is not finite and positive
-    or a node's ``h t`` (:func:`scaled_times`) leaves the float range.
+    once per process and repeated on equal panels, doubling the panel
+    count from 8 until two consecutive answers agree to 1e-10 relative to
+    the largest coefficient; raises :class:`QuadratureNotConverged` past
+    256 panels, and :class:`DomainError` when ``t_upper`` is not finite
+    and positive or a node's ``h t`` (:func:`scaled_times`) leaves the
+    float range.
     """
     _validate(m_max, alpha, h)
     if not 0.0 < t_upper < math.inf:
         raise DomainError(f"t_upper must be positive and finite, "
                           f"got {t_upper}")
-    rule = np.polynomial.legendre.leggauss(32)
+    rule = _gauss_legendre_rule()
     prev = None
     panels = 8
     while panels <= 256:

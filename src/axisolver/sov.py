@@ -72,12 +72,12 @@ def _sample_ranges(op: DiscreteOperator):
     and the reaction samples at the nodes, recovered from the weighted
     arrays."""
     g = op.grid
-    j = np.arange(1, g.nr) * g.dr
     r_in = g.r_nodes[: g.nr - 1]
-    kv = np.concatenate([(op.r_faces[:, 1:] / j[None, :]).ravel(),
-                         (op.z_faces[1: g.nz, :] / r_in[None, :]).ravel()])
-    qv = op.reaction / r_in[None, :]
-    return float(kv.min()), float(kv.max()), float(qv.min()), float(qv.max())
+    kr = op.r_faces[:, 1:] / (np.arange(1, g.nr) * g.dr)
+    kz = op.z_faces[1: g.nz] / r_in
+    qv = op.reaction / r_in
+    return (float(min(kr.min(), kz.min())), float(max(kr.max(), kz.max())),
+            float(qv.min()), float(qv.max()))
 
 
 def recovered_midranges(op: DiscreteOperator):

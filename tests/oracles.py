@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 
-from axisolver.elliptic import CoefficientFields, assemble
+from axisolver.dichotomy import BlockElimination, _to_blocks, block_shape
+from axisolver.elliptic import CoefficientFields, DiscreteOperator, assemble
 from axisolver.errors import ZeroPivot
+from axisolver.kernels import multi_apply, multi_factor
 
 
 def tridiagonal_dense(A):
@@ -98,3 +100,80 @@ def plan_checksum(plan):
         assert not arr.flags.writeable
         digest.update(arr.tobytes())
     return digest.hexdigest()
+
+
+def fault_v_s(v_top, v_bottom, interface_z, throw=0.0, fault_r=0.0, dip=0.0,
+              rho=1.0):
+    """The two-layer fault's ``v_s`` sampler in its first form: r and z
+    broadcast to one shape, the interface depth and the layer speed on
+    that shape, then ``(speed / rho) ** 2``."""
+    def v_s(r, z):
+        r, z = np.broadcast_arrays(np.asarray(r, dtype=np.float64),
+                                   np.asarray(z, dtype=np.float64))
+        with np.errstate(over="ignore"):
+            boundary = interface_z + dip * r + np.where(r > fault_r,
+                                                        throw, 0.0)
+        speed = np.where(z < boundary, v_top, v_bottom)
+        return (speed / rho) ** 2
+
+    return v_s
+
+
+def assembled_reference(grid, kappa, reaction):
+    """The operator by its defining formulas, through the copying
+    constructor: each sampler evaluated on full point sets, zero boundary
+    faces, and the products ``r * kappa`` and ``r * q``."""
+    g = grid
+    r_face = np.arange(g.nr) * g.dr
+    r_in = g.r_nodes[: g.nr - 1]
+    z_face = np.arange(1, g.nz) * g.dz
+    R, Z = np.meshgrid(r_face[1:], g.z_nodes)
+    r_faces = np.zeros((g.nz, g.nr))
+    r_faces[:, 1:] = R * kappa(R, Z)
+    R, Z = np.meshgrid(r_in, z_face)
+    z_faces = np.zeros((g.nz + 1, g.nr - 1))
+    z_faces[1: g.nz] = R * kappa(R, Z)
+    R, Z = np.meshgrid(r_in, g.z_nodes)
+    return DiscreteOperator(grid=g, r_faces=r_faces, z_faces=z_faces,
+                            reaction=R * reaction(R, Z))
+
+
+def midranges_reference(op):
+    """(vtilde, shift): midranges of the diffusivity samples of the radial
+    faces 1..nr-1 and the interior z faces, pooled in one array, and of
+    the node reactions, each recovered by dividing out r."""
+    g = op.grid
+    r_in = g.r_nodes[: g.nr - 1]
+    kv = np.concatenate([
+        (op.r_faces[:, 1:] / (np.arange(1, g.nr) * g.dr)).ravel(),
+        (op.z_faces[1: g.nz] / r_in).ravel()])
+    qv = op.reaction / r_in
+    return (0.5 * (float(kv.min()) + float(kv.max())),
+            0.5 * (float(qv.min()) + float(qv.max())))
+
+
+def block_factor_reference(lower, diag, upper):
+    """``dichotomy.block_factor`` in its first form, for n >= 3 rows: every
+    band laid out in blocks, and each spike from a full sweep of a zero
+    (m, P, L) right-hand side holding the coupling."""
+    n, L = diag.shape
+    m, P = block_shape(n)
+    blocks = multi_factor(_to_blocks(lower, m - 1, m, P, 0.0)
+                          .reshape(m - 1, P * L),
+                          _to_blocks(diag, m, m, P, 1.0).reshape(m, P * L),
+                          _to_blocks(upper, m - 1, m, P, 0.0)
+                          .reshape(m - 1, P * L))
+    sep = slice(m, (P - 1) * (m + 1), m + 1)
+    above = slice(m - 1, sep.stop - 1, m + 1)
+    sep_lower, sep_upper = np.array(lower[above]), np.array(upper[sep])
+    e = np.zeros((m, P, L))
+    e[0, 1:] = lower[sep]
+    left = multi_apply(blocks, e.reshape(m, P * L)).reshape(m, P, L)[:, 1:]
+    e[0] = 0.0
+    e[-1, :-1] = upper[above]
+    right = multi_apply(blocks, e.reshape(m, P * L)).reshape(m, P, L)[:, :-1]
+    schur = multi_factor(
+        -sep_lower[1:] * left[-1, :-1],
+        diag[sep] - sep_lower * right[-1] - sep_upper * left[0],
+        -sep_upper[:-1] * right[0, 1:])
+    return BlockElimination(blocks, sep_lower, sep_upper, left, right, schur)

@@ -52,7 +52,9 @@ from axisolver.iterative import pcg_solve
 from axisolver.laguerre import laguerre_function_table, project_source
 from axisolver.sov import SovPreconditioner
 
-from oracles import coupling_coefficient
+import axisolver.sov as sov_module
+from oracles import (arrays_of, assembled_reference, block_factor_reference,
+                     coupling_coefficient, fault_v_s, midranges_reference)
 from wavefront_utils import front_radius_along_axis, prearrival_ratio
 
 
@@ -317,6 +319,77 @@ def test_fault_dip_beyond_the_float_range_puts_the_interface_at_infinity():
             fault.v_s(r, z), np.array([1800.0, 2200.0, far, far]) ** 2)
 
 
+FAULT_GEOMETRIES = [
+    {"throw": 120.0, "fault_r": 300.0},
+    {"dip": 0.15},
+    {"dip": -0.2, "throw": -80.0, "fault_r": 500.0, "rho": 1.7},
+    # a dip whose product with r overflows puts the interface at +-inf
+    {"dip": 1e308},
+    {"dip": -1e308, "throw": 50.0, "fault_r": 10.0},
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("geometry", FAULT_GEOMETRIES)
+def test_fault_sampler_matches_its_broadcast_oracle_bit_for_bit(geometry):
+    # the sampler finds the interface depth on r's own shape and picks
+    # squared speeds; its first form broadcast r and z to one shape and
+    # squared the picked speed over it.  Points sit on r = fault_r, just
+    # past it, and exactly on the interface (z = depth reads the bottom)
+    new = MediumModel.fault(1800.0, 2200.0, interface_z=400.0, **geometry)
+    old = fault_v_s(1800.0, 2200.0, 400.0, **geometry)
+    fault_r = geometry.get("fault_r", 0.0)
+    r = np.array([0.0, 50.0, fault_r, np.nextafter(fault_r, np.inf), 600.0,
+                  950.0])
+    with np.errstate(over="ignore"):
+        depth = (400.0 + geometry.get("dip", 0.0) * r
+                 + np.where(r > fault_r, geometry.get("throw", 0.0), 0.0))
+    z = np.concatenate([np.array([0.0, 399.0, 401.0, 950.0]),
+                        depth[np.isfinite(depth)]])
+    R, Z = np.meshgrid(r, z)
+    cases = [(float(ri), float(zi)) for ri, zi in zip(r, depth)
+             if math.isfinite(zi)]
+    cases += [(0.0, 399.0), (0.0, 401.0), (fault_r, 0.0)]   # scalars
+    cases += [(r[None, :], z[:, None]), (r[:, None], z[None, :]),
+              (R, Z), (R, 401.0), (300.0, Z)]
+    for ri, zi in cases:
+        mine, ref = np.asarray(new.v_s(ri, zi)), np.asarray(old(ri, zi))
+        assert mine.shape == ref.shape
+        assert mine.dtype == ref.dtype == np.float64
+        assert mine.tobytes() == ref.tobytes()
+
+
+def test_dipping_fault_build_matches_an_oracle_build(monkeypatch):
+    # the operator's arrays, the preconditioner's reference coefficients
+    # and its mode elimination, against builds by their first formulas
+    grid = Grid2D(33, 32, 950.0, 950.0)
+    geometry = {"interface_z": 420.0, "throw": 90.0, "fault_r": 300.0,
+                "dip": 0.15}
+    model = MediumModel.fault(1800.0, 2200.0, **geometry)
+    params = LaguerreParams(h=280.0, alpha=5, n_terms=4)
+    op = harmonic_operator(grid, model, params)
+    shift = 0.25 * params.h ** 2
+    ref = assembled_reference(grid, fault_v_s(1800.0, 2200.0, **geometry),
+                              lambda r, z: shift / np.ones(r.shape) ** 2)
+    assert op.checksum() == ref.checksum()
+
+    made = []
+    real = sov_module.block_factor
+
+    def recording(*bands):
+        made.append((bands, real(*bands)))
+        return made[-1][1]
+
+    monkeypatch.setattr(sov_module, "block_factor", recording)
+    pc = SovPreconditioner.from_operator(op)
+    assert (pc.vtilde, pc.shift) == midranges_reference(ref)
+    [(bands, elim)] = made
+    mine, oracle = arrays_of(elim), arrays_of(block_factor_reference(*bands))
+    assert len(mine) == len(oracle) == 10
+    for a, b in zip(mine, oracle):
+        assert a.shape == b.shape and a.tobytes() == np.array(b).tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_medium_builders_reject_non_finite_values(bad):
     for speed, rho in ((bad, 1.0), (1500.0, bad)):
@@ -527,6 +600,52 @@ def test_progress_callback_sees_every_harmonic():
                         progress=lambda m, rep: seen.append((m, rep.converged)))
     assert [m for m, _ in seen] == list(range(12))
     assert all(ok for _, ok in seen)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_chain_scales_exactly_with_a_power_of_two_amplitude():
+    # the chain runs on the coefficients scaled into [0.5, 1) by a power of
+    # two and scales the harmonics back, so a source 2**600 times stronger,
+    # whose squares overflow, gives the bits of the unit run times 2**600
+    grid = Grid2D(33, 32, 950.0, 950.0)
+    model = MediumModel.fault(1800.0, 2200.0, interface_z=400.0,
+                              throw=120.0, fault_r=300.0)
+    params = LaguerreParams(h=280.0, alpha=5, n_terms=12)
+    unit, strong = (solve_all_harmonics(
+        grid, model, params, Wavelet(f0=10.0, t0=0.4, amplitude=a))
+        for a in (1.0, 2.0 ** 600))
+    assert unit.binv_applications > unit.params.n_terms   # PCG iterated
+    assert strong.iterations == unit.iterations
+    assert strong.binv_applications == unit.binv_applications
+    for mine, ref in ((strong.source_coeffs, unit.source_coeffs),
+                      (strong.harmonics, unit.harmonics)):
+        assert mine.tobytes() == np.ldexp(ref, 600).tobytes()
+    assert strong.tail_energy_ratio() == unit.tail_energy_ratio()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_harmonics_beyond_the_float_range_raise_naming_the_amplitude():
+    # on a 1e-100 m box the point source alone is about 1e200 times the
+    # coefficient: the chain stays in range, its harmonics do not
+    grid = Grid2D(17, 16, 1e-100, 1e-100)
+    with pytest.raises(DomainError, match="amplitude 1e.300"):
+        solve_all_harmonics(grid, MediumModel.homogeneous(2000.0),
+                            LaguerreParams(h=280.0, alpha=5, n_terms=8),
+                            Wavelet(f0=10.0, t0=0.4, amplitude=1e300))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_synthesis_beyond_the_float_range_raises_domain_error():
+    # harmonics near 1e306 are in range, their weighted sums are not
+    grid = Grid2D(17, 16, 1e-100, 1e-100)
+    series = solve_all_harmonics(grid, MediumModel.homogeneous(2000.0),
+                                 LaguerreParams(h=280.0, alpha=5, n_terms=8),
+                                 Wavelet(f0=10.0, t0=0.4, amplitude=1e225))
+    assert 1e300 < np.abs(series.harmonics).max() < math.inf
+    with pytest.raises(DomainError, match="receiver trace values"):
+        reconstruct(series, np.linspace(0.0, 1.2, 61), [(0.0, 0.0)])
+    with pytest.raises(DomainError, match="snapshot values"):
+        snapshot_field(series, 0.1)
 
 
 def test_chain_hashes_the_operator_once(monkeypatch):

@@ -715,6 +715,56 @@ n_terms = 4
     assert calls == []
 
 
+def _amplitude_run(tmp_path, amplitude, extra=""):
+    cfg = write_cfg(tmp_path / f"{amplitude}.cfg", f"""\
+[grid]
+nr = 17
+nz = 16
+rmax = 950.0
+zmax = 950.0
+[laguerre]
+n_terms = 8
+[source]
+amplitude = {amplitude}
+{extra}""")
+    out = tmp_path / f"out-{amplitude}"
+    return run_cli("acoustic", "--config", cfg, "--out", str(out)), out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [1e200, 1e308])
+def test_acoustic_amplitude_beyond_the_square_root_of_the_float_range(
+        tmp_path, capsys, amplitude):
+    # the squares of such a source overflow; the chain runs on its
+    # coefficients scaled by a power of two and scales the harmonics back,
+    # so the run writes the unit run's artifacts times the amplitude, with
+    # no numpy warning and no solver breakdown
+    code, out = _amplitude_run(tmp_path, repr(amplitude))
+    assert code == 0 and capsys.readouterr().err == ""
+    code, unit = _amplitude_run(tmp_path, "1.0")
+    assert code == 0
+    data = np.loadtxt(out / "seismograms.csv", delimiter=",", skiprows=1)
+    ref = np.loadtxt(unit / "seismograms.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(data)) and np.abs(data[:, 1:]).max() > 0.0
+    np.testing.assert_allclose(data[:, 1:] / amplitude, ref[:, 1:],
+                               rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+    assert float(report_value(out, "tail_energy_ratio")) == pytest.approx(
+        float(report_value(unit, "tail_energy_ratio")), rel=1e-9)
+    for key in ("binv_applications", "iterations_total"):
+        assert report_value(out, key) == report_value(unit, key)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_acoustic_snapshot_beyond_the_raw_float32_range_exits_2(tmp_path,
+                                                                capsys):
+    # the snapshot payload is float32: a finite field beyond its range is
+    # a one-line configuration error, and no snapshot file is written
+    code, out = _amplitude_run(tmp_path, "1e200", "[snapshot]\nt = 0.3\n")
+    assert code == 2
+    assert_one_line_config_error(capsys, "float32")
+    assert not (out / "snapshot.raw").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, section, bad", [
     ("acoustic", "laguerre", "h = inf"),

@@ -34,7 +34,8 @@ from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
                               IndexOutOfRange, InvalidPartition)
 from axisolver.tridiag import TridiagonalMatrix, thomas_solve
 
-from oracles import arrays_of, plan_checksum, tridiagonal_dense
+from oracles import (arrays_of, block_factor_reference, plan_checksum,
+                     tridiagonal_dense)
 from recorded_traffic import per_rank, record_sends, split_levels
 
 
@@ -851,6 +852,32 @@ def test_block_elimination_matches_dense_at_every_order():
             assert np.linalg.norm(single.solve(F) - x) \
                 <= 1e-12 * np.linalg.norm(x)
     assert kinds == {"one block", "exact fit", "padded"}
+
+
+def test_block_factor_is_bitwise_its_first_form():
+    # the spikes are solved on the blocks that keep them, the right ones
+    # by their back substitution alone, and one shared coupling band is
+    # laid out once; every array keeps the bits of full sweeps over zero
+    # right-hand sides, for distinct and for shared (symmetric) bands, and
+    # with zero couplings under positive and negative pivots, where only
+    # the sign of a zero could differ
+    for n in (3, 4, 8, 15, 16, 17, 40, 99, 257):
+        rng = np.random.default_rng(700 + n)
+        family = random_family(rng, n, 5)
+        sym = np.array(family.lower)
+        holes = np.array(family.upper)
+        holes[::3, ::2] = 0.0
+        for bands in ((family.lower, family.diag, family.upper),
+                      (sym, family.diag + 2.0, sym),
+                      (family.lower, family.diag, holes),
+                      (-family.lower, -family.diag, -holes)):
+            mine = arrays_of(block_factor(*bands))
+            ref = arrays_of(block_factor_reference(*bands))
+            assert len(mine) == len(ref) == 10
+            for a, b in zip(mine, ref):
+                assert a.shape == b.shape
+                assert a.tobytes() == np.array(b).tobytes()
+                assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 15, 40])

@@ -18,6 +18,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from axisolver.errors import DomainError, OverflowGuard, QuadratureNotConverged
 from axisolver.laguerre import (
     _gauss_legendre_panels,
+    _gauss_legendre_rule,
     laguerre_function_table,
     project_source,
     reconstruct_signal,
@@ -191,6 +192,9 @@ def test_projection_of_basis_function_is_unit_vector():
 
 
 def test_projection_builds_its_gauss_legendre_rule_once(monkeypatch):
+    # the rule is cached per process: built by the first projection after
+    # the cache is emptied, then shared by every level and every later
+    # projection as read-only arrays
     rules, levels = [], []
     real = np.polynomial.legendre.leggauss
 
@@ -203,9 +207,25 @@ def test_projection_builds_its_gauss_legendre_rule_once(monkeypatch):
         return quiescent_wavelet()[0](t)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-    project_source(signal, 200, 5.0, 300.0, t_upper=quiescent_wavelet()[1])
-    assert len(levels) >= 2           # the answer is compared across levels
-    assert rules == [32]
+    _gauss_legendre_rule.cache_clear()
+    try:
+        first = project_source(signal, 200, 5.0, 300.0,
+                               t_upper=quiescent_wavelet()[1])
+        assert len(levels) >= 2       # the answer is compared across levels
+        assert rules == [32]
+        again = project_source(signal, 200, 5.0, 300.0,
+                               t_upper=quiescent_wavelet()[1])
+        assert rules == [32]          # the second projection built no rule
+        assert again.tobytes() == first.tobytes()
+        nodes, weights = _gauss_legendre_rule()
+        assert (nodes.tobytes(), weights.tobytes()) == tuple(
+            a.tobytes() for a in real(32))
+        for arr in (nodes, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    finally:
+        _gauss_legendre_rule.cache_clear()
 
 
 def test_projection_quadrature_failure_raises():

@@ -24,7 +24,7 @@ from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
 from axisolver.kernels import multi_apply, multi_factor
 from axisolver.sov import SovPreconditioner, recovered_midranges
 
-from oracles import operator_dense, sov_operator
+from oracles import midranges_reference, operator_dense, sov_operator
 
 
 def dense_reference(M):
@@ -96,6 +96,18 @@ def test_recovered_midranges_from_variable_operator():
     r_in = g.r_nodes[: g.nr - 1]
     q = op.reaction / r_in[None, :]
     assert shift == pytest.approx(0.5 * (q.min() + q.max()), rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [
+    # largest at the z faces (z = 1/2 is one), smallest at the radial ones
+    lambda r, z: 1.0 + z * (1.0 - z),
+    lambda r, z: 1.0 + r + 0.0 * z,
+    lambda r, z: 2.0 + np.sin(np.pi * r) * np.cos(np.pi * z)])
+def test_recovered_midranges_are_bitwise_the_pooled_samples(kappa):
+    # min and max taken per face set are those of the pooled samples
+    g = Grid2D(16, 8, 1.0, 1.0)
+    op = assemble(g, CoefficientFields(kappa, lambda r, z: 0.5 + 0.5 * r))
+    assert recovered_midranges(op) == midranges_reference(op)
 
 
 def test_mode_eigenvalues_frozen():
