@@ -109,21 +109,24 @@ class Wavelet:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(
                     f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.f0 > 0.0:
-            raise DomainError(f"f0 must be positive, got {self.f0}")
+        if not 0.0 < 2.0 * math.pi * self.f0 < math.inf:
+            raise DomainError(f"f0 must be positive, and 2 pi f0 finite; "
+                              f"got {self.f0!r}")
         if not self.gamma > 0.0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
         if self.t0 < 0.0:
             raise DomainError(f"t0 must be >= 0, got {self.t0}")
 
     def __call__(self, t):
-        arg = 2.0 * np.pi * self.f0 * (np.asarray(t, dtype=np.float64)
-                                       - self.t0)
-        # an envelope exponent beyond the float range is an envelope of
-        # exactly 0; arg / gamma, not arg**2 / gamma**2, is 0 at t = t0
-        with np.errstate(over="ignore"):
+        # a phase or an envelope exponent beyond the float range is an
+        # envelope of exactly 0, and so is the pulse there; arg / gamma,
+        # not arg**2 / gamma**2, is 0 at t = t0
+        with np.errstate(over="ignore", invalid="ignore"):
+            arg = 2.0 * np.pi * self.f0 * (np.asarray(t, dtype=np.float64)
+                                           - self.t0)
             envelope = np.exp(-((arg / self.gamma) ** 2))
-        return self.amplitude * envelope * np.sin(arg)
+            wave = np.sin(arg)
+        return self.amplitude * envelope * np.where(np.isinf(arg), 0.0, wave)
 
     @property
     def half_width(self) -> float:
@@ -161,12 +164,14 @@ class MediumModel:
     @classmethod
     def homogeneous(cls, speed: float, rho: float = 1.0) -> "MediumModel":
         """Uniform medium whose fronts travel at ``speed``."""
-        if not (0.0 < rho < math.inf and 0.0 < speed / rho <= _SQRT_MAX):
+        if not (0.0 < rho < math.inf and 0.0 < speed / rho <= _SQRT_MAX
+                and (speed / rho) ** 2 > 0.0):
             raise DomainError(f"speed and rho must be positive and finite, and "
                               f"(speed / rho)^2 too; got {speed}, {rho}")
         vs = (speed / rho) ** 2
         return cls(v_s=lambda r, z: np.full(np.broadcast(r, z).shape, vs),
-                   rho=lambda r, z: np.full(np.broadcast(r, z).shape, rho),
+                   rho=lambda r, z: np.full(np.broadcast(r, z).shape, rho,
+                                            dtype=np.float64),
                    max_speed=speed)
 
     @classmethod
@@ -181,9 +186,10 @@ class MediumModel:
         if not 0.0 < rho < math.inf:
             raise DomainError(f"rho must be positive and finite, got {rho!r}")
         for name, value in (("v_top", v_top), ("v_bottom", v_bottom)):
-            if not 0.0 < value / rho <= _SQRT_MAX:
+            if not (0.0 < value / rho <= _SQRT_MAX
+                    and (value / rho) * (value / rho) > 0.0):
                 raise DomainError(f"{name} must be positive, and ({name} / "
-                                  f"rho)^2 finite; got {value!r}")
+                                  f"rho)^2 finite and positive; got {value!r}")
         for name, value in (("interface_z", interface_z), ("throw", throw),
                             ("fault_r", fault_r), ("dip", dip)):
             if not math.isfinite(value):
@@ -204,7 +210,8 @@ class MediumModel:
                             vs_top, vs_bottom)
 
         return cls(v_s=v_s,
-                   rho=lambda r, z: np.full(np.broadcast(r, z).shape, rho),
+                   rho=lambda r, z: np.full(np.broadcast(r, z).shape, rho,
+                                            dtype=np.float64),
                    max_speed=max(v_top, v_bottom))
 
 

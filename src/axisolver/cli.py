@@ -247,7 +247,11 @@ def _pose(cfg: RunConfig, kinds, manufactured: Callable):
     else:
         source = _source_callable(cfg, grid, rhs_kind)
         op = assemble(grid, fields)
-        rhs = weighted_source(grid, source)
+        try:
+            rhs = weighted_source(grid, source)
+        except DomainError as exc:
+            key = "value" if rhs_kind == "uniform" else "path"
+            raise ConfigError(f"[rhs] {key}: {exc}") from exc
     pre = SovPreconditioner.from_operator(
         op, ranks=cfg.get_int("solver", "ranks"),
         executor=cfg.get_choice("solver", "executor", EXECUTORS))
@@ -293,16 +297,27 @@ def cmd_elliptic(cfg: RunConfig, outdir: str) -> int:
     def trace(_it, _x, _relres):
         seconds.append(time.perf_counter() - started if timed else 0.0)
 
+    # the solvers are linear in the rhs, and powers of two scale exactly:
+    # they run on the rhs scaled by 2**-e to a largest magnitude in
+    # [0.5, 1), so their inner products stay in the float range, and the
+    # solution is scaled back; wherever the unscaled solve stays in range,
+    # the solution is its bits
+    e = math.frexp(float(np.abs(rhs).max()))[1]
+    unit = np.ldexp(rhs, -e)
     bounds = None
     if method == "pcg":
-        x, report = pcg_solve(op.apply_spd, pre.apply_inverse, rhs,
+        x, report = pcg_solve(op.apply_spd, pre.apply_inverse, unit,
                               tol=tol, maxiter=maxiter, trace=trace)
     else:
         bounds = pre.bounds_for(op)
-        x, report = chebyshev_solve(op.apply_spd, pre.apply_inverse, rhs,
+        x, report = chebyshev_solve(op.apply_spd, pre.apply_inverse, unit,
                                     bounds, tol=tol, maxiter=maxiter,
                                     trace=trace)
-    x = x.reshape(grid.unknown_shape)
+    try:
+        with np.errstate(over="raise"):
+            x = np.ldexp(x.reshape(grid.unknown_shape), e)
+    except FloatingPointError:
+        raise DomainError("the solution leaves the float range") from None
 
     _write_solution(outdir, grid, x)
     _write_iteration_log(outdir, report.history, seconds)
@@ -446,13 +461,17 @@ def cmd_bench(cfg: RunConfig, outdir: str) -> int:
                     repr(predict_time_cyclic(p, batch, alpha, beta, gamma)))
         return "nan", "nan"
 
+    try:
+        predicted = {p: models(p) for p in [1] + ranks}
+    except DomainError as exc:
+        raise ConfigError(f"[bench] alpha, beta and gamma: {exc}") from exc
     rows = []
     if executor == "sim":
         rows.append("p, levels, messages, scalars, "
                     "t_model_dichotomy, t_model_cyclic")
         for p in ranks:
             depth, stats, _ = _bench_once(matrix, B, p, "sim")
-            t_dich, t_cyc = models(p)
+            t_dich, t_cyc = predicted[p]
             rows.append(f"{p}, {depth}, {stats.total_msgs()}, "
                         f"{stats.total_scalars()}, {t_dich}, {t_cyc}")
             stats.write_csv(os.path.join(outdir, f"comm_p{p}.csv"))
@@ -469,7 +488,7 @@ def cmd_bench(cfg: RunConfig, outdir: str) -> int:
             walls[p] = best
         for p in ranks:
             speedup = walls[1] / walls[p]
-            t_dich, t_cyc = models(p)
+            t_dich, t_cyc = predicted[p]
             rows.append(f"{p}, {walls[p]:.6f}, {speedup:.4f}, "
                         f"{t_dich}, {t_cyc}")
 

@@ -722,6 +722,14 @@ def _check_model_args(p: int, l: float, alpha: float, beta: float, gamma: float)
         raise DomainError("model parameters must be finite and non-negative")
 
 
+def _predicted(time: float) -> float:
+    """``time``, once it is in the float range; otherwise DomainError."""
+    if not time < math.inf:
+        raise DomainError(f"the predicted time {time!r} leaves the float "
+                          f"range")
+    return time
+
+
 def predict_time_dichotomy(p: int, l: float, alpha: float, beta: float,
                            gamma: float) -> float:
     """Closed-form time of the splitting process on p ranks.
@@ -730,17 +738,20 @@ def predict_time_dichotomy(p: int, l: float, alpha: float, beta: float,
     l = L * M for a family of L members with M right-hand sides each (the
     protocol moves exactly the traffic of one matrix with L * M right-hand
     sides).  ``alpha`` is the message latency, ``beta`` the per-scalar
-    transfer time, ``gamma`` the per-scalar add time.
+    transfer time, ``gamma`` the per-scalar add time.  A time beyond the
+    float range raises :class:`DomainError`.
     """
     _check_model_args(p, l, alpha, beta, gamma)
     lg = math.log2(p)
-    return alpha * (lg + 1) * lg + 2 * l * (lg - (p - 1) / p) * (gamma + beta / 2)
+    return _predicted(alpha * (lg + 1) * lg
+                      + 2 * l * (lg - (p - 1) / p) * (gamma + beta / 2))
 
 
 def predict_time_cyclic(p: int, l: float, alpha: float, beta: float,
                         gamma: float) -> float:
     """Closed-form time of cyclic reduction under the same cost parameters;
-    ``l`` = L * M for a family of L members with M right-hand sides each."""
+    ``l`` = L * M for a family of L members with M right-hand sides each;
+    a time beyond the float range raises :class:`DomainError`."""
     _check_model_args(p, l, alpha, beta, gamma)
     lg = math.log2(p)
-    return 2 * lg * (alpha + l * beta + l * gamma)
+    return _predicted(2 * lg * (alpha + l * beta + l * gamma))

@@ -262,18 +262,30 @@ class DiscreteOperator:
         return scaled
 
     def apply_spd(self, y) -> np.ndarray:
-        """SPD orientation: reaction * y - (div_r + div_z) y."""
+        """SPD orientation: reaction * y - (div_r + div_z) y, as a new
+        C-ordered array in ``y``'s flat or grid form; ``y`` is not
+        written.  Near the float limit, the discarded differences across
+        row ends can warn of an overflow that no face has."""
         Y, flat = self.grid.as_field(y)
         c_r, c_z = self._conductances
-        out = np.multiply(self.reaction, Y)
-        # each face flux leaves the cell below it and enters the one above;
-        # the last radial face reaches the Dirichlet ghost, 0 - Y[:, -1]
-        flux = np.empty_like(Y)
-        np.subtract(Y[:, 1:], Y[:, :-1], out=flux[:, :-1])
+        # C order whatever the input's: the radial half works on the flat
+        # views of both buffers, and every pass runs on contiguous memory
+        out = np.multiply(self.reaction, Y, out=np.empty(Y.shape))
+        flux = np.empty(Y.shape)
+        out1, flux1 = out.reshape(-1), flux.reshape(-1)
+        # each face flux leaves the cell below it and enters the one above.
+        # All radial differences are one flat difference; the entry at
+        # each row end crosses into the next row and is overwritten by
+        # the last face's, which reaches the Dirichlet ghost: 0 - Y[:, -1]
+        y1 = Y.reshape(-1)
+        np.subtract(y1[1:], y1[:-1], out=flux1[:-1])
         np.subtract(0.0, Y[:, -1], out=flux[:, -1])
         flux *= c_r
         out -= flux
-        out[:, 1:] += flux[:, :-1]
+        # the ghost face feeds no unknown: -0.0 makes the flat shifted add
+        # an exact no-op at each row start (+0.0 would turn -0.0 into +0.0)
+        flux[:, -1] = -0.0
+        out1[1:] += flux1[:-1]
         flux = flux[:-1]                                   # z faces 1..nz-1
         np.subtract(Y[1:], Y[:-1], out=flux)
         flux *= c_z
@@ -338,13 +350,14 @@ def assemble(grid: Grid2D, fields: CoefficientFields) -> DiscreteOperator:
 
 def weighted_source(grid: Grid2D, f: Callable) -> np.ndarray:
     """The right-hand side ``r * f`` paired with ``apply_spd``, shaped
-    ``grid.unknown_shape``: ``f`` is sampled once at the nodes, and a
-    non-finite sample raises :class:`DomainError`."""
+    ``grid.unknown_shape``: ``f`` is sampled once at the nodes; a
+    non-finite sample, or a product beyond the float range, raises
+    :class:`DomainError`."""
     R, Z = grid.node_mesh()
-    phi = R * _sample(f, R, Z)
-    if not np.all(np.isfinite(phi)):
+    samples = _sample(f, R, Z)
+    if not np.all(np.isfinite(samples)):
         raise DomainError("source sampler produced non-finite values")
-    return phi
+    return _weighted(R, samples, "source")
 
 
 def _weighted(r: np.ndarray, values: np.ndarray, where: str,

@@ -67,17 +67,22 @@ __all__ = ["SovPreconditioner", "recovered_midranges"]
 
 
 def _sample_ranges(op: DiscreteOperator):
-    """(kappa_lo, kappa_hi, q_lo, q_hi): one min/max pass over the
-    diffusivity samples at the radial faces 1..nr-1 and the interior z faces
-    and the reaction samples at the nodes, recovered from the weighted
-    arrays."""
+    """(kappa_lo, kappa_hi, q_lo, q_hi): the extremes of the diffusivity
+    samples at the radial faces 1..nr-1 and the interior z faces and of the
+    reaction samples at the nodes, recovered from the weighted arrays.
+
+    Every column of a weighted array shares one r > 0, and a rounded
+    division by it keeps the order of its dividends, so each column's
+    extremes are divided instead of the whole array: the same values, with
+    no full-grid quotient."""
     g = op.grid
     r_in = g.r_nodes[: g.nr - 1]
-    kr = op.r_faces[:, 1:] / (np.arange(1, g.nr) * g.dr)
-    kz = op.z_faces[1: g.nz] / r_in
-    qv = op.reaction / r_in
-    return (float(min(kr.min(), kz.min())), float(max(kr.max(), kz.max())),
-            float(qv.min()), float(qv.max()))
+    lo, hi = [], []
+    for weighted, r in ((op.r_faces[:, 1:], np.arange(1, g.nr) * g.dr),
+                        (op.z_faces[1: g.nz], r_in), (op.reaction, r_in)):
+        lo.append(float((weighted.min(axis=0) / r).min()))
+        hi.append(float((weighted.max(axis=0) / r).max()))
+    return min(lo[0], lo[1]), max(hi[0], hi[1]), lo[2], hi[2]
 
 
 def recovered_midranges(op: DiscreteOperator):

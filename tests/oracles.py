@@ -57,6 +57,27 @@ def operator_dense(op):
     return np.array([op.apply_spd(e) for e in np.eye(op.grid.n_unknowns)]).T
 
 
+def apply_spd_reference(op, y):
+    """``op.apply_spd(y)`` in its two-dimensional form: the radial
+    differences and the shifted add on column-trimmed slices of the grid,
+    in the library's order of operations."""
+    Y, flat = op.grid.as_field(y)
+    c_r, c_z = op._conductances
+    out = np.multiply(op.reaction, Y)
+    flux = np.empty_like(Y)
+    np.subtract(Y[:, 1:], Y[:, :-1], out=flux[:, :-1])
+    np.subtract(0.0, Y[:, -1], out=flux[:, -1])
+    flux *= c_r
+    out -= flux
+    out[:, 1:] += flux[:, :-1]
+    flux = flux[:-1]
+    np.subtract(Y[1:], Y[:-1], out=flux)
+    flux *= c_z
+    out[:-1] -= flux
+    out[1:] += flux
+    return out.ravel() if flat else out
+
+
 def sov_operator(M):
     """B, the operator a ``SovPreconditioner`` inverts, assembled."""
     return assemble(M.grid, CoefficientFields.constant(M.vtilde, M.shift))
@@ -70,6 +91,15 @@ def coupling_coefficient(m, k, alpha):
     log_ratio = 0.5 * (math.lgamma(m + 1) - math.lgamma(m + alpha + 1)
                        + math.lgamma(k + alpha + 1) - math.lgamma(k + 1))
     return (m - k) * math.exp(log_ratio)
+
+
+def point_source_trace(wavelet, speed, R, times):
+    """u(R, t) = 2 w(t - R/c) / (4 pi c^2 R): the field at distance ``R``
+    of a point source with pulse ``w`` at the origin of the homogeneous
+    half-space z >= 0 of speed ``c`` behind a zero-flux wall at z = 0; the
+    factor 2 counts the image source."""
+    times = np.asarray(times, dtype=np.float64)
+    return 2.0 * wavelet(times - R / speed) / (4.0 * math.pi * speed ** 2 * R)
 
 
 def arrays_of(record):
@@ -150,6 +180,19 @@ def midranges_reference(op):
     qv = op.reaction / r_in
     return (0.5 * (float(kv.min()) + float(kv.max())),
             0.5 * (float(qv.min()) + float(qv.max())))
+
+
+def sample_ranges_reference(op):
+    """``sov._sample_ranges`` in its first form: (kappa_lo, kappa_hi, q_lo,
+    q_hi) as the extremes of the full-grid quotients of the weighted
+    arrays by r."""
+    g = op.grid
+    r_in = g.r_nodes[: g.nr - 1]
+    kr = op.r_faces[:, 1:] / (np.arange(1, g.nr) * g.dr)
+    kz = op.z_faces[1: g.nz] / r_in
+    qv = op.reaction / r_in
+    return (float(min(kr.min(), kz.min())), float(max(kr.max(), kz.max())),
+            float(qv.min()), float(qv.max()))
 
 
 def block_factor_reference(lower, diag, upper):

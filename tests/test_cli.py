@@ -5,6 +5,7 @@ output directory; one test exercises the ``python -m`` entry point end to
 end in a subprocess.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import axisolver
-from axisolver import acoustic, cli
+from axisolver import acoustic, cli, config
 from axisolver.cli import main
 from axisolver.elliptic import Grid2D, read_field_raw, write_field_text
+from axisolver.errors import DomainError
 from axisolver.sov import SovPreconditioner
 
 
@@ -766,6 +768,80 @@ def test_acoustic_snapshot_beyond_the_raw_float32_range_exits_2(tmp_path,
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, value", [
+    ("poisson", "1e308"), ("elliptic", "1e308"), ("elliptic", "1e200")])
+def test_rhs_beyond_the_float_range_exits_2_without_a_warning(
+        tmp_path, capsys, command, value):
+    # r * 1e308 overflowed in weighted_source; at 1e200 the solver's dots
+    # overflowed and PCG broke down (exit 3).  The weighted source names
+    # its key, and the solver runs on the rhs scaled by a power of two, so
+    # only the float32 solution panel is out of range
+    cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 8\n"
+                    f"[rhs]\nkind = uniform\nvalue = {value}\n")
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(
+        capsys, "[rhs] value" if value == "1e308" else "float32")
+
+
+@pytest.mark.parametrize("method", ["pcg", "chebyshev"])
+def test_elliptic_solution_scales_exactly_with_a_power_of_two_rhs(tmp_path,
+                                                                   method):
+    # the solve runs on the rhs scaled to a largest magnitude in [0.5, 1)
+    # and scales the solution back: a rhs 2**40 times larger gives the
+    # solution 2**40 times larger, bit for bit, in the same iterations
+    runs = []
+    for value in ("1.0", repr(2.0 ** 40)):
+        cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 17\nnz = 16\n"
+                        f"[rhs]\nkind = uniform\nvalue = {value}\n"
+                        f"[solver]\nmethod = {method}\n")
+        out = tmp_path / f"out-{value}"
+        assert run_cli("elliptic", "--config", cfg, "--out", str(out)) == 0
+        runs.append((read_field_raw(out / "solution.raw")[1],
+                     report_value(out, "iterations")))
+    (unit, its), (big, big_its) = runs
+    assert big.tobytes() == (unit * 2.0 ** 40).tobytes() and its == big_its
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model, name", [
+    ("speed = 1e-308", "speed"), ("rho = 1e200", "speed"),
+    ("kind = fault\nv_bottom = 5e-324", "v_bottom")])
+def test_medium_that_underflows_exits_2_naming_its_key(tmp_path, capsys,
+                                                       model, name):
+    # (speed / rho)^2 underflowed to 0: assemble refused the zero
+    # diffusion as a solver error (exit 3)
+    cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 8\n"
+                    "[laguerre]\nn_terms = 4\n[model]\n" + model + "\n")
+    assert run_cli("acoustic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, name)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_acoustic_f0_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # 2 pi f0 overflowed, and the projection took sin(inf) with a warning
+    cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 8\n"
+                    "[laguerre]\nn_terms = 4\n[source]\nf0 = 1e308\n")
+    assert run_cli("acoustic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, "f0")
+
+
+@pytest.mark.parametrize("bench", ["alpha = 1e308", "beta = 1e308",
+                                   "gamma = 1e308"])
+def test_bench_model_time_beyond_the_float_range_exits_2(tmp_path, capsys,
+                                                         bench):
+    # the predicted times overflowed and bench.csv read inf
+    cfg = write_cfg(tmp_path / "run.cfg",
+                    f"[bench]\nranks = 2, 4\nn = 64\n{bench}\n")
+    out = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--out", str(out)) == 2
+    assert_one_line_config_error(capsys, "[bench] alpha, beta and gamma")
+    assert not (out / "bench.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, section, bad", [
     ("acoustic", "laguerre", "h = inf"),
     ("poisson", "grid", "rmax = inf"),
@@ -1120,3 +1196,182 @@ def test_generated_configs_end_in_documented_exit_codes(
                        str(Path(tmp) / "out"))
     # bench builds its own dominant system, so only its configuration fails
     assert code in ({0, 2} if command == "bench" else DOCUMENTED_EXITS)
+
+
+# ---------------------------------------------------------------------------
+# every configuration key under one list of generated values
+# ---------------------------------------------------------------------------
+
+
+GENERATED_VALUES = ["0", "-1", "-0.0", "nan", "inf", "-inf", "1e200",
+                    "1e308", "1e400", "1e-308", "5e-324", "2.5", "", "x",
+                    "100000000000000000000"]
+# keys that size an allocation, a loop or a thread count: they take only
+# the values that cannot become a huge integer, and their validators take
+# the rest (test_library_validators_under_the_generated_values)
+SIZE_KEYS = {("grid", "nr"), ("grid", "nz"), ("laguerre", "n_terms"),
+             ("solver", "maxiter"), ("solver", "ranks"), ("bench", "n"),
+             ("bench", "batch"), ("bench", "repeats"), ("bench", "ranks")}
+HUGE_VALUES = {"1e200", "1e308", "1e400", "100000000000000000000"}
+SECTIONS_READ = {
+    "poisson": ("grid", "model", "rhs", "solver", "output"),
+    "elliptic": ("grid", "model", "rhs", "solver", "output"),
+    "acoustic": ("grid", "model", "solver", "laguerre", "source",
+                 "receivers", "snapshot", "output"),
+    "bench": ("solver", "bench", "output"),
+}
+# the small run every case starts from
+GENERATED_BASE = {("grid", "nr"): "9", ("grid", "nz"): "8",
+                  ("laguerre", "n_terms"): "4", ("solver", "maxiter"): "50",
+                  ("bench", "n"): "64", ("bench", "ranks"): "2, 4",
+                  ("bench", "repeats"): "1", ("output", "dir"): "out"}
+FAULT_KEYS = {"v_top", "v_bottom", "interface_z", "throw", "fault_r", "dip"}
+
+
+def _reading_context(command, section, key, panel):
+    """The base keys that make ``command`` read ``[section] key``."""
+    if section == "model" and command == "acoustic" and key in FAULT_KEYS:
+        return {("model", "kind"): "fault"}
+    if section == "model" and command == "elliptic" and key == "kappa_file":
+        return {("model", "kind"): "files"}
+    if section == "model" and command == "elliptic" \
+            and key == "reaction_file":
+        return {("model", "kind"): "files", ("model", "kappa_file"): panel}
+    if section == "rhs" and key in ("value", "path"):
+        return {("rhs", "kind"): "uniform" if key == "value" else "file"}
+    return {}
+
+
+def _non_finite_artifacts(outdir):
+    """Every number an exit-0 run wrote that is not finite, as
+    (file, entry) pairs.  ``bench.csv``'s model columns read nan by design
+    where p is not a power of two >= 2; ``effective.cfg`` echoes the input."""
+    bad = []
+    for path in sorted(outdir.iterdir()):
+        if path.suffix == ".raw":
+            _, field = read_field_raw(path)
+            bad += [(path.name, "raw")] if not np.isfinite(field).all() else []
+            continue
+        if path.suffix not in (".csv", ".txt"):
+            continue
+        for n, line in enumerate(path.read_text(encoding="ascii")
+                                 .splitlines()):
+            if path.name == "report.txt":
+                key, _, line = line.partition(" = ")
+                if key == "operator_checksum":
+                    continue
+            cells = [c.strip() for c in line.split(",")]
+            if path.name == "bench.csv" and n and cells[0].isdigit():
+                p = int(cells[0])
+                if p < 2 or p & (p - 1):
+                    cells = cells[:-2]
+            for cell in cells:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                if not math.isfinite(value):
+                    bad.append((path.name, line))
+    return bad
+
+
+@pytest.mark.parametrize("command", sorted(SECTIONS_READ))
+def test_every_key_under_the_generated_values_ends_in_a_documented_exit(
+        tmp_path, monkeypatch, capsys, command):
+    # every key the command reads, one at a time, under the whole value
+    # list: each run ends in exit 0, 2, 3 or 4, warnings being errors here,
+    # with no traceback; a failure prints one line, and an exit 0 leaves
+    # only finite numbers in its artifacts
+    monkeypatch.chdir(tmp_path)
+    write_field_text("panel.txt", Grid2D(9, 8, 950.0, 950.0),
+                     np.ones((8, 9)))
+    panel = str(tmp_path / "panel.txt")
+    outcomes = []
+    for section in SECTIONS_READ[command]:
+        for key in config.DEFAULTS[section]:
+            for value in GENERATED_VALUES:
+                if (section, key) in SIZE_KEYS and value in HUGE_VALUES:
+                    continue
+                values = {**GENERATED_BASE,
+                          **_reading_context(command, section, key, panel),
+                          (section, key): value}
+                lines = {}
+                for (s, k), v in values.items():
+                    lines.setdefault(s, []).append(f"{k} = {v}")
+                Path("run.cfg").write_text("".join(
+                    f"[{s}]\n" + "\n".join(body) + "\n"
+                    for s, body in lines.items()), encoding="ascii")
+                case = f"{command} [{section}] {key} = {value!r}"
+                try:
+                    code = run_cli(command, "--config", "run.cfg")
+                except BaseException as exc:  # a traceback or a warning
+                    outcomes.append(f"{case}: {type(exc).__name__}: {exc}")
+                    continue
+                err = capsys.readouterr().err
+                if code not in DOCUMENTED_EXITS:
+                    outcomes.append(f"{case}: exit {code}")
+                elif code and err.count("\n") != 1:
+                    outcomes.append(f"{case}: exit {code} printed {err!r}")
+                elif code == 0 and value and key != "dir":
+                    bad = _non_finite_artifacts(Path("out"))
+                    if bad:
+                        outcomes.append(f"{case}: exit 0 wrote {bad[:2]}")
+    assert outcomes == []
+
+
+LIBRARY_VALUES = [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf, 1e200,
+                  1e308, 1e-308, 5e-324, 2.5, 10 ** 20]
+
+
+def _usable(built):
+    """Whether what a library builder returned evaluates to finite
+    numbers where the runs read it."""
+    if isinstance(built, Grid2D):
+        return all(0.0 < v < math.inf for v in (built.dr, built.dz,
+                                                 *built.spacing_squares()))
+    if isinstance(built, acoustic.MediumModel):
+        r, z = np.array([[0.0], [1.0], [500.0], [950.0]]), \
+            np.array([0.0, 475.0, 476.0, 950.0])
+        return all(np.all((v > 0.0) & np.isfinite(v))
+                   for v in (built.v_s(r, z), built.rho(r, z))) \
+            and 0.0 < built.max_speed < math.inf
+    if isinstance(built, acoustic.Wavelet):
+        t = np.array([0.0, built.onset, built.t0, built.support_end, 1.0,
+                      1e300, -1e300])
+        return bool(np.all(np.isfinite(built(t)))) and built.half_width >= 0
+    return isinstance(built, acoustic.LaguerreParams)
+
+
+@pytest.mark.parametrize("builder, base", [
+    (Grid2D, dict(nr=9, nz=8, rmax=950.0, zmax=950.0)),
+    (acoustic.MediumModel.homogeneous, dict(speed=2000.0, rho=1.0)),
+    (acoustic.MediumModel.fault, dict(v_top=1800.0, v_bottom=2200.0,
+                                      interface_z=475.0, throw=120.0,
+                                      fault_r=400.0, dip=0.0, rho=1.0)),
+    (acoustic.LaguerreParams, dict(h=280.0, alpha=5, n_terms=8)),
+    (acoustic.Wavelet, dict(f0=10.0, t0=0.4, gamma=4.0, amplitude=1.0)),
+], ids=["Grid2D", "homogeneous", "fault", "LaguerreParams", "Wavelet"])
+def test_library_validators_under_the_generated_values(builder, base):
+    # the builders the command line reaches only through its own checks,
+    # each argument under the numeric values of the list (1e400 reads as
+    # inf, and the sizes take 10**20 here, where nothing is allocated):
+    # each raises DomainError or builds something that evaluates finite,
+    # warnings being errors
+    outcomes = []
+    for name in base:
+        for value in LIBRARY_VALUES:
+            try:
+                built = builder(**{**base, name: value})
+            except DomainError:
+                continue
+            except Exception as exc:
+                outcomes.append(f"{name} = {value!r}: "
+                                f"{type(exc).__name__}: {exc}")
+                continue
+            try:
+                if not _usable(built):
+                    outcomes.append(f"{name} = {value!r}: not finite")
+            except Exception as exc:
+                outcomes.append(f"{name} = {value!r}: evaluating: "
+                                f"{type(exc).__name__}: {exc}")
+    assert outcomes == []

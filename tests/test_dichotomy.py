@@ -925,6 +925,14 @@ def test_cost_model_plugin_examples():
     assert predict_time_cyclic(4, 1, 1.0, 1.0, 1.0) == pytest.approx(12.0)
 
 
+def test_cost_model_times_beyond_the_float_range_raise():
+    # finite parameters whose predicted time overflows gave inf
+    for model in (predict_time_dichotomy, predict_time_cyclic):
+        for alpha, beta, gamma in ((1e308, 0.0, 0.0), (0.0, 1e308, 1e308)):
+            with pytest.raises(DomainError, match="float range"):
+                model(8, 4, alpha, beta, gamma)
+
+
 def test_cost_model_large_series_ratio():
     # alpha=0, beta=gamma, large l: ratio tends to a closed-form constant
     l = 1e9

@@ -39,7 +39,7 @@ from axisolver.errors import (
     NonPositiveCoefficient,
 )
 
-from oracles import operator_dense
+from oracles import apply_spd_reference, operator_dense
 
 
 def dense_oracle(op):
@@ -332,6 +332,14 @@ def test_weighted_source_rejects_nonfinite_samples(bad):
         weighted_source(g, lambda r, z: np.where(z > 0.5, bad, 1.0) + 0.0 * r)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weighted_source_beyond_the_float_range_raises_domain_error():
+    # r * f overflowed with a numpy warning before the finiteness check
+    g = Grid2D(9, 8, 950.0, 950.0)
+    with pytest.raises(DomainError, match="source: r \\* sample overflows"):
+        weighted_source(g, lambda r, z: np.full(np.shape(r), 1e308))
+
+
 def test_operator_shape_validation():
     g = Grid2D(4, 3, 1.0, 1.0)
     ok = assemble(g, unit_fields())
@@ -412,6 +420,60 @@ def test_apply_accepts_flat_and_grid_shapes():
         op.apply_spd(np.zeros(op.grid.n_unknowns + 1))
     with pytest.raises(DimensionMismatch):
         op.apply_spd(np.zeros((2, 2)))
+
+
+def _apply_inputs(g, seed):
+    """Fields of ``g``'s unknown shape in every layout ``apply_spd`` may
+    meet, each holding ordinary, signed-zero, subnormal or 1e300-scale
+    values: (name, array) pairs, flat ones included."""
+    rng = np.random.default_rng(seed)
+    shape = g.unknown_shape
+    signs = rng.choice([-1.0, 1.0], size=shape)
+    values = {
+        "normal": rng.standard_normal(shape),
+        "signed zeros": signs * 0.0,
+        "zeros among values": np.where(rng.random(shape) < 0.5, signs * 0.0,
+                                       rng.standard_normal(shape)),
+        "subnormal": signs * rng.choice([5e-324, 1e-310, 2.2e-308], shape),
+        "1e300 scale": signs * rng.uniform(0.5, 1.5, shape) * 1e300,
+    }
+    for name, v in values.items():
+        yield name + ", C order", v.copy()
+        yield name + ", F order", np.asfortranarray(v)
+        yield name + ", flat", v.ravel().copy()
+        taller = np.repeat(v, 2, axis=0)
+        taller[1::2] = np.nan                       # rows the view skips
+        yield name + ", every other row", taller[::2]
+        wider = np.repeat(v, 2, axis=1)
+        wider[:, 1::2] = np.nan
+        yield name + ", every other column", wider[:, ::2]
+        longer = np.repeat(v.ravel(), 2)
+        longer[1::2] = np.nan
+        yield name + ", flat every other entry", longer[::2]
+
+
+@pytest.mark.parametrize("nr, nz", [(2, 2), (2, 5), (3, 4), (3, 7),
+                                    (8, 6), (9, 9), (17, 4)])
+def test_apply_is_bitwise_its_two_dimensional_form(nr, nz):
+    # the flat radial difference crosses every row end, all of them at
+    # nr = 2, where a row holds one unknown; the crossing entries must be
+    # overwritten and must feed no unknown, and the signed zeros, the
+    # subnormals and the overflowing products must come out as the
+    # column-trimmed slices give them
+    g = Grid2D(nr, nz, 1.3, 0.9)
+    op = assemble(g, CoefficientFields(
+        lambda r, z: 1.0 + 0.3 * r + 0.2 * z * z,
+        lambda r, z: np.where(z < 0.45, 0.0, 0.2 + 0.1 * r * z)))
+    for name, y in _apply_inputs(g, seed=nr * 100 + nz):
+        before = y.copy()
+        y.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = op.apply_spd(y)
+            ref = apply_spd_reference(op, y)
+        assert out.tobytes() == ref.tobytes(), name
+        assert out.shape == y.shape, name
+        assert out.flags.c_contiguous and out.flags.writeable, name
+        assert y.tobytes() == before.tobytes(), name
 
 
 def test_dense_matches_loop_oracle_variable_coefficients():

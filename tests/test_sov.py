@@ -18,13 +18,15 @@ from axisolver.acoustic import (LaguerreParams, MediumModel, Wavelet,
                                 solve_all_harmonics)
 from axisolver.comm import CommWorld
 from axisolver.dichotomy import Partition, block_shape, build_plan, solve_many
-from axisolver.elliptic import CoefficientFields, Grid2D, assemble
+from axisolver.elliptic import (CoefficientFields, DiscreteOperator, Grid2D,
+                                assemble)
 from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
                               NonPositiveCoefficient)
 from axisolver.kernels import multi_apply, multi_factor
 from axisolver.sov import SovPreconditioner, recovered_midranges
 
-from oracles import midranges_reference, operator_dense, sov_operator
+from oracles import (midranges_reference, operator_dense,
+                     sample_ranges_reference, sov_operator)
 
 
 def dense_reference(M):
@@ -108,6 +110,33 @@ def test_recovered_midranges_are_bitwise_the_pooled_samples(kappa):
     g = Grid2D(16, 8, 1.0, 1.0)
     op = assemble(g, CoefficientFields(kappa, lambda r, z: 0.5 + 0.5 * r))
     assert recovered_midranges(op) == midranges_reference(op)
+
+
+@pytest.mark.parametrize("nr, nz", [(2, 2), (3, 5), (16, 8), (33, 17)])
+def test_sample_ranges_are_bitwise_the_full_quotients_extremes(nr, nz):
+    # the extremes are taken per column, then divided by its r; rough
+    # weighted arrays spanning 200 decades, reactions with zeros, and
+    # operators that differ from one another by one entry near the extremes
+    g = Grid2D(nr, nz, 1.7, 1.1)
+    rng = np.random.default_rng(nr * nz)
+    for _ in range(20):
+        r_faces = 10.0 ** rng.uniform(-100, 100, (g.nz, g.nr))
+        r_faces[:, 0] = 0.0
+        z_faces = 10.0 ** rng.uniform(-100, 100, (g.nz + 1, g.nr - 1))
+        z_faces[[0, -1]] = 0.0
+        reaction = np.where(rng.random(g.unknown_shape) < 0.3, 0.0,
+                            rng.uniform(0.0, 2.0, g.unknown_shape))
+        op = DiscreteOperator(grid=g, r_faces=r_faces, z_faces=z_faces,
+                              reaction=reaction)
+        assert (sov_module._sample_ranges(op)
+                == sample_ranges_reference(op))
+        # near-ties across columns: one entry nudged by one ulp
+        k, j = rng.integers(g.nz), rng.integers(1, g.nr)
+        r_faces[k, j] = np.nextafter(r_faces[k, j], 0.0)
+        op = DiscreteOperator(grid=g, r_faces=r_faces, z_faces=z_faces,
+                              reaction=reaction)
+        assert (sov_module._sample_ranges(op)
+                == sample_ranges_reference(op))
 
 
 def test_mode_eigenvalues_frozen():
