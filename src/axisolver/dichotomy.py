@@ -12,11 +12,15 @@ each reduce carries 2*L*M scalars for L members with M right-hand sides.
 
 Blocked elimination.  Every elimination a solve runs -- the whole family
 at p = 1, every rank's interior at p >= 2 -- is one
-:class:`BlockElimination` (Wang, ACM TOMS 7, 1981): about sqrt(n) blocks
-of about sqrt(n) rows, all blocks of all members eliminated at once, then
-the separator rows between them.  A solve takes about 2 sqrt(n) batched
-row steps where one Thomas sweep takes 2 n; the Thomas kernels of
-:mod:`.kernels` remain the one elimination body beneath it.
+:class:`BlockElimination`, the splitting recipe on one process: about
+sqrt(n) blocks of about sqrt(n) rows with one separator row between
+neighbours.  As a rank does below, each block gives its separators their
+boundary values as dot products of its rhs with rows of its inverse; the
+separators' tridiagonal Schur complement then fixes the coupling, and
+every block of every member is eliminated once, with its separators
+known.  A solve takes about 2 sqrt(n) batched row steps where one Thomas
+sweep takes 2 n; the Thomas kernels of :mod:`.kernels` remain the one
+elimination body beneath it.
 
 Preparation.  At p = 1 it is the family's blocked elimination, which is the
 solve.  At p >= 2 two eliminations of the whole family -- top-down (pivots
@@ -123,28 +127,33 @@ def _to_blocks(a, width: int, m: int, P: int, fill: float) -> np.ndarray:
 
 
 class BlockElimination(NamedTuple):
-    """The elimination of L tridiagonal systems of one order in row blocks
-    (Wang, ACM TOMS 7, 1981), the partition of the splitting method on one
-    process.
+    """The elimination of L tridiagonal systems of one order in row blocks,
+    separators first: the splitting method's order on one process.
 
     The n rows split into P blocks of m rows with one separator row between
     neighbours (:func:`block_shape`), the last block padded with decoupled
     identity rows.  Every block of every member is factored as one
-    (m, P * L) family; each block keeps its spikes, its solutions against
-    its couplings to the separators on either side, and the separators'
-    (P - 1, L) tridiagonal Schur complement is factored too.  A solve
-    eliminates m rows of all blocks at once, solves the separators and
-    subtracts the spikes: about 2 sqrt(n) batched row steps, where one sweep
-    of the family takes 2 n.  Every kernel call goes through
-    :func:`thomas_factor` and :func:`thomas_apply`, and every array is
-    read-only, with the member axis last.
+    (m, P * L) family.  A separator's equation reads its two blocks' rhs
+    only through their dot products with the rows of the block inverses
+    that meet it, the last row of the block above and the first of the
+    block below (Terekhov, Parallel Computing 36, 2010), so each block
+    keeps those rows, scaled by the separator's coupling to them.  A solve
+    takes the separators from the (P - 1, L) tridiagonal Schur complement
+    they form, moves their couplings into the blocks' first and last rhs
+    rows and eliminates every block once, its solution final: about
+    2 sqrt(n) batched row steps, where one sweep of the family takes 2 n.
+    Every kernel call goes through :func:`thomas_factor` and
+    :func:`thomas_apply`, and every array is read-only, with the member
+    axis last.
     """
 
     blocks: MultiFactorization    # (m, P * L): block k of member l in column k * L + l
-    sep_lower: np.ndarray         # (P - 1, L): coupling of separator k to the row above
-    sep_upper: np.ndarray         # (P - 1, L): and to the row below
-    left: np.ndarray              # (m, P - 1, L): block k + 1 against its coupling to separator k
-    right: np.ndarray             # (m, P - 1, L): block k against its coupling to separator k
+    above: np.ndarray             # (P - 1, L): coupling of the row above separator k to it
+    below: np.ndarray             # (P - 1, L): and of the row below
+    left: np.ndarray              # (m, P - 1, L): first row of block k + 1's inverse
+                                  # times separator k's coupling to that block
+    right: np.ndarray             # (m, P - 1, L): last row of block k's inverse
+                                  # times separator k's coupling to that block
     schur: Optional[MultiFactorization]   # (P - 1, L); None when P = 1
 
     @property
@@ -165,26 +174,31 @@ class BlockElimination(NamedTuple):
         n, L = F.shape[0], self.nsys
         m, P = self.blocks.n, self.left.shape[1] + 1
         # W columns: one per member, or the M of a one-member batch, which
-        # the (., L) couplings and spikes broadcast over
+        # the (., L) couplings broadcast over
         F = F.reshape(n, -1)
         W = F.shape[1]
         Y = _to_blocks(F, m, m, P, 0.0)                 # (m, P, W)
-        rows = Y.reshape(m, P * L) if W == L else Y     # else (m, P, M)
-        thomas_apply(self.blocks, rows, out=rows)
         X2 = X.reshape(n, W)
         head = (P - 1) * (m + 1)
         if P > 1:
             sep = slice(m, head, m + 1)
-            r = F[sep] - self.sep_lower * Y[-1, :-1] - self.sep_upper * Y[0, 1:]
-            # a one-member batch: its M columns are M members sharing the
-            # Schur bands, so the family body runs them
-            schur = self.schur if W == L else MultiFactorization(
-                *(np.repeat(band, W, axis=1) for band in self.schur))
-            s = thomas_apply(schur, r)
-            c = self.left * s
-            Y[:, 1:] -= c
-            Y[:, :-1] -= np.multiply(self.right, s, out=c)
+            if W == L:
+                spec, left, right, schur = ("ikl,ikl->kl", self.left,
+                                            self.right, self.schur)
+            else:
+                # a one-member batch: its M columns are M members sharing
+                # the rows and the Schur bands, so the family body runs them
+                spec, left, right = ("ik,ikm->km", self.left[:, :, 0],
+                                     self.right[:, :, 0])
+                schur = MultiFactorization(
+                    *(np.repeat(band, W, axis=1) for band in self.schur))
+            s = thomas_apply(schur, F[sep] - np.einsum(spec, right, Y[:, :-1])
+                             - np.einsum(spec, left, Y[:, 1:]))
+            Y[-1, :-1] -= self.above * s
+            Y[0, 1:] -= self.below * s
             X2[sep] = s
+        rows = Y.reshape(m, P * L) if W == L else Y     # else (m, P, M)
+        thomas_apply(self.blocks, rows, out=rows)
         X2[:head].reshape(P - 1, m + 1, W)[:, :m] = Y[:, :-1].swapaxes(0, 1)
         X2[head:] = Y[: n - head, -1]
         return X
@@ -206,36 +220,42 @@ def block_factor(lower, diag, upper) -> BlockElimination:
     # separator k sits on row s = k (m + 1) + m, between rows s - 1 and s + 1
     sep = slice(m, (P - 1) * (m + 1), m + 1)
     above = slice(m - 1, sep.stop - 1, m + 1)
-    sep_lower, sep_upper = np.array(lower[above]), np.array(upper[sep])
+    to_above, to_below = np.array(upper[above]), np.array(lower[sep])
     left = right = np.empty((m, 0, L))
     schur = None
     if P > 1:
-        # spikes: block k + 1 against lower[s] on its first row (left[:, k]),
-        # solved for blocks 1..P-1 only, in place
-        left = np.zeros((m, (P - 1) * L))
-        left[0] = lower[sep].reshape(-1)
-        thomas_apply(MultiFactorization(*(a[:, L:] for a in blocks)), left,
-                     out=left)
-        left = left.reshape(m, P - 1, L)
-        # block k against upper[s - 1] on its last row (right[:, k]): the
-        # forward sweep over the zero rows leaves 0 / dn (zeros signed as
-        # the kernel's), the last row takes the coupling, and the kernel's
-        # back substitution follows
-        head = slice(0, (P - 1) * L)
-        right = np.divide(0.0, blocks.dn[:, head])
-        last = upper[above].reshape(-1)
-        if m > 1:
-            last = last - blocks.lower[-1, head] * right[-2]
-        np.divide(last, blocks.dn[-1, head], out=right[-1])
-        for i in range(m - 2, -1, -1):
-            right[i] -= blocks.cp[i, head] * right[i + 1]
-        right = right.reshape(m, P - 1, L)
-        schur = thomas_factor(
-            -sep_lower[1:] * left[-1, :-1],
-            diag[sep] - sep_lower * right[-1] - sep_upper * left[0],
-            -sep_upper[:-1] * right[0, 1:])
-    elim = BlockElimination(blocks, sep_lower, sep_upper, left, right, schur)
-    for arr in (*blocks, sep_lower, sep_upper, left, right, *(schur or ())):
+        # with the top-down factors of a block, B = L U (L: diagonal dn,
+        # subdiagonal lower; U: unit, superdiagonal cp), the last row of
+        # B^-1 is that of L^-1: entry m - 1 is 1/dn[m - 1], and entry j is
+        # entry j + 1 times -lower[j]/dn[j]; here scaled by lower[s - 1]
+        # (blocks 0..P-2)
+        head, tail = slice(0, (P - 1) * L), slice(L, P * L)
+        right = np.empty((m, (P - 1) * L))
+        np.divide(lower_b[:, head], blocks.dn[:-1, head], out=right[:-1])
+        np.negative(right[:-1], out=right[:-1])
+        np.divide(lower[above].reshape(-1), blocks.dn[-1, head],
+                  out=right[-1])
+        for j in range(m - 2, -1, -1):
+            right[j] *= right[j + 1]
+        # the first row is u L^-1 for u the first row of U^-1, the running
+        # product of -cp: one back substitution of L^T against u, here
+        # started from upper[s] for the scaling (blocks 1..P-1)
+        left = np.empty((m, (P - 1) * L))
+        left[0] = upper[sep].reshape(-1)
+        np.negative(blocks.cp[:, tail], out=left[1:])
+        for j in range(1, m):
+            left[j] *= left[j - 1]
+        left[-1] /= blocks.dn[-1, tail]
+        for j in range(m - 2, -1, -1):
+            left[j] -= lower_b[j, tail] * left[j + 1]
+            left[j] /= blocks.dn[j, tail]
+        left, right = (a.reshape(m, P - 1, L) for a in (left, right))
+        schur = thomas_factor(-right[0, 1:] * to_below[:-1],
+                              diag[sep] - right[-1] * to_above
+                              - left[0] * to_below,
+                              -left[-1, :-1] * to_above[1:])
+    elim = BlockElimination(blocks, to_above, to_below, left, right, schur)
+    for arr in (*blocks, to_above, to_below, left, right, *(schur or ())):
         arr.setflags(write=False)
     return elim
 
@@ -245,8 +265,8 @@ def _share(family: BlockElimination, cols: slice, k: int) -> BlockElimination:
     every later row is a padded identity row: the blocks and separators
     that hold those rows, so a solve of the k rows alone is bitwise the
     family's solve of them.  The blocks are copied, since a solve takes
-    them as one (m, blocks * members) family; the spikes and separators are
-    read-only views of the family's."""
+    them as one (m, blocks * members) family; the inverse rows and the
+    separators are read-only views of the family's."""
     m, P = family.blocks.n, family.left.shape[1] + 1
     keep = k // (m + 1) + 1        # blocks reaching row k - 1; fewer separators
     cut = P - keep
@@ -261,7 +281,7 @@ def _share(family: BlockElimination, cols: slice, k: int) -> BlockElimination:
 
     return BlockElimination(
         MultiFactorization(*map(block_part, family.blocks)),
-        sep_part(family.sep_lower), sep_part(family.sep_upper),
+        sep_part(family.above), sep_part(family.below),
         family.left[:, :keep - 1, cols], family.right[:, :keep - 1, cols],
         MultiFactorization(*map(sep_part, family.schur)) if keep > 1
         else None)
@@ -592,8 +612,8 @@ def local_betas(plan: DichotomyPlan, m: int, F_local) -> Tuple[np.ndarray, np.nd
         raise DimensionMismatch(
             f"a family of {len(plan)} needs one rhs column per member, "
             f"got {Q.shape[1]}")
-    bL = (rp.G_L * Q).sum(axis=0)
-    bR = (rp.G_R * Q).sum(axis=0)
+    bL = np.einsum("ij,ij->j", rp.G_L, Q)
+    bR = np.einsum("ij,ij->j", rp.G_R, Q)
     return (bL, bR) if F_local.ndim == 2 else (bL[0], bR[0])
 
 

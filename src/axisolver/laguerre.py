@@ -46,6 +46,7 @@ __all__ = [
 _RENORM = 1e250
 _LOG_RENORM = math.log(_RENORM)
 _HARD_LIMIT = 1e300
+_FLOAT_SPACING = float(np.finfo(np.float64).eps)
 
 
 def _validate(m_max: int, alpha: float, h: float) -> None:
@@ -188,13 +189,21 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
     count from 8 until two consecutive answers agree to 1e-10 relative to
     the largest coefficient; raises :class:`QuadratureNotConverged` past
     256 panels, and :class:`DomainError` when ``t_upper`` is not finite
-    and positive or a node's ``h t`` (:func:`scaled_times`) leaves the
-    float range.
+    and positive, when ``h t_upper`` is below the float spacing at 1 (the
+    functions are then constant over the support but for rounding, so
+    nothing can be resolved), or when a node's ``h t``
+    (:func:`scaled_times`) leaves the float range.
     """
     _validate(m_max, alpha, h)
     if not 0.0 < t_upper < math.inf:
         raise DomainError(f"t_upper must be positive and finite, "
                           f"got {t_upper}")
+    if not h * t_upper > _FLOAT_SPACING:
+        raise DomainError(
+            f"h = {h!r} keeps h t below {_FLOAT_SPACING!r}, the float "
+            f"spacing at 1, over the support [0, {t_upper!r}]: the Laguerre "
+            f"functions are constant there but for rounding, so the source "
+            f"cannot be projected")
     rule = _gauss_legendre_rule()
     prev = None
     panels = 8

@@ -32,8 +32,10 @@ elimination of the whole family, built directly from the mode bands by
 :func:`~axisolver.dichotomy.block_factor` (a plan would first copy the
 bands and check their dominance, which they have by construction): the
 n = nr - 1 radial rows split into about sqrt(n) blocks with one separator
-row between neighbours, so an application takes about 2 sqrt(n) batched
-row steps where one sweep of the family takes 2 n.  With ``ranks > 1`` the
+row between neighbours; an application takes the separators first, from
+dot products of the blocks' rhs with rows of the block inverses, then
+eliminates each block once, about 2 sqrt(n) batched row steps where one
+sweep of the family takes 2 n.  With ``ranks > 1`` the
 mode matrices form one family plan over one row partition and one
 communicator, and one launch runs one splitting protocol per application,
 whose messages carry every mode at once.  An application therefore sends

@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 
-from axisolver.dichotomy import BlockElimination, _to_blocks, block_shape
+from axisolver.dichotomy import BlockElimination, block_shape
 from axisolver.elliptic import CoefficientFields, DiscreteOperator, assemble
 from axisolver.errors import ZeroPivot
-from axisolver.kernels import multi_apply, multi_factor
+from axisolver.kernels import MultiFactorization, multi_factor
 
 
 def tridiagonal_dense(A):
@@ -196,27 +196,51 @@ def sample_ranges_reference(op):
 
 
 def block_factor_reference(lower, diag, upper):
-    """``dichotomy.block_factor`` in its first form, for n >= 3 rows: every
-    band laid out in blocks, and each spike from a full sweep of a zero
-    (m, P, L) right-hand side holding the coupling."""
+    """``dichotomy.block_factor`` one block of one member at a time, in
+    Python floats: each block's pivots by the scalar Thomas loop; the last
+    row of its inverse, times separator k's coupling ``lower[s - 1]``, from
+    that coupling over dn[m - 1] upwards by the factors -lower[j]/dn[j];
+    and its first row, times ``upper[s]``, as the solution q of q L = u,
+    for L the lower factor (diagonal dn, subdiagonal lower) and u the
+    running product of -cp from that coupling on."""
     n, L = diag.shape
     m, P = block_shape(n)
-    blocks = multi_factor(_to_blocks(lower, m - 1, m, P, 0.0)
-                          .reshape(m - 1, P * L),
-                          _to_blocks(diag, m, m, P, 1.0).reshape(m, P * L),
-                          _to_blocks(upper, m - 1, m, P, 0.0)
-                          .reshape(m - 1, P * L))
+    bands = [np.zeros((m - 1, P, L)), np.ones((m, P, L)),
+             np.zeros((m - 1, P, L))]
+    cp, dn = np.empty((m - 1, P, L)), np.empty((m, P, L))
+    left, right = np.empty((m, P - 1, L)), np.empty((m, P - 1, L))
+    zeros = np.zeros(m)
+    for k in range(P):
+        start = k * (m + 1)
+        rows = min(m, n - start)
+        for band, src in zip(bands, (lower, diag, upper)):
+            width = rows - (band.shape[0] < m)
+            band[:width, k] = src[start: start + width]
+        for l in range(L):
+            lo, dg, up = (band[:, k, l] for band in bands)
+            c, d, _ = scalar_thomas(lo, dg, up, zeros)
+            cp[:, k, l], dn[:, k, l] = c, d
+            if k < P - 1:                  # separator k on row start + m
+                row = [float(lower[start + m - 1, l]) / d[-1]]
+                for j in range(m - 2, -1, -1):
+                    row.append(row[-1] * (-lo[j] / d[j]))
+                right[:, k, l] = row[::-1]
+            if k > 0:                      # separator k - 1 on row start - 1
+                u = [float(upper[start - 1, l])]
+                for j in range(1, m):
+                    u.append(u[-1] * -c[j - 1])
+                row = [u[-1] / d[-1]]
+                for j in range(m - 2, -1, -1):
+                    row.append((u[j] - lo[j] * row[-1]) / d[j])
+                left[:, k - 1, l] = row[::-1]
+    blocks = MultiFactorization(bands[0].reshape(m - 1, P * L),
+                                cp.reshape(m - 1, P * L),
+                                dn.reshape(m, P * L))
     sep = slice(m, (P - 1) * (m + 1), m + 1)
     above = slice(m - 1, sep.stop - 1, m + 1)
-    sep_lower, sep_upper = np.array(lower[above]), np.array(upper[sep])
-    e = np.zeros((m, P, L))
-    e[0, 1:] = lower[sep]
-    left = multi_apply(blocks, e.reshape(m, P * L)).reshape(m, P, L)[:, 1:]
-    e[0] = 0.0
-    e[-1, :-1] = upper[above]
-    right = multi_apply(blocks, e.reshape(m, P * L)).reshape(m, P, L)[:, :-1]
+    to_above, to_below = upper[above], lower[sep]
     schur = multi_factor(
-        -sep_lower[1:] * left[-1, :-1],
-        diag[sep] - sep_lower * right[-1] - sep_upper * left[0],
-        -sep_upper[:-1] * right[0, 1:])
-    return BlockElimination(blocks, sep_lower, sep_upper, left, right, schur)
+        -right[0, 1:] * to_below[:-1],
+        diag[sep] - right[-1] * to_above - left[0] * to_below,
+        -left[-1, :-1] * to_above[1:]) if P > 1 else None
+    return BlockElimination(blocks, to_above, to_below, left, right, schur)

@@ -819,6 +819,19 @@ def test_medium_that_underflows_exits_2_naming_its_key(tmp_path, capsys,
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h", ["1e-308", "5e-324"])
+def test_acoustic_h_too_small_to_project_the_source_exits_2(tmp_path, capsys,
+                                                            h):
+    # h t stayed below the float spacing at 1 over the wavelet's support,
+    # and the projection failed to converge (exit 3)
+    cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 8\n"
+                    f"[laguerre]\nn_terms = 4\nh = {h}\n")
+    assert run_cli("acoustic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, f"h = {float(h)!r}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_acoustic_f0_beyond_the_float_range_exits_2(tmp_path, capsys):
     # 2 pi f0 overflowed, and the projection took sin(inf) with a warning
     cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 8\n"

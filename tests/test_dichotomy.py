@@ -10,6 +10,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
 from axisolver.tridiag import TridiagonalMatrix, thomas_solve
 
 from oracles import (arrays_of, block_factor_reference, plan_checksum,
-                     tridiagonal_dense)
+                     scalar_thomas, tridiagonal_dense)
 from recorded_traffic import per_rank, record_sends, split_levels
 
 
@@ -855,12 +856,12 @@ def test_block_elimination_matches_dense_at_every_order():
 
 
 def test_block_factor_is_bitwise_its_first_form():
-    # the spikes are solved on the blocks that keep them, the right ones
-    # by their back substitution alone, and one shared coupling band is
-    # laid out once; every array keeps the bits of full sweeps over zero
-    # right-hand sides, for distinct and for shared (symmetric) bands, and
-    # with zero couplings under positive and negative pivots, where only
-    # the sign of a zero could differ
+    # the inverse rows are formed for every block at once, each only on
+    # the blocks that keep it, and one shared coupling band is laid out
+    # once; every array keeps the bits of one block of one member at a
+    # time in Python floats, for distinct and for shared (symmetric)
+    # bands, and with zero couplings under positive and negative pivots,
+    # where only the sign of a zero could differ
     for n in (3, 4, 8, 15, 16, 17, 40, 99, 257):
         rng = np.random.default_rng(700 + n)
         family = random_family(rng, n, 5)
@@ -913,6 +914,104 @@ def test_one_member_batch_is_bitwise_its_columns_solved_apart(n):
     X = elim.solve(B)
     for j in range(5):
         assert X[:, j].tobytes() == elim.solve(B[:, j].copy()).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 256])
+def test_separators_first_solve_matches_the_scalar_thomas_loop(n):
+    # one block (n <= 2), two (n = 3, 6, 7; the last block of n = 6
+    # padded) and n = 256, whose last block holds one real row; distinct
+    # bands, zero couplings, and the same negated (negative pivots); a
+    # family, a one-member family's (n,) and (n, M) right-hand sides, and
+    # out=F: every column within 1e-14 of the scalar Thomas loop
+    assert [block_shape(k)[1] for k in (1, 2, 3, 6, 7)] == [1, 1, 2, 2, 2]
+    m, P = block_shape(n)
+    assert n != 256 or n - (P - 1) * (m + 1) == 1
+    rng = np.random.default_rng(900 + n)
+    family = random_family(rng, n, 4)
+    holes_lower, holes_upper = np.array(family.lower), np.array(family.upper)
+    holes_lower[::2] = 0.0
+    holes_upper[1::3, 1:] = 0.0
+    for lower, diag, upper in ((family.lower, family.diag, family.upper),
+                               (holes_lower, family.diag, holes_upper),
+                               (-holes_lower, -family.diag, -holes_upper)):
+        B = rng.normal(size=(n, 4))
+
+        def thomas(l, F):
+            return np.column_stack([scalar_thomas(
+                lower[:, l], diag[:, l], upper[:, l], f)[2] for f in F.T])
+
+        want = np.column_stack([thomas(l, B[:, l:l + 1]) for l in range(4)])
+        elim = block_factor(lower, diag, upper)
+        one = block_factor(lower[:, :1], diag[:, :1], upper[:, :1])
+        F = B.copy()
+        assert elim.solve(F, out=F) is F
+        batch = thomas(0, B)
+        for X, x in ((elim.solve(B), want), (F, want),
+                     (one.solve(B[:, 0])[:, None], batch[:, :1]),
+                     (one.solve(B[:, :1]), batch[:, :1]),
+                     (one.solve(B), batch)):
+            for j in range(x.shape[1]):
+                assert np.linalg.norm(X[:, j] - x[:, j]) \
+                    <= 1e-14 * np.linalg.norm(x[:, j])
+
+
+def test_block_elimination_keeps_rows_of_the_block_inverses():
+    # left[:, k] is the first row of block k + 1's inverse and right[:, k]
+    # the last row of block k's, each times separator k's coupling to
+    # that block; no spike is held
+    n, L = 40, 3
+    rng = np.random.default_rng(950)
+    family = random_family(rng, n, L)
+    elim = block_factor(family.lower, family.diag, family.upper)
+    m, P = block_shape(n)
+    assert elim.left.shape == elim.right.shape == (m, P - 1, L)
+    for k in range(P):
+        start, stop = k * (m + 1), min(k * (m + 1) + m, n)
+        for l in range(L):
+            block = TridiagonalMatrix(family.diag[start:stop, l],
+                                      family.upper[start:stop - 1, l],
+                                      family.lower[start:stop - 1, l])
+            inv = np.linalg.inv(tridiagonal_dense(block))
+            if k > 0:
+                first = family.upper[start - 1, l] * inv[0]
+                assert np.abs(elim.left[:inv.shape[0], k - 1, l] - first) \
+                    .max() <= 1e-14 * np.abs(first).max()
+            if k < P - 1:
+                last = family.lower[stop - 1, l] * inv[-1]
+                assert np.abs(elim.right[:, k, l] - last).max() \
+                    <= 1e-14 * np.abs(last).max()
+
+
+@pytest.mark.parametrize("L, W", [(4, 4), (1, 5)])
+def test_block_solve_is_one_sweep_and_one_schur_solve(monkeypatch, L, W):
+    # separators first: a solve makes one kernel call on the Schur
+    # complement and one on the blocks, and allocates no (m, P - 1, W)
+    # array beside its block copy of the rhs and its solution
+    n = 40 * 41 - 1                      # 40 blocks of 40 rows
+    rng = np.random.default_rng(960 + L)
+    family = random_family(rng, n, L)
+    elim = block_factor(family.lower, family.diag, family.upper)
+    m, P = elim.blocks.n, elim.left.shape[1] + 1
+    assert (m, P) == (40, 40)
+    calls = []
+    apply = dichotomy_module.thomas_apply
+
+    def counting(fact, F, out=None):
+        calls.append(fact.n)
+        return apply(fact, F, out=out)
+
+    monkeypatch.setattr(dichotomy_module, "thomas_apply", counting)
+    B = rng.normal(size=(n, W))
+    elim.solve(B)
+    assert calls == [P - 1, m]
+    tracemalloc.start()
+    try:
+        elim.solve(B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    spike = m * (P - 1) * W * 8
+    assert peak < m * P * W * 8 + B.nbytes + spike // 2
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,16 @@ def test_projection_validation():
         reconstruct_signal(np.ones(3), 2.0, 1.0, np.array([-1.0]))
 
 
+@pytest.mark.parametrize("h, t_upper", [(1e-308, 0.76), (5e-324, 0.76),
+                                         (1e-16, 1.0), (2.0, 5e-17)])
+def test_projection_refuses_a_support_the_functions_cannot_resolve(
+        h, t_upper):
+    # h t below the float spacing at 1 over the whole support: the
+    # quadrature could only fail to converge (a solver error)
+    with pytest.raises(DomainError, match="float spacing"):
+        project_source(lambda t: np.sin(t), 3, 5.0, h, t_upper=t_upper)
+
+
 @pytest.mark.parametrize("t_upper", [1e308, 1.7e308])
 def test_times_beyond_the_float_range_at_h_raise_without_a_warning(t_upper):
     # tau = h t overflows at h = 280, in the projection's nodes and in the
