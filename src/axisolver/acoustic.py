@@ -154,12 +154,11 @@ class Wavelet:
 @dataclass(frozen=True)
 class MediumModel:
     """Coefficient fields of the medium: ``v_s`` fills the diffusion slot of
-    the elliptic operator and ``rho`` the density; ``max_speed`` is the
-    largest front speed ``rho * sqrt(v_s)``, used by travel-time oracles."""
+    the elliptic operator and ``rho`` the density; the front speed is
+    ``rho * sqrt(v_s)``."""
 
     v_s: Callable
     rho: Callable
-    max_speed: float
 
     @classmethod
     def homogeneous(cls, speed: float, rho: float = 1.0) -> "MediumModel":
@@ -171,8 +170,7 @@ class MediumModel:
         vs = (speed / rho) ** 2
         return cls(v_s=lambda r, z: np.full(np.broadcast(r, z).shape, vs),
                    rho=lambda r, z: np.full(np.broadcast(r, z).shape, rho,
-                                            dtype=np.float64),
-                   max_speed=speed)
+                                            dtype=np.float64))
 
     @classmethod
     def fault(cls, v_top: float, v_bottom: float, interface_z: float,
@@ -211,8 +209,7 @@ class MediumModel:
 
         return cls(v_s=v_s,
                    rho=lambda r, z: np.full(np.broadcast(r, z).shape, rho,
-                                            dtype=np.float64),
-                   max_speed=max(v_top, v_bottom))
+                                            dtype=np.float64))
 
 
 @dataclass(frozen=True)

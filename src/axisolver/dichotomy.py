@@ -379,7 +379,6 @@ class RankPlan:
     Every array has a trailing member axis of length L.
     """
 
-    rank: int
     m_L: int
     m_R: int
     G_L: np.ndarray          # (size, L): row m_L of the inverse on rows m_L..m_R
@@ -576,7 +575,7 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
         for arr in (G_L, fold_left, fold_right):   # fresh: frozen in place
             arr.setflags(write=False)
         ranks.append(RankPlan(
-            rank=m, m_L=m_L, m_R=m_R,
+            m_L=m_L, m_R=m_R,
             G_L=G_L, G_R=frozen_copy(G_R),
             fold_left=fold_left, fold_right=fold_right,
             weights=weights[m - 1], interior_fact=interiors[m - 1],

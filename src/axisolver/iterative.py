@@ -10,11 +10,11 @@ stated in.
 preconditioner.  ``chebyshev_solve`` is the two-term Chebyshev semi-iteration
 over a given spectral interval of the preconditioned operator; it needs no
 inner products, so the residual norm is evaluated only at sparse convergence
-checkpoints (after the first step, every ``check_every`` steps and the last
-allowed step), making the per-step cost communication-free in a distributed
-setting.  Each method is one step generator run by one convergence loop.
-The Chebyshev interval comes from the caller; for the axisymmetric
-operator under the separable preconditioner,
+checkpoints (after the first step, every ``_CHECK_EVERY`` = 8 steps and the
+last allowed step), making the per-step cost communication-free in a
+distributed setting.  Each method is one step generator run by one
+convergence loop.  The Chebyshev interval comes from the caller; for the
+axisymmetric operator under the separable preconditioner,
 :meth:`axisolver.sov.SovPreconditioner.bounds_for` gives one in closed form
 that encloses the whole spectrum.
 
@@ -44,6 +44,8 @@ from .errors import (Breakdown, DomainError, InvalidBounds, MaxIterExceeded,
 
 __all__ = ["SpectralBounds", "IterationReport", "pcg_solve",
            "chebyshev_solve"]
+
+_CHECK_EVERY = 8        # Chebyshev's residual checkpoint interval, in steps
 
 
 @dataclass(frozen=True)
@@ -246,9 +248,8 @@ def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
 
 def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
                     bounds: SpectralBounds, *, tol: float = 1e-10,
-                    maxiter: int = 1000, check_every: int = 8,
-                    trace: Optional[Callable] = None, guess=None
-                    ) -> Tuple[np.ndarray, IterationReport]:
+                    maxiter: int = 1000, trace: Optional[Callable] = None,
+                    guess=None) -> Tuple[np.ndarray, IterationReport]:
     """Two-term Chebyshev semi-iteration over ``bounds``.
 
     The residual 2-norm is read only at the checkpoints of the module
@@ -257,10 +258,7 @@ def chebyshev_solve(apply_op: Callable, apply_pc: Callable, rhs,
     :func:`pcg_solve`.
     """
     f, maxiter, guess = _checked_problem(rhs, tol, maxiter, guess)
-    check_every = as_integer(check_every, InvalidBounds, "check_every")
-    if check_every < 1:
-        raise InvalidBounds(f"check_every must be >= 1, got {check_every}")
     return _run_to_tol(
         apply_op,
         lambda x, r: _chebyshev_steps(apply_op, apply_pc, x, r, bounds), f,
-        guess, tol, maxiter, check_every, trace)
+        guess, tol, maxiter, _CHECK_EVERY, trace)

@@ -47,6 +47,7 @@ _RENORM = 1e250
 _LOG_RENORM = math.log(_RENORM)
 _HARD_LIMIT = 1e300
 _FLOAT_SPACING = float(np.finfo(np.float64).eps)
+_SUM_ROUNDING = 64 * _FLOAT_SPACING
 
 
 def _validate(m_max: int, alpha: float, h: float) -> None:
@@ -187,12 +188,15 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
     The integral is evaluated on one 32-node Gauss-Legendre rule, built
     once per process and repeated on equal panels, doubling the panel
     count from 8 until two consecutive answers agree to 1e-10 relative to
-    the largest coefficient; raises :class:`QuadratureNotConverged` past
-    256 panels, and :class:`DomainError` when ``t_upper`` is not finite
-    and positive, when ``h t_upper`` is below the float spacing at 1 (the
-    functions are then constant over the support but for rounding, so
-    nothing can be resolved), or when a node's ``h t``
-    (:func:`scaled_times`) leaves the float range.
+    the largest coefficient plus the sums' own rounding floor, 64 float
+    spacings times the largest sum of term magnitudes (no panel count
+    settles the sums closer than that); raises
+    :class:`QuadratureNotConverged` past 256 panels, and
+    :class:`DomainError` when ``t_upper`` is not finite and positive, when
+    ``h t_upper`` is below the float spacing at 1 (the functions are then
+    constant over the support but for rounding, so nothing can be
+    resolved), or when a node's ``h t`` (:func:`scaled_times`) leaves the
+    float range.
     """
     _validate(m_max, alpha, h)
     if not 0.0 < t_upper < math.inf:
@@ -211,11 +215,14 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
         pts, wts = _gauss_legendre_panels(rule, 0.0, t_upper, panels)
         weights = laguerre_function_table(m_max, alpha, scaled_times(h, pts),
                                           h=h, include_power=False)
-        values = np.asarray(fn(pts), dtype=np.float64)
-        coeffs = (wts * values) @ weights
+        terms = wts * np.asarray(fn(pts), dtype=np.float64)
+        coeffs = terms @ weights
         if prev is not None:
-            scale = max(float(np.abs(coeffs).max()), 1e-300)
-            if float(np.abs(coeffs - prev).max()) <= 1e-10 * scale:
+            change = float(np.abs(coeffs - prev).max())
+            tol = 1e-10 * max(float(np.abs(coeffs).max()), 1e-300)
+            # the sums' rounding floor is formed only when tol alone fails
+            if change <= tol or change <= tol + _SUM_ROUNDING * float(
+                    (np.abs(terms) @ np.abs(weights)).max()):
                 return coeffs
         prev = coeffs
         panels *= 2

@@ -114,7 +114,6 @@ class SovPreconditioner:
         self.grid = grid
         self.vtilde = float(vtilde)
         self.shift = float(shift)
-        self.ranks = ranks
 
         nu = grid.nr - 1
         if ranks > 1 and nu < 2 * ranks:
@@ -192,16 +191,6 @@ class SovPreconditioner:
                 + g.r_nodes[:nu, None] * (self.vtilde * lam[None, :]
                                           + self.shift))
         return diag, -cond[1:nu]
-
-    def mode_matrix(self, l: int) -> TridiagonalMatrix:
-        """The tridiagonal radial system of cosine mode ``l`` (0-based)."""
-        l = as_integer(l, DomainError, "mode index")
-        nz = self.grid.nz
-        if not 0 <= l < nz:
-            raise DomainError(f"mode index {l} outside 0..{nz - 1}")
-        slot = 2 * l if 2 * l <= nz else 2 * (nz - l) + 1
-        diag, off = self._mode_bands()
-        return TridiagonalMatrix(diag[:, slot], off, off)
 
     # -- application --------------------------------------------------------
 

@@ -298,7 +298,6 @@ def test_medium_builders():
     homo = MediumModel.homogeneous(1500.0, rho=2.0)
     assert np.allclose(homo.v_s(r, z), (1500.0 / 2.0) ** 2)
     assert np.allclose(homo.rho(r, z), 2.0)
-    assert homo.max_speed == 1500.0
 
     fault = MediumModel.fault(1800.0, 2200.0, interface_z=400.0,
                               throw=120.0, fault_r=200.0, dip=0.1)
@@ -307,7 +306,6 @@ def test_medium_builders():
     assert fault.v_s(0.0, 401.0) == pytest.approx(2200.0 ** 2)
     assert fault.v_s(300.0, 500.0) == pytest.approx(1800.0 ** 2)  # 400+30+120
     assert fault.v_s(300.0, 560.0) == pytest.approx(2200.0 ** 2)
-    assert fault.max_speed == 2200.0
 
 
 def test_fault_dip_beyond_the_float_range_puts_the_interface_at_infinity():
@@ -530,8 +528,7 @@ def test_harmonic_operator_samples_the_medium_once():
             return np.full(np.broadcast(r, z).shape, value)
         return sampler
 
-    model = MediumModel(v_s=counting("v_s", 4.0), rho=counting("rho", 2.0),
-                        max_speed=4.0)
+    model = MediumModel(v_s=counting("v_s", 4.0), rho=counting("rho", 2.0))
     harmonic_operator(grid, model, LaguerreParams(h=100.0, alpha=3,
                                                   n_terms=4))
     assert calls == {

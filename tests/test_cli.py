@@ -832,6 +832,21 @@ def test_acoustic_h_too_small_to_project_the_source_exits_2(tmp_path, capsys,
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h", ["1e-4", "1e-10"])
+def test_acoustic_small_h_projects_the_source_to_the_rounding_of_its_sums(
+        tmp_path, capsys, h):
+    # the coefficients are about 4e-7 of the largest sum of term
+    # magnitudes, so 1e-10 of them lay below the sums' rounding and no
+    # panel count met it (exit 3)
+    cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 8\n"
+                    f"[laguerre]\nn_terms = 4\nh = {h}\n")
+    out = tmp_path / "out"
+    assert run_cli("acoustic", "--config", cfg, "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert _non_finite_artifacts(out) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_acoustic_f0_beyond_the_float_range_exits_2(tmp_path, capsys):
     # 2 pi f0 overflowed, and the projection took sin(inf) with a warning
     cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 8\n"
@@ -1346,8 +1361,7 @@ def _usable(built):
         r, z = np.array([[0.0], [1.0], [500.0], [950.0]]), \
             np.array([0.0, 475.0, 476.0, 950.0])
         return all(np.all((v > 0.0) & np.isfinite(v))
-                   for v in (built.v_s(r, z), built.rho(r, z))) \
-            and 0.0 < built.max_speed < math.inf
+                   for v in (built.v_s(r, z), built.rho(r, z)))
     if isinstance(built, acoustic.Wavelet):
         t = np.array([0.0, built.onset, built.t0, built.support_end, 1.0,
                       1e300, -1e300])

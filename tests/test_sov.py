@@ -22,8 +22,10 @@ from axisolver.elliptic import (CoefficientFields, DiscreteOperator, Grid2D,
                                 assemble)
 from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
                               NonPositiveCoefficient)
+from axisolver.fourier import spectral_modes
 from axisolver.kernels import multi_apply, multi_factor
 from axisolver.sov import SovPreconditioner, recovered_midranges
+from axisolver.tridiag import TridiagonalMatrix
 
 from oracles import (midranges_reference, operator_dense,
                      sample_ranges_reference, sov_operator)
@@ -51,7 +53,7 @@ def dense_reference(M):
 # ---------------------------------------------------------------------------
 
 
-def test_validation():
+def test_validation(monkeypatch):
     g = Grid2D(8, 4, 1.0, 1.0)
     with pytest.raises(NonPositiveCoefficient):
         SovPreconditioner(g, 0.0)
@@ -68,7 +70,17 @@ def test_validation():
     for ranks in (2.5, np.nan, np.inf, "2"):
         with pytest.raises(DomainError):
             SovPreconditioner(g, 1.0, ranks=ranks)
-    assert SovPreconditioner(g, 1.0, ranks=2.0).ranks == 2
+    # ranks = 2.0 counts as 2: one 2-rank world, whose applies send messages
+    worlds = []
+
+    def recording_world(p):
+        worlds.append(CommWorld(p))
+        return worlds[-1]
+
+    monkeypatch.setattr(sov_module, "CommWorld", recording_world)
+    SovPreconditioner(g, 1.0, ranks=2.0).apply_inverse(np.ones(g.unknown_shape))
+    (world,) = worlds
+    assert world.p == 2 and world.stats_snapshot().total_msgs() > 0
 
 
 @pytest.mark.parametrize("ranks", [1, 2])
@@ -145,8 +157,10 @@ def test_mode_eigenvalues_frozen():
     g = Grid2D(6, 4, 1.0, 1.0)
     M = SovPreconditioner(g, 1.0)
     r_in = g.r_nodes[: g.nr - 1]
-    lam = [float(np.mean((M.mode_matrix(l).diag - M.mode_matrix(0).diag)
-                         / r_in)) for l in range(g.nz)]
+    diag, _ = M._mode_bands()
+    slots = list(spectral_modes(g.nz))        # column j is mode slots[j]
+    lam = [float(np.mean((diag[:, slots.index(l)] - diag[:, 0]) / r_in))
+           for l in range(g.nz)]
     assert lam[0] == 0.0
     # l = 1: 4 sin^2(pi/8) / dz^2 with dz = 1/4
     assert lam[1] == pytest.approx(4 * np.sin(np.pi / 8) ** 2 * 16, rel=1e-14)
@@ -163,22 +177,16 @@ def test_mode_matrices_match_hand_assembly_and_dominate():
     nu = g.nr - 1
     face = np.arange(g.nr) * g.dr * 1.7
     r_in = g.r_nodes[:nu]
-    lam = 4.0 * np.sin(np.pi * np.arange(g.nz) / (2 * g.nz)) ** 2 / g.dz ** 2
-    for l in (0, 1, g.nz // 2, g.nz - 1):
-        T = M.mode_matrix(l)
+    diag, off = M._mode_bands()
+    np.testing.assert_allclose(off, -face[1:nu] / g.dr ** 2, rtol=1e-13)
+    # every member, the always-zero mode nz and both copies of nz/2 included
+    for j, l in enumerate(spectral_modes(g.nz)):
+        lam = 4.0 * np.sin(np.pi * l / (2 * g.nz)) ** 2 / g.dz ** 2
         np.testing.assert_allclose(
-            T.diag,
-            (face[:nu] + face[1:]) / g.dr ** 2 + r_in * (1.7 * lam[l] + 0.3),
+            diag[:, j],
+            (face[:nu] + face[1:]) / g.dr ** 2 + r_in * (1.7 * lam + 0.3),
             rtol=1e-13)
-        np.testing.assert_allclose(T.upper, -face[1:nu] / g.dr ** 2, rtol=1e-13)
-        np.testing.assert_array_equal(T.upper, T.lower)
-        assert T.is_diagonally_dominant()
-    with pytest.raises(DomainError):
-        M.mode_matrix(g.nz)
-    with pytest.raises(DomainError):
-        M.mode_matrix(1.5)
-    np.testing.assert_array_equal(M.mode_matrix(np.int64(1)).diag,
-                                  M.mode_matrix(1).diag)
+        assert TridiagonalMatrix(diag[:, j], off, off).is_diagonally_dominant()
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +380,9 @@ def test_distributed_apply_sends_one_protocol(nz, monkeypatch):
     M = SovPreconditioner(g, 1.3, 0.4, ranks=4)
     M.apply_inverse(np.ones(g.unknown_shape))
     (world,) = worlds
-    one = build_plan(M.mode_matrix(0), Partition.balanced(g.nr - 1, 4),
-                     CommWorld(4))
+    diag, off = M._mode_bands()                 # column 0 is mode 0
+    one = build_plan(TridiagonalMatrix(diag[:, 0], off, off),
+                     Partition.balanced(g.nr - 1, 4), CommWorld(4))
     solve_many(one, np.ones(g.nr - 1))
     assert world.stats_snapshot().total_msgs() == \
         one.world.stats_snapshot().total_msgs() == 7
