@@ -36,8 +36,8 @@ from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
                        write_field_raw)
 from .errors import DomainError, HarmonicSolveFailure, SolverError, as_integer
 from .iterative import SpectralBounds, chebyshev_solve, pcg_solve
-from .laguerre import (apply_half_power, laguerre_function_table,
-                       project_source, scaled_times)
+from .laguerre import (_in_range, laguerre_function_table, project_source,
+                       scaled_times)
 from .sov import SovPreconditioner
 
 __all__ = [
@@ -506,14 +506,12 @@ def solve_all_harmonics(grid: Grid2D, model: MediumModel,
 
 
 def _synthesis_weights(params: LaguerreParams, times) -> np.ndarray:
-    """Rows of ``(h t)^(alpha/2) * l_m(h t)`` for every requested time;
-    see :func:`~axisolver.laguerre.apply_half_power` for the log-space
-    product and its :class:`OverflowGuard`, and
-    :func:`~axisolver.laguerre.scaled_times` for the times it refuses."""
-    taus = scaled_times(params.h, times)
-    table = laguerre_function_table(params.n_terms - 1, params.alpha, taus,
-                                    h=params.h)
-    return apply_half_power(table, params.alpha, taus)
+    """Rows of ``(h t)^(alpha/2) l_m(h t)``, the Laguerre table at power
+    alpha, for every requested time (:func:`~axisolver.laguerre.scaled_times`
+    refuses a time, the table's :class:`OverflowGuard` a weight)."""
+    return laguerre_function_table(params.n_terms - 1, params.alpha,
+                                   scaled_times(params.h, times), h=params.h,
+                                   power=params.alpha)
 
 
 def reconstruct(series: LaguerreSeries, times,
@@ -533,17 +531,6 @@ def snapshot_field(series: LaguerreSeries, t: float) -> np.ndarray:
     weights = _synthesis_weights(series.params, [t])[0]
     return _in_range(lambda: np.tensordot(weights, series.harmonics,
                                           axes=(0, 0)), "snapshot values")
-
-
-def _in_range(synthesize: Callable, what: str) -> np.ndarray:
-    """The sums ``synthesize()`` forms; sums beyond the float range (of
-    finite harmonics too large for their weights) raise
-    :class:`DomainError` naming ``what``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = synthesize()
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"{what} leave the float range")
-    return out
 
 
 # ---------------------------------------------------------------------------

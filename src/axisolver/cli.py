@@ -36,11 +36,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .acoustic import (LaguerreParams, MediumModel, Wavelet,
-                       _synthesis_weights, harmonic_operator,
-                       solve_all_harmonics, reconstruct, write_seismogram,
-                       write_snapshot)
+                       _synthesis_weights, solve_all_harmonics, reconstruct,
+                       write_seismogram, write_snapshot)
 from .comm import EXECUTORS, CommWorld
-from .config import DEFAULTS, RunConfig, load_config
+from .config import RunConfig, load_config
 from .dichotomy import (Partition, build_plan, predict_time_cyclic,
                         predict_time_dichotomy, solve_many)
 from .elliptic import (CoefficientFields, DiscreteOperator, Grid2D, assemble,
@@ -287,6 +286,11 @@ def cmd_elliptic(cfg: RunConfig, outdir: str) -> int:
         cfg, {"homogeneous", "constant", "files"},
         lambda grid, fields, target:
             manufactured_problem(grid, target, fields)[:2])
+    if not pre.rounding_ratio <= 1.0:
+        raise ConfigError(
+            f"[grid] rmax = {grid.rmax!r} against zmax = {grid.zmax!r}: at "
+            f"dr/dz = {grid.dr / grid.dz:.3g} the preconditioner's rounding "
+            f"may outweigh its answer ({pre.rounding_ratio:.3g} in energy)")
     tol, maxiter = _stopping_rule(cfg)
     method = cfg.get_choice("solver", "method", _METHODS)
 

@@ -9,44 +9,47 @@ which are orthonormal on t in [0, inf):  integral l_m(ht) l_k(ht) dt =
 delta_mk.  A signal is represented through the asymmetric pair
 
     coefficients:   Q_m = integral_0^inf f(t) w_m(ht) dt,
-    reconstruction: f(t) = (ht)^(alpha/2) sum_m Q_m l_m(ht),
+    reconstruction: f(t) = sum_m Q_m (ht)^(alpha/2) l_m(ht),
 
-where ``w_m`` is ``l_m`` *without* the power factor ``tau^(alpha/2)`` (the
-two half-powers recombine to the full Laguerre weight ``tau^alpha`` between
-analysis and synthesis, making the pair exactly biorthogonal).  For
-``alpha >= 1`` every reconstruction vanishes at t = 0 identically, which is
-how the simulator imposes a quiescent start.
+one table (:func:`laguerre_function_table`) at three powers of tau over the
+analysis weight ``w_m`` (``l_m`` without its ``tau^(alpha/2)``): 0, alpha/2
+for ``l_m`` and alpha.  Analysis and synthesis powers add up to the weight
+``tau^alpha``, making the pair exactly biorthogonal; for ``alpha >= 1``
+every reconstruction vanishes at t = 0, the simulator's quiescent start.
 
 Evaluation uses the three-term recurrence of the *normalized* functions,
 
     l_{m+1} = [ (2m + alpha + 1 - tau) l_m - sqrt(m (m + alpha)) l_{m-1} ]
               / sqrt((m + 1)(m + alpha + 1)),
 
-started in log space so huge ``tau`` (deep exponential tails) cannot
-underflow the recurrence: values are carried as ``v * exp(D)`` with a
-per-point deficit ``D`` that is paid back through renormalization as the
-functions re-enter the representable range.
+which every power shares, started in log space from ``power log(tau)``
+so neither a huge ``tau`` nor a huge power of it leaves the float range on
+its own: values are carried as ``v * exp(D)`` with a per-point deficit
+``D`` that is paid back through renormalization as the functions re-enter
+the representable range.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, OverflowGuard, QuadratureNotConverged
 
 __all__ = [
-    "laguerre_function_table", "apply_half_power", "scaled_times",
-    "project_source", "reconstruct_signal",
+    "laguerre_function_table", "scaled_times", "project_source",
+    "reconstruct_signal",
 ]
 
 _RENORM = 1e250
 _LOG_RENORM = math.log(_RENORM)
 _HARD_LIMIT = 1e300
 _FLOAT_SPACING = float(np.finfo(np.float64).eps)
+_LOG_TINY = math.log(float(np.finfo(np.float64).tiny))
+_LN2 = math.log(2.0)
 _SUM_ROUNDING = 64 * _FLOAT_SPACING
 
 
@@ -59,40 +62,45 @@ def _validate(m_max: int, alpha: float, h: float) -> None:
         raise DomainError(f"scale h must be positive and finite, got {h}")
 
 
-def laguerre_function_table(m_max: int, alpha: float, taus, *, h: float = 1.0,
-                            include_power: bool = True) -> np.ndarray:
-    """Values of l_0..l_{m_max} at every ``tau`` in ``taus``; shape
-    (len(taus), m_max + 1).
+def _scaler(deficit: np.ndarray) -> Callable:
+    """``v -> v exp(deficit)`` rounded once: a subnormal ``exp(deficit)``
+    (too few bits for normal products) becomes a normal scale and ``ldexp``."""
+    k = np.minimum(np.floor((deficit - _LOG_TINY) / _LN2), 0.0)
+    k[np.isinf(k)] = 0.0                 # exp(-inf) = 0 needs no shift
+    scale = np.exp(deficit - k * _LN2)
+    if not k.any():
+        return lambda v: v * scale
+    return lambda v: np.ldexp(v * scale, k.astype(np.int64))
 
-    ``include_power=False`` drops the ``tau^(alpha/2)`` factor, producing the
-    analysis weights of :func:`project_source`.
-    """
+
+def laguerre_function_table(m_max: int, alpha: float, taus, *, h: float = 1.0,
+                            power: Optional[float] = None) -> np.ndarray:
+    """``tau^power w_m(tau)`` for m = 0..m_max at every ``tau`` in ``taus``,
+    shape (len(taus), m_max + 1): power 0 gives the analysis weights, the
+    default alpha/2 the orthonormal ``l_m`` and alpha the synthesis weights;
+    a value beyond the float range raises :class:`OverflowGuard`."""
     _validate(m_max, alpha, h)
     taus = np.asarray(taus, dtype=np.float64)
     if taus.ndim != 1:
         raise DomainError(f"taus must be one-dimensional, got {taus.shape}")
     if not np.all(np.isfinite(taus) & (taus >= 0.0)):
         raise DomainError("tau must be finite and >= 0")
+    power = 0.5 * alpha if power is None else power
 
-    # log of the m = 0 function; tau = 0 handled per the power factor
-    base = 0.5 * math.log(h) - 0.5 * math.lgamma(alpha + 1.0) - 0.5 * taus
-    if include_power and alpha != 0.0:
+    # D starts at the log of the m = 0 value; at tau = 0, -inf times power
+    deficit = 0.5 * math.log(h) - 0.5 * math.lgamma(alpha + 1.0) - 0.5 * taus
+    if power != 0.0:
         with np.errstate(divide="ignore"):
-            log_power = 0.5 * alpha * np.log(taus)
-        log0 = base + np.where(taus > 0.0, log_power,
-                               -np.inf if alpha > 0 else np.inf)
-    else:
-        log0 = base
+            deficit = deficit + power * np.log(taus)
 
     out = np.empty((taus.size, m_max + 1), dtype=np.float64)
-    deficit = log0.copy()
     v_prev = np.zeros_like(taus)
     v_curr = np.ones_like(taus)
     # a huge tau can overflow a step to inf (or inf - inf to NaN) before the
     # guard sees it: the guard, not a numpy warning, reports that
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        scale = np.exp(deficit)          # recomputed only when D changes
-        out[:, 0] = v_curr * scale
+        scaled = _scaler(deficit)        # rebuilt only when D changes
+        out[:, 0] = scaled(v_curr)
         for m in range(m_max):
             nxt = ((2 * m + alpha + 1.0 - taus) * v_curr
                    - math.sqrt(m * (m + alpha)) * v_prev)
@@ -109,34 +117,12 @@ def laguerre_function_table(m_max: int, alpha: float, taus, *, h: float = 1.0,
                 v_curr = np.where(big, v_curr / _RENORM, v_curr)
                 v_prev = np.where(big, v_prev / _RENORM, v_prev)
                 deficit = np.where(big, deficit + _LOG_RENORM, deficit)
-                scale = np.exp(deficit)
-            out[:, m + 1] = v_curr * scale
+                scaled = _scaler(deficit)
+            out[:, m + 1] = scaled(v_curr)
     if not np.all(np.isfinite(out)):
-        raise OverflowGuard("non-finite Laguerre function value")
+        raise OverflowGuard(f"tau^{power!r} w_m(tau) leaves the float range "
+                            f"for tau up to {float(taus.max())!r}")
     return out
-
-
-def apply_half_power(table: np.ndarray, alpha: float, taus) -> np.ndarray:
-    """Rows of ``table`` (one per ``tau``) times ``tau^(alpha/2)``: the
-    synthesis weights ``tau^(alpha/2) l_m(tau)`` for a table of l_m.
-
-    Each weight is formed in log space, ``sign(l) exp(alpha/2 log(tau) +
-    log|l|)``, so a power beyond the float range times a small Laguerre value
-    stays finite.  A weight that is itself beyond the float range raises
-    :class:`OverflowGuard` instead of reaching a signal as inf or NaN.
-    """
-    taus = np.asarray(taus, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore"):
-        # for alpha > 0 the weights vanish at tau = 0 (log power -inf)
-        log_power = (0.5 * alpha * np.log(taus) if alpha
-                     else np.zeros_like(taus))
-        weights = np.sign(table) * np.exp(log_power[:, None]
-                                          + np.log(np.abs(table)))
-    if not np.all(np.isfinite(weights)):
-        raise OverflowGuard(
-            f"synthesis weight tau^(alpha/2) l_m(tau) exceeds the float "
-            f"range at alpha = {alpha}, tau up to {float(taus.max())!r}")
-    return weights
 
 
 def scaled_times(h: float, times) -> np.ndarray:
@@ -214,7 +200,7 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
     while panels <= 256:
         pts, wts = _gauss_legendre_panels(rule, 0.0, t_upper, panels)
         weights = laguerre_function_table(m_max, alpha, scaled_times(h, pts),
-                                          h=h, include_power=False)
+                                          h=h, power=0.0)
         terms = wts * np.asarray(fn(pts), dtype=np.float64)
         coeffs = terms @ weights
         if prev is not None:
@@ -232,16 +218,26 @@ def project_source(fn: Callable, m_max: int, alpha: float, h: float, *,
 
 
 def reconstruct_signal(coeffs, alpha: float, h: float, times) -> np.ndarray:
-    """Synthesize ``(ht)^(alpha/2) sum_m Q_m l_m(ht)`` at every time; a
-    weight beyond the float range raises :class:`OverflowGuard`, and a
-    negative time or an ``h t`` beyond it (:func:`scaled_times`)
-    :class:`DomainError`."""
+    """Synthesize ``sum_m Q_m (ht)^(alpha/2) l_m(ht)`` at every time; a
+    weight beyond the float range raises :class:`OverflowGuard`, a sum
+    beyond it :class:`DomainError`, and so does a negative time or an
+    ``h t`` beyond it (:func:`scaled_times`)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise DomainError(f"need a 1-D coefficient vector, got {coeffs.shape}")
     times = np.asarray(times, dtype=np.float64)
     _validate(coeffs.size - 1, alpha, h)
-    taus = scaled_times(h, times)
-    table = laguerre_function_table(coeffs.size - 1, alpha, taus, h=h)
-    out = apply_half_power(table, alpha, taus) @ coeffs
-    return out.reshape(times.shape)
+    weights = laguerre_function_table(coeffs.size - 1, alpha,
+                                      scaled_times(h, times), h=h, power=alpha)
+    return _in_range(lambda: weights @ coeffs,
+                     "signal values").reshape(times.shape)
+
+
+def _in_range(synthesize: Callable, what: str) -> np.ndarray:
+    """The sums ``synthesize()`` forms; a sum beyond the float range raises
+    :class:`DomainError` naming ``what``, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = synthesize()
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"{what} leave the float range")
+    return out

@@ -154,6 +154,18 @@ class SovPreconditioner:
         # r_i = (i + 1/2) dr; dividing by dr twice never forms dr**2
         return self.vtilde / g.dr / g.dr / float((np.arange(nu) + 0.5) @ tail)
 
+    @property
+    def rounding_ratio(self) -> float:
+        """eps^2 nu (nu + 1/2) (4 a^2 + b) / (1 + b nu / 2), a = dr / dz, b =
+        shift dr^2 / vtilde: on a wide grid, the energy of the rounding eps |f|
+        left in mode 0 (eigenvalues >= vtilde / (nu dr) + shift dr / 2) over
+        an answer's |f|^2 / lambda_max(B); past 1, PCG's r^T z can be < 0."""
+        nu = self.grid.nr - 1
+        dr2, dz2 = self.grid.spacing_squares()
+        b = self.shift / self.vtilde * dr2
+        return (float(np.finfo(np.float64).eps) ** 2 * nu * (nu + 0.5)
+                * (4.0 * dr2 / dz2 + b) / (1.0 + 0.5 * nu * b))
+
     def bounds_for(self, op: DiscreteOperator) -> SpectralBounds:
         """An interval enclosing the spectrum of B^-1 A for A = ``op``.
 

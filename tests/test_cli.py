@@ -258,6 +258,52 @@ def test_grid_refuses_its_spacing_before_the_manufactured_solution(
     assert_one_line_config_error(capsys, f"grid spacing {spacing} = ")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("nr, nz", [(9, 8), (17, 16), (33, 32)])
+@pytest.mark.parametrize("shape", ["wide", "shallow"])
+def test_spacing_ratio_beyond_the_preconditioner_bound_exits_2(
+        tmp_path, capsys, nr, nz, shape):
+    # with no reaction, the rounding the preconditioner leaves in mode 0
+    # can outweigh its answer (SovPreconditioner.rounding_ratio > 1) once
+    # dr/dz passes 1/(2 eps sqrt(nu (nu + 1/2))): at 10 times that PCG
+    # stalled (exit 3) on every one of these grids, at 0.9 times it
+    # converges, the direct poisson solve keeps its residual either way,
+    # and a reaction stiffens mode 0 enough to lift the bound
+    nu = nr - 1
+    limit = 0.5 / np.finfo(np.float64).eps / math.sqrt(nu * (nu + 0.5))
+    grid = Grid2D(nr, nz, 950.0, 950.0)
+    outcomes = []
+    for share, q0 in ((0.9, 0.0), (1.1, 0.0), (10.0, 0.0), (10.0, 1.0)):
+        ratio = share * limit
+        extents = ((ratio * grid.dz * (nr - 0.5), 950.0) if shape == "wide"
+                   else (950.0, grid.dr / ratio * nz))
+        cfg = write_cfg(tmp_path / "run.cfg", f"[grid]\nnr = {nr}\nnz = {nz}"
+                        f"\nrmax = {float(extents[0])!r}\nzmax = "
+                        f"{float(extents[1])!r}\n[model]\nq0 = {q0!r}\n")
+        out = tmp_path / f"out{share}_{q0}"
+        code = run_cli("elliptic", "--config", cfg, "--out", str(out))
+        if code == 0:
+            outcomes.append(report_value(out, "converged"))
+            continue
+        outcomes.append(code)
+        assert_one_line_config_error(capsys, "[grid] rmax = ")
+        assert run_cli("poisson", "--config", cfg, "--out", str(out)) == 0
+        assert float(report_value(out, "relative_residual")) <= 1e-12
+    assert outcomes == ["True", 2, 2, "True"]
+
+
+@pytest.mark.parametrize("nr, nz", [(9, 8), (17, 16), (33, 32)])
+def test_tall_grids_stay_inside_the_spacing_ratio_bound(tmp_path, nr, nz):
+    # on a tall grid mode 0 is no softer than the others: a 1e20 m depth
+    # keeps dr/dz far inside the bound and the constant-coefficient
+    # solve takes one iteration
+    cfg = write_cfg(tmp_path / "run.cfg", f"[grid]\nnr = {nr}\nnz = {nz}\n"
+                    "rmax = 950.0\nzmax = 1e20\n")
+    out = tmp_path / "out"
+    assert run_cli("elliptic", "--config", cfg, "--out", str(out)) == 0
+    assert report_value(out, "iterations") == "1"
+
+
 @pytest.mark.parametrize("key, entry", [
     ("kappa_file", 0.0), ("kappa_file", -1.0), ("kappa_file", np.nan),
     ("reaction_file", -1.0)])
@@ -1254,6 +1300,13 @@ GENERATED_BASE = {("grid", "nr"): "9", ("grid", "nz"): "8",
                   ("bench", "n"): "64", ("bench", "ranks"): "2, 4",
                   ("bench", "repeats"): "1", ("output", "dir"): "out"}
 FAULT_KEYS = {"v_top", "v_bottom", "interface_z", "throw", "fault_r", "dip"}
+# cases whose exit is pinned, not just documented: a 1e20 m radius on the
+# 950 m deep base grid is past the preconditioner's rounding bound, a
+# configuration error, and the direct solve does not depend on that bound
+GENERATED_EXITS = {
+    ("elliptic", "grid", "rmax", "100000000000000000000"): 2,
+    ("poisson", "grid", "rmax", "100000000000000000000"): 0,
+}
 
 
 def _reading_context(command, section, key, panel):
@@ -1307,7 +1360,8 @@ def _non_finite_artifacts(outdir):
 def test_every_key_under_the_generated_values_ends_in_a_documented_exit(
         tmp_path, monkeypatch, capsys, command):
     # every key the command reads, one at a time, under the whole value
-    # list: each run ends in exit 0, 2, 3 or 4, warnings being errors here,
+    # list: each run ends in exit 0, 2, 3 or 4 (the one GENERATED_EXITS
+    # pins, where it pins one), warnings being errors here,
     # with no traceback; a failure prints one line, and an exit 0 leaves
     # only finite numbers in its artifacts
     monkeypatch.chdir(tmp_path)
@@ -1336,7 +1390,8 @@ def test_every_key_under_the_generated_values_ends_in_a_documented_exit(
                     outcomes.append(f"{case}: {type(exc).__name__}: {exc}")
                     continue
                 err = capsys.readouterr().err
-                if code not in DOCUMENTED_EXITS:
+                pinned = GENERATED_EXITS.get((command, section, key, value))
+                if code not in DOCUMENTED_EXITS or pinned not in (None, code):
                     outcomes.append(f"{case}: exit {code}")
                 elif code and err.count("\n") != 1:
                     outcomes.append(f"{case}: exit {code} printed {err!r}")

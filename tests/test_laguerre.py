@@ -26,16 +26,15 @@ from axisolver.laguerre import (
 )
 
 
-def scipy_reference(m_max, alpha, taus, h=1.0, include_power=True):
+def scipy_reference(m_max, alpha, taus, h=1.0, power=None):
+    """tau^power w_m(tau), the default power alpha/2 giving l_m."""
+    power = alpha / 2 if power is None else power
     m = np.arange(m_max + 1)
     lognorm = 0.5 * (math.log(h) + gammaln(m + 1) - gammaln(m + alpha + 1))
     out = np.zeros((len(taus), m_max + 1))
     for i, tau in enumerate(taus):
-        if include_power:
-            power = 1.0 if alpha == 0 else (tau ** (alpha / 2) if tau > 0 else 0.0)
-        else:
-            power = 1.0
-        out[i] = (np.exp(lognorm) * power * np.exp(-tau / 2)
+        factor = 1.0 if power == 0 else (tau ** power if tau > 0 else 0.0)
+        out[i] = (np.exp(lognorm) * factor * np.exp(-tau / 2)
                   * eval_genlaguerre(m, alpha, tau))
     return out
 
@@ -63,9 +62,65 @@ def test_table_matches_scipy(alpha, h):
 
 def test_analysis_weights_match_scipy():
     taus = np.array([0.0, 0.5, 3.0, 25.0])
-    ours = laguerre_function_table(40, 2.0, taus, h=7.0, include_power=False)
-    ref = scipy_reference(40, 2.0, taus, h=7.0, include_power=False)
+    ours = laguerre_function_table(40, 2.0, taus, h=7.0, power=0.0)
+    ref = scipy_reference(40, 2.0, taus, h=7.0, power=0.0)
     assert np.abs(ours - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.0, 5.0])
+@pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+def test_every_power_matches_scipy(alpha, share):
+    # analysis weights, l_m and synthesis weights are one table at powers
+    # 0, alpha/2 and alpha; tau^(alpha/2) scales the synthesis weights and
+    # their rounding with them
+    taus = np.array([0.0, 0.5, 3.0, 25.0, 120.0])
+    power = share * alpha
+    ours = laguerre_function_table(40, alpha, taus, h=7.0, power=power)
+    ref = scipy_reference(40, alpha, taus, h=7.0, power=power)
+    growth = np.maximum(taus, 1.0) ** max(power - 0.5 * alpha, 0.0)
+    assert np.all(np.abs(ours - ref) <= 1e-11 * growth[:, None])
+
+
+def test_powers_zero_and_half_alpha_keep_their_frozen_bits():
+    # the analysis weights and l_m keep frozen bits: sharing one table with
+    # the synthesis weights must not move them
+    taus = [0.0, 0.7, 12.5, 200.0]
+    frozen = {
+        0.0: [[1.5275252316519459, 3.7416573867739396, 6.999999999999997,
+               11.43095213298816],
+              [1.076428837489945, 2.329086233369749, 3.839375608817455,
+               5.509627164597223],
+              [0.0029488174016346885, -0.007825022810198439,
+               0.00748050977788237, 0.002159078229641708],
+              [5.682509917034101e-44, -4.500557420795853e-42,
+               2.309051158316146e-40, -8.951891428265227e-39]],
+        None: [[0.0, 0.0, 0.0, 0.0],
+               [0.44129644007082686, 0.9548401414075293, 1.5740035283862723,
+                2.25874555676514],
+               [1.6290068602943628, -4.322755228149011, 4.132436867713204,
+                1.1927334822592957],
+               [3.2145130371956936e-38, -2.5458997370913476e-36,
+                1.3061965857215987e-34, -5.0639545066976546e-33]]}
+    for power, rows in frozen.items():
+        table = laguerre_function_table(3, 5.0, taus, h=280.0, power=power)
+        assert table.tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("power", [0.0, 1.0, 2.0])
+def test_start_below_the_normal_range_keeps_full_precision(power):
+    # near tau = 1500 the m = 0 value is subnormal or underflows while the
+    # higher orders are normal: they keep the recurrence's precision
+    # instead of the few bits of a subnormal start (log-space reference)
+    alpha, h, m = 2.0, 280.0, np.arange(128)
+    taus = np.array([1460.0, 1480.0, 1500.0])
+    ours = laguerre_function_table(127, alpha, taus, h=h, power=power)
+    for row, tau in zip(ours, taus):
+        poly = eval_genlaguerre(m, alpha, tau)
+        ref = np.sign(poly) * np.exp(
+            0.5 * (math.log(h) + gammaln(m + 1) - gammaln(m + alpha + 1))
+            + power * math.log(tau) - 0.5 * tau + np.log(np.abs(poly)))
+        assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert ref[0] < 2.3e-308 < np.abs(ref).max()
 
 
 def test_row_is_first_table_row():
@@ -85,7 +140,7 @@ def test_value_at_origin():
     row = laguerre_function_table(10, 0.0, [0.0], h=9.0)[0]
     np.testing.assert_allclose(row, np.full(11, 3.0), rtol=1e-13)
     # analysis weights at 0: sqrt(h m! / (m+alpha)!) * binom(m+alpha, m)
-    w = laguerre_function_table(2, 2.0, [0.0], h=1.0, include_power=False)[0]
+    w = laguerre_function_table(2, 2.0, [0.0], h=1.0, power=0.0)[0]
     expect = [1.0 / np.sqrt(2.0), np.sqrt(6.0) / 2.0, np.sqrt(12.0) / 2.0]
     np.testing.assert_allclose(w, expect, rtol=1e-13)
 
@@ -294,6 +349,14 @@ def test_reconstruct_at_large_alpha_is_finite_or_raises_overflow_guard():
     with pytest.raises(OverflowGuard):
         reconstruct_signal(1e-3 * np.ones(16), alpha, h,
                            np.linspace(0, 1.2, 11))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reconstruct_refuses_a_sum_beyond_the_float_range():
+    # three coefficients of 1.7e308 overflow the sum at t = 1 and 3 while
+    # every weight is finite: DomainError, not inf or a numpy warning
+    with pytest.raises(DomainError, match="signal values leave the float"):
+        reconstruct_signal(np.full(3, 1.7e308), 2.0, 1.0, [1.0, 3.0])
 
 
 def test_reconstruct_preserves_time_shape():
