@@ -10,17 +10,17 @@ collective sums plus one local elimination per rank.  Every member travels
 in the same messages, so the message count of a solve does not depend on L:
 each reduce carries 2*L*M scalars for L members with M right-hand sides.
 
-Blocked elimination.  Every elimination a solve runs -- the whole family
-at p = 1, every rank's interior at p >= 2 -- is one
-:class:`BlockElimination`, the splitting recipe on one process: about
-sqrt(n) blocks of about sqrt(n) rows with one separator row between
-neighbours.  As a rank does below, each block gives its separators their
-boundary values as dot products of its rhs with rows of its inverse; the
-separators' tridiagonal Schur complement then fixes the coupling, and
-every block of every member is eliminated once, with its separators
-known.  A solve takes about 2 sqrt(n) batched row steps where one Thomas
-sweep takes 2 n; the Thomas kernels of :mod:`.kernels` remain the one
-elimination body beneath it.
+Blocked elimination.  Every elimination a solve runs -- the whole family at
+p = 1, every rank's interior at p >= 2 unless the interiors are short
+(below) -- is one :class:`BlockElimination`, the splitting recipe on one
+process: about sqrt(n) blocks of about sqrt(n) rows with one separator row
+between neighbours.  As a rank does below, each block gives its separators
+their boundary values as dot products of its rhs with rows of its inverse;
+the separators' tridiagonal Schur complement then fixes the coupling, and
+every block of every member is eliminated once, with its separators known.
+A solve takes about 2 sqrt(n) batched row steps where one Thomas sweep
+takes 2 n; the Thomas kernels of :mod:`.kernels` remain the one elimination
+body beneath it.
 
 Preparation.  At p = 1 it is the family's blocked elimination, which is the
 solve.  At p >= 2 two eliminations of the whole family -- top-down (pivots
@@ -40,18 +40,25 @@ solve.  At p >= 2 two eliminations of the whole family -- top-down (pivots
   splitting tree reads (:attr:`RankPlan.weights`), products of each
   block's products over its head (all rows but the last) and its last row;
 * the fold ratios ``(G_L)_{m_R}/(G_R)_{m_R}`` and ``(G_R)_{m_L}/(G_L)_{m_L}``;
-* the blocked elimination of its interior rows ``m_L+1..m_R-1`` and their
-  two couplings to the block's first and last rows.
+* the solver of its interior rows ``m_L+1..m_R-1`` and their two couplings
+  to the block's first and last rows.  When the longest interior k is
+  short, k**2 * L <= :data:`DENSE_INTERIOR_CAP` scalars, the solver is the
+  interior's dense inverse, and a rank's interior solve is one contraction;
+  otherwise it is the interior's blocked elimination.
 
-Each of these is a length-L vector (or an (·, L) array), so a rank's plan is
-O(n/p + log p) per member.  The build is three eliminations in total, plus
+Each of these but a dense inverse is a length-L vector (or an (·, L)
+array), so a rank's plan is O(n/p + log p) per member, plus at most
+DENSE_INTERIOR_CAP scalars.  The build is three eliminations in total, plus
 the Z products, all vectorized over the members: the two above, of n rows
 each, made in one kernel call on the family and its reversal side by side,
-and one blocked elimination of every rank's interior at once.  That last
-one lays the interiors side by side as a single (longest interior, R * L)
-family, R the number of blocks with an interior, padding each at its end
-with decoupled identity rows; each rank keeps its own columns over the
-blocks that hold its rows.
+and one of every rank's interior at once.  That last one lays the
+interiors side by side as a single (longest interior, R * L) family, R the
+number of blocks with an interior, padding each at its end with decoupled
+identity rows.  Short interiors are inverted in closed form, from one
+kernel call on that family and its reversal side by side, and each rank
+keeps the leading block of its members' inverses; longer ones are one
+blocked elimination, and each rank keeps its own columns over the blocks
+that hold its rows.
 
 Splitting: the rank interval is halved recursively at ``mid =
 ceil((lo+hi)/2)``.  The solution components at the middle rank's first/last
@@ -67,8 +74,8 @@ ceil(log2(p)) when p is a power of two; it is processed within the last level
 (it depends only on the fold that same level), keeping the level count exact.
 
 A solve allocates one (n, K) solution array, and every rank writes its own
-rows of it and no others: its first and last rows, then the elimination of
-its interior, which runs in place in the rows between them.  The ranks of a
+rows of it and no others: its first and last rows, then the solve of its
+interior, which runs in place in the rows between them.  The ranks of a
 launch never touch the same row, so they share the array under either
 executor.
 
@@ -83,7 +90,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -96,6 +103,28 @@ from .kernels import (MultiFactorization, multi_apply as thomas_apply,
 from .tridiag import TridiagonalMatrix, frozen_copy
 
 FOLD_RATIO_FLOOR = 1e-280
+
+# A plan holds every rank's interior as its dense inverse when the longest
+# interior k has k**2 * L <= DENSE_INTERIOR_CAP scalars (512 KB per rank): a
+# solve is then one contraction, where the blocked elimination pays about 25
+# numpy calls whatever k is.  Dense against blocked per interior solve (one
+# pinned CPU, one BLAS thread, best of 300): at L = 64, k = 14 / 32 / 48
+# took 10 / 31 / 62 against 42 / 57 / 66 us; at L = 256, k = 14 / 16 / 24
+# took 25 / 30 / 82 against 50 / 61 / 73 us; at L = 1, k = 256 took 22
+# against 115 us for one rhs, but 352 against 160 us for a batch of 8,
+# whose contraction grows with the batch (k = 128: 109 against 127 us).
+DENSE_INTERIOR_CAP = 2 ** 16
+
+
+def _checked_out(F: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``out``, once it is a C-contiguous array of ``F``'s shape, or a fresh
+    array of that shape when it is None; otherwise DimensionMismatch."""
+    if out is None:
+        return np.empty(F.shape)
+    if out.shape != F.shape or not out.flags.c_contiguous:
+        raise DimensionMismatch(f"out must be a C-contiguous array of "
+                                f"shape {F.shape}, got {out.shape}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +195,7 @@ class BlockElimination(NamedTuple):
         or for one member (n,) or (n, M), a batch of M.  ``out``, a
         C-contiguous array of ``F``'s shape, receives the solutions and may
         be ``F`` itself: all of ``F`` is read before ``out`` is written."""
-        if out is not None and (out.shape != F.shape
-                                or not out.flags.c_contiguous):
-            raise DimensionMismatch(f"out must be a C-contiguous array of "
-                                    f"shape {F.shape}, got {out.shape}")
-        X = np.empty(F.shape) if out is None else out
+        X = _checked_out(F, out)
         n, L = F.shape[0], self.nsys
         m, P = self.blocks.n, self.left.shape[1] + 1
         # W columns: one per member, or the M of a one-member batch, which
@@ -287,6 +312,68 @@ def _share(family: BlockElimination, cols: slice, k: int) -> BlockElimination:
         else None)
 
 
+class _DenseInverse(NamedTuple):
+    """L tridiagonal systems of k rows held as their inverses, for runs
+    short enough that one contraction beats a blocked elimination
+    (:data:`DENSE_INTERIOR_CAP`); read-only and C-contiguous."""
+
+    inverse: np.ndarray      # (k, k, L): entry [i, j, l] is (A_l^-1)_ij
+
+    @property
+    def nsys(self) -> int:
+        return self.inverse.shape[2]
+
+    def solve(self, F: np.ndarray, out: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+        """As :meth:`BlockElimination.solve`, by one ``np.einsum`` (no
+        BLAS, so no dependence on the host's BLAS threads)."""
+        X = _checked_out(F, out)
+        F2 = F.reshape(F.shape[0], -1)
+        if np.may_share_memory(X, F):
+            F2 = F2.copy()            # einsum's out must not alias its operand
+        spec, inverse = (("ijl,jl->il", self.inverse)
+                         if F2.shape[1] == self.nsys
+                         else ("ij,jm->im", self.inverse[:, :, 0]))
+        np.einsum(spec, inverse, F2, out=X.reshape(F2.shape))
+        return X
+
+
+def _dense_inverses(lower, diag, upper) -> np.ndarray:
+    """The inverses of the family with (k, W) ``diag`` and (k - 1, W)
+    ``lower``/``upper``, as a (k, k, W) array whose [i, j, w] is entry
+    (i, j) of member w's inverse.
+
+    Closed form, from one kernel call on the family and its reversal side
+    by side: the top-down pivots ``dn`` and ratios ``cp``, the bottom-up
+    ratios ``cq``.  Entry (i, i) is 1/(dn_i - upper_i cq_i) (1/dn on the
+    last row), as in :func:`build_plan`.  Where a row of the inverse grows
+    away from the diagonal by the factors of ``G_L``/``G_R``, a column
+    grows upwards by -cp_i and downwards by -cq_{i-1}, so the build is one
+    sweep per row over whole contiguous rows.
+    """
+    k, W = diag.shape
+    both = thomas_factor(np.concatenate([lower, upper[::-1]], axis=1),
+                         np.concatenate([diag, diag[::-1]], axis=1),
+                         np.concatenate([upper, lower[::-1]], axis=1))
+    dn, cq = both.dn[:, :W], both.cp[::-1, W:]
+    growth = np.negative(both.cp)
+    up, down = growth[:, :W], growth[::-1, W:]
+    inverse = np.empty((k, k, W))
+    diagonal = inverse.reshape(k * k, W)[::k + 1]
+    np.multiply(upper, cq, out=diagonal[:-1])
+    np.subtract(dn[:-1], diagonal[:-1], out=diagonal[:-1])
+    diagonal[-1] = dn[-1]
+    np.divide(1.0, diagonal, out=diagonal)
+    for i in range(k - 2, -1, -1):
+        np.multiply(inverse[i + 1, i + 1:], up[i], out=inverse[i, i + 1:])
+    for i in range(1, k):
+        np.multiply(inverse[i - 1, :i], down[i - 1], out=inverse[i, :i])
+    return inverse
+
+
+_Interior = Union[BlockElimination, _DenseInverse]
+
+
 # ---------------------------------------------------------------------------
 # partition
 # ---------------------------------------------------------------------------
@@ -386,7 +473,9 @@ class RankPlan:
     fold_left: np.ndarray    # (L,): (G_L)_{m_R} / (G_R)_{m_R}, used when left neighbor of a middle
     fold_right: np.ndarray   # (L,): (G_R)_{m_L} / (G_L)_{m_L}, used when right neighbor of a middle
     weights: np.ndarray      # (depth, 2, L): the Z entries read at each level
-    interior_fact: Optional[BlockElimination]
+    # the interior rows' dense inverse when every interior is short
+    # (DENSE_INTERIOR_CAP), else their blocked elimination; None for two rows
+    interior_fact: Optional[_Interior]
     interior_c: np.ndarray   # (L,): coupling of first interior row to the row above
     interior_a: np.ndarray   # (L,): coupling of last interior row to the row below
     steps: Tuple[tuple, ...]  # the rank's roles in the splitting tree, in order:
@@ -436,22 +525,25 @@ class DichotomyPlan:
 
 
 def _interior_factors(part: Partition, lower, diag, upper
-                      ) -> List[Optional[BlockElimination]]:
-    """Per rank, the blocked elimination of its interior rows
-    ``m_L+1..m_R-1`` (None for a two-row block), all from one
-    :func:`block_factor` call.
+                      ) -> List[Optional[_Interior]]:
+    """Per rank, the solver of its interior rows ``m_L+1..m_R-1`` (None for
+    a two-row block), all from one build.
 
     The interiors sit side by side as one (longest interior, R * L) family,
     R the number of blocks with an interior, each padded at its end with
-    decoupled identity rows (diagonal 1, couplings 0).  Each rank keeps its
-    own columns over the blocks that hold its rows (:func:`_share`), so its
-    solve is bitwise the family's solve of them.
+    decoupled identity rows (diagonal 1, couplings 0), so the leading k
+    rows of a padded member are the k-row interior alone.  When the longest
+    interior is under :data:`DENSE_INTERIOR_CAP`, each rank keeps the
+    leading k-by-k block of its members' inverses (:func:`_dense_inverses`).
+    Otherwise the family is one :func:`block_factor` call, and each rank
+    keeps its own columns over the blocks that hold its rows
+    (:func:`_share`), so its solve is bitwise the family's solve of them.
     """
     L = diag.shape[1]
     # (0-based rank, 0-based first interior row, interior size)
     blocks = [(m, start + 1, size - 2) for m, (start, size) in enumerate(
         zip(accumulate((0,) + part.sizes), part.sizes)) if size > 2]
-    facts: List[Optional[BlockElimination]] = [None] * part.p
+    facts: List[Optional[_Interior]] = [None] * part.p
     if not blocks:
         return facts
     longest = max(k for _, _, k in blocks)
@@ -462,8 +554,14 @@ def _interior_factors(part: Partition, lower, diag, upper
             out[:k - short, j] = band[first: first + k - short]
         return out.reshape(longest - short, len(blocks) * L)
 
-    family = block_factor(padded(lower, 1, 0.0), padded(diag, 0, 1.0),
-                         padded(upper, 1, 0.0))
+    bands = padded(lower, 1, 0.0), padded(diag, 0, 1.0), padded(upper, 1, 0.0)
+    if longest ** 2 * L <= DENSE_INTERIOR_CAP:
+        inverses = _dense_inverses(*bands)
+        for j, (m, _, k) in enumerate(blocks):
+            facts[m] = _DenseInverse(
+                frozen_copy(inverses[:k, :k, j * L:(j + 1) * L]))
+        return facts
+    family = block_factor(*bands)
     for j, (m, _, k) in enumerate(blocks):
         facts[m] = _share(family, slice(j * L, (j + 1) * L), k)
     return facts
@@ -498,9 +596,9 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
     # top-down elimination (dn, cp) and bottom-up elimination (en, cq), the
     # latter as the top-down elimination of the reversed family: one call
     # on the two side by side, a family of 2 L members
-    both = thomas_factor(np.hstack([lower, upper[::-1]]),
-                         np.hstack([diag, diag[::-1]]),
-                         np.hstack([upper, lower[::-1]]))
+    both = thomas_factor(np.concatenate([lower, upper[::-1]], axis=1),
+                         np.concatenate([diag, diag[::-1]], axis=1),
+                         np.concatenate([upper, lower[::-1]], axis=1))
     dn, cp = both.dn[:, :L], both.cp[:, :L]
     en, cq = both.dn[::-1, L:], both.cp[::-1, L:]
 
@@ -552,15 +650,19 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
                 acc = z * head_cp[r]
 
     weights.setflags(write=False)   # each rank reads its own row
+    # the factors by which a row of the inverse grows rightwards and
+    # leftwards, at every row
+    rightward, leftward = -upper / en[1:], -lower / dn[:-1]
     ranks = []
     for m in range(1, p + 1):
         m_L, m_R = part.m_L(m), part.m_R(m)
         a, b = m_L - 1, m_R - 1            # 0-based first/last owned row
-        G_L = inverse_diag[2 * m - 2] * np.cumprod(np.vstack(
-            [np.ones((1, L)), -upper[a:b] / en[a + 1: b + 1]]), axis=0)
-        G_R = inverse_diag[2 * m - 1] * np.cumprod(np.vstack(
-            [np.ones((1, L)), (-lower[a:b] / dn[a:b])[::-1]]),
-            axis=0)[::-1]
+        G_L, G_R = np.empty((b - a + 1, L)), np.empty((b - a + 1, L))
+        G_L[0] = G_R[-1] = 1.0
+        np.cumprod(rightward[a:b], axis=0, out=G_L[1:])
+        np.cumprod(leftward[a:b][::-1], axis=0, out=G_R[-2::-1])
+        G_L *= inverse_diag[2 * m - 2]
+        G_R *= inverse_diag[2 * m - 1]
 
         den_left, den_right = G_R[-1], G_L[0]
         if (np.any(np.abs(den_left) < FOLD_RATIO_FLOOR)
@@ -572,11 +674,11 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
         interior_c, interior_a = ((lower[a], upper[b - 1]) if b - a > 1
                                   else (np.zeros(L),) * 2)
         fold_left, fold_right = G_L[-1] / den_left, G_R[0] / den_right
-        for arr in (G_L, fold_left, fold_right):   # fresh: frozen in place
-            arr.setflags(write=False)
+        for arr in (G_L, G_R, fold_left, fold_right):   # fresh: frozen
+            arr.setflags(write=False)                   # in place
         ranks.append(RankPlan(
             m_L=m_L, m_R=m_R,
-            G_L=G_L, G_R=frozen_copy(G_R),
+            G_L=G_L, G_R=G_R,
             fold_left=fold_left, fold_right=fold_right,
             weights=weights[m - 1], interior_fact=interiors[m - 1],
             interior_c=frozen_copy(interior_c),
@@ -622,7 +724,7 @@ def _protocol(comm, plan: DichotomyPlan, B: np.ndarray, X: np.ndarray):
 
     ``B`` is the (n, K) right-hand side, read only at the rank's own rows
     ``m_L..m_R``; the rank writes those rows of the (n, K) solution ``X``
-    (first row, last row, then the interior elimination) and no others.
+    (first row, last row, then the interior solve) and no others.
     """
     m = comm.rank
     rp = plan.rank_data(m)
@@ -669,7 +771,7 @@ def _protocol(comm, plan: DichotomyPlan, B: np.ndarray, X: np.ndarray):
             if right_group is not None:
                 yield from comm.send(m + 1, left[K:] * w[1])
 
-    # final local elimination of the interior rows, in place in X
+    # final local solve of the interior rows, in place in X
     if rp.interior_fact is not None:
         interior = X[a + 1: b]
         interior[...] = Q[1:-1]

@@ -24,7 +24,9 @@ apply and no inversion, after which the method's own steps continue from x.
 It counts as an iteration, is checked and traced like any step, and raises
 :class:`Breakdown` when d . A d <= 0.  So ``iterations`` counts operator
 applies and ``binv_applications`` the inversions actually made: one fewer
-than the iterations with a guess, equal to them without.
+than the iterations with a guess, equal to them without.  An inner product
+or a line-search step beyond the float range is a :class:`Breakdown` as
+well, never a numpy warning.
 
 Both solvers call an optional ``trace(it, x, relres)`` after each residual
 check; ``x`` is a read-only view of the live iterate, valid during the call.
@@ -107,6 +109,22 @@ def _checked_problem(rhs, tol: float, maxiter, guess=None
     return f, maxiter, guess
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b, an overflow left as inf or nan for the caller to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(a @ b)
+
+
+def _positive(value: float, name: str, failure: str) -> float:
+    """``value``, once it is positive and finite; otherwise
+    :class:`Breakdown` naming ``failure``, or the float range for inf."""
+    if 0.0 < value < math.inf:
+        return value
+    if value == math.inf:
+        raise Breakdown(f"{name} leaves the float range")
+    raise Breakdown(f"{failure}: {name} = {value!r}")
+
+
 def _steps_from(apply_op: Callable, f: np.ndarray, guess, method_steps):
     """``method_steps(x, r)`` from x = 0, r = f; with a ``guess`` d, first
     the line search x = alpha d, alpha = (d . f) / (d . A d), as step 1:
@@ -115,10 +133,12 @@ def _steps_from(apply_op: Callable, f: np.ndarray, guess, method_steps):
         yield from method_steps(np.zeros_like(f), f.copy())
         return
     r = _flat(apply_op(guess))
-    dAd = float(guess @ r)
-    if not dAd > 0.0:
-        raise Breakdown(f"guess has no positive curvature: d^T A d = {dAd!r}")
-    alpha = float(guess @ f) / dAd
+    dAd = _positive(_dot(guess, r), "d^T A d",
+                    "guess has no positive curvature")
+    alpha = _dot(guess, f) / dAd
+    if not abs(alpha) < math.inf:
+        raise Breakdown(f"line search step leaves the float range: "
+                        f"alpha = {alpha!r}")
     guess *= alpha
     r *= -alpha
     r += f
@@ -139,18 +159,14 @@ def _pcg_steps(apply_op: Callable, apply_pc: Callable, x: np.ndarray,
     rz = np.inf                                   # so the first beta is 0.0
     while True:
         z = _flat(apply_pc(r))
-        rz_new = float(r @ z)
-        if not rz_new > 0.0:
-            raise Breakdown(f"preconditioner lost positivity: "
-                            f"r^T z = {rz_new!r}")
+        rz_new = _positive(_dot(r, z), "r^T z",
+                           "preconditioner lost positivity")
         p *= rz_new / rz
         p += z
         rz = rz_new
         Ap = _flat(apply_op(p))
-        pAp = float(p @ Ap)
-        if not pAp > 0.0:
-            raise Breakdown(f"direction lost positive curvature: "
-                            f"p^T A p = {pAp!r}")
+        pAp = _positive(_dot(p, Ap), "p^T A p",
+                        "direction lost positive curvature")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
@@ -232,13 +248,14 @@ def pcg_solve(apply_op: Callable, apply_pc: Callable, rhs, *,
     Returns ``(x, report)`` once the 2-norm relative residual drops to
     ``tol``; raises :class:`MaxIterExceeded` (carrying the report with the
     last iterate) otherwise, and :class:`Breakdown` when a direction loses
-    positive curvature, which signals a non-SPD pair.  ``trace`` (see the
-    module docstring) runs after every iteration.  A ``guess`` starts the
-    solve with the line search of the module docstring; the solver may
-    overwrite a float64 guess and return it as ``x``.  A ``tol`` that is
-    not finite and positive, a ``maxiter`` that is not an integer >= 1, a
-    rhs or guess with a non-finite entry and a guess whose size is not the
-    rhs's raise :class:`DomainError` before any application.
+    positive curvature, which signals a non-SPD pair, or an inner product
+    leaves the float range.  ``trace`` (see the module docstring) runs
+    after every iteration.  A ``guess`` starts the solve with the line
+    search of the module docstring; the solver may overwrite a float64
+    guess and return it as ``x``.  A ``tol`` that is not finite and
+    positive, a ``maxiter`` that is not an integer >= 1, a rhs or guess
+    with a non-finite entry and a guess whose size is not the rhs's raise
+    :class:`DomainError` before any application.
     """
     f, maxiter, guess = _checked_problem(rhs, tol, maxiter, guess)
     return _run_to_tol(

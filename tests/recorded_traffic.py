@@ -17,6 +17,17 @@ def record_sends(monkeypatch):
     generator that forwards every request unchanged and appends
     ``(rank, dest, size)`` for each message the rank sends; returns the
     list it appends to."""
+    return _record(monkeypatch, lambda rank, dest, payload:
+                   (rank, dest, payload.size))
+
+
+def record_payloads(monkeypatch):
+    """As :func:`record_sends`, appending ``(rank, dest, payload bytes)``."""
+    return _record(monkeypatch, lambda rank, dest, payload:
+                   (rank, dest, payload.tobytes()))
+
+
+def _record(monkeypatch, entry):
     sent = []
     real_run = CommWorld.run
 
@@ -30,7 +41,7 @@ def record_sends(monkeypatch):
                 except StopIteration as stop:
                     return stop.value
                 if request[0] is comm_module._SEND:
-                    sent.append((comm.rank, request[1], request[2].size))
+                    sent.append(entry(comm.rank, request[1], request[2]))
                 value = yield request
 
         return real_run(self, recorded, executor)

@@ -37,7 +37,8 @@ from axisolver.tridiag import TridiagonalMatrix, thomas_solve
 
 from oracles import (arrays_of, block_factor_reference, plan_checksum,
                      scalar_thomas, tridiagonal_dense)
-from recorded_traffic import per_rank, record_sends, split_levels
+from recorded_traffic import (per_rank, record_payloads, record_sends,
+                              split_levels)
 
 
 def random_dominant(rng, n):
@@ -610,19 +611,28 @@ def test_one_member_family_is_the_matrix_plan():
 
 
 def test_rank_plan_holds_only_owned_rows_and_tree_entries():
-    # O(n/p + log p) per member: nothing in a rank's plan spans all n rows
+    # O(n/p + log p) per member: nothing in a rank's plan spans all n rows,
+    # but for the interior, held dense while 48**2 * L is under the cap
     rng = np.random.default_rng(18)
-    n, L, p = 400, 3, 8
-    plan = make_plan(n, [50] * p, matrix=random_family(rng, n, L))
-    for rp in plan.ranks:
-        assert rp.G_L.shape == rp.G_R.shape == (50, L)
-        assert rp.weights.shape == (plan.depth, 2, L)
-        assert rp.fold_left.shape == rp.fold_right.shape == (L,)
-        # the 48 interior rows in blocks: O(n/p) scalars per member
-        assert rp.interior_fact.nsys == L
-        assert all(arr.size <= 2 * 48 * L
-                   for arr in arrays_of(rp.interior_fact))
-    assert plan.full_fact is None
+    n, p = 400, 8
+    for L, dense in ((3, True), (29, False)):
+        assert (48 ** 2 * L <= dichotomy_module.DENSE_INTERIOR_CAP) == dense
+        plan = make_plan(n, [50] * p, matrix=random_family(rng, n, L))
+        for rp in plan.ranks:
+            assert rp.G_L.shape == rp.G_R.shape == (50, L)
+            assert rp.weights.shape == (plan.depth, 2, L)
+            assert rp.fold_left.shape == rp.fold_right.shape == (L,)
+            assert rp.interior_fact.nsys == L
+            if dense:
+                # the 48 interior rows' inverses: k**2 L within the cap
+                [inverse] = arrays_of(rp.interior_fact)
+                assert inverse.shape == (48, 48, L)
+                assert inverse.size <= dichotomy_module.DENSE_INTERIOR_CAP
+            else:
+                # the 48 interior rows in blocks: O(n/p) scalars per member
+                assert all(arr.size <= 2 * 48 * L
+                           for arr in arrays_of(rp.interior_fact))
+        assert plan.full_fact is None
 
 
 def test_series_and_batch_shapes_are_checked():
@@ -731,10 +741,12 @@ def padded_bands(lower, diag, upper, first, k, longest):
 
 @pytest.mark.parametrize("L", [1, 4])
 @pytest.mark.parametrize("p", sorted(UNEVEN))
-def test_interior_factors_are_each_rank_alone_bitwise(p, L):
-    # all interiors are eliminated as one padded family; each rank's share,
+def test_interior_factors_are_each_rank_alone_bitwise(monkeypatch, p, L):
+    # blocked interiors (a cap of 0: these are short enough to be held
+    # dense) are eliminated as one padded family; each rank's share,
     # solving its interior alone in its own storage, gives bitwise what the
     # blocked elimination of its padded interior gives on those rows
+    monkeypatch.setattr(dichotomy_module, "DENSE_INTERIOR_CAP", 0)
     sizes = UNEVEN[p]
     n = sum(sizes)
     longest = max(sizes) - 2
@@ -797,8 +809,11 @@ def test_build_plan_eliminates_the_interiors_in_one_call(monkeypatch, sizes,
                                                          eliminations):
     # a p >= 2 build eliminates the matrix top-down and bottom-up, both in
     # one kernel call as a family of two, and every rank's interior in one
-    # blocked elimination: per-rank eliminations would make p + 2 calls; at
-    # p = 1 the one blocked elimination the solve reads is the whole build
+    # call before it: forced blocked (a cap of 0), one blocked elimination
+    # of them all; held dense, one kernel call on the R interiors and their
+    # reversals (2 R members).  Per-rank eliminations would make p + 2
+    # calls; at p = 1 the one blocked elimination the solve reads is the
+    # whole build, whatever the cap
     factor = dichotomy_module.thomas_factor
     blocked = dichotomy_module.block_factor
     calls, inside = [], []          # members eliminated by each call
@@ -818,9 +833,91 @@ def test_build_plan_eliminates_the_interiors_in_one_call(monkeypatch, sizes,
 
     monkeypatch.setattr(dichotomy_module, "thomas_factor", counting_factor)
     monkeypatch.setattr(dichotomy_module, "block_factor", counting_blocked)
+    cap = dichotomy_module.DENSE_INTERIOR_CAP
+    monkeypatch.setattr(dichotomy_module, "DENSE_INTERIOR_CAP", 0)
     make_plan(sum(sizes), sizes, rng=np.random.default_rng(80))
     assert sum(calls) == eliminations
     assert len(calls) == eliminations - (len(sizes) > 1)
+    monkeypatch.setattr(dichotomy_module, "DENSE_INTERIOR_CAP", cap)
+    calls.clear()
+    make_plan(sum(sizes), sizes, rng=np.random.default_rng(80))
+    interiors = sum(size > 2 for size in sizes)
+    assert calls == ([1] if len(sizes) == 1 else
+                     [2 * interiors] * (interiors > 0) + [2])
+
+
+def grown(sizes, k):
+    """``sizes`` with its largest block grown to an interior of ``k`` rows."""
+    out = list(sizes)
+    out[out.index(max(out))] = k + 2
+    return tuple(out)
+
+
+@pytest.mark.parametrize("L", [1, 4, 64])
+@pytest.mark.parametrize("p", sorted(UNEVEN))
+def test_dense_interiors_match_dense_solves(p, L):
+    # interiors up to the longest k with k**2 L within the cap are held as
+    # their inverses, read-only and C-contiguous; one row more and they are
+    # blocked; either way every member's solution is the dense solve's,
+    # and sim and threads agree bit for bit; L = 1 solves a batch of 3
+    cap_k = math.isqrt(dichotomy_module.DENSE_INTERIOR_CAP // L)
+    rng = np.random.default_rng(110 + 10 * p + L)
+    for sizes in (UNEVEN[p], grown(UNEVEN[p], cap_k),
+                  grown(UNEVEN[p], cap_k + 1)):
+        n = sum(sizes)
+        A = random_family(rng, n, L) if L > 1 else random_dominant(rng, n)
+        B = rng.normal(size=(n, L if L > 1 else 3))
+        solve = solve_series if L > 1 else solve_many
+        plan = make_plan(n, sizes, matrix=A)
+        dense = max(sizes) - 2 <= cap_k
+        for rp, size in zip(plan.ranks, sizes):
+            if size == 2:
+                continue
+            fact = rp.interior_fact
+            assert isinstance(fact, dichotomy_module._DenseInverse) == dense
+            if dense:
+                assert fact.inverse.shape == (size - 2, size - 2, L)
+                assert fact.inverse.flags.c_contiguous
+                assert not fact.inverse.flags.writeable
+        X = solve(plan, B)
+        threads = solve(make_plan(n, sizes, matrix=A), B, executor="threads")
+        assert threads.tobytes() == X.tobytes()
+        for j in range(B.shape[1]):
+            x = np.linalg.solve(
+                tridiagonal_dense(member(A, j) if L > 1 else A), B[:, j])
+            assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("L", [1, 4, 64])
+@pytest.mark.parametrize("p", sorted(UNEVEN))
+def test_dense_and_blocked_interiors_agree(monkeypatch, p, L):
+    # the interior step follows every message, so the blocked form (forced
+    # by a cap of 0) sends bitwise the same messages and counts and gives
+    # bitwise the same first and last rows; the interiors agree to rounding
+    sizes = UNEVEN[p]
+    n = sum(sizes)
+    rng = np.random.default_rng(130 + 10 * p + L)
+    A = random_family(rng, n, L) if L > 1 else random_dominant(rng, n)
+    B = rng.normal(size=(n, L if L > 1 else 3))
+    solve = solve_series if L > 1 else solve_many
+    sent = record_payloads(monkeypatch)
+    runs = []
+    for cap in (dichotomy_module.DENSE_INTERIOR_CAP, 0):
+        monkeypatch.setattr(dichotomy_module, "DENSE_INTERIOR_CAP", cap)
+        plan = make_plan(n, sizes, matrix=A)
+        X = solve(plan, B)
+        runs.append((X, list(sent), plan.world.stats_snapshot()))
+        sent.clear()
+    (dense, dense_sent, dense_stats), (blocked, blocked_sent,
+                                       blocked_stats) = runs
+    assert dense_sent == blocked_sent and dense_sent
+    assert dense_stats == blocked_stats
+    ends = np.cumsum(sizes)
+    edges = np.concatenate([ends - np.array(sizes), ends - 1])
+    assert dense[edges].tobytes() == blocked[edges].tobytes()
+    inner = np.setdiff1d(np.arange(n), edges)
+    assert np.all(np.abs(dense[inner] - blocked[inner])
+                  <= 1e-15 * np.abs(blocked[inner]).max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -884,22 +981,24 @@ def test_block_factor_is_bitwise_its_first_form():
 @pytest.mark.parametrize("n", [1, 2, 8, 15, 40])
 def test_block_elimination_solves_in_place(n):
     # out may be the right-hand side itself; the bits are those of a fresh
-    # solve, for a family and for a one-member batch of 1 and of 3
+    # solve, for a family and for a one-member batch of 1 and of 3, by
+    # the blocked elimination and by the dense inverse
     rng = np.random.default_rng(30 + n)
     family = random_family(rng, n, 4)
     A = random_dominant(rng, n)
-    cases = [(block_factor(family.lower, family.diag, family.upper), 4),
-             (block_factor(A.lower[:, None], A.diag[:, None],
-                           A.upper[:, None]), 1),
-             (block_factor(A.lower[:, None], A.diag[:, None],
-                           A.upper[:, None]), 3)]
+    one = (A.lower[:, None], A.diag[:, None], A.upper[:, None])
+    dense = lambda lower, diag, upper: dichotomy_module._DenseInverse(
+        dichotomy_module._dense_inverses(lower, diag, upper))
+    cases = [(build(*bands), K) for build in (block_factor, dense)
+             for bands, K in (((family.lower, family.diag, family.upper), 4),
+                              (one, 1), (one, 3))]
     for elim, K in cases:
         F = rng.normal(size=(n, K))
         expected = elim.solve(F)
         assert elim.solve(F, out=F) is F
         assert F.tobytes() == expected.tobytes()
-    with pytest.raises(DimensionMismatch):
-        elim.solve(F, out=np.empty((n, 2)))
+        with pytest.raises(DimensionMismatch):
+            elim.solve(F, out=np.empty((n, K + 1)))
 
 
 @pytest.mark.parametrize("n", [3, 24, 99])

@@ -8,6 +8,7 @@ Chebyshev runs on generic operators take their known spectrum as the
 interval.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -324,6 +325,27 @@ def test_nan_inner_products_are_a_breakdown():
         pcg_solve(nan, IDENT, f)
     with pytest.raises(Breakdown):
         pcg_solve(IDENT, nan, f)
+
+
+@pytest.mark.parametrize("out", [np.full(6, 1.5e308),
+                                 np.where(np.arange(6) < 3, 1.5e308,
+                                          -1.5e308)], ids=["inf", "mixed"])
+def test_inner_products_beyond_the_float_range_are_a_breakdown(out):
+    # r^T z, p^T A p, d^T A d and d^T f beyond the float range end the
+    # solve as a Breakdown, never as numpy's overflow warning
+    f = np.ones(6)
+    huge = lambda v: out.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Breakdown, match="r\\^T z"):
+            pcg_solve(IDENT, huge, f)
+        with pytest.raises(Breakdown, match="p\\^T A p"):
+            pcg_solve(huge, IDENT, f)
+        with pytest.raises(Breakdown, match="d\\^T A d"):
+            pcg_solve(huge, IDENT, f, guess=np.ones(6))
+        with pytest.raises(Breakdown, match="line search"):
+            pcg_solve(lambda v: 1e-300 * v, IDENT, np.full(6, 1e300),
+                      guess=np.full(6, 1e10))
 
 
 @settings(max_examples=15, deadline=None)

@@ -87,16 +87,37 @@ def test_distributed_apply_reaches_the_traced_layers_through_bindings(
         monkeypatch):
     # the traced elliptic-p4 run reads its fourier, dichotomy.solve,
     # dichotomy.betas and kernels layers from these names: one apply makes
-    # one call of each of the first three, one local_betas call on every
-    # rank and two thomas_apply calls, blocks and separators, on every rank
-    # with an interior (all four: the 22 radial rows split 6, 6, 5, 5, and
-    # each interior of 3 or 4 rows spans two blocks of 2)
+    # one call of each of the first three and one local_betas call on every
+    # rank (the 22 radial rows split 6, 6, 5, 5).  Interiors of 3 or 4
+    # rows are held as their inverses, so an apply makes no kernel call;
+    # forced blocked (a cap of 0), each rank makes two thomas_apply calls,
+    # blocks and separators (each interior spans two blocks of 2)
     p = 4
-    M = sov.SovPreconditioner(Grid2D(23, 9, 1.0, 1.0), 1.3, 0.4, ranks=p)
-    calls = count_calls(monkeypatch, sov,
-                        ("dct_forward", "dct_inverse", "solve_series"))
-    ranks = count_calls(monkeypatch, dichotomy,
-                        ("local_betas", "thomas_apply"))
-    M.apply_inverse(np.ones(M.grid.unknown_shape))
-    assert calls == {"dct_forward": 1, "dct_inverse": 1, "solve_series": 1}
-    assert ranks == {"local_betas": p, "thomas_apply": 2 * p}
+    for cap, kernel_solves in ((dichotomy.DENSE_INTERIOR_CAP, 0), (0, 2)):
+        monkeypatch.setattr(dichotomy, "DENSE_INTERIOR_CAP", cap)
+        M = sov.SovPreconditioner(Grid2D(23, 9, 1.0, 1.0), 1.3, 0.4,
+                                  ranks=p)
+        with monkeypatch.context() as mp:
+            calls = count_calls(mp, sov, ("dct_forward", "dct_inverse",
+                                          "solve_series"))
+            ranks = count_calls(mp, dichotomy,
+                                ("local_betas", "thomas_apply"))
+            M.apply_inverse(np.ones(M.grid.unknown_shape))
+        assert calls == {"dct_forward": 1, "dct_inverse": 1,
+                         "solve_series": 1}
+        assert ranks == {"local_betas": p, "thomas_apply": kernel_solves * p}
+
+
+def test_dense_interior_build_factors_through_the_traced_binding(
+        monkeypatch):
+    # the tracer's kernels.factor span wraps dichotomy.thomas_factor; a
+    # p >= 2 build with dense interiors factors through it twice: the
+    # interiors and their reversals side by side, then the whole family
+    # and its reversal
+    calls = count_calls(monkeypatch, dichotomy, ("thomas_factor",))
+    plan = dichotomy.build_plan(
+        TridiagonalMatrix.constant(40, -1.0, 2.5, -1.0),
+        dichotomy.Partition((3, 14, 2, 21)), CommWorld(4))
+    assert all(isinstance(rp.interior_fact, dichotomy._DenseInverse)
+               for rp in plan.ranks if rp.m_R - rp.m_L > 1)
+    assert calls == {"thomas_factor": 2}
