@@ -9,6 +9,8 @@ right-hand sides is solved with ceil(log2(p)) "splitting levels" of
 collective sums plus one local elimination per rank.  Every member travels
 in the same messages, so the message count of a solve does not depend on L:
 each reduce carries 2*L*M scalars for L members with M right-hand sides.
+A single matrix's batch of M right-hand sides runs through the family's
+own arithmetic: the plan's size-1 member axis broadcasts over the batch.
 
 Blocked elimination.  Every elimination a solve runs -- the whole family at
 p = 1, every rank's interior at p >= 2 unless the interiors are short
@@ -23,9 +25,10 @@ takes 2 n; the Thomas kernels of :mod:`.kernels` remain the one elimination
 body beneath it.
 
 Preparation.  At p = 1 it is the family's blocked elimination, which is the
-solve.  At p >= 2 two eliminations of the whole family -- top-down (pivots
+solve.  At p >= 2 the family's two-way elimination -- top-down (pivots
 ``dn``, ratios ``cp = upper/dn``) and bottom-up (pivots ``en``, ratios
-``cq = lower[i]/en[i+1]``) -- give in closed form everything a rank reads:
+``cq = lower[i]/en[i+1]``), :func:`_two_way` -- gives in closed form
+everything a rank reads:
 
 * ``G_L`` / ``G_R`` -- rows ``m_L`` / ``m_R`` of the inverse, restricted to
   the rank's own rows ``m_L..m_R``.  Row k of the inverse has diagonal entry
@@ -42,23 +45,23 @@ solve.  At p >= 2 two eliminations of the whole family -- top-down (pivots
 * the fold ratios ``(G_L)_{m_R}/(G_R)_{m_R}`` and ``(G_R)_{m_L}/(G_L)_{m_L}``;
 * the solver of its interior rows ``m_L+1..m_R-1`` and their two couplings
   to the block's first and last rows.  When the longest interior k is
-  short, k**2 * L <= :data:`DENSE_INTERIOR_CAP` scalars, the solver is the
-  interior's dense inverse, and a rank's interior solve is one contraction;
-  otherwise it is the interior's blocked elimination.
+  short, k**2 * max(L, 4) <= :data:`DENSE_INTERIOR_CAP` scalars, the
+  solver is the interior's dense inverse, and a rank's interior solve is
+  one contraction; otherwise it is the interior's blocked elimination.
 
 Each of these but a dense inverse is a length-L vector (or an (·, L)
 array), so a rank's plan is O(n/p + log p) per member, plus at most
-DENSE_INTERIOR_CAP scalars.  The build is three eliminations in total, plus
-the Z products, all vectorized over the members: the two above, of n rows
-each, made in one kernel call on the family and its reversal side by side,
-and one of every rank's interior at once.  That last one lays the
-interiors side by side as a single (longest interior, R * L) family, R the
-number of blocks with an interior, padding each at its end with decoupled
-identity rows.  Short interiors are inverted in closed form, from one
-kernel call on that family and its reversal side by side, and each rank
-keeps the leading block of its members' inverses; longer ones are one
-blocked elimination, and each rank keeps its own columns over the blocks
-that hold its rows.
+DENSE_INTERIOR_CAP scalars.  The build is two eliminations, plus the Z
+products, all vectorized over the members: the family's two-way
+elimination of n rows, one kernel call on the family and its reversal side
+by side, and one of every rank's interior at once.  That last one lays
+the interiors side by side as a single (longest interior, R * L) family, R
+the number of blocks with an interior, padding each at its end with
+decoupled identity rows.  Short interiors are inverted in closed form from
+that family's own two-way elimination, the same code as the whole
+family's, and each rank keeps the leading block of its members' inverses;
+longer ones are one blocked elimination, and each rank keeps its own
+columns over the blocks that hold its rows.
 
 Splitting: the rank interval is halved recursively at ``mid =
 ceil((lo+hi)/2)``.  The solution components at the middle rank's first/last
@@ -105,14 +108,16 @@ from .tridiag import TridiagonalMatrix, frozen_copy
 FOLD_RATIO_FLOOR = 1e-280
 
 # A plan holds every rank's interior as its dense inverse when the longest
-# interior k has k**2 * L <= DENSE_INTERIOR_CAP scalars (512 KB per rank): a
-# solve is then one contraction, where the blocked elimination pays about 25
-# numpy calls whatever k is.  Dense against blocked per interior solve (one
-# pinned CPU, one BLAS thread, best of 300): at L = 64, k = 14 / 32 / 48
-# took 10 / 31 / 62 against 42 / 57 / 66 us; at L = 256, k = 14 / 16 / 24
-# took 25 / 30 / 82 against 50 / 61 / 73 us; at L = 1, k = 256 took 22
-# against 115 us for one rhs, but 352 against 160 us for a batch of 8,
-# whose contraction grows with the batch (k = 128: 109 against 127 us).
+# interior k has k**2 * max(L, 4) <= DENSE_INTERIOR_CAP (512 KB per rank for
+# a family): a solve is then one contraction, where the blocked elimination
+# pays about 25 numpy calls whatever k is.  Dense against blocked per
+# interior solve (one pinned CPU, one BLAS thread, best of 300): at L = 64,
+# k = 14 / 32 / 48 took 10 / 31 / 62 against 42 / 57 / 66 us; at L = 256,
+# k = 14 / 16 / 24 took 25 / 30 / 82 against 50 / 61 / 73 us.  A one-matrix
+# plan's contraction grows with its batch of M right-hand sides, so it is
+# taken as a batch of at least 4, which keeps k <= 128 (best of 400): at
+# k = 128, M = 1 / 8 / 16 took 9 / 104 / 137 against 99 / 133 / 144 us; at
+# k = 180, M = 1 / 4 / 8 took 21 / 171 / 200 against 114 / 153 / 156 us.
 DENSE_INTERIOR_CAP = 2 ** 16
 
 
@@ -192,14 +197,14 @@ class BlockElimination(NamedTuple):
     def solve(self, F: np.ndarray, out: Optional[np.ndarray] = None
               ) -> np.ndarray:
         """Solve every member: ``F`` is (n, L), column l the rhs of member l,
-        or for one member (n,) or (n, M), a batch of M.  ``out``, a
-        C-contiguous array of ``F``'s shape, receives the solutions and may
-        be ``F`` itself: all of ``F`` is read before ``out`` is written."""
+        or for one member (n,) or (n, M), a batch of M, over which the
+        size-1 member axis broadcasts.  ``out``, a C-contiguous array of
+        ``F``'s shape, receives the solutions and may be ``F`` itself: all
+        of ``F`` is read before ``out`` is written."""
         X = _checked_out(F, out)
         n, L = F.shape[0], self.nsys
         m, P = self.blocks.n, self.left.shape[1] + 1
-        # W columns: one per member, or the M of a one-member batch, which
-        # the (., L) couplings broadcast over
+        # W columns: one per member, or the M of a one-member batch
         F = F.reshape(n, -1)
         W = F.shape[1]
         Y = _to_blocks(F, m, m, P, 0.0)                 # (m, P, W)
@@ -207,18 +212,12 @@ class BlockElimination(NamedTuple):
         head = (P - 1) * (m + 1)
         if P > 1:
             sep = slice(m, head, m + 1)
-            if W == L:
-                spec, left, right, schur = ("ikl,ikl->kl", self.left,
-                                            self.right, self.schur)
-            else:
-                # a one-member batch: its M columns are M members sharing
-                # the rows and the Schur bands, so the family body runs them
-                spec, left, right = ("ik,ikm->km", self.left[:, :, 0],
-                                     self.right[:, :, 0])
-                schur = MultiFactorization(
-                    *(np.repeat(band, W, axis=1) for band in self.schur))
-            s = thomas_apply(schur, F[sep] - np.einsum(spec, right, Y[:, :-1])
-                             - np.einsum(spec, left, Y[:, 1:]))
+            # the kernel takes one band column per rhs column
+            schur = self.schur if W == L else MultiFactorization(
+                *(np.repeat(band, W, axis=1) for band in self.schur))
+            s = thomas_apply(schur, F[sep]
+                             - np.einsum("ikl,ikl->kl", self.right, Y[:, :-1])
+                             - np.einsum("ikl,ikl->kl", self.left, Y[:, 1:]))
             Y[-1, :-1] -= self.above * s
             Y[0, 1:] -= self.below * s
             X2[sep] = s
@@ -326,16 +325,35 @@ class _DenseInverse(NamedTuple):
     def solve(self, F: np.ndarray, out: Optional[np.ndarray] = None
               ) -> np.ndarray:
         """As :meth:`BlockElimination.solve`, by one ``np.einsum`` (no
-        BLAS, so no dependence on the host's BLAS threads)."""
+        BLAS, so no dependence on the host's BLAS threads), whose size-1
+        member axis broadcasts over a one-member batch."""
         X = _checked_out(F, out)
         F2 = F.reshape(F.shape[0], -1)
         if np.may_share_memory(X, F):
             F2 = F2.copy()            # einsum's out must not alias its operand
-        spec, inverse = (("ijl,jl->il", self.inverse)
-                         if F2.shape[1] == self.nsys
-                         else ("ij,jm->im", self.inverse[:, :, 0]))
-        np.einsum(spec, inverse, F2, out=X.reshape(F2.shape))
+        np.einsum("ijl,jl->il", self.inverse, F2, out=X.reshape(F2.shape))
         return X
+
+
+def _two_way(lower, diag, upper):
+    """``(dn, cp, en, cq, inverse_diag)`` of the family with (k, W) ``diag``
+    and (k - 1, W) ``lower``/``upper``: the top-down elimination (pivots
+    ``dn``, ratios ``cp = upper/dn``), the bottom-up one (pivots ``en``,
+    ratios ``cq[i] = lower[i]/en[i+1]``), from one kernel call on the family
+    and its reversal side by side, and the (k, W) diagonal of every member's
+    inverse, 1/(dn_i - upper_i cq_i) (1/dn on the last row)."""
+    W = diag.shape[1]
+    both = thomas_factor(np.concatenate([lower, upper[::-1]], axis=1),
+                         np.concatenate([diag, diag[::-1]], axis=1),
+                         np.concatenate([upper, lower[::-1]], axis=1))
+    dn, cp = both.dn[:, :W], both.cp[:, :W]
+    en, cq = both.dn[::-1, W:], both.cp[::-1, W:]
+    inverse_diag = np.empty(diag.shape)
+    np.multiply(upper, cq, out=inverse_diag[:-1])
+    np.subtract(dn[:-1], inverse_diag[:-1], out=inverse_diag[:-1])
+    inverse_diag[-1] = dn[-1]
+    np.divide(1.0, inverse_diag, out=inverse_diag)
+    return dn, cp, en, cq, inverse_diag
 
 
 def _dense_inverses(lower, diag, upper) -> np.ndarray:
@@ -343,27 +361,17 @@ def _dense_inverses(lower, diag, upper) -> np.ndarray:
     ``lower``/``upper``, as a (k, k, W) array whose [i, j, w] is entry
     (i, j) of member w's inverse.
 
-    Closed form, from one kernel call on the family and its reversal side
-    by side: the top-down pivots ``dn`` and ratios ``cp``, the bottom-up
-    ratios ``cq``.  Entry (i, i) is 1/(dn_i - upper_i cq_i) (1/dn on the
-    last row), as in :func:`build_plan`.  Where a row of the inverse grows
-    away from the diagonal by the factors of ``G_L``/``G_R``, a column
-    grows upwards by -cp_i and downwards by -cq_{i-1}, so the build is one
-    sweep per row over whole contiguous rows.
+    Closed form, from the family's two-way elimination (:func:`_two_way`),
+    which gives the diagonal.  Where a row of the inverse grows away from
+    the diagonal by the factors of ``G_L``/``G_R``, a column grows upwards
+    by -cp_i and downwards by -cq_{i-1}, so the build is one sweep per row
+    over whole contiguous rows.
     """
     k, W = diag.shape
-    both = thomas_factor(np.concatenate([lower, upper[::-1]], axis=1),
-                         np.concatenate([diag, diag[::-1]], axis=1),
-                         np.concatenate([upper, lower[::-1]], axis=1))
-    dn, cq = both.dn[:, :W], both.cp[::-1, W:]
-    growth = np.negative(both.cp)
-    up, down = growth[:, :W], growth[::-1, W:]
+    _, cp, _, cq, inverse_diag = _two_way(lower, diag, upper)
+    up, down = np.negative(cp), np.negative(cq)
     inverse = np.empty((k, k, W))
-    diagonal = inverse.reshape(k * k, W)[::k + 1]
-    np.multiply(upper, cq, out=diagonal[:-1])
-    np.subtract(dn[:-1], diagonal[:-1], out=diagonal[:-1])
-    diagonal[-1] = dn[-1]
-    np.divide(1.0, diagonal, out=diagonal)
+    inverse.reshape(k * k, W)[::k + 1] = inverse_diag
     for i in range(k - 2, -1, -1):
         np.multiply(inverse[i + 1, i + 1:], up[i], out=inverse[i, i + 1:])
     for i in range(1, k):
@@ -555,7 +563,7 @@ def _interior_factors(part: Partition, lower, diag, upper
         return out.reshape(longest - short, len(blocks) * L)
 
     bands = padded(lower, 1, 0.0), padded(diag, 0, 1.0), padded(upper, 1, 0.0)
-    if longest ** 2 * L <= DENSE_INTERIOR_CAP:
+    if longest ** 2 * max(L, 4) <= DENSE_INTERIOR_CAP:
         inverses = _dense_inverses(*bands)
         for j, (m, _, k) in enumerate(blocks):
             facts[m] = _DenseInverse(
@@ -593,14 +601,7 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
     # eliminations are made
     interiors = _interior_factors(part, lower, diag, upper)
 
-    # top-down elimination (dn, cp) and bottom-up elimination (en, cq), the
-    # latter as the top-down elimination of the reversed family: one call
-    # on the two side by side, a family of 2 L members
-    both = thomas_factor(np.concatenate([lower, upper[::-1]], axis=1),
-                         np.concatenate([diag, diag[::-1]], axis=1),
-                         np.concatenate([upper, lower[::-1]], axis=1))
-    dn, cp = both.dn[:, :L], both.cp[:, :L]
-    en, cq = both.dn[::-1, L:], both.cp[::-1, L:]
+    dn, cp, en, cq, inverse_diag = _two_way(lower, diag, upper)
 
     # 0-based first and last row of every block but row n - 1: reduceat
     # gives each block's product over its head (all rows but the last),
@@ -611,9 +612,6 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
     cq_blocks = np.multiply.reduceat(-cq, edges)
     head_cp, last_cp = cp_blocks[0::2], cp_blocks[1::2]
     head_cq, last_cq = cq_blocks[0::2], cq_blocks[1::2]
-    # (A^-1)_kk = 1/(dn_k - upper_k cq_k) at the same rows, 1/dn on row n-1
-    inverse_diag = np.vstack([
-        1.0 / (dn[edges] - upper[edges] * cq[edges]), 1.0 / dn[-1:]])
 
     steps: List[List[tuple]] = [[] for _ in range(p)]
     weights = np.zeros((p, len(levels), 2, L))
@@ -661,8 +659,8 @@ def build_plan(A: TridiagonalMatrix, part: Partition,
         G_L[0] = G_R[-1] = 1.0
         np.cumprod(rightward[a:b], axis=0, out=G_L[1:])
         np.cumprod(leftward[a:b][::-1], axis=0, out=G_R[-2::-1])
-        G_L *= inverse_diag[2 * m - 2]
-        G_R *= inverse_diag[2 * m - 1]
+        G_L *= inverse_diag[a]
+        G_R *= inverse_diag[b]
 
         den_left, den_right = G_R[-1], G_L[0]
         if (np.any(np.abs(den_left) < FOLD_RATIO_FLOOR)

@@ -158,12 +158,9 @@ class Grid2D:
 
 
 def _sample(fn: Callable, R: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Evaluate a (r, z) sampler on broadcast arrays, tolerating scalar-only
-    callables."""
-    try:
-        out = np.asarray(fn(R, Z), dtype=np.float64)
-    except (TypeError, ValueError):
-        out = np.vectorize(fn, otypes=[np.float64])(R, Z)
+    """Evaluate a (r, z) sampler on broadcast arrays: it takes the arrays
+    whole, and a result of a smaller shape (a constant) is broadcast."""
+    out = np.asarray(fn(R, Z), dtype=np.float64)
     if out.shape != np.broadcast_shapes(R.shape, Z.shape):
         out = np.broadcast_to(out, np.broadcast_shapes(R.shape, Z.shape)).copy()
     return out

@@ -131,19 +131,19 @@ def _steps_from(apply_op: Callable, f: np.ndarray, guess, method_steps):
     one operator apply and no inversion.  ``d`` becomes the iterate."""
     if guess is None:
         yield from method_steps(np.zeros_like(f), f.copy())
-        return
-    r = _flat(apply_op(guess))
-    dAd = _positive(_dot(guess, r), "d^T A d",
-                    "guess has no positive curvature")
-    alpha = _dot(guess, f) / dAd
-    if not abs(alpha) < math.inf:
-        raise Breakdown(f"line search step leaves the float range: "
-                        f"alpha = {alpha!r}")
-    guess *= alpha
-    r *= -alpha
-    r += f
-    yield guess, r
-    yield from method_steps(guess, r)
+    else:
+        r = _flat(apply_op(guess))
+        dAd = _positive(_dot(guess, r), "d^T A d",
+                        "guess has no positive curvature")
+        alpha = _dot(guess, f) / dAd
+        if not abs(alpha) < math.inf:
+            raise Breakdown(f"line search step leaves the float range: "
+                            f"alpha = {alpha!r}")
+        guess *= alpha
+        r *= -alpha
+        r += f
+        yield guess, r
+        yield from method_steps(guess, r)
 
 
 def _pcg_steps(apply_op: Callable, apply_pc: Callable, x: np.ndarray,

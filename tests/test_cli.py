@@ -81,6 +81,24 @@ def test_poisson_rhs_file_grid_mismatch_exits_2(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_poisson_rhs_file_on_the_run_grid(tmp_path):
+    # a panel of ones read from a file samples to ones, so it poses the
+    # uniform source of 1, and the run solves the same system
+    grid = Grid2D(33, 32, 950.0, 950.0)
+    write_field_text(tmp_path / "rhs.txt", grid, np.ones((grid.nz, grid.nr)))
+    fields = []
+    for rhs in (f"kind = file\npath = {tmp_path / 'rhs.txt'}\n",
+                "kind = uniform\nvalue = 1.0\n"):
+        cfg = write_cfg(tmp_path / "run.cfg", SMALL_GRID + "[rhs]\n" + rhs)
+        out = tmp_path / f"out{len(fields)}"
+        assert run_cli("poisson", "--config", cfg, "--out", str(out)) == 0
+        assert float(report_value(out, "relative_residual")) <= 1e-10
+        fields.append(read_field_raw(out / "solution.raw")[1])
+    from_file, uniform = fields
+    assert np.abs(uniform).max() > 0.0
+    assert from_file.tobytes() == uniform.tobytes()
+
+
 def test_poisson_distributed_ranks(tmp_path):
     cfg = write_cfg(tmp_path / "run.cfg", SMALL_GRID)
     out = tmp_path / "out"
@@ -126,6 +144,26 @@ def test_unknown_key_and_section_exit_2(tmp_path, capsys):
     bad_num = write_cfg(tmp_path / "d.cfg", "[grid]\nnr = many\n")
     assert run_cli("poisson", "--config", bad_num,
                    "--out", str(tmp_path / "o4")) == 2
+
+
+def test_unparsable_config_file_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "run.cfg", "nr = 33\n")     # no section
+    assert run_cli("poisson", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cfg}: File contains no "
+                          f"section headers")
+
+
+@pytest.mark.parametrize("receivers, message", [
+    ("times = 0.0, 1.2, many", "[receivers] times: bad entry"),
+    ("times = 0.0, 1.2, 0", "[receivers] times: empty span"),
+    ("points = 300:4, r:4", "receiver point 'r:4' is not numeric")])
+def test_bad_receiver_entry_exits_2(tmp_path, capsys, receivers, message):
+    cfg = write_cfg(tmp_path / "run.cfg", f"[receivers]\n{receivers}\n")
+    assert run_cli("acoustic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, message)
 
 
 def test_missing_model_file_exits_4(tmp_path):
@@ -828,6 +866,19 @@ def test_rhs_beyond_the_float_range_exits_2_without_a_warning(
                    "--out", str(tmp_path / "out")) == 2
     assert_one_line_config_error(
         capsys, "[rhs] value" if value == "1e308" else "float32")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_elliptic_solution_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # the solve runs on the rhs scaled into [0.5, 1); scaled back, a
+    # solution near 1e200 / 1e-200 leaves the float range
+    cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nnr = 9\nnz = 8\n"
+                    "[model]\nkind = constant\nkappa0 = 1e-200\n"
+                    "[rhs]\nkind = uniform\nvalue = 1e200\n")
+    assert run_cli("elliptic", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 2
+    assert_one_line_config_error(capsys, "the solution leaves the float "
+                                 "range")
 
 
 @pytest.mark.parametrize("method", ["pcg", "chebyshev"])

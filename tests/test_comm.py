@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from axisolver.comm import EXECUTORS, CommStats, CommWorld, Group, reduce_schedule
 from axisolver.errors import (
     Deadlock,
+    DimensionMismatch,
     IndexOutOfRange,
     MismatchedLength,
     MissingParticipant,
@@ -76,6 +77,16 @@ def test_mutual_recv_deadlocks():
     with pytest.raises(Deadlock) as exc:
         world.run(program, executor="sim")
     assert set(exc.value.blocked) == {1, 2}
+
+
+def test_payload_of_two_dimensions_is_refused():
+    def program(comm):
+        if comm.rank == 1:
+            yield from comm.send(2, np.ones((2, 2)))
+
+    with pytest.raises(DimensionMismatch, match="payload must be scalar "
+                       "or 1-D"):
+        CommWorld(2).run(program, executor="sim")
 
 
 def test_bad_peer_ranks_rejected():

@@ -32,7 +32,7 @@ from axisolver.dichotomy import (
     solve_series,
 )
 from axisolver.errors import (ConfigError, DimensionMismatch, DomainError,
-                              IndexOutOfRange, InvalidPartition)
+                              IndexOutOfRange, InvalidPartition, SingularPlan)
 from axisolver.tridiag import TridiagonalMatrix, thomas_solve
 
 from oracles import (arrays_of, block_factor_reference, plan_checksum,
@@ -635,6 +635,15 @@ def test_rank_plan_holds_only_owned_rows_and_tree_entries():
         assert plan.full_fact is None
 
 
+def test_vanishing_boundary_weight_is_a_singular_plan():
+    # a diagonal of 1e290 puts the inverse's diagonal near 1e-290, below
+    # FOLD_RATIO_FLOOR, so no fold ratio can be formed
+    A = TridiagonalMatrix.constant(8, 1.0, 1e290, 1.0)
+    with pytest.raises(SingularPlan, match="rank 1: inverse-row boundary "
+                       "weight below 1e-280"):
+        build_plan(A, Partition((4, 4)), CommWorld(2))
+
+
 def test_series_and_batch_shapes_are_checked():
     rng = np.random.default_rng(19)
     family = make_plan(12, [6, 6], matrix=random_family(rng, 12, 3))
@@ -647,6 +656,10 @@ def test_series_and_batch_shapes_are_checked():
     single = make_plan(12, [6, 6], rng=rng)
     with pytest.raises(DimensionMismatch):
         solve_series(single, np.zeros((12, 4)))
+    for B in (np.zeros(11), np.zeros((11, 2)), np.zeros((12, 2, 2))):
+        with pytest.raises(DimensionMismatch,
+                           match=r"rhs batch must be \(12, M\)"):
+            solve_many(single, B)
 
 
 @pytest.mark.parametrize("executor", ["sim", "threads"])
@@ -856,11 +869,12 @@ def grown(sizes, k):
 @pytest.mark.parametrize("L", [1, 4, 64])
 @pytest.mark.parametrize("p", sorted(UNEVEN))
 def test_dense_interiors_match_dense_solves(p, L):
-    # interiors up to the longest k with k**2 L within the cap are held as
-    # their inverses, read-only and C-contiguous; one row more and they are
-    # blocked; either way every member's solution is the dense solve's,
-    # and sim and threads agree bit for bit; L = 1 solves a batch of 3
-    cap_k = math.isqrt(dichotomy_module.DENSE_INTERIOR_CAP // L)
+    # interiors up to the longest k with k**2 max(L, 4) within the cap are
+    # held as their inverses, read-only and C-contiguous; one row more and
+    # they are blocked; either way every member's solution is the dense
+    # solve's, and sim and threads agree bit for bit; L = 1 solves a batch
+    # of 3, and its k counts as a batch of 4
+    cap_k = math.isqrt(dichotomy_module.DENSE_INTERIOR_CAP // max(L, 4))
     rng = np.random.default_rng(110 + 10 * p + L)
     for sizes in (UNEVEN[p], grown(UNEVEN[p], cap_k),
                   grown(UNEVEN[p], cap_k + 1)):

@@ -272,6 +272,15 @@ def test_assemble_rejects_nonpositive_kappa():
         assemble(g, fields)
 
 
+def test_assemble_rejects_non_finite_reaction():
+    g = Grid2D(6, 4, 1.0, 1.0)
+    fields = CoefficientFields(
+        kappa=lambda r, z: 1.0 + 0.0 * r + 0.0 * z,
+        reaction=lambda r, z: np.full(np.shape(r), np.nan))
+    with pytest.raises(DomainError, match="non-finite"):
+        assemble(g, fields)
+
+
 def test_assemble_rejects_negative_reaction():
     g = Grid2D(6, 4, 1.0, 1.0)
     fields = CoefficientFields(

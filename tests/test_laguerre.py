@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
+from axisolver import laguerre as laguerre_module
 from axisolver.errors import DomainError, OverflowGuard, QuadratureNotConverged
 from axisolver.laguerre import (
     _gauss_legendre_panels,
@@ -152,12 +153,41 @@ def test_deep_tail_underflows_to_zero_without_nan():
 
 
 def test_huge_scale_survives_log_space_start():
-    # h = 300 with moderate tau exercises the deficit bookkeeping
+    # h = 300 with moderate tau: a log-space start far below the float range
     taus = np.array([500.0, 900.0])
     ours = laguerre_function_table(400, 5.0, taus, h=300.0)
     assert np.all(np.isfinite(ours))
     # values re-enter the representable range for large m (tau < 4m)
     assert np.abs(ours[:, 350:]).max() > 1e-20
+
+
+@pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+def test_renormalized_recurrence_matches_a_high_precision_reference(
+        monkeypatch, share):
+    # at tau = 1500 the normalized polynomials pass 1e250 near m = 300 and
+    # are rescaled, their scale moving into the log-space start; scipy's
+    # polynomials overflow there, so the reference takes 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    builds = []
+    scaler = laguerre_module._scaler
+
+    def counted(deficit):
+        builds.append(deficit)
+        return scaler(deficit)
+
+    monkeypatch.setattr(laguerre_module, "_scaler", counted)
+    alpha, h, tau = 5.0, 300.0, 1500.0
+    power = share * alpha
+    ours = laguerre_function_table(400, alpha, [tau], h=h, power=power)[0]
+    assert len(builds) > 1
+    with mpmath.workdps(30):
+        ref = np.array([float(
+            mpmath.sqrt(h * mpmath.factorial(m) / mpmath.gamma(m + alpha + 1))
+            * mpmath.mpf(tau) ** power * mpmath.exp(-tau / 2)
+            * mpmath.laguerre(m, alpha, tau)) for m in range(401)])
+    assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the m = 0 analysis weight is below the smallest subnormal
+    assert np.count_nonzero(ours) == (400 if power == 0.0 else 401)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

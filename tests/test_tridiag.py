@@ -193,6 +193,11 @@ def test_kernels_take_only_families_and_their_batches():
     lower, diag, upper = random_family(rng, 7, 3)
     with pytest.raises(DimensionMismatch):
         multi_factor(lower[:, 0], diag[:, 0], upper[:, 0])
+    with pytest.raises(DimensionMismatch,
+                       match=r"lower has shape \(6, 2\), expected \(6, 3\)"):
+        multi_factor(lower[:, :2], diag, upper)
+    with pytest.raises(DimensionMismatch, match=r"upper has shape \(5, 3\)"):
+        multi_factor(lower, diag, upper[1:])
     for nsys in (1, 3):
         fact = multi_factor(lower[:, :nsys], diag[:, :nsys], upper[:, :nsys])
         for F in (np.ones(7), np.ones((7, 5)), np.ones((7, nsys, 2, 2))):
